@@ -235,7 +235,7 @@ ModelBenchOutcome bench_model(const MicroBenchConfig& config, model::ModelKind k
 /// A synthetic but format-complete trace: send/ACK pairs with periodic
 /// retransmissions, timeouts and RTT samples, so the parser sees every
 /// record type at realistic field widths.
-std::string make_trace_text(std::size_t events) {
+std::vector<trace::TraceEvent> make_trace_events(std::size_t events) {
   std::vector<trace::TraceEvent> trace;
   trace.reserve(events);
   sim::SeqNo seq = 0;
@@ -275,9 +275,11 @@ std::string make_trace_text(std::size_t events) {
     }
     trace.push_back(e);
   }
-  std::ostringstream os;
-  trace::write_trace(os, trace);
-  return os.str();
+  return trace;
+}
+
+std::string make_trace_text(std::size_t events) {
+  return trace::format_trace(make_trace_events(events));
 }
 
 /// Formats one journal-shaped record into `buf` — the per-record work
@@ -507,6 +509,23 @@ MicroBenchResult bench_trace_parse(const MicroBenchConfig& config) {
   return r;
 }
 
+/// The write path's formatting half: format_trace over the synthetic
+/// capture, in MB/s of text produced (the durable write is excluded).
+MicroBenchResult bench_trace_format(const MicroBenchConfig& config) {
+  const auto events = make_trace_events(config.trace_events);
+  std::size_t bytes = 0;
+  const double secs = best_seconds(config.repeats, [&] {
+    bytes = trace::format_trace(events).size();
+  });
+  MicroBenchResult r;
+  r.name = "trace.format";
+  r.unit = "MB/s";
+  r.items = events.size();
+  r.per_second = static_cast<double>(bytes) / secs;
+  r.value = r.per_second / (1024.0 * 1024.0);
+  return r;
+}
+
 /// Field-by-field, bit-exact event comparison (doubles via bit_cast so
 /// a -0.0/0.0 or last-ulp drift cannot slip through ==).
 bool events_identical(const std::vector<trace::TraceEvent>& a,
@@ -721,6 +740,7 @@ MicroBenchReport run_micro_bench(const MicroBenchConfig& config) {
   report.trace_mmap_speedup =
       mmap_outcome.result.per_second /
       report.results[report.results.size() - 2].per_second;
+  report.results.push_back(bench_trace_format(config));
 
   report.results.push_back(bench_serve_parse(config));
   report.results.push_back(bench_serve_request_path(config));

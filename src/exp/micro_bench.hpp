@@ -12,6 +12,8 @@
 //     (trace.parse_mmap, timed through load_trace_file_lenient on a
 //     real temp file), with a bit-exact events-and-report parity
 //     cross-check between the two on every run;
+//   * trace formatting, in MB/s of text — format_trace over the same
+//     synthetic capture (trace.format), the write path minus the disk;
 //   * the `pftk serve` request path: wire-line parsing alone
 //     (serve.parse) and parse -> PreparedModel-cache evaluate -> response
 //     format (serve.request_path), in ns per request — what one daemon

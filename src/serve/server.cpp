@@ -355,10 +355,10 @@ void Server::acceptor_loop() {
     readers_active_.fetch_add(1);
     std::thread([this, session = std::move(session)]() mutable {
       reader_loop(std::move(session));
-      {
-        std::lock_guard<std::mutex> lock(readers_mu_);
-        readers_active_.fetch_sub(1);
-      }
+      // Notify under the lock: once it is released, wait() may see zero
+      // readers, return, and let ~Server destroy readers_cv_.
+      std::lock_guard<std::mutex> lock(readers_mu_);
+      readers_active_.fetch_sub(1);
       readers_cv_.notify_all();
     }).detach();
   }

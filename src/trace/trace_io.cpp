@@ -1,12 +1,14 @@
 #include "trace/trace_io.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <fstream>
-#include <iomanip>
 #include <istream>
-#include <ostream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "obs/flight/flight_recorder.hpp"
 #include "robust/durable_file.hpp"
@@ -164,6 +166,54 @@ std::vector<TraceEvent> read_trace_impl(std::istream& is, ReadMode mode,
   return out;
 }
 
+/// Longest fixed/9 rendering of a double: sign, DBL_MAX's 309 integer
+/// digits, the point and 9 decimals.
+constexpr std::size_t kMaxRealChars =
+    1 + (std::numeric_limits<double>::max_exponent10 + 1) + 1 + 9;
+/// Longest integer field: UINT64_MAX's 20 digits (INT_MIN needs 11).
+constexpr std::size_t kMaxIntChars = std::numeric_limits<std::uint64_t>::digits10 + 1;
+
+/// One record assembled in a stack buffer sized for the worst record (S
+/// and T: two reals, three integer or flag fields, the tag, five
+/// separators and the newline), so no field value can be clipped.
+class RecordBuffer {
+ public:
+  explicit RecordBuffer(char tag) noexcept { *p_++ = tag; }
+
+  RecordBuffer& real(double v) {
+    *p_++ = '\t';
+    return advance(std::to_chars(p_, std::end(buf_), v, std::chars_format::fixed, 9));
+  }
+  template <typename Int>
+  RecordBuffer& integer(Int v) {
+    *p_++ = '\t';
+    return advance(std::to_chars(p_, std::end(buf_), v));
+  }
+  RecordBuffer& flag(bool on) noexcept {
+    *p_++ = '\t';
+    *p_++ = on ? '1' : '0';
+    return *this;
+  }
+  void end_line(std::string& out) {
+    *p_++ = '\n';
+    out.append(buf_, p_);
+  }
+
+ private:
+  RecordBuffer& advance(std::to_chars_result r) {
+    if (r.ec != std::errc{}) {
+      throw std::logic_error("format_trace: field overflowed its record buffer");
+    }
+    p_ = r.ptr;
+    return *this;
+  }
+
+  // Left uninitialized on purpose: only the written prefix [buf_, p_) is
+  // ever read, and zeroing it would add a ~700-byte memset per record.
+  char buf_[2 * kMaxRealChars + 3 * kMaxIntChars + 7];
+  char* p_ = buf_;
+};
+
 }  // namespace
 
 std::string TraceReadReport::describe() const {
@@ -185,30 +235,44 @@ std::string TraceReadReport::describe() const {
   return os.str();
 }
 
-void write_trace(std::ostream& os, std::span<const TraceEvent> events) {
-  os << "# pftk trace v1: S/A/T/F/R events, tab-separated, times in seconds\n";
-  os << std::fixed << std::setprecision(9);
+std::string format_trace(std::span<const TraceEvent> events) {
+  constexpr std::string_view kHeader =
+      "# pftk trace v1: S/A/T/F/R events, tab-separated, times in seconds\n";
+  std::string out;
+  // Simulated records average ~31 bytes; 48 covers them without regrowth.
+  out.reserve(kHeader.size() + 48 * events.size());
+  out += kHeader;
   for (const TraceEvent& e : events) {
     switch (e.type) {
       case TraceEventType::kSegmentSent:
-        os << "S\t" << e.t << '\t' << e.seq << '\t' << (e.retransmission ? 1 : 0) << '\t'
-           << e.in_flight << '\t' << e.cwnd << '\n';
+        RecordBuffer('S')
+            .real(e.t)
+            .integer(e.seq)
+            .flag(e.retransmission)
+            .integer(e.in_flight)
+            .real(e.cwnd)
+            .end_line(out);
         break;
       case TraceEventType::kAckReceived:
-        os << "A\t" << e.t << '\t' << e.seq << '\t' << (e.duplicate ? 1 : 0) << '\n';
+        RecordBuffer('A').real(e.t).integer(e.seq).flag(e.duplicate).end_line(out);
         break;
       case TraceEventType::kTimeout:
-        os << "T\t" << e.t << '\t' << e.seq << '\t' << e.consecutive << '\t' << e.value
-           << '\n';
+        RecordBuffer('T')
+            .real(e.t)
+            .integer(e.seq)
+            .integer(e.consecutive)
+            .real(e.value)
+            .end_line(out);
         break;
       case TraceEventType::kFastRetransmit:
-        os << "F\t" << e.t << '\t' << e.seq << '\n';
+        RecordBuffer('F').real(e.t).integer(e.seq).end_line(out);
         break;
       case TraceEventType::kRttSample:
-        os << "R\t" << e.t << '\t' << e.value << '\t' << e.in_flight << '\n';
+        RecordBuffer('R').real(e.t).real(e.value).integer(e.in_flight).end_line(out);
         break;
     }
   }
+  return out;
 }
 
 std::vector<TraceEvent> read_trace(std::istream& is) {
@@ -220,13 +284,11 @@ std::vector<TraceEvent> read_trace_lenient(std::istream& is, TraceReadReport* re
 }
 
 void save_trace_file(const std::string& path, std::span<const TraceEvent> events) {
+  PFTK_SPAN("trace.save", events.size());
   // Serialize in memory, then durably replace the target (write-temp +
   // fsync + atomic rename): a crash mid-save never corrupts an existing
-  // trace, and write/close failures throw robust::IoError instead of
-  // silently reporting success from an unflushed stream buffer.
-  std::ostringstream os;
-  write_trace(os, events);
-  robust::atomic_write_file(path, os.str(), "trace.write");
+  // trace, and write/close failures throw robust::IoError.
+  robust::atomic_write_file(path, format_trace(events), "trace.write");
 }
 
 std::vector<TraceEvent> load_trace_file(const std::string& path) {

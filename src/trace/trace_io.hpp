@@ -15,6 +15,12 @@
 // Lines starting with '#' are comments. Times are seconds with fixed
 // 9-digit precision, so a round trip is loss-free for simulation scales.
 //
+// Writing is one pass of std::to_chars into a single reserved string
+// (format_trace), which save_trace_file hands to the durable writer.
+// to_chars fixed and glibc's printf("%.9f") are both correctly rounded
+// (ties to even), so every real prints exactly as "%.9f" would;
+// tests/data holds a golden capture that pins the bytes.
+//
 // Real capture files get truncated, hit disk-full mid-line, and pick up
 // garbage; an hour of capture must not be voided by one bad line. The
 // reader therefore has two modes:
@@ -70,11 +76,13 @@ struct TraceReadReport {
   [[nodiscard]] std::string describe() const;
 };
 
-/// Writes the trace, one event per line, preceded by a '#' header.
-/// @throws std::ios_base::failure on stream errors.
-void write_trace(std::ostream& os, std::span<const TraceEvent> events);
+/// Renders the trace, one event per line, preceded by a '#' header.
+/// Reals are fixed with 9 decimals, byte-identical to printf("%.9f").
+/// @throws std::logic_error if a field does not fit its record buffer
+/// (sized for DBL_MAX, so never for a real double).
+[[nodiscard]] std::string format_trace(std::span<const TraceEvent> events);
 
-/// Reads a trace written by write_trace (strict mode).
+/// Reads a trace written by format_trace (strict mode).
 /// @throws std::invalid_argument on any malformed line (with its number).
 [[nodiscard]] std::vector<TraceEvent> read_trace(std::istream& is);
 
@@ -88,8 +96,12 @@ void write_trace(std::ostream& os, std::span<const TraceEvent> events);
 /// path (trace_reader_fast.hpp) when the input is a mappable regular
 /// file and no failpoints are armed; pipes, devices and armed-failpoint
 /// runs fall back to the istream reference reader above. Both paths
-/// produce byte-identical events and reports — a tested contract.
-/// @throws std::invalid_argument if the file cannot be opened.
+/// produce byte-identical events and reports — a tested contract. Saves
+/// format the trace and replace the file via robust::atomic_write_file
+/// (temp + fsync + rename, `trace.write` failpoint) inside a
+/// `trace.save` flight-recorder span.
+/// @throws std::invalid_argument if a file cannot be opened for loading.
+/// @throws robust::IoError if a save fails.
 void save_trace_file(const std::string& path, std::span<const TraceEvent> events);
 [[nodiscard]] std::vector<TraceEvent> load_trace_file(const std::string& path);
 [[nodiscard]] std::vector<TraceEvent> load_trace_file_lenient(

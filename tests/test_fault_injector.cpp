@@ -3,7 +3,6 @@
 // traces; an empty or inactive schedule perturbs nothing).
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -163,9 +162,7 @@ std::string traced_run(const ConnectionConfig& cfg, double duration) {
   trace::TraceRecorder recorder;
   conn.set_observer(&recorder);
   (void)conn.run_for(duration);
-  std::ostringstream os;
-  trace::write_trace(os, recorder.events());
-  return os.str();
+  return trace::format_trace(recorder.events());
 }
 
 TEST(FaultInjector, SameSeedAndScheduleYieldByteIdenticalTraces) {

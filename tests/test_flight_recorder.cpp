@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "obs/flight/span_export.hpp"
+#include "trace/trace_io.hpp"
 
 namespace flight = pftk::obs::flight;
 
@@ -202,6 +204,25 @@ TEST_F(FlightRecorderTest, JsonExtensionSelectsChromeTraceEvents) {
   ss << in.rdbuf();
   EXPECT_EQ(ss.str(), body);
   std::remove(path.c_str());
+}
+
+TEST_F(FlightRecorderTest, TraceSaveIsAttributedToItsOwnSpan) {
+  const std::vector<pftk::trace::TraceEvent> events(3);
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "pftk_flight_save.tsv").string();
+
+  flight::Recorder::instance().arm(kCap);
+  pftk::trace::save_trace_file(path, events);
+  flight::Recorder::instance().disarm();
+  std::remove(path.c_str());
+
+  const auto drained = flight::Recorder::instance().drain();
+  EXPECT_EQ(drained.dropped, 0u);
+  const auto save = std::find_if(drained.spans.begin(), drained.spans.end(),
+                                 [](const auto& s) { return s.name == "trace.save"; });
+  ASSERT_NE(save, drained.spans.end());
+  EXPECT_EQ(save->arg, events.size());
+  EXPECT_LE(save->begin_ns, save->end_ns);
 }
 
 TEST_F(FlightRecorderTest, LoadRejectsMissingHeaderAndBadSpans) {
