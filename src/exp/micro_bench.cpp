@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -31,7 +30,6 @@
 #include "sim/event_queue.hpp"
 #include "trace/trace_event.hpp"
 #include "trace/trace_io.hpp"
-#include "trace/trace_reader_fast.hpp"
 
 namespace pftk::exp {
 
@@ -492,23 +490,6 @@ MicroBenchResult bench_serve_request_path_supervised(
   return r;
 }
 
-MicroBenchResult bench_trace_parse(const MicroBenchConfig& config) {
-  const std::string text = make_trace_text(config.trace_events);
-  std::size_t parsed = 0;
-  const double secs = best_seconds(config.repeats, [&] {
-    std::istringstream is(text);
-    const auto events = trace::read_trace(is);
-    parsed = events.size();
-  });
-  MicroBenchResult r;
-  r.name = "trace.parse_strict";
-  r.unit = "MB/s";
-  r.items = parsed;
-  r.per_second = static_cast<double>(text.size()) / secs;
-  r.value = r.per_second / (1024.0 * 1024.0);
-  return r;
-}
-
 /// The write path's formatting half: format_trace over the synthetic
 /// capture, in MB/s of text produced (the durable write is excluded).
 MicroBenchResult bench_trace_format(const MicroBenchConfig& config) {
@@ -526,46 +507,10 @@ MicroBenchResult bench_trace_format(const MicroBenchConfig& config) {
   return r;
 }
 
-/// Field-by-field, bit-exact event comparison (doubles via bit_cast so
-/// a -0.0/0.0 or last-ulp drift cannot slip through ==).
-bool events_identical(const std::vector<trace::TraceEvent>& a,
-                      const std::vector<trace::TraceEvent>& b) {
-  if (a.size() != b.size()) {
-    return false;
-  }
-  const auto dbits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].type != b[i].type || dbits(a[i].t) != dbits(b[i].t) ||
-        a[i].seq != b[i].seq || a[i].retransmission != b[i].retransmission ||
-        a[i].duplicate != b[i].duplicate || a[i].consecutive != b[i].consecutive ||
-        dbits(a[i].value) != dbits(b[i].value) ||
-        a[i].in_flight != b[i].in_flight || dbits(a[i].cwnd) != dbits(b[i].cwnd)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool reports_identical(const trace::TraceReadReport& a,
-                       const trace::TraceReadReport& b) {
-  return a.lines_total == b.lines_total && a.events_parsed == b.events_parsed &&
-         a.comment_lines == b.comment_lines && a.lines_dropped == b.lines_dropped &&
-         a.bytes_dropped == b.bytes_dropped &&
-         a.first_error_line == b.first_error_line && a.first_error == b.first_error &&
-         a.truncated == b.truncated && a.suspect_final_event == b.suspect_final_event;
-}
-
-struct TraceMmapOutcome {
-  MicroBenchResult result;
-  bool parity_ok = false;
-};
-
-/// The mmap + chunk-parallel ingest path, timed end to end through
-/// load_trace_file_lenient on a real temp file — open, map, scan,
-/// parse, unmap — so the number is what a campaign actually pays per
-/// capture byte. The same text also goes through the istream reference
-/// reader (untimed) for the bit-exact parity verdict.
-TraceMmapOutcome bench_trace_parse_mmap(const MicroBenchConfig& config) {
+/// The ingest path, timed end to end through load_trace_file_lenient
+/// on a real temp file — open, map, scan, parse, unmap — so the number
+/// is what a campaign actually pays per capture byte.
+MicroBenchResult bench_trace_parse_mmap(const MicroBenchConfig& config) {
   const std::string text = make_trace_text(config.trace_events);
   const std::string path =
       (std::filesystem::temp_directory_path() /
@@ -577,29 +522,19 @@ TraceMmapOutcome bench_trace_parse_mmap(const MicroBenchConfig& config) {
     std::ofstream os(path, std::ios::binary | std::ios::trunc);
     os << text;
   }
-  TraceMmapOutcome out;
-  trace::TraceReadReport fast_rep;
-  std::vector<trace::TraceEvent> fast_events;
+  std::size_t parsed = 0;
   const double secs = best_seconds(config.repeats, [&] {
-    fast_events = trace::load_trace_file_lenient(path, &fast_rep);
+    parsed = trace::load_trace_file_lenient(path).size();
   });
   std::remove(path.c_str());
 
-  trace::TraceReadReport ref_rep;
-  std::vector<trace::TraceEvent> ref_events;
-  {
-    std::istringstream is(text);
-    ref_events = trace::read_trace_lenient(is, &ref_rep);
-  }
-  out.parity_ok =
-      events_identical(ref_events, fast_events) && reports_identical(ref_rep, fast_rep);
-
-  out.result.name = "trace.parse_mmap";
-  out.result.unit = "MB/s";
-  out.result.items = fast_events.size();
-  out.result.per_second = static_cast<double>(text.size()) / secs;
-  out.result.value = out.result.per_second / (1024.0 * 1024.0);
-  return out;
+  MicroBenchResult r;
+  r.name = "trace.parse_mmap";
+  r.unit = "MB/s";
+  r.items = parsed;
+  r.per_second = static_cast<double>(text.size()) / secs;
+  r.value = r.per_second / (1024.0 * 1024.0);
+  return r;
 }
 
 /// Minimal JSON string escaping for host strings (quotes, backslashes,
@@ -733,13 +668,7 @@ MicroBenchReport run_micro_bench(const MicroBenchConfig& config) {
     }
   }
 
-  report.results.push_back(bench_trace_parse(config));
-  const TraceMmapOutcome mmap_outcome = bench_trace_parse_mmap(config);
-  report.results.push_back(mmap_outcome.result);
-  report.trace_parity_ok = mmap_outcome.parity_ok;
-  report.trace_mmap_speedup =
-      mmap_outcome.result.per_second /
-      report.results[report.results.size() - 2].per_second;
+  report.results.push_back(bench_trace_parse_mmap(config));
   report.results.push_back(bench_trace_format(config));
 
   report.results.push_back(bench_serve_parse(config));
@@ -755,7 +684,7 @@ void write_bench_json(std::ostream& os, const MicroBenchReport& report) {
   const auto saved_precision = os.precision();
   os << std::setprecision(12);
   os << "{\n"
-     << "  \"schema\": \"pftk-bench-micro/1\",\n"
+     << "  \"schema\": \"pftk-bench-micro/2\",\n"
      << "  \"mode\": \"" << report.mode << "\",\n"
      << "  \"repeats\": " << report.repeats << ",\n"
      << "  \"host\": {\n"
@@ -791,13 +720,7 @@ void write_bench_json(std::ostream& os, const MicroBenchReport& report) {
      << "    \"supervision_overhead_tolerance\": "
      << report.supervision_overhead_tolerance << ",\n"
      << "    \"supervision_overhead_ok\": "
-     << (report.supervision_overhead_ok() ? "true" : "false") << ",\n"
-     << "    \"trace_mmap_speedup\": " << report.trace_mmap_speedup << ",\n"
-     << "    \"trace_mmap_min_speedup\": " << report.trace_mmap_min_speedup << ",\n"
-     << "    \"trace_mmap_ok\": " << (report.trace_mmap_ok() ? "true" : "false")
-     << ",\n"
-     << "    \"trace_parity_ok\": " << (report.trace_parity_ok ? "true" : "false")
-     << "\n"
+     << (report.supervision_overhead_ok() ? "true" : "false") << "\n"
      << "  },\n"
      << "  \"equivalence\": {\n"
      << "    \"batch_max_rel_err\": " << report.batch_max_rel_err << ",\n"

@@ -7,11 +7,9 @@
 //     hot-path cost is a measured ratio, not a promise;
 //   * model evaluation, scalar entry points vs. the PreparedModel
 //     batched fast path, in ns per evaluation over a 10k-point p grid;
-//   * trace parsing, in MB/s — the istream reference reader
-//     (trace.parse_strict) and the mmap + chunk-parallel fast path
+//   * trace ingest, in MB/s — the mmap + chunk-parallel reader
 //     (trace.parse_mmap, timed through load_trace_file_lenient on a
-//     real temp file), with a bit-exact events-and-report parity
-//     cross-check between the two on every run;
+//     real temp file);
 //   * trace formatting, in MB/s of text — format_trace over the same
 //     synthetic capture (trace.format), the write path minus the disk;
 //   * the `pftk serve` request path: wire-line parsing alone
@@ -26,9 +24,10 @@
 // against the 1e-12 contract, which `pftk bench` turns into its exit
 // code so CI fails if the fast path ever drifts.
 //
-// The JSON schema is stable ("pftk-bench-micro/1"): fields are only ever
-// added, never renamed, so trajectory files from different commits can
-// be diffed mechanically. See EXPERIMENTS.md, "Micro-benchmarks".
+// The JSON schema is stable within a version ("pftk-bench-micro/2"):
+// fields are only ever added, never renamed, so trajectory files from
+// different commits can be diffed mechanically; removing a field bumps
+// the version. See EXPERIMENTS.md, "Micro-benchmarks".
 #pragma once
 
 #include <cstdint>
@@ -105,14 +104,6 @@ struct MicroBenchReport {
   /// cost is reported as span.record but not gated: arming is opt-in.)
   double span_overhead_ratio = 0.0;
   double span_overhead_tolerance = 1.10;
-  /// trace.parse_mmap bytes/s over trace.parse_strict bytes/s: what the
-  /// mmap + chunk-parallel fast path buys over the istream reference
-  /// reader on the same synthetic capture. `--gate` runs fail below
-  /// trace_mmap_min_speedup (set well under the steady-state ratio so
-  /// noisy CI boxes don't flake, but far above any regression to the
-  /// istream path).
-  double trace_mmap_speedup = 0.0;
-  double trace_mmap_min_speedup = 2.0;
   /// serve.request_path_supervised ns over serve.request_path ns: what a
   /// worker pays per request for living inside the supervised pool with
   /// nothing injected — one disarmed `serve.worker.crash` failpoint
@@ -121,15 +112,6 @@ struct MicroBenchReport {
   /// no one is dying.
   double supervision_overhead_ratio = 0.0;
   double supervision_overhead_tolerance = 1.10;
-  /// True when the fast path produced bit-identical events and an
-  /// identical TraceReadReport to the reference reader over the bench
-  /// trace — re-checked on every bench run and enforced unconditionally
-  /// by `pftk bench`'s exit code, like equivalence_ok.
-  bool trace_parity_ok = false;
-
-  [[nodiscard]] bool trace_mmap_ok() const noexcept {
-    return trace_mmap_speedup >= trace_mmap_min_speedup;
-  }
 
   [[nodiscard]] bool obs_overhead_ok() const noexcept {
     return obs_overhead_ratio <= obs_overhead_tolerance;
@@ -153,7 +135,7 @@ struct MicroBenchReport {
 /// Runs every benchmark; deterministic workloads, wall-clock timings.
 [[nodiscard]] MicroBenchReport run_micro_bench(const MicroBenchConfig& config);
 
-/// Serializes the report as schema-stable JSON ("pftk-bench-micro/1").
+/// Serializes the report as schema-stable JSON ("pftk-bench-micro/2").
 void write_bench_json(std::ostream& os, const MicroBenchReport& report);
 
 }  // namespace pftk::exp

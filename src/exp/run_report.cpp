@@ -21,8 +21,6 @@ RunReport& RunReport::merge(const RunReport& other) {
   failures.insert(failures.end(), other.failures.begin(), other.failures.end());
   forward_faults += other.forward_faults;
   reverse_faults += other.reverse_faults;
-  read_reports.insert(read_reports.end(), other.read_reports.begin(),
-                      other.read_reports.end());
   spans.insert(spans.end(), other.spans.begin(), other.spans.end());
   metrics.merge(other.metrics);
   interrupted = interrupted || other.interrupted;
@@ -52,16 +50,6 @@ std::string RunReport::describe() const {
   };
   fault_line("forward", forward_faults);
   fault_line("reverse", reverse_faults);
-  std::size_t dirty = 0;
-  for (const trace::TraceReadReport& report : read_reports) {
-    if (!report.clean()) {
-      ++dirty;
-    }
-  }
-  if (dirty > 0) {
-    os << "\n  " << dirty << "/" << read_reports.size()
-       << " trace files needed lenient salvage";
-  }
   return os.str();
 }
 

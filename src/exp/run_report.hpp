@@ -1,11 +1,10 @@
 // Partial-result accounting for batch experiments.
 //
 // The paper's measurement campaign is hours of captures across dozens of
-// paths; one corrupt trace or one pathological path must cost one row,
-// not the table. Every robust driver fills a RunReport: what was
-// attempted, what succeeded, which items failed with what diagnostic,
-// the aggregate fault-injection counters, and (for file-based analysis)
-// each file's TraceReadReport.
+// paths; one pathological path must cost one row, not the table. Every
+// robust driver fills a RunReport: what was attempted, what succeeded,
+// which items failed with what diagnostic, and the aggregate
+// fault-injection counters.
 #pragma once
 
 #include <cstddef>
@@ -15,7 +14,6 @@
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "sim/fault_injector.hpp"
-#include "trace/trace_io.hpp"
 
 namespace pftk::exp {
 
@@ -33,9 +31,6 @@ struct RunReport {
   /// Impairment counters aggregated over every *successful* run.
   sim::FaultStats forward_faults;
   sim::FaultStats reverse_faults;
-  /// Per-file salvage reports from lenient trace reads, in input order
-  /// (only filled by the file-analysis drivers).
-  std::vector<trace::TraceReadReport> read_reports;
   /// Observability schema the spans/metrics below follow. Reports from
   /// different schema generations refuse to merge (the fields would
   /// silently mean different things).
@@ -62,8 +57,8 @@ struct RunReport {
   }
 
   /// Folds `other` into this report: counters sum, fault stats add,
-  /// metrics merge by name, and `other`'s failures, read reports, and
-  /// spans are appended *after* ours in their original order. Merging
+  /// metrics merge by name, and `other`'s failures and spans are
+  /// appended *after* ours in their original order. Merging
   /// per-worker or per-scenario reports in a fixed order therefore
   /// yields a deterministic combined report regardless of how the work
   /// was scheduled. Self-merge doubles every additive field (and is

@@ -121,11 +121,10 @@ inline FailpointHit failpoint(std::string_view name) {
   return FailpointRegistry::instance().evaluate(name);
 }
 
-/// True while any armed spec has not fired yet. Fast paths that cannot
-/// thread a per-site failpoint through their inner loop (e.g. the
-/// chunk-parallel trace reader) consult this once up front and fall
-/// back to the reference implementation, so every armed spec keeps its
-/// deterministic firing order.
+/// True while any armed spec has not fired yet. Parallel paths consult
+/// this once up front and run serially while it holds (the trace reader
+/// parses as one chunk on the calling thread), so every armed spec keeps
+/// its deterministic firing order.
 inline bool any_failpoint_armed() noexcept {
   return detail::g_armed.load(std::memory_order_relaxed) != 0;
 }

@@ -10,8 +10,6 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "core/inverse_model.hpp"
@@ -20,6 +18,8 @@
 #include "robust/durable_file.hpp"
 #include "robust/failpoint.hpp"
 #include "trace/trace_io.hpp"
+#include "trace/trace_reader_fast.hpp"
+#include "trace/trace_scan.hpp"
 #include "trace/trace_summary.hpp"
 
 namespace pftk::serve {
@@ -809,41 +809,33 @@ void Server::handle_inverse(const QueuedRequest& qr) {
 }
 
 void Server::handle_calib(const QueuedRequest& qr) {
-  std::ifstream in(qr.req.trace_path);
-  if (!in) {
+  trace::TraceFileImage image;
+  if (!image.open(qr.req.trace_path)) {
     throw ProtocolError(ErrCode::kInternal, qr.req.id,
                         "cannot open trace " + qr.req.trace_path);
   }
+  const std::string_view text = image.view();
   std::vector<trace::TraceEvent> events;
-  trace::TraceReadReport agg;
-  std::string line;
-  bool more = true;
-  while (more) {
+  std::size_t lines_dropped = 0;
+  for (std::size_t pos = 0; pos < text.size();) {
     // Deadline checkpoint *before* each chunk: a huge trace is abandoned
     // at a chunk boundary, not after the whole file is parsed.
     if (Clock::now() > qr.deadline) {
       throw ProtocolError(ErrCode::kDeadlineExceeded, qr.req.id,
                           "deadline expired during trace parse");
     }
-    std::ostringstream chunk;
-    std::size_t lines = 0;
-    while (lines < kCalibChunkLines && std::getline(in, line)) {
-      chunk << line << '\n';
-      ++lines;
+    std::size_t end = pos;
+    for (std::size_t lines = 0; lines < kCalibChunkLines && end < text.size(); ++lines) {
+      const std::size_t nl = trace::find_newline(text, end);
+      end = nl == std::string_view::npos ? text.size() : nl + 1;
     }
-    more = lines == kCalibChunkLines;
-    if (lines == 0) {
-      break;
-    }
-    std::istringstream chunk_in(chunk.str());
     trace::TraceReadReport report;
-    auto chunk_events = trace::read_trace_lenient(chunk_in, &report);
-    agg.lines_total += report.lines_total;
-    agg.events_parsed += report.events_parsed;
-    agg.lines_dropped += report.lines_dropped;
-    agg.bytes_dropped += report.bytes_dropped;
+    const auto chunk_events =
+        trace::read_trace_lenient(text.substr(pos, end - pos), &report);
+    lines_dropped += report.lines_dropped;
     events.insert(events.end(), chunk_events.begin(), chunk_events.end());
     totals_.calib_chunks.fetch_add(1, std::memory_order_relaxed);
+    pos = end;
   }
 
   const auto summary = trace::summarize_trace(events, qr.req.dupack_threshold);
@@ -853,7 +845,7 @@ void Server::handle_calib(const QueuedRequest& qr) {
       {"p", format_number(summary.observed_p)},
       {"rtt", format_number(summary.avg_rtt)},
       {"t0", format_number(summary.avg_timeout)},
-      {"lines_dropped", std::to_string(agg.lines_dropped)},
+      {"lines_dropped", std::to_string(lines_dropped)},
   };
   model::ModelParams mp;
   mp.p = summary.observed_p;

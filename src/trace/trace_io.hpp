@@ -32,16 +32,16 @@
 // whitespace aside): trailing garbage and two records merged onto one
 // line are corruption, not events.
 //
-// The istream readers here are the *reference* implementation. File
-// loads route through the mmap + chunk-parallel fast path in
-// trace_reader_fast.hpp (GB/s-class), which is held byte-identical to
-// these readers by the corruption-matrix parity tests and the
-// `pftk bench` parity gate.
+// Both modes parse an in-memory image with the one reader in
+// trace_reader_fast.hpp (line-aligned chunks parsed in parallel). The
+// file loads put the whole file in memory first: a mapping for a
+// regular file, the bytes read to EOF for a pipe or device.
 #pragma once
 
-#include <iosfwd>
+#include <cstddef>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "trace/trace_event.hpp"
@@ -76,31 +76,45 @@ struct TraceReadReport {
   [[nodiscard]] std::string describe() const;
 };
 
+/// Tunables for the chunk-parallel parse. Defaults are production
+/// values; tests shrink min_chunk_bytes to force many-chunk splits on
+/// small inputs.
+struct TraceReadOptions {
+  int threads = 0;  ///< worker count; <= 0 means hardware_concurrency
+  /// A chunk is only worth a thread above this size; small inputs parse
+  /// single-threaded regardless of `threads`.
+  std::size_t min_chunk_bytes = 1u << 20;
+};
+
 /// Renders the trace, one event per line, preceded by a '#' header.
 /// Reals are fixed with 9 decimals, byte-identical to printf("%.9f").
 /// @throws std::logic_error if a field does not fit its record buffer
 /// (sized for DBL_MAX, so never for a real double).
 [[nodiscard]] std::string format_trace(std::span<const TraceEvent> events);
 
-/// Reads a trace written by format_trace (strict mode).
-/// @throws std::invalid_argument on any malformed line (with its number).
-[[nodiscard]] std::vector<TraceEvent> read_trace(std::istream& is);
+/// Parses a trace image written by format_trace (strict mode).
+/// @throws std::invalid_argument "read_trace: line N: <diagnostic>" for
+/// the first malformed line.
+/// @throws robust::IoError when an armed `trace.read.line` failpoint
+/// injects a read error.
+[[nodiscard]] std::vector<TraceEvent> read_trace(std::string_view data,
+                                                 const TraceReadOptions& options = {});
 
-/// Reads a trace, skipping malformed/truncated lines instead of
-/// throwing. Never throws on content (only on stream faults); fills
-/// `report` (if non-null) with what was salvaged and dropped.
-[[nodiscard]] std::vector<TraceEvent> read_trace_lenient(std::istream& is,
-                                                         TraceReadReport* report = nullptr);
+/// Parses a trace image, skipping malformed/truncated lines instead of
+/// throwing, and fills `report` (if non-null) with what was salvaged and
+/// dropped. Never throws on content.
+[[nodiscard]] std::vector<TraceEvent> read_trace_lenient(
+    std::string_view data, TraceReadReport* report = nullptr,
+    const TraceReadOptions& options = {});
 
-/// Convenience file wrappers. Loads take the mmap + chunk-parallel fast
-/// path (trace_reader_fast.hpp) when the input is a mappable regular
-/// file and no failpoints are armed; pipes, devices and armed-failpoint
-/// runs fall back to the istream reference reader above. Both paths
-/// produce byte-identical events and reports — a tested contract. Saves
-/// format the trace and replace the file via robust::atomic_write_file
-/// (temp + fsync + rename, `trace.write` failpoint) inside a
-/// `trace.save` flight-recorder span.
-/// @throws std::invalid_argument if a file cannot be opened for loading.
+/// File wrappers. Loads open the file as a TraceFileImage (a mapping of
+/// a regular file; pipes, /dev/stdin and devices are read to EOF) and
+/// parse it with read_trace / read_trace_lenient. Saves format the trace
+/// and replace the file via robust::atomic_write_file (temp + fsync +
+/// rename, `trace.write` failpoint) inside a `trace.save` flight-recorder
+/// span.
+/// @throws std::invalid_argument "<loader>: cannot open <path>" when the
+/// file cannot be opened or read (missing, unreadable, a directory).
 /// @throws robust::IoError if a save fails.
 void save_trace_file(const std::string& path, std::span<const TraceEvent> events);
 [[nodiscard]] std::vector<TraceEvent> load_trace_file(const std::string& path);

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cerrno>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
@@ -15,17 +16,19 @@
 #include <thread>
 
 #include "obs/flight/flight_recorder.hpp"
+#include "robust/durable_file.hpp"
+#include "robust/failpoint.hpp"
+#include "trace/trace_io.hpp"
 #include "trace/trace_scan.hpp"
 
 namespace pftk::trace {
 
 namespace detail {
 
-// Sanity bounds on decoded fields, shared with the reference parser in
-// trace_io.cpp. A well-formed capture of any simulatable length sits
-// far inside these; values beyond them are the signature of corruption
-// (e.g. a negative number read into an unsigned field wraps to ~1.8e19
-// and is caught here).
+// Sanity bounds on decoded fields. A well-formed capture of any
+// simulatable length sits far inside these; values beyond them are the
+// signature of corruption (e.g. a negative number read into an unsigned
+// field wraps to ~1.8e19 and is caught here).
 namespace {
 constexpr double kMaxTime = 1e12;         // seconds
 constexpr double kMaxDurationValue = 1e6; // RTO/RTT sample, seconds
@@ -267,7 +270,7 @@ bool parse_line_fast(const char* begin, const char* end, TraceEvent& event,
   // provably contains none — scanning every healthy line up front would
   // double the memory traffic for a diagnostic that only matters on
   // corrupt input. fail() below rewrites the diagnostic when a NUL is
-  // present, matching the reference reader's check-first order.
+  // present, so "embedded NUL byte" wins over any field diagnostic.
   const auto fail = [&](const char* diagnostic) {
     error = std::memchr(begin, '\0', static_cast<std::size_t>(end - begin)) !=
                     nullptr
@@ -361,15 +364,29 @@ struct ChunkOutcome {
   bool last_line_event = false;
 };
 
+/// `inject_faults` evaluates the `trace.read.line` failpoint before each
+/// line; only a single-chunk parse on the calling thread may set it.
 void parse_chunk(std::string_view data, std::size_t begin, std::size_t end,
-                 bool stop_at_first_error, ChunkOutcome& out) {
+                 bool stop_at_first_error, bool inject_faults, ChunkOutcome& out) {
   out.events.reserve((end - begin) / 24 + 4);
   std::size_t pos = begin;
   std::string error;
   while (pos < end) {
     const std::size_t nl = find_newline(data.substr(0, end), pos);
-    const bool terminated = nl != std::string_view::npos;
-    const std::size_t raw_end = terminated ? nl : end;
+    bool terminated = nl != std::string_view::npos;
+    std::size_t raw_end = terminated ? nl : end;
+    if (inject_faults) {
+      const robust::FailpointHit hit = robust::failpoint("trace.read.line");
+      if (hit.action == robust::FailpointAction::kShortWrite) {
+        // A torn tail: this line keeps `arg` bytes and the input ends.
+        raw_end = pos + static_cast<std::size_t>(
+                            std::min<std::uint64_t>(hit.arg, raw_end - pos));
+        terminated = false;
+        end = raw_end;
+      } else {
+        robust::apply_failpoint(hit, "trace.read.line");
+      }
+    }
     ++out.lines_total;
     out.last_line_unterminated = !terminated;
     out.last_line_bad = false;
@@ -407,9 +424,12 @@ void parse_chunk(std::string_view data, std::size_t begin, std::size_t end,
 }
 
 std::vector<ChunkOutcome> parse_chunks(std::string_view data,
-                                       const FastReaderOptions& options,
+                                       const TraceReadOptions& options,
                                        bool stop_at_first_error) {
-  int threads = options.threads;
+  // Armed failpoints must see every line once, in file order, on the
+  // calling thread, so a fixed spec fires at a fixed line.
+  const bool inject_faults = robust::any_failpoint_armed();
+  int threads = inject_faults ? 1 : options.threads;
   if (threads <= 0) {
     const unsigned hw = std::thread::hardware_concurrency();
     threads = hw == 0 ? 1 : static_cast<int>(hw);
@@ -428,7 +448,7 @@ std::vector<ChunkOutcome> parse_chunks(std::string_view data,
   if (chunks.size() == 1) {
     PFTK_SPAN("trace.parse_chunk", chunks[0].second - chunks[0].first);
     parse_chunk(data, chunks[0].first, chunks[0].second, stop_at_first_error,
-                outcomes[0]);
+                inject_faults, outcomes[0]);
     return outcomes;
   }
   std::vector<std::thread> workers;
@@ -437,13 +457,13 @@ std::vector<ChunkOutcome> parse_chunks(std::string_view data,
     workers.emplace_back([&, i] {
       PFTK_SPAN("trace.parse_chunk", chunks[i].second - chunks[i].first);
       parse_chunk(data, chunks[i].first, chunks[i].second, stop_at_first_error,
-                  outcomes[i]);
+                  /*inject_faults=*/false, outcomes[i]);
     });
   }
   {
     PFTK_SPAN("trace.parse_chunk", chunks[0].second - chunks[0].first);
     parse_chunk(data, chunks[0].first, chunks[0].second, stop_at_first_error,
-                outcomes[0]);
+                /*inject_faults=*/false, outcomes[0]);
   }
   for (auto& w : workers) {
     w.join();
@@ -490,88 +510,76 @@ std::vector<TraceEvent> merge_outcomes(std::vector<ChunkOutcome>&& outcomes,
   return events;
 }
 
+/// Appends everything `fd` yields until EOF; false on a read error.
+bool read_to_end(int fd, std::string& out) {
+  char buf[1 << 16];
+  for (;;) {
+    const ssize_t n = ::read(fd, buf, sizeof buf);
+    if (n > 0) {
+      out.append(buf, static_cast<std::size_t>(n));
+    } else if (n == 0) {
+      return true;
+    } else if (errno != EINTR) {
+      return false;
+    }
+  }
+}
+
 }  // namespace
 
-MmapFile::~MmapFile() {
-  close();
-}
-
-MmapFile::MmapFile(MmapFile&& other) noexcept
-    : data_(other.data_), size_(other.size_), opened_(other.opened_) {
-  other.data_ = nullptr;
-  other.size_ = 0;
-  other.opened_ = false;
-}
-
-MmapFile& MmapFile::operator=(MmapFile&& other) noexcept {
-  if (this != &other) {
-    close();
-    data_ = other.data_;
-    size_ = other.size_;
-    opened_ = other.opened_;
-    other.data_ = nullptr;
-    other.size_ = 0;
-    other.opened_ = false;
+TraceFileImage::~TraceFileImage() {
+  if (mapped_) {
+    ::munmap(const_cast<char*>(view_.data()), view_.size());
   }
-  return *this;
 }
 
-bool MmapFile::open(const std::string& path) {
-  close();
+bool TraceFileImage::open(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
     return false;
   }
   struct stat st{};
-  if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
+  if (::fstat(fd, &st) != 0) {
     ::close(fd);
-    return false;  // pipe/device/dir: the caller's istream fallback
-  }
-  const auto size = static_cast<std::size_t>(st.st_size);
-  if (size == 0) {
-    ::close(fd);
-    opened_ = true;  // empty regular file: a valid, empty view
-    return true;
-  }
-  void* map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-  ::close(fd);  // the mapping holds its own reference
-  if (map == MAP_FAILED) {
     return false;
   }
-  ::madvise(map, size, MADV_SEQUENTIAL);
-  data_ = static_cast<const char*>(map);
-  size_ = size;
-  opened_ = true;
-  return true;
-}
-
-void MmapFile::close() noexcept {
-  if (data_ != nullptr) {
-    ::munmap(const_cast<char*>(data_), size_);
+  if (S_ISREG(st.st_mode) && st.st_size > 0) {
+    const auto size = static_cast<std::size_t>(st.st_size);
+    void* map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
+    if (map != MAP_FAILED) {
+      ::close(fd);  // the mapping holds its own reference
+      ::madvise(map, size, MADV_SEQUENTIAL);
+      view_ = {static_cast<const char*>(map), size};
+      mapped_ = true;
+      return true;
+    }
   }
-  data_ = nullptr;
-  size_ = 0;
-  opened_ = false;
+  // Pipes, devices, empty or procfs files and unmappable filesystems are
+  // read to EOF instead; a directory fails here with EISDIR.
+  const bool ok = read_to_end(fd, owned_);
+  ::close(fd);
+  view_ = owned_;
+  return ok;
 }
 
-std::vector<TraceEvent> read_trace_buffer(std::string_view data,
-                                          TraceReadReport* report,
-                                          const FastReaderOptions& options) {
+std::vector<TraceEvent> read_trace_lenient(std::string_view data,
+                                           TraceReadReport* report,
+                                           const TraceReadOptions& options) {
   auto outcomes = parse_chunks(data, options, /*stop_at_first_error=*/false);
   TraceReadReport local;
   TraceReadReport& rep = report != nullptr ? *report : local;
   return merge_outcomes(std::move(outcomes), rep);
 }
 
-std::vector<TraceEvent> read_trace_buffer_strict(std::string_view data,
-                                                 const FastReaderOptions& options) {
+std::vector<TraceEvent> read_trace(std::string_view data,
+                                   const TraceReadOptions& options) {
   auto outcomes = parse_chunks(data, options, /*stop_at_first_error=*/true);
   std::size_t line_prefix = 0;
   for (const ChunkOutcome& c : outcomes) {
     if (c.first_error_line_rel != 0) {
       // Chunks before the first erroring one are error-free, so their
       // line counts are complete and the prefix sum is the exact global
-      // line number the reference reader would report.
+      // line number of the first bad line.
       throw std::invalid_argument(
           "read_trace: line " + std::to_string(line_prefix + c.first_error_line_rel) +
           ": " + c.first_error);

@@ -1,101 +1,73 @@
-// The trace fast path: mmap + zero-copy field decoding + chunk-parallel
-// parsing, behind the same contract as the istream reference reader in
-// trace_io.cpp.
+// The trace reader behind read_trace / read_trace_lenient (trace_io.hpp):
+// whole-file images, zero-copy field decoding and chunk-parallel parsing.
 //
-// Pipeline: MmapFile maps the capture read-only (istream fallback for
-// pipes/stdin/unmappable inputs happens one level up, in
-// load_trace_file*), trace_scan splits the mapping into line-aligned
-// chunks, and each chunk is decoded by a hand-rolled parser — no
-// istringstream, no per-line std::string, numbers via std::from_chars
-// with an exact small-decimal fast path. Per-chunk TraceReadReports
-// merge associatively, so lenient accounting (lines/bytes dropped,
-// first error, truncation flags) is byte-exact and invariant to thread
-// count, and strict mode throws with the same line number and message
-// the reference reader would have used.
+// Pipeline: TraceFileImage holds the capture in memory (a read-only
+// mapping of a regular file, or the bytes of a pipe, /dev/stdin or
+// device read to EOF), trace_scan splits it into line-aligned chunks,
+// and each chunk is decoded by a hand-rolled parser — no istringstream,
+// no per-line std::string, numbers via std::from_chars with an exact
+// small-decimal fast path. Per-chunk TraceReadReports merge
+// associatively, so lenient accounting (lines/bytes dropped, first
+// error, truncation flags) is exact and invariant to thread count, and
+// strict mode throws with the number of the lowest bad line.
 //
-// Parity is a tested contract, not an aspiration: the corruption-matrix
-// test (test_trace_fast) drives both readers over clean, mangled, CRLF,
-// NUL-bearing and torn-tail inputs — including every byte offset of a
-// final-record cut — and requires identical TraceEvent vectors and
-// identical reports at -j1 and -j4. `pftk bench` re-checks parity on
-// every run and gates on it.
+// Failpoints: while any failpoint is armed, the whole image parses as
+// one chunk on the calling thread and `trace.read.line` is evaluated
+// once per line, in file order, before that line is parsed. short_write
+// clips the line to `arg` bytes and ends the input there (a torn tail),
+// error/enospc throw robust::IoError, delay sleeps and crash exits.
+//
+// The grammar is pinned by tests/test_trace_fast.cpp, which keeps an
+// istream reader as its oracle: clean, mangled, CRLF, NUL-bearing and
+// torn-tail inputs — including every byte offset of a final-record cut
+// — must give identical TraceEvent vectors and reports at one chunk and
+// at many.
 #pragma once
 
 #include <cstddef>
 #include <string>
 #include <string_view>
-#include <vector>
 
-#include "trace/trace_io.hpp"
+#include "trace/trace_event.hpp"
 
 namespace pftk::trace {
 
-/// Read-only memory map of a regular file. Move-only RAII: the mapping
-/// is released on destruction. Not a mapping? (pipe, device, missing
-/// file) — open() returns false and the caller falls back to istream.
-class MmapFile {
+/// A whole trace file in memory, read-only: a private mapping of a
+/// regular file, or — for pipes, /dev/stdin, devices and files that
+/// cannot be mapped — the bytes read to EOF into an owned buffer. The
+/// mapping is released on destruction.
+class TraceFileImage {
  public:
-  MmapFile() = default;
-  ~MmapFile();
-  MmapFile(MmapFile&& other) noexcept;
-  MmapFile& operator=(MmapFile&& other) noexcept;
-  MmapFile(const MmapFile&) = delete;
-  MmapFile& operator=(const MmapFile&) = delete;
+  TraceFileImage() = default;
+  ~TraceFileImage();
+  TraceFileImage(const TraceFileImage&) = delete;
+  TraceFileImage& operator=(const TraceFileImage&) = delete;
 
-  /// Maps `path` read-only. Returns false (and maps nothing) when the
-  /// file cannot be opened, is not a regular file, or mmap fails; an
-  /// empty regular file succeeds with an empty view.
+  /// Loads `path` into this (still empty) image. Returns false when the
+  /// file cannot be opened or read to its end: missing, unreadable, a
+  /// directory (EISDIR) or an I/O error.
   [[nodiscard]] bool open(const std::string& path);
 
-  /// Unmaps; safe to call repeatedly.
-  void close() noexcept;
-
-  [[nodiscard]] bool mapped() const noexcept { return opened_; }
-  [[nodiscard]] std::string_view view() const noexcept {
-    return {data_, size_};
-  }
+  [[nodiscard]] std::string_view view() const noexcept { return view_; }
 
  private:
-  const char* data_ = nullptr;
-  std::size_t size_ = 0;
-  bool opened_ = false;
+  std::string_view view_;  ///< the mapping, or owned_
+  bool mapped_ = false;
+  std::string owned_;
 };
-
-/// Tunables for the chunk-parallel buffer parser. Defaults are
-/// production values; tests shrink min_chunk_bytes to force many-chunk
-/// splits on small inputs.
-struct FastReaderOptions {
-  int threads = 0;  ///< worker count; <= 0 means hardware_concurrency
-  /// A chunk is only worth a thread above this size; small inputs parse
-  /// single-threaded regardless of `threads`.
-  std::size_t min_chunk_bytes = 1u << 20;
-};
-
-/// Lenient parse of an in-memory trace image (an mmap view or any
-/// buffer). Same salvage semantics and report accounting as
-/// read_trace_lenient; never throws on content.
-[[nodiscard]] std::vector<TraceEvent> read_trace_buffer(
-    std::string_view data, TraceReadReport* report = nullptr,
-    const FastReaderOptions& options = {});
-
-/// Strict parse of an in-memory trace image. Throws std::invalid_argument
-/// with the reference reader's exact "read_trace: line N: ..." message
-/// for the first (lowest-numbered) bad line.
-[[nodiscard]] std::vector<TraceEvent> read_trace_buffer_strict(
-    std::string_view data, const FastReaderOptions& options = {});
 
 namespace detail {
 
-/// Range validation shared by the reference and fast parsers, applied in
-/// a fixed order (cwnd, timeout depth, timestamp, seq, in-flight,
-/// duration) so both emit the identical first diagnostic.
-/// Returns false with the diagnostic in `error`.
+/// Range validation of a decoded record, applied in a fixed order
+/// (cwnd, timeout depth, timestamp, seq, in-flight, duration) so the
+/// first diagnostic is deterministic. Returns false with the diagnostic
+/// in `error`.
 bool validate_event(const TraceEvent& e, std::string& error);
 
 /// Zero-copy parse of one line (terminator and any trailing '\r'
-/// already stripped). Mirrors the reference parse_line exactly: same
-/// accepted grammar, same diagnostics, including the
-/// exhausted-after-fields "trailing garbage" rule.
+/// already stripped): the trace grammar with `istream >>` token
+/// semantics, its diagnostics, and the exhausted-after-fields
+/// "trailing garbage" rule.
 bool parse_line_fast(const char* begin, const char* end, TraceEvent& event,
                      std::string& error);
 

@@ -62,6 +62,16 @@ TEST(HourTraceExperiment, TimeoutsDominateOnTimeoutProfiles) {
   EXPECT_GT(r.summary.timeout_fraction(), 0.5);
 }
 
+TEST(HourTraceExperiment, FaultScheduleStatsReachTheResult) {
+  HourTraceOptions opt;
+  opt.duration = 60.0;
+  opt.interval_length = 20.0;
+  opt.forward_faults = sim::FaultSchedule::parse("loss@0+60:0.2");
+  const HourTraceResult r = run_hour_trace(profile_by_label("manic", "ganef"), opt);
+  EXPECT_GT(r.forward_faults.offered, 0u);
+  EXPECT_GT(r.forward_faults.dropped_loss, 0u);
+}
+
 TEST(HourTraceExperiment, RejectsBadOptions) {
   const PathProfile profile = table2_profiles().front();
   HourTraceOptions opt;
@@ -115,6 +125,18 @@ TEST(ShortTraceExperiment, PredictionsFilledForAllModels) {
     }
     // Full model prediction below TD-only (timeouts slow TCP down).
     EXPECT_LT(rec.predicted[0], rec.predicted[2] * 1.5);
+  }
+}
+
+TEST(ShortTraceExperiment, FaultSchedulesApplyPerConnection) {
+  ShortTraceOptions opt;
+  opt.connections = 2;
+  opt.duration = 30.0;
+  opt.forward_faults = sim::FaultSchedule::parse("loss@0+30:0.2");
+  const auto records = run_short_traces(profile_by_label("manic", "ganef"), opt);
+  ASSERT_EQ(records.size(), 2u);
+  for (const ShortTraceRecord& rec : records) {
+    EXPECT_GT(rec.forward_faults.dropped_loss, 0u) << "trace " << rec.index;
   }
 }
 

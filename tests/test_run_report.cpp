@@ -1,6 +1,6 @@
 // RunReport::merge folds batch reports deterministically: counters sum,
-// fault stats add, and the right-hand side's failures/read reports/spans
-// land after ours in their original order. Reports from different obs
+// fault stats add, and the right-hand side's failures/spans land after
+// ours in their original order. Reports from different obs
 // schema generations refuse to merge.
 #include <gtest/gtest.h>
 
@@ -49,25 +49,6 @@ TEST(RunReport, MergeAppendsFailuresInStableOrder) {
   EXPECT_EQ(a.failures[0].label, "first");
   EXPECT_EQ(a.failures[1].label, "second");
   EXPECT_EQ(a.failures[2].label, "third");
-}
-
-TEST(RunReport, MergeAppendsReadReports) {
-  RunReport a;
-  trace::TraceReadReport ra;
-  ra.events_parsed = 10;
-  a.read_reports.push_back(ra);
-
-  RunReport b;
-  trace::TraceReadReport rb;
-  rb.events_parsed = 20;
-  rb.truncated = true;
-  b.read_reports.push_back(rb);
-
-  a.merge(b);
-  ASSERT_EQ(a.read_reports.size(), 2u);
-  EXPECT_EQ(a.read_reports[0].events_parsed, 10u);
-  EXPECT_EQ(a.read_reports[1].events_parsed, 20u);
-  EXPECT_TRUE(a.read_reports[1].truncated);
 }
 
 TEST(RunReport, MergeIsChainableAndEmptyMergeIsIdentity) {

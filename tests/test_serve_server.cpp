@@ -21,9 +21,14 @@
 #include "core/model_registry.hpp"
 #include "core/tcp_model_params.hpp"
 #include "core/inverse_model.hpp"
+#include "exp/path_profile.hpp"
 #include "obs/export.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
+#include "sim/connection.hpp"
+#include "trace/trace_io.hpp"
+#include "trace/trace_recorder.hpp"
+#include "trace/trace_summary.hpp"
 
 namespace pftk::serve {
 namespace {
@@ -195,6 +200,91 @@ TEST(ServeServer, CalibSummarizesATraceAndReportsDroppedLines) {
   const ServeSummary summary = server.wait();
   EXPECT_TRUE(summary.accounting_ok());
   EXPECT_EQ(summary.internal_errors, 1u);
+  std::remove(trace_path.c_str());
+}
+
+/// A response field's value, or "<missing>".
+std::string field(const Response& resp, std::string_view key) {
+  const std::string* value = resp.find(key);
+  return value != nullptr ? *value : "<missing>";
+}
+
+/// The first 10,000 lines of a simulated capture, every 1000th replaced
+/// by garbage: three CALIB chunks (4096 + 4096 + 1808 lines).
+std::string calib_capture() {
+  sim::Connection conn(
+      exp::make_connection_config(exp::profile_by_label("manic", "alps"), 7));
+  trace::TraceRecorder rec;
+  conn.set_observer(&rec);
+  (void)conn.run_for(1800.0);
+  const std::string full = trace::format_trace(rec.events());
+  std::string out;
+  std::size_t pos = 0;
+  for (int line = 1; line <= 10'000 && pos < full.size(); ++line) {
+    const std::size_t next = full.find('\n', pos) + 1;
+    out += line % 1000 == 0 ? std::string("damaged line\n") : full.substr(pos, next - pos);
+    pos = next;
+  }
+  return out;
+}
+
+TEST(ServeServer, CalibParsesInChunksLikeADirectLoad) {
+  const std::string trace_path =
+      "/tmp/pftk_tsrv_calib_chunks_" + std::to_string(::getpid()) + ".tsv";
+  {
+    std::ofstream out(trace_path, std::ios::binary);
+    out << calib_capture();
+  }
+  trace::TraceReadReport direct_report;
+  const trace::TraceSummary direct = trace::summarize_trace(
+      trace::load_trace_file_lenient(trace_path, &direct_report), 3);
+  ASSERT_EQ(direct_report.lines_total, 10'000u);
+  EXPECT_EQ(direct_report.lines_dropped, 10u);
+
+  Server server(base_config("calibchunks"));
+  server.start();
+  RawClient client(server.config().socket_path);
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(client.send_text("CALIB c1 trace=" + trace_path + "\n"));
+  const Response resp = parse_response(client.read_line());
+  ASSERT_TRUE(resp.ok) << field(resp, "msg");
+  EXPECT_EQ(field(resp, "packets"), std::to_string(direct.packets_sent));
+  EXPECT_EQ(field(resp, "p"), format_number(direct.observed_p));
+  EXPECT_EQ(field(resp, "lines_dropped"), std::to_string(direct_report.lines_dropped));
+
+  server.request_stop();
+  const ServeSummary summary = server.wait();
+  EXPECT_EQ(summary.calib_chunks, 3u);
+  EXPECT_TRUE(summary.accounting_ok());
+  std::remove(trace_path.c_str());
+}
+
+TEST(ServeServer, CalibDeadlineExpiresDuringTheParse) {
+  const std::string trace_path =
+      "/tmp/pftk_tsrv_calib_deadline_" + std::to_string(::getpid()) + ".tsv";
+  {
+    std::ofstream out(trace_path);
+    out << "S 0.100000000 1 0 1 2\n";
+  }
+  // slow_us stalls the request after the dequeue-time deadline check has
+  // passed, so the check before the first trace chunk must catch it.
+  ServeConfig config = base_config("calibdeadline");
+  config.slow_us = 600'000;
+  Server server(config);
+  server.start();
+  RawClient client(config.socket_path);
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(client.send_text("CALIB d1 trace=" + trace_path + " deadline_ms=250\n"));
+  const Response resp = parse_response(client.read_line());
+  EXPECT_FALSE(resp.ok);
+  EXPECT_EQ(resp.code, ErrCode::kDeadlineExceeded);
+  EXPECT_EQ(field(resp, "msg"), "deadline_expired_during_trace_parse");
+
+  server.request_stop();
+  const ServeSummary summary = server.wait();
+  EXPECT_EQ(summary.deadline_missed, 1u);
+  EXPECT_EQ(summary.calib_chunks, 0u);
+  EXPECT_TRUE(summary.accounting_ok());
   std::remove(trace_path.c_str());
 }
 

@@ -1,6 +1,6 @@
-// Corruption-matrix parity tests for the mmap/chunk-parallel trace fast
-// path (trace_reader_fast.*) against the istream reference reader, plus
-// regression tests for the three silent-parse bugs fixed alongside it:
+// Corruption-matrix tests for the trace reader (trace_reader_fast.*)
+// against an istream oracle kept in this file, plus regression tests for
+// three silent-parse bugs fixed in the reader:
 //   1. trailing garbage / merged records were accepted as valid events;
 //   2. bytes_dropped miscounted CRLF (-1) and torn tails (+1);
 //   3. an unterminated-but-parseable final line went unflagged.
@@ -9,6 +9,10 @@
 // the accounting is provably invariant to thread count.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
@@ -16,9 +20,12 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "robust/durable_file.hpp"
 #include "robust/failpoint.hpp"
 #include "trace/trace_io.hpp"
 #include "trace/trace_reader_fast.hpp"
@@ -26,6 +33,146 @@
 
 namespace pftk::trace {
 namespace {
+
+// ---------------------------------------------------------------------------
+// The oracle: the istream reader the buffer parser replaced, kept only
+// here. It reads with getline and `istream >>`, so it is the reference
+// for the token grammar, the diagnostics and the report accounting, and
+// it evaluates the `trace.read.line` failpoint the way the reader must.
+
+/// The classic-locale whitespace set — what `istream >>` skips.
+bool is_ws(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
+}
+
+bool oracle_parse_line(const std::string& line, TraceEvent& event, std::string& error) {
+  if (line.find('\0') != std::string::npos) {
+    error = "embedded NUL byte";
+    return false;
+  }
+  std::istringstream ls(line);
+  char tag = 0;
+  ls >> tag;
+  TraceEvent e;
+  int flag = 0;
+  switch (tag) {
+    case 'S':
+      e.type = TraceEventType::kSegmentSent;
+      if (!(ls >> e.t >> e.seq >> flag >> e.in_flight >> e.cwnd)) {
+        error = "malformed S record";
+        return false;
+      }
+      e.retransmission = flag != 0;
+      break;
+    case 'A':
+      e.type = TraceEventType::kAckReceived;
+      if (!(ls >> e.t >> e.seq >> flag)) {
+        error = "malformed A record";
+        return false;
+      }
+      e.duplicate = flag != 0;
+      break;
+    case 'T':
+      e.type = TraceEventType::kTimeout;
+      if (!(ls >> e.t >> e.seq >> e.consecutive >> e.value)) {
+        error = "malformed T record";
+        return false;
+      }
+      break;
+    case 'F':
+      e.type = TraceEventType::kFastRetransmit;
+      if (!(ls >> e.t >> e.seq)) {
+        error = "malformed F record";
+        return false;
+      }
+      break;
+    case 'R':
+      e.type = TraceEventType::kRttSample;
+      if (!(ls >> e.t >> e.value >> e.in_flight)) {
+        error = "malformed R record";
+        return false;
+      }
+      break;
+    default:
+      error = std::string("unknown record tag '") + tag + "'";
+      return false;
+  }
+  char tail = 0;
+  while (ls.get(tail)) {
+    if (!is_ws(tail)) {
+      error = "trailing garbage";
+      return false;
+    }
+  }
+  if (!detail::validate_event(e, error)) {
+    return false;
+  }
+  event = e;
+  return true;
+}
+
+/// Strict mode throws "read_trace: line N: ..." on the first bad line;
+/// lenient mode fills `rep` instead.
+std::vector<TraceEvent> oracle_read(const std::string& content, bool strict,
+                                    TraceReadReport& rep) {
+  std::istringstream is(content);
+  std::vector<TraceEvent> out;
+  rep = TraceReadReport{};
+  std::string line;
+  bool final_line_unterminated = false;
+  bool final_line_bad = false;
+  bool final_line_event = false;
+  bool injected_eof = false;
+  while (!injected_eof && std::getline(is, line)) {
+    ++rep.lines_total;
+    // A successful getline that also hit EOF read a line with no trailing
+    // newline — on the last line that is the truncation signature.
+    final_line_unterminated = is.eof();
+    final_line_bad = false;
+    final_line_event = false;
+    const robust::FailpointHit hit = robust::failpoint("trace.read.line");
+    if (hit.action == robust::FailpointAction::kShortWrite) {
+      line.resize(std::min<std::size_t>(hit.arg, line.size()));
+      final_line_unterminated = true;
+      injected_eof = true;
+    } else {
+      robust::apply_failpoint(hit, "trace.read.line");
+    }
+    const std::size_t disk_bytes = line.size() + (final_line_unterminated ? 0 : 1);
+    if (!line.empty() && line.back() == '\r') {
+      line.pop_back();
+    }
+    if (line.empty() || line[0] == '#') {
+      ++rep.comment_lines;
+      continue;
+    }
+    TraceEvent event;
+    std::string error;
+    if (oracle_parse_line(line, event, error)) {
+      out.push_back(event);
+      ++rep.events_parsed;
+      final_line_event = true;
+      continue;
+    }
+    final_line_bad = true;
+    ++rep.lines_dropped;
+    rep.bytes_dropped += disk_bytes;
+    if (rep.first_error_line == 0) {
+      rep.first_error_line = rep.lines_total;
+      rep.first_error = error;
+    }
+    if (strict) {
+      throw std::invalid_argument("read_trace: line " + std::to_string(rep.lines_total) +
+                                  ": " + error);
+    }
+  }
+  rep.truncated = final_line_unterminated && final_line_bad;
+  rep.suspect_final_event = final_line_unterminated && final_line_event;
+  return out;
+}
+
+// ---------------------------------------------------------------------------
 
 constexpr const char* kGood1 = "S\t0.100000000\t1\t0\t1\t2.000000000\n";
 constexpr const char* kGood2 = "A\t0.200000000\t1\t0\n";
@@ -42,17 +189,27 @@ struct Parsed {
   TraceReadReport report;
 };
 
-Parsed reference_lenient(const std::string& content) {
-  std::istringstream is(content);
+Parsed oracle_lenient(const std::string& content) {
   Parsed p;
-  p.events = read_trace_lenient(is, &p.report);
+  p.events = oracle_read(content, /*strict=*/false, p.report);
   return p;
 }
 
-Parsed fast_lenient(const std::string& content, const FastReaderOptions& opts) {
+Parsed lenient(const std::string& content, const TraceReadOptions& opts) {
   Parsed p;
-  p.events = read_trace_buffer(content, &p.report, opts);
+  p.events = read_trace_lenient(content, &p.report, opts);
   return p;
+}
+
+/// The std::invalid_argument message `parse` throws, or "" if none.
+template <typename F>
+std::string strict_error(F&& parse) {
+  try {
+    parse();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return {};
 }
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
@@ -87,11 +244,12 @@ void expect_reports_identical(const TraceReadReport& a, const TraceReadReport& b
   EXPECT_EQ(a.suspect_final_event, b.suspect_final_event) << label;
 }
 
-/// Both readers, lenient and strict, over one input: events and every
-/// report field must match at 1 chunk and at many forced tiny chunks.
+/// The reader against the oracle, lenient and strict, over one input:
+/// events and every report field must match at 1 chunk and at many
+/// forced tiny chunks, and strict mode must throw the same message.
 void expect_full_parity(const std::string& content, const std::string& label) {
-  const Parsed ref = reference_lenient(content);
-  const FastReaderOptions variants[] = {
+  const Parsed ref = oracle_lenient(content);
+  const TraceReadOptions variants[] = {
       {.threads = 1, .min_chunk_bytes = 1u << 20},
       {.threads = 4, .min_chunk_bytes = 1},
       {.threads = 7, .min_chunk_bytes = 1},
@@ -99,34 +257,17 @@ void expect_full_parity(const std::string& content, const std::string& label) {
   for (const auto& opts : variants) {
     const std::string tag =
         label + " [j" + std::to_string(opts.threads) + "]";
-    const Parsed fast = fast_lenient(content, opts);
-    expect_events_identical(ref.events, fast.events, tag);
-    expect_reports_identical(ref.report, fast.report, tag);
+    const Parsed got = lenient(content, opts);
+    expect_events_identical(ref.events, got.events, tag);
+    expect_reports_identical(ref.report, got.report, tag);
   }
 
-  // Strict parity: same outcome, and on failure the same line/message.
-  std::string ref_error;
-  bool ref_threw = false;
-  {
-    std::istringstream is(content);
-    try {
-      (void)read_trace(is);
-    } catch (const std::invalid_argument& e) {
-      ref_threw = true;
-      ref_error = e.what();
-    }
-  }
+  TraceReadReport unused;
+  const std::string ref_error =
+      strict_error([&] { (void)oracle_read(content, /*strict=*/true, unused); });
   for (const auto& opts : variants) {
-    std::string fast_error;
-    bool fast_threw = false;
-    try {
-      (void)read_trace_buffer_strict(content, opts);
-    } catch (const std::invalid_argument& e) {
-      fast_threw = true;
-      fast_error = e.what();
-    }
-    EXPECT_EQ(ref_threw, fast_threw) << label;
-    EXPECT_EQ(ref_error, fast_error) << label;
+    EXPECT_EQ(ref_error, strict_error([&] { (void)read_trace(content, opts); }))
+        << label;
   }
 }
 
@@ -210,14 +351,13 @@ TEST(TraceFastParity, ChunkBoundarySweep) {
     }
   }
   content += "S\t99.0\t12";  // torn tail
-  const Parsed ref = reference_lenient(content);
+  const Parsed ref = oracle_lenient(content);
   for (std::size_t grain = 1; grain <= 64; ++grain) {
-    const FastReaderOptions opts{.threads = 4,
-                                 .min_chunk_bytes = grain * 16};
-    const Parsed fast = fast_lenient(content, opts);
+    const TraceReadOptions opts{.threads = 4, .min_chunk_bytes = grain * 16};
+    const Parsed got = lenient(content, opts);
     const std::string tag = "grain=" + std::to_string(grain);
-    expect_events_identical(ref.events, fast.events, tag);
-    expect_reports_identical(ref.report, fast.report, tag);
+    expect_events_identical(ref.events, got.events, tag);
+    expect_reports_identical(ref.report, got.report, tag);
   }
 }
 
@@ -227,9 +367,9 @@ TEST(TraceFastParity, ReportInvariantAcrossThreadCounts) {
     content += good_block();
   }
   content += "junk\n" + good_block() + "S\t1.0\t1";
-  const Parsed j1 = fast_lenient(content, {.threads = 1, .min_chunk_bytes = 1});
-  const Parsed j4 = fast_lenient(content, {.threads = 4, .min_chunk_bytes = 1});
-  const Parsed j16 = fast_lenient(content, {.threads = 16, .min_chunk_bytes = 1});
+  const Parsed j1 = lenient(content, {.threads = 1, .min_chunk_bytes = 1});
+  const Parsed j4 = lenient(content, {.threads = 4, .min_chunk_bytes = 1});
+  const Parsed j16 = lenient(content, {.threads = 16, .min_chunk_bytes = 1});
   expect_events_identical(j1.events, j4.events, "j1 vs j4");
   expect_reports_identical(j1.report, j4.report, "j1 vs j4");
   expect_events_identical(j1.events, j16.events, "j1 vs j16");
@@ -243,49 +383,49 @@ TEST(TraceFastParity, ReportInvariantAcrossThreadCounts) {
 
 TEST(TraceParseBugfix, TrailingGarbageIsRejected) {
   {
-    std::istringstream is("F\t1.0\t5\tgarbage\n");
+    const std::string text = "F\t1.0\t5\tgarbage\n";
     TraceReadReport rep;
-    const auto events = read_trace_lenient(is, &rep);
+    const auto events = read_trace_lenient(text, &rep);
     EXPECT_TRUE(events.empty());
     EXPECT_EQ(rep.lines_dropped, 1u);
     EXPECT_EQ(rep.first_error, "trailing garbage");
   }
   {
     // Two records merged onto one line must not parse as the first one.
-    std::istringstream is("F\t1.0\t5\tF\t1.1\t6\n");
+    const std::string text = "F\t1.0\t5\tF\t1.1\t6\n";
     TraceReadReport rep;
-    const auto events = read_trace_lenient(is, &rep);
+    const auto events = read_trace_lenient(text, &rep);
     EXPECT_TRUE(events.empty());
     EXPECT_EQ(rep.first_error, "trailing garbage");
   }
   {
     // Trailing whitespace is still fine.
-    std::istringstream is("F\t1.0\t5 \t\n");
+    const std::string text = "F\t1.0\t5 \t\n";
     TraceReadReport rep;
-    const auto events = read_trace_lenient(is, &rep);
+    const auto events = read_trace_lenient(text, &rep);
     EXPECT_EQ(events.size(), 1u);
     EXPECT_TRUE(rep.clean());
   }
   {
-    std::istringstream is("F\t1.0\t5\tgarbage\n");
-    EXPECT_THROW((void)read_trace(is), std::invalid_argument);
+    const std::string text = "F\t1.0\t5\tgarbage\n";
+    EXPECT_THROW((void)read_trace(text), std::invalid_argument);
   }
 }
 
 TEST(TraceParseBugfix, BytesDroppedCountsActualDiskBytes) {
   {
     // CRLF dropped line: "junk\r\n" is 6 bytes on disk, not 5.
-    std::istringstream is("junk\r\nS\t0.5\t0\t0\t1\t1.0\n");
+    const std::string text = "junk\r\nS\t0.5\t0\t0\t1\t1.0\n";
     TraceReadReport rep;
-    (void)read_trace_lenient(is, &rep);
+    (void)read_trace_lenient(text, &rep);
     EXPECT_EQ(rep.lines_dropped, 1u);
     EXPECT_EQ(rep.bytes_dropped, std::string("junk\r\n").size());
   }
   {
     // Torn bad tail: "S\t9" is 3 bytes on disk — there is no newline.
-    std::istringstream is("S\t0.5\t0\t0\t1\t1.0\nS\t9");
+    const std::string text = "S\t0.5\t0\t0\t1\t1.0\nS\t9";
     TraceReadReport rep;
-    (void)read_trace_lenient(is, &rep);
+    (void)read_trace_lenient(text, &rep);
     EXPECT_EQ(rep.lines_dropped, 1u);
     EXPECT_EQ(rep.bytes_dropped, std::string("S\t9").size());
     EXPECT_TRUE(rep.truncated);
@@ -293,9 +433,9 @@ TEST(TraceParseBugfix, BytesDroppedCountsActualDiskBytes) {
 }
 
 TEST(TraceParseBugfix, UnterminatedParseableFinalLineIsSuspect) {
-  std::istringstream is("S\t0.5\t0\t0\t1\t1.0\nA\t0.6\t1\t0");
+  const std::string text = "S\t0.5\t0\t0\t1\t1.0\nA\t0.6\t1\t0";
   TraceReadReport rep;
-  const auto events = read_trace_lenient(is, &rep);
+  const auto events = read_trace_lenient(text, &rep);
   ASSERT_EQ(events.size(), 2u);  // still salvaged...
   EXPECT_FALSE(rep.truncated);
   EXPECT_TRUE(rep.suspect_final_event);  // ...but surfaced
@@ -304,7 +444,7 @@ TEST(TraceParseBugfix, UnterminatedParseableFinalLineIsSuspect) {
 }
 
 // ---------------------------------------------------------------------------
-// File-level fast path: mmap load, fallbacks, failpoints.
+// File loads: mapped files, pipes, devices, armed failpoints.
 
 std::string write_temp(const std::string& name, const std::string& content) {
   const std::string path = testing::TempDir() + name;
@@ -312,6 +452,49 @@ std::string write_temp(const std::string& name, const std::string& content) {
   os << content;
   return path;
 }
+
+/// A pipe that a writer thread fills with `content` and then closes.
+/// path() names its read end as /proc/self/fd/N, which opens like a
+/// shell pipe or /dev/stdin: a stream that cannot be mapped.
+class PipeSource {
+ public:
+  explicit PipeSource(std::string content) : content_(std::move(content)) {
+    if (::pipe2(fds_, O_CLOEXEC) != 0) {
+      throw std::runtime_error("pipe2 failed");
+    }
+    writer_ = std::thread([this] {
+      std::size_t off = 0;
+      while (off < content_.size()) {
+        const ssize_t n = ::write(fds_[1], content_.data() + off, content_.size() - off);
+        if (n <= 0) {
+          break;
+        }
+        off += static_cast<std::size_t>(n);
+      }
+      ::close(fds_[1]);
+    });
+  }
+  ~PipeSource() {
+    // Drain what the load left unread (nothing, when it read to EOF) so
+    // the writer can never block on a full pipe.
+    char sink[4096];
+    while (::read(fds_[0], sink, sizeof sink) > 0) {
+    }
+    writer_.join();
+    ::close(fds_[0]);
+  }
+  PipeSource(const PipeSource&) = delete;
+  PipeSource& operator=(const PipeSource&) = delete;
+
+  [[nodiscard]] std::string path() const {
+    return "/proc/self/fd/" + std::to_string(fds_[0]);
+  }
+
+ private:
+  std::string content_;
+  int fds_[2] = {-1, -1};
+  std::thread writer_;
+};
 
 TEST(TraceFastFile, MmapLoadMatchesReferenceReader) {
   std::string content;
@@ -321,39 +504,60 @@ TEST(TraceFastFile, MmapLoadMatchesReferenceReader) {
   content += "%%% corrupted tail %%%\nS\t99.0\t12";
   const std::string path = write_temp("pftk_fast_mmap.tsv", content);
 
-  TraceReadReport fast_rep;
-  const auto fast_events = load_trace_file_lenient(path, &fast_rep);
-  const Parsed ref = reference_lenient(content);
-  expect_events_identical(ref.events, fast_events, "mmap load");
-  expect_reports_identical(ref.report, fast_rep, "mmap load");
-  EXPECT_TRUE(fast_rep.truncated);
+  Parsed loaded;
+  loaded.events = load_trace_file_lenient(path, &loaded.report);
+  const Parsed ref = oracle_lenient(content);
+  expect_events_identical(ref.events, loaded.events, "mapped load");
+  expect_reports_identical(ref.report, loaded.report, "mapped load");
+  EXPECT_TRUE(loaded.report.truncated);
   std::remove(path.c_str());
 }
 
 TEST(TraceFastFile, StrictLoadThrowsIdenticalMessage) {
   const std::string content = good_block() + "X\t1\t2\t3\n";
   const std::string path = write_temp("pftk_fast_strict.tsv", content);
-  std::string fast_what;
-  try {
-    (void)load_trace_file(path);
-    FAIL() << "expected an exception";
-  } catch (const std::invalid_argument& e) {
-    fast_what = e.what();
-  }
-  std::string ref_what;
-  try {
-    std::istringstream is(content);
-    (void)read_trace(is);
-    FAIL() << "expected an exception";
-  } catch (const std::invalid_argument& e) {
-    ref_what = e.what();
-  }
-  EXPECT_EQ(ref_what, fast_what);
-  EXPECT_NE(fast_what.find("line 7"), std::string::npos) << fast_what;
+  const std::string loaded_error = strict_error([&] { (void)load_trace_file(path); });
+  TraceReadReport unused;
+  EXPECT_EQ(strict_error([&] { (void)oracle_read(content, /*strict=*/true, unused); }),
+            loaded_error);
+  EXPECT_NE(loaded_error.find("line 7"), std::string::npos) << loaded_error;
   std::remove(path.c_str());
 }
 
-TEST(TraceFastFile, EmptyFileAndDeviceFallback) {
+TEST(TraceFastFile, PipeLoadMatchesRegularFileLoad) {
+  // Larger than a pipe's 64 KiB buffer, so the load reads while the
+  // writer is still writing.
+  std::string content;
+  for (int i = 0; i < 2000; ++i) {
+    content += good_block();
+  }
+  content += "%%% corrupted line %%%\n" + good_block() + "S\t99.0\t12";
+  const std::string path = write_temp("pftk_fast_pipe.tsv", content);
+
+  Parsed file;
+  file.events = load_trace_file_lenient(path, &file.report);
+  Parsed piped;
+  {
+    PipeSource pipe(content);
+    piped.events = load_trace_file_lenient(pipe.path(), &piped.report);
+  }
+  expect_events_identical(file.events, piped.events, "pipe vs file");
+  expect_reports_identical(file.report, piped.report, "pipe vs file");
+  EXPECT_EQ(piped.report.lines_dropped, 2u);
+  EXPECT_TRUE(piped.report.truncated);
+
+  const std::string file_error = strict_error([&] { (void)load_trace_file(path); });
+  std::string pipe_error;
+  {
+    PipeSource pipe(content);
+    pipe_error = strict_error([&] { (void)load_trace_file(pipe.path()); });
+  }
+  EXPECT_EQ(file_error, pipe_error);
+  EXPECT_NE(file_error.find("line 12001"), std::string::npos) << file_error;
+  std::remove(path.c_str());
+}
+
+TEST(TraceFastFile, EmptyFileAndDeviceLoadEmpty) {
   const std::string path = write_temp("pftk_fast_empty.tsv", "");
   TraceReadReport rep;
   EXPECT_TRUE(load_trace_file_lenient(path, &rep).empty());
@@ -361,41 +565,52 @@ TEST(TraceFastFile, EmptyFileAndDeviceFallback) {
   EXPECT_EQ(rep.lines_total, 0u);
   std::remove(path.c_str());
 
-  // /dev/null is a character device: not mappable, istream fallback.
+  // /dev/null is a character device: not mappable, read to EOF.
   TraceReadReport dev_rep;
   EXPECT_TRUE(load_trace_file_lenient("/dev/null", &dev_rep).empty());
   EXPECT_TRUE(dev_rep.clean());
 }
 
-TEST(TraceFastFile, ArmedFailpointFallsBackAndStillFires) {
+TEST(TraceFastFile, ArmedFailpointFiresAtTheOracleLine) {
   const std::string content = good_block() + good_block();
   const std::string path = write_temp("pftk_fast_failpoint.tsv", content);
+  auto& registry = robust::FailpointRegistry::instance();
+  const auto arm = [&registry](const char* spec) {
+    registry.disarm_all();
+    registry.arm_specs(spec);
+  };
+  constexpr const char* kTornLine4 = "trace.read.line:after=3:action=short_write:arg=2";
 
-  // Reference behavior with the spec armed on a plain istream read.
-  robust::FailpointRegistry::instance().disarm_all();
-  robust::FailpointRegistry::instance().arm_specs(
-      "trace.read.line:after=3:action=short_write:arg=2");
-  Parsed ref;
-  {
-    std::ifstream is(path);
-    ref.events = read_trace_lenient(is, &ref.report);
-  }
-  EXPECT_EQ(robust::FailpointRegistry::instance().fired_count("trace.read.line"), 1u);
-
-  // The file loader must take the fallback (not the mmap path) while the
-  // spec is armed, so the torn tail is injected identically.
-  robust::FailpointRegistry::instance().disarm_all();
-  robust::FailpointRegistry::instance().arm_specs(
-      "trace.read.line:after=3:action=short_write:arg=2");
-  TraceReadReport fp_rep;
-  const auto fp_events = load_trace_file_lenient(path, &fp_rep);
-  robust::FailpointRegistry::instance().disarm_all();
-
-  expect_events_identical(ref.events, fp_events, "failpoint fallback");
-  expect_reports_identical(ref.report, fp_rep, "failpoint fallback");
+  arm(kTornLine4);
+  const Parsed ref = oracle_lenient(content);
+  EXPECT_EQ(registry.fired_count("trace.read.line"), 1u);
   // The injected short_write clips line 4 ("# header" + 3 records, so a
   // record line) to 2 bytes: a torn, unparseable tail.
-  EXPECT_TRUE(fp_rep.truncated);
+  EXPECT_TRUE(ref.report.truncated);
+
+  // A mapped file and a pipe: each load fires the spec once, at the
+  // same line, and salvages exactly what the oracle did.
+  arm(kTornLine4);
+  Parsed mapped;
+  mapped.events = load_trace_file_lenient(path, &mapped.report);
+  EXPECT_EQ(registry.fired_count("trace.read.line"), 1u);
+  expect_events_identical(ref.events, mapped.events, "failpoint, mapped");
+  expect_reports_identical(ref.report, mapped.report, "failpoint, mapped");
+
+  arm(kTornLine4);
+  Parsed piped;
+  {
+    PipeSource pipe(content);
+    piped.events = load_trace_file_lenient(pipe.path(), &piped.report);
+  }
+  EXPECT_EQ(registry.fired_count("trace.read.line"), 1u);
+  expect_events_identical(ref.events, piped.events, "failpoint, pipe");
+  expect_reports_identical(ref.report, piped.report, "failpoint, pipe");
+
+  // error/enospc surface as robust::IoError, not as a short trace.
+  arm("trace.read.line:after=2:action=error");
+  EXPECT_THROW((void)load_trace_file_lenient(path), robust::IoError);
+  registry.disarm_all();
   std::remove(path.c_str());
 }
 

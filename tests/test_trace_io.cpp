@@ -46,8 +46,7 @@ TEST(TraceIo, RoundTripPreservesEveryEvent) {
   const std::vector<TraceEvent> original = simulated_trace();
   ASSERT_GT(original.size(), 100u);
 
-  std::istringstream buffer(format_trace(original));
-  const std::vector<TraceEvent> reloaded = read_trace(buffer);
+  const std::vector<TraceEvent> reloaded = read_trace(format_trace(original));
 
   ASSERT_EQ(reloaded.size(), original.size());
   for (std::size_t i = 0; i < original.size(); ++i) {
@@ -170,8 +169,7 @@ TEST(TraceIo, FormatMatchesOstreamFixedOnAdversarialFields) {
 
 TEST(TraceIo, AnalysisIsIdenticalOnReloadedTrace) {
   const std::vector<TraceEvent> original = simulated_trace();
-  std::istringstream buffer(format_trace(original));
-  const std::vector<TraceEvent> reloaded = read_trace(buffer);
+  const std::vector<TraceEvent> reloaded = read_trace(format_trace(original));
 
   const LossAnalysis a = analyze_losses(original, 3);
   const LossAnalysis b = analyze_losses(reloaded, 3);
@@ -181,23 +179,17 @@ TEST(TraceIo, AnalysisIsIdenticalOnReloadedTrace) {
 }
 
 TEST(TraceIo, CommentsAndBlankLinesAreSkipped) {
-  std::stringstream buffer;
-  buffer << "# header\n\nS\t0.5\t0\t0\t1\t1.0\n# trailing comment\n";
-  const auto events = read_trace(buffer);
+  const auto events = read_trace("# header\n\nS\t0.5\t0\t0\t1\t1.0\n# trailing comment\n");
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].type, TraceEventType::kSegmentSent);
   EXPECT_NEAR(events[0].t, 0.5, 1e-12);
 }
 
 TEST(TraceIo, MalformedLinesAreRejectedWithLineNumbers) {
+  EXPECT_THROW((void)read_trace("S\t0.5\t0\n"), std::invalid_argument);  // truncated S
   {
-    std::stringstream buffer("S\t0.5\t0\n");  // truncated S record
-    EXPECT_THROW((void)read_trace(buffer), std::invalid_argument);
-  }
-  {
-    std::stringstream buffer("X\t0.5\t0\t0\n");  // unknown tag
     try {
-      (void)read_trace(buffer);
+      (void)read_trace("X\t0.5\t0\t0\n");  // unknown tag
       FAIL() << "expected an exception";
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find("line 1"), std::string::npos);
@@ -211,6 +203,10 @@ TEST(TraceIo, FileWrappersRejectBadPaths) {
   EXPECT_THROW(save_trace_file("/nonexistent/dir/trace.txt", {}), pftk::robust::IoError);
   EXPECT_THROW((void)load_trace_file_lenient("/nonexistent/dir/trace.txt"),
                std::invalid_argument);
+  // A directory opens but cannot be read (EISDIR): an error, never an
+  // empty trace.
+  EXPECT_THROW((void)load_trace_file(testing::TempDir()), std::invalid_argument);
+  EXPECT_THROW((void)load_trace_file_lenient(testing::TempDir()), std::invalid_argument);
 }
 
 // Fuzz-style table of corrupt single lines: strict must throw, lenient
@@ -235,13 +231,9 @@ TEST(TraceIo, MalformedLineTable) {
   const std::string good = "S\t0.1\t0\t0\t1\t1.000000000\n";
   for (const auto& c : cases) {
     const std::string content = good + c.line + "\n" + good;
-    {
-      std::istringstream strict(content);
-      EXPECT_THROW((void)read_trace(strict), std::invalid_argument) << c.name;
-    }
-    std::istringstream lenient(content);
+    EXPECT_THROW((void)read_trace(content), std::invalid_argument) << c.name;
     TraceReadReport report;
-    const auto events = read_trace_lenient(lenient, &report);
+    const auto events = read_trace_lenient(content, &report);
     EXPECT_EQ(events.size(), 2u) << c.name;
     EXPECT_EQ(report.lines_total, 3u) << c.name;
     EXPECT_EQ(report.events_parsed, 2u) << c.name;
@@ -258,11 +250,11 @@ TEST(TraceIo, LenientRecoversTheValidPrefixExactly) {
   const std::vector<TraceEvent> original = simulated_trace();
   // Simulate disk-full corruption: garbage, then a record cut mid-field
   // with no trailing newline.
-  std::istringstream buffer(format_trace(original) +
-                            "%%% corrupted tail %%%\nS\t99.0\t12");
+  const std::string content =
+      format_trace(original) + "%%% corrupted tail %%%\nS\t99.0\t12";
 
   TraceReadReport report;
-  const auto events = read_trace_lenient(buffer, &report);
+  const auto events = read_trace_lenient(content, &report);
   ASSERT_EQ(events.size(), original.size());
   for (std::size_t i = 0; i < original.size(); ++i) {
     EXPECT_EQ(events[i].seq, original[i].seq) << "event " << i;
@@ -282,9 +274,8 @@ TEST(TraceIo, TruncationRequiresAnUnterminatedBadFinalLine) {
     // `truncated` stays false, but a mid-record cut whose surviving
     // prefix is field-complete looks identical — so the report flags
     // the last event as suspect and the read is not clean.
-    std::istringstream is("S\t0.5\t0\t0\t1\t1.0\nA\t0.6\t1\t0");
     TraceReadReport report;
-    const auto events = read_trace_lenient(is, &report);
+    const auto events = read_trace_lenient("S\t0.5\t0\t0\t1\t1.0\nA\t0.6\t1\t0", &report);
     EXPECT_EQ(events.size(), 2u);
     EXPECT_FALSE(report.truncated);
     EXPECT_TRUE(report.suspect_final_event);
@@ -292,27 +283,25 @@ TEST(TraceIo, TruncationRequiresAnUnterminatedBadFinalLine) {
   }
   {
     // Terminated bad line mid-file: corruption, but not truncation.
-    std::istringstream is("junk\nS\t0.5\t0\t0\t1\t1.0\n");
     TraceReadReport report;
-    (void)read_trace_lenient(is, &report);
+    (void)read_trace_lenient("junk\nS\t0.5\t0\t0\t1\t1.0\n", &report);
     EXPECT_FALSE(report.truncated);
     EXPECT_EQ(report.lines_dropped, 1u);
   }
 }
 
 TEST(TraceIo, CrlfLineEndingsAreTolerated) {
-  std::istringstream is("# dos capture\r\nS\t0.5\t0\t0\t1\t1.0\r\n");
   TraceReadReport report;
-  const auto events = read_trace_lenient(is, &report);
+  const auto events =
+      read_trace_lenient("# dos capture\r\nS\t0.5\t0\t0\t1\t1.0\r\n", &report);
   ASSERT_EQ(events.size(), 1u);
   EXPECT_NEAR(events[0].t, 0.5, 1e-12);
   EXPECT_TRUE(report.clean());
 }
 
 TEST(TraceIo, LenientReportDescribesItself) {
-  std::istringstream is("S\t0.5\t0\t0\t1\t1.0\njunk\n");
   TraceReadReport report;
-  (void)read_trace_lenient(is, &report);
+  (void)read_trace_lenient("S\t0.5\t0\t0\t1\t1.0\njunk\n", &report);
   const std::string text = report.describe();
   EXPECT_NE(text.find("dropped 1"), std::string::npos) << text;
   EXPECT_NE(text.find("line 2"), std::string::npos) << text;
@@ -321,11 +310,9 @@ TEST(TraceIo, LenientReportDescribesItself) {
 TEST(TraceIo, LenientMatchesStrictOnCleanInput) {
   const std::string content = format_trace(simulated_trace());
 
-  std::istringstream strict_in(content);
-  std::istringstream lenient_in(content);
   TraceReadReport report;
-  const auto strict_events = read_trace(strict_in);
-  const auto lenient_events = read_trace_lenient(lenient_in, &report);
+  const auto strict_events = read_trace(content);
+  const auto lenient_events = read_trace_lenient(content, &report);
   ASSERT_EQ(lenient_events.size(), strict_events.size());
   EXPECT_TRUE(report.clean());
   EXPECT_EQ(report.events_parsed, strict_events.size());

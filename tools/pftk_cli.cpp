@@ -150,10 +150,9 @@ int usage() {
                "      rates against the library and both accounting identities\n"
                "  pftk bench [--smoke] [--gate] [--json [FILE]]\n"
                "      hot-path micro-benchmarks; --json writes BENCH_micro.json (or\n"
-               "      FILE); exits 1 if batched model evaluation drifts from scalar\n"
-               "      or the mmap trace reader disagrees with the istream reference,\n"
-               "      or (with --gate) if obs/failpoint/span overhead exceeds 1.10x\n"
-               "      or the mmap-vs-istream trace speedup falls below its floor\n"
+               "      FILE); exits 1 if batched model evaluation drifts from scalar,\n"
+               "      or (with --gate) if obs/failpoint/span/supervision overhead\n"
+               "      exceeds 1.10x\n"
                "  pftk obs summarize <obs-file>... [--json [FILE]]\n"
                "      TD/TO loss-indication breakdown of pftk-obs/1 file(s); several\n"
                "      files (e.g. per-worker snapshots) merge with the shard-merge\n"
@@ -227,8 +226,9 @@ long long parse_integer(const char* text, const char* what) {
 }
 
 int parse_positive_int(const char* text, const char* what) {
-  const long long v = parse_integer(text, what);
-  if (v <= 0 || v > std::numeric_limits<int>::max()) {
+  char* end = nullptr;
+  const long long v = std::strtoll(text, &end, 10);
+  if (end == text || *end != '\0' || v <= 0 || v > std::numeric_limits<int>::max()) {
     throw pftk::model::ParamError(std::string(what) +
                                   " must be a positive integer, got '" + text +
                                   "'");
@@ -679,42 +679,11 @@ int cmd_campaign(int argc, char** argv) {
 
   std::cout << "\n" << result.report.describe() << "\n";
 
-  // Surface trace-salvage damage as one line, not a screenful: campaigns
-  // run unattended and the operator needs a single grep-able signal.
-  std::size_t dirty_files = 0;
-  std::size_t salvage_lines_dropped = 0;
-  for (const auto& rr : result.report.read_reports) {
-    if (!rr.clean()) {
-      ++dirty_files;
-      salvage_lines_dropped += rr.lines_dropped;
-    }
-  }
-  if (dirty_files > 0) {
-    std::cerr << "warning: trace salvage: " << dirty_files << " dirty file(s), "
-              << salvage_lines_dropped << " line(s) dropped (see report)\n";
-  }
-
   if (obs_opts.enabled()) {
     pftk::obs::ObsBundle bundle;
     bundle.source = "campaign";
     bundle.metrics = result.report.metrics;
     bundle.spans = result.report.spans;
-    if (dirty_files > 0) {
-      // Fold the salvage damage into the exported snapshot so the
-      // counters match the warning above.
-      pftk::obs::MetricsRegistry salvage;
-      const auto met = pftk::obs::StandardMetrics::register_on(salvage);
-      salvage.freeze(1);
-      auto& shard = salvage.shard(0);
-      std::size_t salvage_bytes = 0;
-      for (const auto& rr : result.report.read_reports) {
-        salvage_bytes += rr.bytes_dropped;
-      }
-      shard.add(met.trace_files_dirty, static_cast<double>(dirty_files));
-      shard.add(met.trace_lines_dropped, static_cast<double>(salvage_lines_dropped));
-      shard.add(met.trace_bytes_dropped, static_cast<double>(salvage_bytes));
-      bundle.metrics.merge(salvage.snapshot());
-    }
     export_obs_outputs(obs_opts, bundle);
   }
 
@@ -1128,13 +1097,7 @@ int cmd_bench(int argc, char** argv) {
             << pftk::exp::fmt(report.supervision_overhead_tolerance, 2) << "x): "
             << (report.supervision_overhead_ok() ? "ok"
                                                  : (gate_obs ? "FAIL" : "high"))
-            << "\n"
-            << "trace mmap vs istream speedup "
-            << pftk::exp::fmt(report.trace_mmap_speedup, 2) << "x (min "
-            << pftk::exp::fmt(report.trace_mmap_min_speedup, 2) << "x): "
-            << (report.trace_mmap_ok() ? "ok" : (gate_obs ? "FAIL" : "low")) << "\n"
-            << "trace fast-path parity (events + report): "
-            << (report.trace_parity_ok ? "ok" : "FAIL") << "\n";
+            << "\n";
 
   if (want_json) {
     std::ofstream os(json_path);
@@ -1146,20 +1109,6 @@ int cmd_bench(int argc, char** argv) {
     std::cout << "json written to " << json_path << "\n";
   }
   if (!report.equivalence_ok) {
-    return 1;
-  }
-  // Parity is a correctness contract, not a performance number: a fast
-  // path that disagrees with the reference reader fails every run,
-  // gated or not — exactly like the batched-model equivalence check.
-  if (!report.trace_parity_ok) {
-    std::cerr << "error: trace fast-path parity check failed (mmap reader "
-                 "disagrees with the istream reference)\n";
-    return 1;
-  }
-  if (gate_obs && !report.trace_mmap_ok()) {
-    std::cerr << "error: trace mmap speedup gate failed ("
-              << pftk::exp::fmt(report.trace_mmap_speedup, 2) << "x < "
-              << pftk::exp::fmt(report.trace_mmap_min_speedup, 2) << "x)\n";
     return 1;
   }
   if (gate_obs && !report.obs_overhead_ok()) {
@@ -1307,8 +1256,8 @@ int cmd_analyze(int argc, char** argv) {
   if (argc < 3) {
     return usage();
   }
+  const int threshold = argc > 3 ? parse_positive_int(argv[3], "dupack_threshold") : 3;
   const auto events = pftk::trace::load_trace_file(argv[2]);
-  const int threshold = argc > 3 ? std::atoi(argv[3]) : 3;
 
   const auto validation = pftk::trace::validate_trace(events);
   if (!validation.ok()) {
