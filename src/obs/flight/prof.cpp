@@ -57,6 +57,18 @@ std::string json_escape(const std::string& s) {
 
 }  // namespace
 
+const char* serve_verdict_name(ServeVerdict verdict) noexcept {
+  switch (verdict) {
+    case ServeVerdict::kOk:
+      return "ok";
+    case ServeVerdict::kViolated:
+      return "violated";
+    case ServeVerdict::kIndeterminate:
+      return "indeterminate";
+  }
+  return "indeterminate";
+}
+
 ProfReport profile_spans(const DrainedSpans& drained) {
   ProfReport report;
   report.spans = drained.spans.size();
@@ -192,14 +204,25 @@ std::string render_prof_text(const ProfReport& report) {
     os << "serve identity from spans: requests " << id.requests << " vs served "
        << id.served << " + shed " << id.shed << " + deadline_missed "
        << id.deadline_missed << " + internal " << id.internal_errors << " = "
-       << id.served + id.shed + id.deadline_missed + id.internal_errors << "  ["
-       << (id.holds() ? "OK" : "VIOLATED") << "]\n";
+       << id.served + id.shed + id.deadline_missed + id.internal_errors << "  [";
+    switch (report.serve_verdict()) {
+      case ServeVerdict::kOk:
+        os << "OK";
+        break;
+      case ServeVerdict::kViolated:
+        os << "VIOLATED";
+        break;
+      case ServeVerdict::kIndeterminate:
+        os << "INDETERMINATE: " << report.dropped << " spans dropped";
+        break;
+    }
+    os << "]\n";
   }
   return os.str();
 }
 
 void write_prof_json(std::ostream& os, const ProfReport& report) {
-  os << "{\"schema\":\"pftk-prof/1\",\"spans\":" << report.spans
+  os << "{\"schema\":\"pftk-prof/2\",\"spans\":" << report.spans
      << ",\"dropped\":" << report.dropped << ",\"threads\":" << report.threads
      << ",\"wall_ns\":" << report.wall_ns << ",\"names\":[";
   for (std::size_t i = 0; i < report.names.size(); ++i) {
@@ -226,7 +249,8 @@ void write_prof_json(std::ostream& os, const ProfReport& report) {
        << ",\"served\":" << id.served << ",\"shed\":" << id.shed
        << ",\"deadline_missed\":" << id.deadline_missed
        << ",\"internal\":" << id.internal_errors
-       << ",\"holds\":" << (id.holds() ? "true" : "false") << "}";
+       << ",\"verdict\":\"" << serve_verdict_name(report.serve_verdict())
+       << "\"}";
   }
   os << "}\n";
 }

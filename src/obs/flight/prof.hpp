@@ -7,7 +7,9 @@
 // rollup of where each scope's time went. For serve recordings it also
 // re-derives the PR 7 accounting identity from span counts alone:
 //   requests == served + shed + deadline_missed + internal
-// which must hold exactly on a lossless (zero-drop) recording.
+// which must hold exactly on a lossless (zero-drop) recording. A
+// recording that dropped spans cannot decide it either way, so the
+// verdict is three-state: OK, VIOLATED, or INDETERMINATE.
 #pragma once
 
 #include <cstdint>
@@ -53,6 +55,13 @@ struct ServeSpanIdentity {
   }
 };
 
+/// The serve identity's verdict. Any dropped span makes the counts lower
+/// bounds, so a lossy recording is INDETERMINATE whatever they say.
+enum class ServeVerdict { kOk, kViolated, kIndeterminate };
+
+/// Stable lowercase token: "ok", "violated", "indeterminate".
+[[nodiscard]] const char* serve_verdict_name(ServeVerdict verdict) noexcept;
+
 struct ProfReport {
   std::vector<NameStats> names;    ///< sorted by exclusive_ns descending
   std::vector<RollupEdge> rollup;  ///< sorted by total_ns descending
@@ -61,15 +70,25 @@ struct ProfReport {
   std::uint64_t dropped = 0;
   std::uint32_t threads = 0;
   std::uint64_t wall_ns = 0;  ///< max end − min begin across all spans
+
+  /// Meaningful only when serve.present.
+  [[nodiscard]] ServeVerdict serve_verdict() const noexcept {
+    if (dropped > 0) {
+      return ServeVerdict::kIndeterminate;
+    }
+    return serve.holds() ? ServeVerdict::kOk : ServeVerdict::kViolated;
+  }
 };
 
 /// Aggregates drained (or loaded) spans into the report.
 [[nodiscard]] ProfReport profile_spans(const DrainedSpans& drained);
 
-/// Human-oriented table (self-time ordered) + rollup + identity line.
+/// Human-oriented table (self-time ordered) + rollup + identity line
+/// ending in `[OK]`, `[VIOLATED]` or `[INDETERMINATE: N spans dropped]`.
 [[nodiscard]] std::string render_prof_text(const ProfReport& report);
 
-/// Machine form: single `pftk-prof/1` JSON document.
+/// Machine form: single `pftk-prof/2` JSON document (the serve identity
+/// block carries `"verdict":"ok|violated|indeterminate"`).
 void write_prof_json(std::ostream& os, const ProfReport& report);
 
 }  // namespace pftk::obs::flight

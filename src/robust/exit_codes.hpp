@@ -13,6 +13,8 @@
 //   2   usage error (bad flags / parameters)
 //   3   interrupted — graceful drain after SIGINT/SIGTERM
 //   4   supervisor circuit breaker: restart budget exhausted, gave up
+//   5   indeterminate — a check could not be decided (e.g. `pftk prof`
+//       on a recording that dropped spans)
 //   86  injected crash (robust::kCrashExitCode, chaos harness)
 //   130 hard exit on the second shutdown signal
 #pragma once
@@ -29,6 +31,9 @@ inline constexpr int kExitInterrupted = 3;
 /// `restart_budget` worker restarts inside `restart_window_s`. A durable
 /// post-mortem snapshot is written before exiting with this code.
 inline constexpr int kExitSupervisorGaveUp = 4;
+/// A check could not be decided either way: `pftk prof` on a serve
+/// recording whose rings dropped spans, so its counts are lower bounds.
+inline constexpr int kExitIndeterminate = 5;
 // kCrashExitCode = 86 lives in failpoint.hpp (the chaos harness owns it).
 inline constexpr int kExitHardSignal = 130;
 

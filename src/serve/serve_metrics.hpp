@@ -6,8 +6,8 @@
 //   requests == served + shed + deadline_missed + internal_errors
 //
 // holds to the unit (asserted by tests and the selftest). The campaign
-// obs registry cannot carry this — its shards are single-writer and the
-// daemon's reader threads are one-per-connection — so serving counters
+// obs registry cannot carry this — its shards are single-writer and
+// every serve shard loop bumps the one shared ledger — so serving counters
 // are plain relaxed atomics (any thread may bump any counter) plus a
 // bucket-atomic latency histogram, and a MetricsSnapshot is *derived*
 // from them at flush time. Flushes go through save_obs_file →

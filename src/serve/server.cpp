@@ -1,12 +1,14 @@
 #include "serve/server.hpp"
 
 #include <fcntl.h>
-#include <poll.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/types.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <array>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -29,9 +31,10 @@ namespace flight = obs::flight;
 
 using Clock = std::chrono::steady_clock;
 
-constexpr int kPollMs = 50;
+/// Ready events taken per epoll_wait.
+constexpr int kMaxEvents = 64;
 /// CALIB traces are parsed in line-chunks of this size with a deadline
-/// check between chunks, so a huge trace cannot pin a worker past the
+/// check between chunks, so a huge trace cannot pin a loop past the
 /// request's budget.
 constexpr std::size_t kCalibChunkLines = 4096;
 /// Admission decisions per local shed-rate window (degradation signal).
@@ -57,6 +60,20 @@ std::string sanitize_field(std::string_view text) {
 
 double seconds_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
+}
+
+/// Wakes a loop blocked in epoll_wait (the eventfd counter only grows).
+void wake(int event_fd) {
+  const std::uint64_t one = 1;
+  (void)!::write(event_fd, &one, sizeof(one));
+}
+
+/// Adds `fd` to an epoll set, level-triggered for reads.
+bool watch(int epoll_fd, int fd) {
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.fd = fd;
+  return ::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &ev) == 0;
 }
 
 }  // namespace
@@ -93,32 +110,25 @@ void ServeConfig::validate() const {
   }
 }
 
-/// One connected client. Reference-counted so a response for a queued
-/// request can outlive the reader thread (and even the sessions list);
-/// the fd closes with the last reference. All writes serialize on
-/// write_mu_, and the first write failure (real or injected) latches
-/// dead_ so later responses for this client are dropped, not wedged.
+/// One connected client, owned by one loop. Reference-counted so a
+/// queued request keeps the fd open after the loop stops reading it;
+/// the fd closes with the last reference. The first write failure (real
+/// or injected) latches dead_ so later responses for this client are
+/// dropped, not wedged.
 class Server::ClientSession {
  public:
   ClientSession(int fd, ServeTotals* totals) : fd_(fd), totals_(totals) {}
-  ~ClientSession() {
-    if (fd_ >= 0) {
-      ::close(fd_);
-    }
-  }
+  ~ClientSession() { ::close(fd_); }
   ClientSession(const ClientSession&) = delete;
   ClientSession& operator=(const ClientSession&) = delete;
 
   [[nodiscard]] int fd() const noexcept { return fd_; }
-  [[nodiscard]] bool dead() const noexcept {
-    return dead_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] bool dead() const noexcept { return dead_; }
 
   void send_line(std::string line) {
     line.push_back('\n');
     PFTK_SPAN("serve.write", line.size());
-    std::lock_guard<std::mutex> lock(write_mu_);
-    if (dead()) {
+    if (dead_) {
       return;
     }
     const auto hit = robust::failpoint("serve.write");
@@ -151,23 +161,40 @@ class Server::ClientSession {
     }
   }
 
-  /// Reader-thread bookkeeping (no lock: single reader per session).
+  /// Bytes read but not yet split into lines.
   std::string buffer;
   bool skipping_oversized = false;
-  std::atomic<bool> reader_done{false};
 
  private:
   void mark_dead() {
-    if (!dead_.exchange(true, std::memory_order_relaxed)) {
+    if (!dead_) {
+      dead_ = true;
       totals_->disconnects.fetch_add(1, std::memory_order_relaxed);
     }
   }
 
   int fd_;
-  std::mutex write_mu_;
-  std::atomic<bool> dead_{false};
+  bool dead_ = false;
   ServeTotals* totals_;
 };
+
+Server::Shard::Shard(int listen_fd)
+    : epoll_fd(::epoll_create1(EPOLL_CLOEXEC)),
+      wake_fd(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {
+  if (epoll_fd < 0 || wake_fd < 0 || !watch(epoll_fd, wake_fd) ||
+      !watch(epoll_fd, listen_fd)) {
+    const int err = errno;
+    ::close(epoll_fd);  // no destructor runs for a failed constructor;
+    ::close(wake_fd);   // close(-1) is a harmless EBADF
+    throw robust::IoError("serve: shard event loop: " +
+                          std::string(std::strerror(err)));
+  }
+}
+
+Server::Shard::~Shard() {
+  ::close(epoll_fd);
+  ::close(wake_fd);
+}
 
 Server::Server(ServeConfig config) : config_(std::move(config)) {
   config_.validate();
@@ -202,9 +229,9 @@ int Server::bind_listener(const std::string& path) {
     ::unlink(path.c_str());
     throw robust::IoError("serve: listen: " + std::string(std::strerror(err)));
   }
-  // Non-blocking: with several worker processes accept()ing this fd, a
-  // poll() wakeup can race — the losers must get EAGAIN, not block past
-  // their stop-flag checks.
+  // Non-blocking: every shard loop (and, supervised, every worker
+  // process) watches this fd, so one connection wakes several of them —
+  // the losers must get EAGAIN, not block.
   const int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags >= 0) {
     (void)::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
@@ -223,55 +250,50 @@ void Server::start() {
     listen_fd_ = bind_listener(config_.socket_path);
     owns_socket_file_ = true;
   }
-
-  shards_.reserve(static_cast<std::size_t>(config_.shards));
-  for (int i = 0; i < config_.shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
+  try {
+    for (int i = 0; i < config_.shards; ++i) {
+      shards_.push_back(std::make_unique<Shard>(listen_fd_));
+    }
+  } catch (...) {
+    shards_.clear();
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+    if (owns_socket_file_) {
+      ::unlink(config_.socket_path.c_str());
+    }
+    throw;
   }
   for (auto& shard : shards_) {
-    shard->worker = std::thread([this, s = shard.get()] { worker_loop(*s); });
+    shard->thread = std::thread([this, s = shard.get()] { run_loop(*s); });
   }
-  acceptor_ = std::thread([this] { acceptor_loop(); });
   started_ = true;
 }
 
-void Server::request_stop() { stop_.store(true, std::memory_order_relaxed); }
+void Server::request_stop() {
+  stop_.store(true, std::memory_order_relaxed);
+  for (const auto& shard : shards_) {
+    wake(shard->wake_fd);
+  }
+}
 
 ServeSummary Server::wait() {
   if (!started_ || joined_) {
     return summary();
   }
   request_stop();
-  if (acceptor_.joinable()) {
-    acceptor_.join();
-  }
-  // Readers poll stop_ at kPollMs cadence; wait for the last to exit so
-  // no enqueue can race the drain flag.
-  {
-    std::unique_lock<std::mutex> lock(readers_mu_);
-    readers_cv_.wait(lock, [this] { return readers_active_.load() == 0; });
-  }
-  draining_.store(true, std::memory_order_seq_cst);
   for (auto& shard : shards_) {
-    {
-      std::lock_guard<std::mutex> lock(shard->mu);
-    }
-    shard->cv.notify_all();
-    if (shard->worker.joinable()) {
-      shard->worker.join();
+    shard->thread.join();
+  }
+  for (auto& shard : shards_) {
+    for (const int fd : shard->inbox) {
+      ::close(fd);  // handed over after its loop had drained
     }
   }
   if (!config_.metrics_out.empty()) {
     flush_metrics();
   }
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    sessions_.clear();
-  }
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  ::close(listen_fd_);
+  listen_fd_ = -1;
   if (owns_socket_file_) {
     ::unlink(config_.socket_path.c_str());
   }
@@ -293,193 +315,202 @@ HistogramSnapshot Server::merged_queue_wait() const {
   return merged;
 }
 
-std::size_t Server::queue_size(int shard) const {
-  const auto& s = *shards_.at(static_cast<std::size_t>(shard));
-  std::lock_guard<std::mutex> lock(s.mu);
-  return s.queue.size();
-}
-
-void Server::acceptor_loop() {
+void Server::run_loop(Shard& shard) {
+  std::array<epoll_event, kMaxEvents> events{};
   while (!stop_.load(std::memory_order_relaxed)) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, kPollMs);
-    if (rc <= 0) {
-      if (rc < 0 && errno != EINTR) {
+    // Block only while nothing is queued; otherwise poll, read what
+    // arrived, and get back to the queue.
+    const int ready = ::epoll_wait(shard.epoll_fd, events.data(), kMaxEvents,
+                                   shard.queue.empty() ? -1 : 0);
+    if (ready < 0 && errno != EINTR) {
+      break;
+    }
+    for (int i = 0; i < ready; ++i) {
+      const int fd = events[static_cast<std::size_t>(i)].data.fd;
+      if (fd == shard.wake_fd) {
+        adopt_inbox(shard);
+      } else if (fd == listen_fd_) {
+        accept_one();
+      } else if (const auto it = shard.clients.find(fd);
+                 it != shard.clients.end()) {
+        read_client(shard, it->second);
+      }
+    }
+    run_batch(shard);
+  }
+
+  // Drain: answer every admitted request, then hang up.
+  while (!shard.queue.empty()) {
+    run_batch(shard);
+  }
+  open_clients_.fetch_sub(shard.clients.size(), std::memory_order_relaxed);
+  shard.clients.clear();
+}
+
+void Server::accept_one() {
+  std::unique_lock<std::mutex> lock(accept_mu_);
+  const int cfd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
+  if (cfd < 0) {
+    // EAGAIN: another loop or worker process took it. Anything else
+    // (ECONNABORTED, EMFILE, ...) is retried on the next readiness.
+    return;
+  }
+  // One span per accepted connection: failpoint handling, the client
+  // cap, and the hand-off to the owning loop's inbox.
+  PFTK_SPAN("serve.accept");
+  const auto hit = robust::failpoint("serve.accept");
+  if (hit.fired()) {
+    switch (hit.action) {
+      case robust::FailpointAction::kDelay:
+        std::this_thread::sleep_for(std::chrono::milliseconds(hit.arg));
         break;
-      }
-      sweep_sessions();
-      continue;
+      case robust::FailpointAction::kCrash:
+        robust::crash_now();
+      default:
+        // Injected accept failure: the client is turned away.
+        ::close(cfd);
+        totals_.rejected_connections.fetch_add(1, std::memory_order_relaxed);
+        return;
     }
-    const int cfd = ::accept(listen_fd_, nullptr, nullptr);
-    if (cfd < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == ECONNABORTED) {
-        continue;
-      }
-      break;
+  }
+  if (open_clients_.load(std::memory_order_relaxed) >= config_.max_clients) {
+    // Over the client cap: say BUSY once, then close. Load shedding
+    // applies at the connection layer too — no silent accept backlog.
+    const std::string line = format_err("-", ErrCode::kBusy,
+                                        {{"retry_ms", "100"}}) + "\n";
+    (void)::send(cfd, line.data(), line.size(), MSG_NOSIGNAL);
+    ::close(cfd);
+    totals_.rejected_connections.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  open_clients_.fetch_add(1, std::memory_order_relaxed);
+  totals_.connections.fetch_add(1, std::memory_order_relaxed);
+  Shard& owner = *shards_[next_owner_++ % shards_.size()];
+  lock.unlock();
+  std::lock_guard<std::mutex> inbox_lock(owner.inbox_mu);
+  owner.inbox.push_back(cfd);
+  wake(owner.wake_fd);
+}
+
+void Server::adopt_inbox(Shard& shard) {
+  std::uint64_t wakes = 0;
+  (void)!::read(shard.wake_fd, &wakes, sizeof(wakes));
+  std::vector<int> handed;
+  {
+    std::lock_guard<std::mutex> lock(shard.inbox_mu);
+    handed.swap(shard.inbox);
+  }
+  for (const int fd : handed) {
+    if (watch(shard.epoll_fd, fd)) {
+      shard.clients.emplace(fd, std::make_shared<ClientSession>(fd, &totals_));
+    } else {
+      ::close(fd);
+      open_clients_.fetch_sub(1, std::memory_order_relaxed);
     }
-    // One span per accepted connection: failpoint handling, session
-    // registration, and reader spawn (ends with this loop iteration).
-    PFTK_SPAN("serve.accept");
-    const auto hit = robust::failpoint("serve.accept");
-    if (hit.fired()) {
-      switch (hit.action) {
-        case robust::FailpointAction::kDelay:
-          std::this_thread::sleep_for(std::chrono::milliseconds(hit.arg));
-          break;
-        case robust::FailpointAction::kCrash:
-          robust::crash_now();
-        default:
-          // Injected accept failure: the client is turned away.
-          ::close(cfd);
-          totals_.rejected_connections.fetch_add(1, std::memory_order_relaxed);
-          continue;
-      }
-    }
-    sweep_sessions();
-    if (static_cast<std::size_t>(readers_active_.load()) >= config_.max_clients) {
-      // Over the client cap: say BUSY once, then close. Load shedding
-      // applies at the connection layer too — no silent accept backlog.
-      const std::string line = format_err("-", ErrCode::kBusy,
-                                          {{"retry_ms", "100"}}) + "\n";
-      (void)::send(cfd, line.data(), line.size(), MSG_NOSIGNAL);
-      ::close(cfd);
-      totals_.rejected_connections.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    totals_.connections.fetch_add(1, std::memory_order_relaxed);
-    auto session = std::make_shared<ClientSession>(cfd, &totals_);
-    {
-      std::lock_guard<std::mutex> lock(sessions_mu_);
-      sessions_.push_back(session);
-    }
-    readers_active_.fetch_add(1);
-    std::thread([this, session = std::move(session)]() mutable {
-      reader_loop(std::move(session));
-      // Notify under the lock: once it is released, wait() may see zero
-      // readers, return, and let ~Server destroy readers_cv_.
-      std::lock_guard<std::mutex> lock(readers_mu_);
-      readers_active_.fetch_sub(1);
-      readers_cv_.notify_all();
-    }).detach();
   }
 }
 
-void Server::sweep_sessions() {
-  std::lock_guard<std::mutex> lock(sessions_mu_);
-  std::erase_if(sessions_, [](const std::shared_ptr<ClientSession>& s) {
-    // Reader gone and no queued request holds a reference: the fd can
-    // close now instead of at shutdown.
-    return s->reader_done.load(std::memory_order_relaxed) && s.use_count() == 1;
-  });
+void Server::close_client(Shard& shard, int fd) {
+  // The fd itself closes with the session's last reference, which a
+  // queued request may still hold.
+  (void)::epoll_ctl(shard.epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
+  shard.clients.erase(fd);
+  open_clients_.fetch_sub(1, std::memory_order_relaxed);
 }
 
-void Server::reader_loop(std::shared_ptr<ClientSession> session) {
-  while (!stop_.load(std::memory_order_relaxed) && !session->dead()) {
-    pollfd pfd{session->fd(), POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, kPollMs);
-    if (rc == 0) {
+void Server::read_client(Shard& shard, std::shared_ptr<ClientSession> client) {
+  if (client->dead()) {
+    close_client(shard, client->fd());  // a write already failed
+    return;
+  }
+  const auto hit = robust::failpoint("serve.read");
+  if (hit.fired()) {
+    switch (hit.action) {
+      case robust::FailpointAction::kDelay:
+        std::this_thread::sleep_for(std::chrono::milliseconds(hit.arg));
+        break;
+      case robust::FailpointAction::kCrash:
+        robust::crash_now();
+      default:
+        // Injected read failure: connection considered lost.
+        close_client(shard, client->fd());
+        return;
+    }
+  }
+  char tmp[4096];
+  const ssize_t n = ::read(client->fd(), tmp, sizeof(tmp));
+  if (n <= 0) {
+    if (n < 0 && (errno == EINTR || errno == EAGAIN)) {
+      return;
+    }
+    close_client(shard, client->fd());  // clean EOF or a dead socket
+    return;
+  }
+  // Spans the parse/dispatch of this read chunk, so admitted-request
+  // markers recorded below roll up under serve.read.
+  PFTK_SPAN("serve.read", static_cast<std::uint64_t>(n));
+  std::string& buffer = client->buffer;
+  buffer.append(tmp, static_cast<std::size_t>(n));
+
+  std::size_t start = 0;
+  for (std::size_t nl; (nl = buffer.find('\n', start)) != std::string::npos;
+       start = nl + 1) {
+    std::string_view line(buffer.data() + start, nl - start);
+    if (client->skipping_oversized) {
+      // Tail of a line already rejected with TOOBIG.
+      client->skipping_oversized = false;
       continue;
     }
-    if (rc < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      break;
+    if (!line.empty() && line.back() == '\r') {
+      line.remove_suffix(1);
     }
-    const auto hit = robust::failpoint("serve.read");
-    if (hit.fired()) {
-      switch (hit.action) {
-        case robust::FailpointAction::kDelay:
-          std::this_thread::sleep_for(std::chrono::milliseconds(hit.arg));
-          break;
-        case robust::FailpointAction::kCrash:
-          robust::crash_now();
-        default:
-          // Injected read failure: connection considered lost.
-          session->reader_done.store(true, std::memory_order_relaxed);
-          return;
-      }
+    if (line.empty()) {
+      continue;
     }
-    char tmp[4096];
-    const ssize_t n = ::read(session->fd(), tmp, sizeof(tmp));
-    if (n == 0) {
-      break;  // clean EOF
-    }
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN) {
-        continue;
-      }
-      break;
-    }
-    // Spans the parse/dispatch of this read chunk, so admitted-request
-    // markers recorded inside handle_line roll up under serve.read.
-    PFTK_SPAN("serve.read", static_cast<std::uint64_t>(n));
-    session->buffer.append(tmp, static_cast<std::size_t>(n));
-
-    std::size_t pos;
-    while ((pos = session->buffer.find('\n')) != std::string::npos) {
-      std::string line = session->buffer.substr(0, pos);
-      session->buffer.erase(0, pos + 1);
-      if (session->skipping_oversized) {
-        // Tail of a line already rejected with TOOBIG.
-        session->skipping_oversized = false;
-        continue;
-      }
-      if (!line.empty() && line.back() == '\r') {
-        line.pop_back();
-      }
-      if (line.empty()) {
-        continue;
-      }
-      if (line.size() > config_.max_line_bytes) {
-        totals_.oversized.fetch_add(1, std::memory_order_relaxed);
-        session->send_line(format_err(
-            recover_request_id(line), ErrCode::kTooBig,
-            {{"cap", std::to_string(config_.max_line_bytes)}}));
-        continue;
-      }
-      handle_line(session, line);
-    }
-    if (!session->skipping_oversized &&
-        session->buffer.size() > config_.max_line_bytes) {
-      // A line is still growing past the cap with no newline in sight:
-      // reject it now and discard bytes until the next newline, rather
-      // than buffering an unbounded amount.
+    if (line.size() > config_.max_line_bytes) {
       totals_.oversized.fetch_add(1, std::memory_order_relaxed);
-      session->send_line(format_err(
-          recover_request_id(session->buffer), ErrCode::kTooBig,
+      client->send_line(format_err(
+          recover_request_id(line), ErrCode::kTooBig,
           {{"cap", std::to_string(config_.max_line_bytes)}}));
-      session->buffer.clear();
-      session->skipping_oversized = true;
+      continue;
     }
+    Request req;
+    try {
+      req = parse_request(line);
+    } catch (const ProtocolError& e) {
+      totals_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
+      client->send_line(
+          format_err(e.id(), e.code(), {{"msg", sanitize_field(e.what())}}));
+      continue;
+    }
+    if (req.verb == Verb::kPing) {
+      totals_.pings.fetch_add(1, std::memory_order_relaxed);
+      client->send_line(format_ok(req.id, {{"pong", "1"}}));
+      continue;
+    }
+    admit(shard, client, std::move(req));
+  }  buffer.erase(0, start);
+  if (client->skipping_oversized) {
+    buffer.clear();  // all of it belongs to the rejected line
+  } else if (buffer.size() > config_.max_line_bytes) {
+    // A line is still growing past the cap with no newline in sight:
+    // reject it now and discard bytes until the next newline, rather
+    // than buffering an unbounded amount.
+    totals_.oversized.fetch_add(1, std::memory_order_relaxed);
+    client->send_line(format_err(
+        recover_request_id(buffer), ErrCode::kTooBig,
+        {{"cap", std::to_string(config_.max_line_bytes)}}));
+    buffer.clear();
+    client->skipping_oversized = true;
   }
-  session->reader_done.store(true, std::memory_order_relaxed);
 }
 
-void Server::handle_line(const std::shared_ptr<ClientSession>& session,
-                         std::string_view line) {
-  Request req;
-  try {
-    req = parse_request(line);
-  } catch (const ProtocolError& e) {
-    totals_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-    session->send_line(
-        format_err(e.id(), e.code(), {{"msg", sanitize_field(e.what())}}));
-    return;
-  }
-  if (req.verb == Verb::kPing) {
-    totals_.pings.fetch_add(1, std::memory_order_relaxed);
-    session->send_line(format_ok(req.id, {{"pong", "1"}}));
-    return;
-  }
-  admit(session, std::move(req));
-}
-
-void Server::admit(const std::shared_ptr<ClientSession>& session, Request req) {
+void Server::admit(Shard& shard, const std::shared_ptr<ClientSession>& client,
+                   Request req) {
   if (stop_.load(std::memory_order_relaxed)) {
     // Draining: addressable refusal, not counted in the admission
     // identity (the request never reached a queueing decision).
-    session->send_line(format_err(req.id, ErrCode::kShutdown));
+    client->send_line(format_err(req.id, ErrCode::kShutdown));
     return;
   }
   totals_.requests.fetch_add(1, std::memory_order_relaxed);
@@ -489,8 +520,7 @@ void Server::admit(const std::shared_ptr<ClientSession>& session, Request req) {
   // from span counts alone.
   flight::Recorder::instance().record_marker("serve.req.admitted");
 
-  auto& shard = *shards_[rr_next_.fetch_add(1, std::memory_order_relaxed) %
-                         shards_.size()];
+  bool shed = shard.queue.size() >= config_.queue_depth;
   const auto hit = robust::failpoint("serve.enqueue");
   if (hit.fired()) {
     switch (hit.action) {
@@ -502,14 +532,22 @@ void Server::admit(const std::shared_ptr<ClientSession>& session, Request req) {
       default:
         // Injected admission failure behaves as a forced shed: the
         // accounting identity must still balance under chaos.
-        totals_.shed.fetch_add(1, std::memory_order_relaxed);
-        flight::Recorder::instance().record_marker("serve.req.shed");
-        note_admission(/*was_shed=*/true);
-        session->send_line(format_err(
-            req.id, ErrCode::kBusy,
-            {{"retry_ms", std::to_string(retry_hint_ms(shard))}}));
-        return;
+        shed = true;
+        break;
     }
+  }
+  note_admission(shed);
+  if (shed) {
+    totals_.shed.fetch_add(1, std::memory_order_relaxed);
+    flight::Recorder::instance().record_marker("serve.req.shed");
+    // The hint is the expected time to drain a full queue, depth × EWMA
+    // service time, clamped to [1, 30000] ms: a cold shard (EWMA still
+    // 0) quotes 1 ms, never 0.
+    const std::uint64_t retry_ms =
+        busy_retry_hint_ms(shard.service_ewma_s, config_.queue_depth);
+    client->send_line(format_err(req.id, ErrCode::kBusy,
+                                 {{"retry_ms", std::to_string(retry_ms)}}));
+    return;
   }
 
   const auto now = Clock::now();
@@ -522,34 +560,10 @@ void Server::admit(const std::shared_ptr<ClientSession>& session, Request req) {
                                 std::chrono::duration<double, std::milli>(
                                     budget_ms))
                     : Clock::time_point::max();
-  qr.client = session;
+  qr.client = client;
   qr.req = std::move(req);
-
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.queue.size() >= config_.queue_depth) {
-      totals_.shed.fetch_add(1, std::memory_order_relaxed);
-      flight::Recorder::instance().record_marker("serve.req.shed");
-      note_admission(/*was_shed=*/true);
-      session->send_line(format_err(
-          qr.req.id, ErrCode::kBusy,
-          {{"retry_ms", std::to_string(retry_hint_ms(shard))}}));
-      return;
-    }
-    shard.queue.push_back(std::move(qr));
-    totals_.bump_queue_peak(shard.queue.size());
-  }
-  note_admission(/*was_shed=*/false);
-  shard.cv.notify_one();
-}
-
-std::uint64_t Server::retry_hint_ms(const Shard& shard) const {
-  // Expected time to drain a full queue: depth × EWMA service time,
-  // clamped to [1, 30000] in busy_retry_hint_ms — a cold shard (EWMA
-  // still 0) quotes 1 ms, never 0.
-  return busy_retry_hint_ms(
-      shard.service_ewma_s.load(std::memory_order_relaxed),
-      config_.queue_depth);
+  shard.queue.push_back(std::move(qr));
+  totals_.bump_queue_peak(shard.queue.size());
 }
 
 bool Server::effective_degraded() const noexcept {
@@ -594,61 +608,45 @@ void Server::note_admission(bool was_shed) noexcept {
   }
 }
 
-void Server::worker_loop(Shard& shard) {
-  std::vector<QueuedRequest> batch;
-  for (;;) {
-    batch.clear();
-    {
-      std::unique_lock<std::mutex> lock(shard.mu);
-      shard.cv.wait(lock, [&] {
-        return !shard.queue.empty() || draining_.load(std::memory_order_relaxed);
-      });
-      if (shard.queue.empty()) {
-        if (draining_.load(std::memory_order_relaxed)) {
-          return;
-        }
-        continue;
-      }
+void Server::run_batch(Shard& shard) {
+  if (shard.queue.empty()) {
+    return;
+  }
+  std::vector<QueuedRequest>& batch = shard.batch;  // empty between calls
+  batch.push_back(std::move(shard.queue.front()));
+  shard.queue.pop_front();
+  if (batch.front().req.verb == Verb::kModel) {
+    // Drain the front-contiguous run sharing this PreparedModel key:
+    // FIFO order is preserved, and the whole run costs one prepare.
+    const auto key = PreparedCache::key_of(batch.front().req.kind,
+                                           batch.front().req.params);
+    while (batch.size() < config_.batch_max && !shard.queue.empty() &&
+           shard.queue.front().req.verb == Verb::kModel &&
+           PreparedCache::key_of(shard.queue.front().req.kind,
+                                 shard.queue.front().req.params) == key) {
       batch.push_back(std::move(shard.queue.front()));
       shard.queue.pop_front();
-      if (batch.front().req.verb == Verb::kModel) {
-        // Drain the front-contiguous run sharing this PreparedModel key:
-        // FIFO order is preserved, and the whole run costs one prepare.
-        const auto key = PreparedCache::key_of(batch.front().req.kind,
-                                               batch.front().req.params);
-        while (batch.size() < config_.batch_max && !shard.queue.empty() &&
-               shard.queue.front().req.verb == Verb::kModel &&
-               PreparedCache::key_of(shard.queue.front().req.kind,
-                                     shard.queue.front().req.params) == key) {
-          batch.push_back(std::move(shard.queue.front()));
-          shard.queue.pop_front();
-        }
-      }
     }
-    // The worker-crash chaos site: `action=crash` kills this process
-    // with requests still queued and in flight — exactly what the
-    // supervisor must absorb. Disarmed cost: one relaxed load (gated by
-    // the supervision_overhead_ratio bench).
-    const auto hit = robust::failpoint("serve.worker.crash");
-    if (hit.fired()) {
-      if (hit.action == robust::FailpointAction::kCrash) {
-        robust::crash_now();
-      }
-      if (hit.action == robust::FailpointAction::kDelay) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(hit.arg));
-      }
-      // Other actions have no meaning mid-queue; fall through.
-    }
-    process_batch(shard, batch);
   }
-}
+  // The worker-crash chaos site: `action=crash` kills this process
+  // with requests still queued and in flight — exactly what the
+  // supervisor must absorb. Disarmed cost: one relaxed load (gated by
+  // the supervision_overhead_ratio bench).
+  const auto hit = robust::failpoint("serve.worker.crash");
+  if (hit.fired()) {
+    if (hit.action == robust::FailpointAction::kCrash) {
+      robust::crash_now();
+    }
+    if (hit.action == robust::FailpointAction::kDelay) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(hit.arg));
+    }
+    // Other actions have no meaning mid-queue; fall through.
+  }
 
-void Server::process_batch(Shard& shard, std::vector<QueuedRequest>& batch) {
   const auto start = Clock::now();
   auto& recorder = flight::Recorder::instance();
   // Dequeue-time deadline check: shed expired work before evaluating.
-  std::vector<QueuedRequest> live;
-  live.reserve(batch.size());
+  std::size_t live = 0;
   for (auto& qr : batch) {
     // Queue wait (admission to dequeue) is the overload signal; record
     // it for every dequeued request — including the ones about to miss
@@ -659,31 +657,29 @@ void Server::process_batch(Shard& shard, std::vector<QueuedRequest>& batch) {
                       recorder.to_ns(start));
     }
     if (start > qr.deadline) {
-      totals_.deadline_missed.fetch_add(1, std::memory_order_relaxed);
-      if (flight::armed()) {
-        // Marker duration = the request's whole time in the system.
-        recorder.record("serve.req.deadline_missed",
-                        recorder.to_ns(qr.admitted), recorder.now_ns());
-      }
-      qr.client->send_line(format_err(qr.req.id, ErrCode::kDeadlineExceeded));
+      fail(qr, ErrCode::kDeadlineExceeded, {});
     } else {
-      live.push_back(std::move(qr));
+      if (&batch[live] != &qr) {
+        batch[live] = std::move(qr);
+      }
+      ++live;
     }
   }
-  if (live.empty()) {
+  batch.resize(live);
+  if (batch.empty()) {
     return;
   }
-  if (live.size() > 1) {
+  if (batch.size() > 1) {
     totals_.batches.fetch_add(1, std::memory_order_relaxed);
-    totals_.batched_requests.fetch_add(live.size(), std::memory_order_relaxed);
+    totals_.batched_requests.fetch_add(batch.size(), std::memory_order_relaxed);
   }
 
   std::uint64_t newly_served = 0;
-  if (live.front().req.verb == Verb::kModel) {
-    std::vector<double> ps(live.size());
-    std::vector<double> rates(live.size());
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      ps[i] = live[i].req.params.p;
+  if (batch.front().req.verb == Verb::kModel) {
+    std::vector<double> ps(batch.size());
+    std::vector<double> rates(batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      ps[i] = batch[i].req.params.p;
     }
     // Graceful degradation: under restart pressure (supervisor flag) or
     // a sustained shed-rate past the watermark, answer with the eq-33
@@ -691,12 +687,12 @@ void Server::process_batch(Shard& shard, std::vector<QueuedRequest>& batch) {
     // answer beats shedding everything. Tagged so clients can tell.
     const bool degraded = effective_degraded();
     const auto eval_kind =
-        degraded ? model::ModelKind::kApproximate : live.front().req.kind;
+        degraded ? model::ModelKind::kApproximate : batch.front().req.kind;
     try {
       const auto& prepared =
-          shard.cache.get(eval_kind, live.front().req.params);
+          shard.cache.get(eval_kind, batch.front().req.params);
       prepared.evaluate(std::span<const double>(ps), std::span<double>(rates));
-      for (std::size_t i = 0; i < live.size(); ++i) {
+      for (std::size_t i = 0; i < batch.size(); ++i) {
         if (config_.slow_us > 0) {
           spin_for_us(config_.slow_us);
         }
@@ -707,24 +703,17 @@ void Server::process_batch(Shard& shard, std::vector<QueuedRequest>& batch) {
           fields.emplace_back("degraded", "1");
           totals_.degraded.fetch_add(1, std::memory_order_relaxed);
         }
-        respond(live[i], format_ok(live[i].req.id, fields),
-                /*count_served=*/true);
+        respond(batch[i], format_ok(batch[i].req.id, fields));
         ++newly_served;
       }
     } catch (const std::exception& e) {
-      for (auto& qr : live) {
-        totals_.internal_errors.fetch_add(1, std::memory_order_relaxed);
-        if (flight::armed()) {
-          recorder.record("serve.req.internal", recorder.to_ns(qr.admitted),
-                          recorder.now_ns());
-        }
-        qr.client->send_line(format_err(qr.req.id, ErrCode::kInternal,
-                                        {{"msg", sanitize_field(e.what())}}));
+      for (const auto& qr : batch) {
+        fail(qr, ErrCode::kInternal, e.what());
       }
     }
   } else {
     // INVERSE / CALIB are never batched (batch drain is MODEL-only).
-    const auto& qr = live.front();
+    const auto& qr = batch.front();
     if (config_.slow_us > 0) {
       spin_for_us(config_.slow_us);
     }
@@ -736,29 +725,9 @@ void Server::process_batch(Shard& shard, std::vector<QueuedRequest>& batch) {
       }
       ++newly_served;
     } catch (const ProtocolError& e) {
-      if (e.code() == ErrCode::kDeadlineExceeded) {
-        totals_.deadline_missed.fetch_add(1, std::memory_order_relaxed);
-        if (flight::armed()) {
-          recorder.record("serve.req.deadline_missed",
-                          recorder.to_ns(qr.admitted), recorder.now_ns());
-        }
-      } else {
-        totals_.internal_errors.fetch_add(1, std::memory_order_relaxed);
-        if (flight::armed()) {
-          recorder.record("serve.req.internal", recorder.to_ns(qr.admitted),
-                          recorder.now_ns());
-        }
-      }
-      qr.client->send_line(format_err(qr.req.id, e.code(),
-                                      {{"msg", sanitize_field(e.what())}}));
+      fail(qr, e.code(), e.what());
     } catch (const std::exception& e) {
-      totals_.internal_errors.fetch_add(1, std::memory_order_relaxed);
-      if (flight::armed()) {
-        recorder.record("serve.req.internal", recorder.to_ns(qr.admitted),
-                        recorder.now_ns());
-      }
-      qr.client->send_line(format_err(qr.req.id, ErrCode::kInternal,
-                                      {{"msg", sanitize_field(e.what())}}));
+      fail(qr, ErrCode::kInternal, e.what());
     }
   }
 
@@ -767,45 +736,55 @@ void Server::process_batch(Shard& shard, std::vector<QueuedRequest>& batch) {
     // Dequeue to last response, arg = batch width; serve.write spans
     // recorded during the responses roll up under this scope.
     recorder.record("serve.eval_batch", recorder.to_ns(start),
-                    recorder.to_ns(end), live.size());
+                    recorder.to_ns(end), batch.size());
   }
   const double per_request =
-      seconds_between(start, end) / static_cast<double>(live.size());
-  const double ewma = shard.service_ewma_s.load(std::memory_order_relaxed);
+      seconds_between(start, end) / static_cast<double>(batch.size());
   // First completed request seeds the EWMA directly; blending with the
   // 0 cold-start value would under-report service time for ~a dozen
   // requests and feed the BUSY hint junk.
-  shard.service_ewma_s.store(
-      ewma == 0.0 ? per_request : 0.8 * ewma + 0.2 * per_request,
-      std::memory_order_relaxed);
+  shard.service_ewma_s = shard.service_ewma_s == 0.0
+                             ? per_request
+                             : 0.8 * shard.service_ewma_s + 0.2 * per_request;
+  batch.clear();  // release the sessions these requests held
   if (newly_served > 0) {
     maybe_flush(newly_served);
   }
 }
 
-void Server::respond(const QueuedRequest& qr, const std::string& line,
-                     bool count_served) {
+void Server::respond(const QueuedRequest& qr, const std::string& line) {
   qr.client->send_line(line);
-  if (count_served) {
-    const auto now = Clock::now();
-    totals_.served.fetch_add(1, std::memory_order_relaxed);
-    latency_.observe(seconds_between(qr.admitted, now));
-    if (flight::armed()) {
-      auto& recorder = flight::Recorder::instance();
-      recorder.record("serve.req.served", recorder.to_ns(qr.admitted),
-                      recorder.to_ns(now));
-    }
+  const auto now = Clock::now();
+  totals_.served.fetch_add(1, std::memory_order_relaxed);
+  latency_.observe(seconds_between(qr.admitted, now));
+  if (flight::armed()) {
+    auto& recorder = flight::Recorder::instance();
+    recorder.record("serve.req.served", recorder.to_ns(qr.admitted),
+                    recorder.to_ns(now));
   }
+}
+
+void Server::fail(const QueuedRequest& qr, ErrCode code, std::string_view msg) {
+  const bool missed = code == ErrCode::kDeadlineExceeded;
+  (missed ? totals_.deadline_missed : totals_.internal_errors)
+      .fetch_add(1, std::memory_order_relaxed);
+  if (flight::armed()) {
+    // Marker duration = the request's whole time in the system.
+    auto& recorder = flight::Recorder::instance();
+    recorder.record(missed ? "serve.req.deadline_missed" : "serve.req.internal",
+                    recorder.to_ns(qr.admitted), recorder.now_ns());
+  }
+  qr.client->send_line(
+      msg.empty() ? format_err(qr.req.id, code)
+                  : format_err(qr.req.id, code, {{"msg", sanitize_field(msg)}}));
 }
 
 void Server::handle_inverse(const QueuedRequest& qr) {
   const double max_p = model::max_loss_for_rate(qr.req.params, qr.req.target_rate);
   const double wm_req =
       model::required_window_for_rate(qr.req.params, qr.req.target_rate);
-  respond(qr,
-          format_ok(qr.req.id, {{"max_p", format_number(max_p)},
-                                {"wm_required", format_number(wm_req)}}),
-          /*count_served=*/true);
+  respond(qr, format_ok(qr.req.id, {{"max_p", format_number(max_p)},
+                                    {"wm_required", format_number(wm_req)}}));
 }
 
 void Server::handle_calib(const QueuedRequest& qr) {
@@ -861,7 +840,7 @@ void Server::handle_calib(const QueuedRequest& qr) {
         "rate_approx",
         format_number(model::evaluate_model(model::ModelKind::kApproximate, mp)));
   }
-  respond(qr, format_ok(qr.req.id, fields), /*count_served=*/true);
+  respond(qr, format_ok(qr.req.id, fields));
 }
 
 void Server::maybe_flush(std::uint64_t newly_served) {

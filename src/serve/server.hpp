@@ -4,7 +4,7 @@
 // speaking the line protocol of serve/protocol.hpp, designed
 // robustness-first around four rules:
 //
-//   * bounded everything — each worker shard owns a bounded request
+//   * bounded everything — each shard loop owns a bounded request
 //     queue; once its depth reaches the admission watermark the request
 //     is *rejected now* with `BUSY retry_ms=<hint>` instead of buffered.
 //     Line buffers are capped (TOOBIG past the cap), client count is
@@ -22,24 +22,26 @@
 //     once: requests == served + shed + deadline_missed + internal
 //     (ServeTotals::accounting_ok, asserted under overload and chaos).
 //
-// Threading: one acceptor, one detached reader per client (bounded by
-// max_clients), `shards` worker threads. Readers parse and route to a
-// shard (round-robin); workers drain front-contiguous runs of MODEL
-// requests sharing a (kind, RTT, T0, b, Wm) key into one
-// PreparedModel::evaluate batch — the ROADMAP item-5 batching. Failpoint
-// sites `serve.accept`, `serve.read`, `serve.write`, `serve.enqueue`
-// make every I/O edge chaos-testable.
+// Threading: exactly `shards` threads, each one epoll loop that owns its
+// connections, bounded queue, PreparedModel cache and queue-wait
+// histogram; a request never changes threads. Any loop may accept, and
+// the k-th accepted connection goes to loop k mod shards. Each iteration
+// does one read per ready connection, then drains one front-contiguous
+// run of same-key MODEL requests into one PreparedModel::evaluate batch
+// (ROADMAP item 5). Writes block. Failpoint sites `serve.accept`,
+// `serve.read`, `serve.write`, `serve.enqueue` make every I/O edge
+// chaos-testable.
 #pragma once
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "serve/prepared_cache.hpp"
@@ -51,7 +53,7 @@ namespace pftk::serve {
 struct ServeConfig {
   /// Unix-domain socket path (< 100 bytes; a stale file is replaced).
   std::string socket_path;
-  int shards = 2;                    ///< worker threads / request queues
+  int shards = 2;                    ///< event loops (one thread each)
   std::size_t queue_depth = 64;      ///< admission watermark per shard
   std::size_t batch_max = 16;        ///< max same-key MODEL batch drain
   std::size_t max_line_bytes = 4096; ///< request-line cap (TOOBIG beyond)
@@ -68,11 +70,11 @@ struct ServeConfig {
   /// (busy-wait). Test/bench hook: makes "sustainable load" a chosen
   /// number so overload behavior is reproducible. 0 in production.
   std::uint64_t slow_us = 0;
-  /// Pre-bound listen socket to adopt instead of binding socket_path
-  /// ourselves (-1 = bind). Supervised workers all adopt the one fd the
-  /// parent bound, so they accept() from a shared backlog and the socket
-  /// file outlives any single worker. The adopting server closes its
-  /// copy of the fd on wait() but never unlinks the path.
+  /// Pre-bound non-blocking listen socket to adopt instead of binding
+  /// socket_path ourselves (-1 = bind). Supervised workers all adopt the
+  /// one fd the parent bound, so they accept() from a shared backlog and
+  /// the socket file outlives any single worker. The adopting server
+  /// closes its copy of the fd on wait() but never unlinks the path.
   int listen_fd = -1;
   /// External degrade signal (e.g. the supervisor's MAP_SHARED flag).
   /// Nonzero => serve MODEL requests on the approximate eq-33 path,
@@ -88,10 +90,10 @@ struct ServeConfig {
   void validate() const;
 };
 
-/// The daemon. start() spawns the threads; request_stop() begins a
-/// graceful drain; wait() joins everything, writes the final durable
-/// metrics snapshot, and returns the summary. The destructor stops and
-/// waits if the caller has not.
+/// The daemon. start() spawns the shard loops; request_stop() begins a
+/// graceful drain; wait() joins them, writes the final durable metrics
+/// snapshot, and returns the summary. The destructor stops and waits if
+/// the caller has not.
 class Server {
  public:
   explicit Server(ServeConfig config);
@@ -100,9 +102,9 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds the socket (or adopts config.listen_fd) and launches
-  /// acceptor + workers.
-  /// @throws robust::IoError when the socket cannot be created/bound.
+  /// Binds the socket (or adopts config.listen_fd) and launches the loops.
+  /// @throws robust::IoError when the socket or an epoll set cannot be
+  /// created.
   void start();
 
   /// Creates, binds, and listens on a unix-domain stream socket at
@@ -111,22 +113,20 @@ class Server {
   /// @throws robust::IoError on failure.
   [[nodiscard]] static int bind_listener(const std::string& path);
 
-  /// Begins graceful drain: stop accepting and reading, finish every
-  /// admitted request. Idempotent, callable from any thread (not from a
-  /// signal handler — poll robust::ShutdownGuard and call this instead).
+  /// Begins graceful drain: wakes every loop, which stops accepting and
+  /// reading, answers every admitted request and closes its clients.
+  /// Idempotent, callable from any thread (not from a signal handler —
+  /// poll robust::ShutdownGuard and call this instead).
   void request_stop();
 
-  /// Joins all threads (draining queues first), flushes metrics, closes
-  /// client fds. Idempotent; returns the final summary.
+  /// Joins the loops (each drains its queue first), flushes metrics,
+  /// closes the listen fd. Idempotent; returns the final summary.
   ServeSummary wait();
 
   [[nodiscard]] bool running() const noexcept { return started_ && !joined_; }
   [[nodiscard]] const ServeConfig& config() const noexcept { return config_; }
   [[nodiscard]] ServeSummary summary() const;
   [[nodiscard]] const ServeTotals& totals() const noexcept { return totals_; }
-
-  /// Current depth of one shard's queue (test observability).
-  [[nodiscard]] std::size_t queue_size(int shard) const;
 
   /// Every shard's queue-wait histogram merged into one snapshot — the
   /// metrics-side cross-check of the flight recorder's serve.queue_wait
@@ -141,36 +141,51 @@ class Server {
     std::chrono::steady_clock::time_point admitted;
     std::chrono::steady_clock::time_point deadline;
   };
+  /// One event loop. Only its own thread touches it, except the inbox
+  /// and the (atomic) histogram.
   struct Shard {
-    mutable std::mutex mu;
-    std::condition_variable cv;
+    /// Epoll set watching `listen_fd` and wake_fd. @throws robust::IoError
+    explicit Shard(int listen_fd);
+    ~Shard();
+    Shard(const Shard&) = delete;
+    Shard& operator=(const Shard&) = delete;
+
+    int epoll_fd = -1;
+    int wake_fd = -1;  ///< eventfd: inbox hand-off or request_stop()
+    std::unordered_map<int, std::shared_ptr<ClientSession>> clients;
     std::deque<QueuedRequest> queue;
-    std::thread worker;
+    std::vector<QueuedRequest> batch;  ///< reused per iteration
     PreparedCache cache{32};
     /// EWMA of per-request service seconds; feeds the BUSY retry hint.
     /// 0 until the first request completes (the hint clamps up to 1 ms).
-    std::atomic<double> service_ewma_s{0.0};
-    /// Admission-to-dequeue wait (ms). Per shard — only this shard's
-    /// worker observes it, so observation never contends across shards;
-    /// snapshots are merged at summary/flush time.
+    double service_ewma_s = 0.0;
+    /// Admission-to-dequeue wait (ms). Per loop, so observation never
+    /// contends across loops; snapshots are merged at summary/flush time.
     ConcurrentHistogram queue_wait_ms{default_queue_wait_bounds_ms()};
+    /// Accepted fds handed to this loop; wait() closes any it never took.
+    std::mutex inbox_mu;
+    std::vector<int> inbox;
+    std::thread thread;  ///< runs run_loop(*this); joined by wait()
   };
 
-  void acceptor_loop();
-  void reader_loop(std::shared_ptr<ClientSession> session);
-  void worker_loop(Shard& shard);
-  void handle_line(const std::shared_ptr<ClientSession>& session,
-                   std::string_view line);
-  void admit(const std::shared_ptr<ClientSession>& session, Request req);
-  void process_batch(Shard& shard, std::vector<QueuedRequest>& batch);
+  void run_loop(Shard& shard);
+  void accept_one();
+  /// Registers the connections handed to this loop (its eventfd fired).
+  void adopt_inbox(Shard& shard);
+  void close_client(Shard& shard, int fd);
+  void read_client(Shard& shard, std::shared_ptr<ClientSession> client);
+  void admit(Shard& shard, const std::shared_ptr<ClientSession>& client,
+             Request req);
+  void run_batch(Shard& shard);
   void handle_inverse(const QueuedRequest& qr);
   void handle_calib(const QueuedRequest& qr);
-  void respond(const QueuedRequest& qr, const std::string& line,
-               bool count_served);
-  [[nodiscard]] std::uint64_t retry_hint_ms(const Shard& shard) const;
+  /// Answers OK and counts the request served.
+  void respond(const QueuedRequest& qr, const std::string& line);
+  /// Answers an error the identity counts as deadline_missed
+  /// (DEADLINE_EXCEEDED) or internal (any other code).
+  void fail(const QueuedRequest& qr, ErrCode code, std::string_view msg);
   void maybe_flush(std::uint64_t newly_served);
   void flush_metrics();
-  void sweep_sessions();
   /// True while either the external degrade flag or the local shed-rate
   /// watermark says to serve the approximate path.
   [[nodiscard]] bool effective_degraded() const noexcept;
@@ -186,23 +201,20 @@ class Server {
   std::atomic<bool> degraded_local_{false};
   std::atomic<std::uint64_t> window_admitted_{0};
   std::atomic<std::uint64_t> window_shed_{0};
-  std::atomic<bool> stop_{false};      ///< no new connections/reads
-  std::atomic<bool> draining_{false};  ///< workers: exit once empty
+  std::atomic<bool> stop_{false};  ///< no new connections/reads
   bool started_ = false;
   bool joined_ = false;
 
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<std::uint64_t> rr_next_{0};
-  std::thread acceptor_;
-
-  mutable std::mutex sessions_mu_;
-  std::vector<std::shared_ptr<ClientSession>> sessions_;
-  std::atomic<int> readers_active_{0};
-  std::mutex readers_mu_;
-  std::condition_variable readers_cv_;
+  /// Serializes accept() with connection numbering, so the k-th
+  /// connection out of the backlog is the one routed to loop k mod shards.
+  std::mutex accept_mu_;
+  std::uint64_t next_owner_ = 0;  ///< guarded by accept_mu_
+  std::atomic<std::size_t> open_clients_{0};  ///< across loops (max_clients)
 
   std::mutex flush_mu_;
   std::atomic<std::uint64_t> flush_credit_{0};
+
+  std::vector<std::unique_ptr<Shard>> shards_;  ///< last: its loops use the above
 };
 
 /// A collision-safe default socket path under TMPDIR (or /tmp), short

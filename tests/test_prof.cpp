@@ -1,6 +1,7 @@
 // `pftk prof` aggregation: inclusive/exclusive self-time from nesting,
 // percentiles, the parent-child rollup, and the serve accounting
-// identity re-derived from marker-span counts.
+// identity re-derived from marker-span counts with its three-state
+// verdict (OK / VIOLATED / INDETERMINATE when spans were dropped).
 #include "obs/flight/prof.hpp"
 
 #include <gtest/gtest.h>
@@ -196,9 +197,65 @@ TEST(ProfTest, JsonHasSchemaAndIdentityBlock) {
   std::ostringstream os;
   flight::write_prof_json(os, report);
   const std::string json = os.str();
-  EXPECT_NE(json.find("\"schema\":\"pftk-prof/1\""), std::string::npos);
+  EXPECT_NE(json.find("\"schema\":\"pftk-prof/2\""), std::string::npos);
   EXPECT_NE(json.find("\"serve_identity\""), std::string::npos);
-  EXPECT_NE(json.find("\"holds\":true"), std::string::npos);
+  EXPECT_NE(json.find("\"verdict\":\"ok\""), std::string::npos);
+  EXPECT_EQ(json.find("\"holds\""), std::string::npos);
+}
+
+/// A serve recording of `admitted` requests of which `served` were
+/// answered, with `dropped` spans lost to ring overwrite.
+flight::ProfReport serve_recording(int admitted, int served,
+                                   std::uint64_t dropped) {
+  std::vector<flight::DrainedSpan> spans;
+  std::uint64_t t = 0;
+  for (int i = 0; i < admitted; ++i, ++t) {
+    spans.push_back(span("serve.req.admitted", 1, t, t));
+  }
+  for (int i = 0; i < served; ++i, ++t) {
+    spans.push_back(span("serve.req.served", 1, t, t));
+  }
+  return flight::profile_spans(make(std::move(spans), dropped));
+}
+
+std::string json_of(const flight::ProfReport& report) {
+  std::ostringstream os;
+  flight::write_prof_json(os, report);
+  return os.str();
+}
+
+TEST(ProfTest, LosslessBalancedRecordingIsOk) {
+  const auto report = serve_recording(5, 5, 0);
+  EXPECT_EQ(report.serve_verdict(), flight::ServeVerdict::kOk);
+  EXPECT_NE(flight::render_prof_text(report).find("[OK]"), std::string::npos);
+  EXPECT_NE(json_of(report).find("\"verdict\":\"ok\""), std::string::npos);
+}
+
+TEST(ProfTest, LosslessUnbalancedRecordingIsViolated) {
+  const auto report = serve_recording(5, 4, 0);
+  EXPECT_EQ(report.serve_verdict(), flight::ServeVerdict::kViolated);
+  EXPECT_NE(flight::render_prof_text(report).find("[VIOLATED]"),
+            std::string::npos);
+  EXPECT_NE(json_of(report).find("\"verdict\":\"violated\""),
+            std::string::npos);
+}
+
+TEST(ProfTest, DroppedSpansMakeTheVerdictIndeterminate) {
+  // Ring overwrite made the counts lower bounds: neither the unbalanced
+  // nor the balanced counts may be reported as VIOLATED or OK.
+  for (const int served : {3, 5}) {
+    SCOPED_TRACE(served);
+    const auto report = serve_recording(5, served, 87391);
+    EXPECT_EQ(report.serve_verdict(), flight::ServeVerdict::kIndeterminate);
+    const std::string text = flight::render_prof_text(report);
+    EXPECT_NE(text.find("[INDETERMINATE: 87391 spans dropped]"),
+              std::string::npos)
+        << text;
+    EXPECT_EQ(text.find("[VIOLATED]"), std::string::npos);
+    EXPECT_EQ(text.find("[OK]"), std::string::npos);
+    EXPECT_NE(json_of(report).find("\"verdict\":\"indeterminate\""),
+              std::string::npos);
+  }
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 // verb, interleaved pipelined requests, oversized-line rejection with
 // stream recovery, client disconnect mid-response not wedging a worker
 // shard, connection-cap rejection, and graceful-drain accounting with a
-// durable metrics snapshot.
+// durable metrics snapshot. The shard event loops: exactly one thread
+// per shard whatever the client count, every request handled start to
+// finish on the loop that owns its connection, and the client cap
+// counted across loops.
 #include <gtest/gtest.h>
 
 #include <poll.h>
@@ -11,11 +14,17 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <deque>
+#include <filesystem>
 #include <fstream>
+#include <map>
+#include <memory>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/model_registry.hpp"
@@ -23,6 +32,8 @@
 #include "core/inverse_model.hpp"
 #include "exp/path_profile.hpp"
 #include "obs/export.hpp"
+#include "obs/flight/flight_recorder.hpp"
+#include "serve/load_client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "sim/connection.hpp"
@@ -481,6 +492,135 @@ TEST(ServeServer, DrainFlushesAParseableDurableSnapshot) {
   ASSERT_NE(latency, nullptr);
   EXPECT_EQ(latency->count, 5u);
   std::remove(config.metrics_out.c_str());
+}
+
+/// Threads in this process (entries of /proc/self/task), read once the
+/// count has held still for 20 ms: a joined thread's task can outlive
+/// pthread_join by a moment.
+std::size_t settled_thread_count() {
+  const auto count = [] {
+    std::size_t n = 0;
+    for (const auto& entry :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+      (void)entry;
+      ++n;
+    }
+    return n;
+  };
+  std::size_t last = count();
+  for (int i = 0; i < 100; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const std::size_t now = count();
+    if (now == last) {
+      break;
+    }
+    last = now;
+  }
+  return last;
+}
+
+TEST(ServeServer, OneThreadPerShardWhateverTheClientCount) {
+  ServeConfig config = base_config("threads");
+  config.shards = 2;
+  const std::size_t before = settled_thread_count();
+  Server server(config);
+  server.start();
+  EXPECT_EQ(settled_thread_count(), before + 2);
+
+  std::vector<std::unique_ptr<RawClient>> clients;
+  for (int i = 0; i < 16; ++i) {
+    clients.push_back(std::make_unique<RawClient>(config.socket_path));
+    ASSERT_TRUE(clients.back()->connected());
+    const std::string id = "t" + std::to_string(i);
+    ASSERT_TRUE(clients.back()->send_text("PING " + id + "\n"));
+    const Response pong = parse_response(clients.back()->read_line());
+    EXPECT_TRUE(pong.ok);
+    EXPECT_EQ(pong.id, id);
+  }
+  // Sixteen live connections, still only the two shard loops.
+  EXPECT_EQ(settled_thread_count(), before + 2);
+
+  server.request_stop();
+  const ServeSummary summary = server.wait();
+  EXPECT_EQ(summary.pings, 16u);
+  EXPECT_EQ(summary.connections, 16u);
+  EXPECT_EQ(settled_thread_count(), before);
+}
+
+TEST(ServeServer, EveryRequestStaysOnTheLoopThatOwnsItsConnection) {
+  auto& recorder = obs::flight::Recorder::instance();
+  recorder.clear();
+  recorder.arm();
+  ServeConfig config = base_config("affinity");
+  config.shards = 2;
+  Server server(config);
+  server.start();
+
+  // The probe connection run_load opens first is connection 0; the four
+  // load connections then alternate between the two loops, 500
+  // requests each.
+  LoadConfig load;
+  load.socket_path = config.socket_path;
+  load.requests = 2000;
+  load.connections = 4;
+  load.pipeline = 1;
+  const LoadReport report = run_load(load);
+  server.request_stop();
+  const ServeSummary summary = server.wait();
+  recorder.disarm();
+  const obs::flight::DrainedSpans drained = recorder.drain();
+  recorder.clear();
+
+  EXPECT_EQ(report.ok, 2000u);
+  EXPECT_TRUE(summary.accounting_ok());
+  ASSERT_EQ(drained.dropped, 0u);
+  const std::set<std::string> request_path = {
+      "serve.read",       "serve.req.admitted", "serve.queue_wait",
+      "serve.eval_batch", "serve.write",        "serve.req.served"};
+  std::set<std::uint32_t> tids;
+  std::map<std::uint32_t, std::uint64_t> served_by_tid;
+  for (const obs::flight::DrainedSpan& span : drained.spans) {
+    if (request_path.count(span.name) > 0) {
+      tids.insert(span.tid);
+    }
+    if (span.name == "serve.req.served") {
+      ++served_by_tid[span.tid];
+    }
+  }
+  EXPECT_EQ(tids.size(), 2u) << "request-path spans recorded off the loops";
+  ASSERT_EQ(served_by_tid.size(), 2u);
+  EXPECT_EQ(served_by_tid.begin()->second, 1000u);
+  EXPECT_EQ(served_by_tid.rbegin()->second, 1000u);
+}
+
+TEST(ServeServer, ConnectionCapCountsClientsAcrossShards) {
+  ServeConfig config = base_config("capshards");
+  config.shards = 2;
+  config.max_clients = 2;
+  Server server(config);
+  server.start();
+
+  // Connections 0 and 1 land on different loops; each is registered
+  // once its PING is answered.
+  RawClient first(config.socket_path);
+  RawClient second(config.socket_path);
+  ASSERT_TRUE(first.connected());
+  ASSERT_TRUE(second.connected());
+  ASSERT_TRUE(first.send_text("PING a\n"));
+  ASSERT_TRUE(second.send_text("PING b\n"));
+  EXPECT_TRUE(parse_response(first.read_line()).ok);
+  EXPECT_TRUE(parse_response(second.read_line()).ok);
+
+  RawClient third(config.socket_path);
+  ASSERT_TRUE(third.connected());
+  const Response refused = parse_response(third.read_line());
+  EXPECT_FALSE(refused.ok);
+  EXPECT_EQ(refused.code, ErrCode::kBusy);
+
+  server.request_stop();
+  const ServeSummary summary = server.wait();
+  EXPECT_EQ(summary.rejected_connections, 1u);
+  EXPECT_EQ(summary.connections, 2u);
 }
 
 TEST(ServeServer, ConfigValidationIsTyped) {

@@ -36,6 +36,9 @@ int wait_status_for(int code, int sig = 0) {
   const pid_t pid = ::fork();
   if (pid == 0) {
     if (sig != 0) {
+      // Die by the signal itself, even under a sanitizer runtime that
+      // installs its own SEGV handler (which would exit 1 instead).
+      ::signal(sig, SIG_DFL);
       ::raise(sig);
     }
     ::_exit(code);
@@ -139,6 +142,7 @@ TEST(Supervisor, SegfaultingWorkerIsARestartableCrash) {
   Supervisor sup(std::move(config));
   const SupervisorResult result = sup.run([](const WorkerContext& ctx) {
     if (ctx.generation == 0) {
+      ::signal(SIGSEGV, SIG_DFL);  // bypass a sanitizer's SEGV handler
       ::raise(SIGSEGV);
     }
     return 0;

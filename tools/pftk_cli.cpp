@@ -77,6 +77,7 @@
 #include "obs/metrics.hpp"
 #include "obs/standard_metrics.hpp"
 #include "obs/summarize.hpp"
+#include "robust/exit_codes.hpp"
 #include "robust/failpoint.hpp"
 #include "robust/shutdown.hpp"
 #include "serve/load_client.hpp"
@@ -162,7 +163,8 @@ int usage() {
                "      exclusive self-time table (p50/p99 per span) with a\n"
                "      parent-child rollup; for serve recordings, re-derives and\n"
                "      checks the request accounting identity from span counts\n"
-               "      (exit 1 on violation)\n"
+               "      (exit 1 on violation, 5 when dropped spans leave it\n"
+               "      indeterminate)\n"
                "\n"
                "simulate/faultsim/campaign also accept --metrics-out FILE (pftk-obs/1\n"
                "bundle; Prometheus text if FILE ends in .prom) and --trace-events FILE\n"
@@ -1243,13 +1245,24 @@ int cmd_prof(int argc, char** argv) {
   // The span-count accounting identity is a correctness contract, not a
   // report detail: a serve recording whose markers do not balance means
   // a request path bumped a counter without its marker (or vice versa).
-  // A recording that overflowed its rings can legitimately disagree, so
-  // drops demote the violation to the warning already printed above.
-  if (report.serve.present && !report.serve.holds() && report.dropped == 0) {
-    std::cerr << "error: serve span counts violate the accounting identity\n";
-    return 1;
+  // A recording that overflowed its rings can neither prove nor refute
+  // it, so drops make the verdict indeterminate, never OK or VIOLATED.
+  if (!report.serve.present) {
+    return pftk::robust::kExitOk;
   }
-  return 0;
+  switch (report.serve_verdict()) {
+    case pftk::obs::flight::ServeVerdict::kOk:
+      return pftk::robust::kExitOk;
+    case pftk::obs::flight::ServeVerdict::kViolated:
+      std::cerr << "error: serve span counts violate the accounting identity\n";
+      return pftk::robust::kExitFailure;
+    case pftk::obs::flight::ServeVerdict::kIndeterminate:
+      break;
+  }
+  std::cerr << "error: " << report.dropped
+            << " spans dropped; the serve identity cannot be checked "
+               "(re-record with a larger --span-ring)\n";
+  return pftk::robust::kExitIndeterminate;
 }
 
 int cmd_analyze(int argc, char** argv) {
