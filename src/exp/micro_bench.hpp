@@ -1,56 +1,51 @@
-// Hot-path micro-benchmark harness — the source of BENCH_micro.json.
+// Disarmed-overhead gates and the eq 32/33 batch-equivalence check —
+// the source of BENCH_micro.json.
 //
-// Times the three inner loops that dominate paper-scale runs:
-//   * event-queue dispatch (schedule/execute and schedule/cancel churn),
-//     in ns per executed event — once bare and once with an
-//     obs::EventLoopStats sink attached, so the observability layer's
-//     hot-path cost is a measured ratio, not a promise;
-//   * model evaluation, scalar entry points vs. the PreparedModel
-//     batched fast path, in ns per evaluation over a 10k-point p grid;
-//   * trace ingest, in MB/s — the mmap + chunk-parallel reader
-//     (trace.parse_mmap, timed through load_trace_file_lenient on a
-//     real temp file);
-//   * trace formatting, in MB/s of text — format_trace over the same
-//     synthetic capture (trace.format), the write path minus the disk;
-//   * the `pftk serve` request path: wire-line parsing alone
-//     (serve.parse) and parse -> PreparedModel-cache evaluate -> response
-//     format (serve.request_path), in ns per request — what one daemon
-//     worker pays per MODEL request before any socket I/O.
+// `pftk bench` holds two contracts and times nothing else (the
+// end-to-end benchmark in perfbench/ times the layers inside real
+// workloads):
+//   * four seams that are compiled into hot loops but disarmed by
+//     default must each cost at most kOverheadTolerance times the loop
+//     without them: an obs::EventLoopStats sink on event-queue dispatch
+//     (obs), a disarmed failpoint on journal-record serialization
+//     (failpoint), a disarmed PFTK_SPAN on the same loop (span), and the
+//     supervised worker's crash failpoint plus degrade-flag load on the
+//     serve request path (supervision);
+//   * the batched evaluate_batch_p path must match the scalar eq (32)
+//     and eq (33) entry points within 1e-12 relative error over a
+//     10k-point p grid.
 //
-// Each benchmark runs `repeats` times and reports the best repeat (the
-// standard way to suppress scheduler noise on a shared machine). The
-// batched-vs-scalar comparison doubles as a numerical equivalence check:
-// the report carries the max relative error over the grid and an ok flag
-// against the 1e-12 contract, which `pftk bench` turns into its exit
-// code so CI fails if the fast path ever drifts.
+// A gate times its baseline and seam loops as interleaved pairs,
+// alternating which one runs first, and judges the median of the
+// per-pair seam/baseline ratios. Each run lasts 0.2-1.3 ms, so the two
+// runs of a pair see the same host state; host noise that slows one run
+// spoils one sample, not one whole side of the comparison.
 //
-// The JSON schema is stable within a version ("pftk-bench-micro/2"):
+// The JSON schema is stable within a version ("pftk-bench-micro/3"):
 // fields are only ever added, never renamed, so trajectory files from
 // different commits can be diffed mechanically; removing a field bumps
 // the version. See EXPERIMENTS.md, "Micro-benchmarks".
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
 namespace pftk::exp {
 
-/// Tunables for one harness run. Defaults are the full-fidelity sizes;
-/// smoke() shrinks everything for CI smoke jobs where only the schema
-/// and the equivalence check matter, not the absolute numbers.
-struct MicroBenchConfig {
-  std::string mode = "full";           ///< recorded verbatim in the JSON
-  int repeats = 5;                     ///< best-of-N timing repeats
-  std::uint64_t queue_events = 2'000'000;   ///< executed events per repeat
-  std::uint64_t churn_events = 500'000;     ///< executed events, cancel-heavy mix
-  std::size_t model_grid_points = 10'000;   ///< p-grid size for model benches
-  std::size_t trace_events = 200'000;       ///< synthetic trace records
-  std::uint64_t journal_records = 1'000'000;  ///< records for failpoint bench
-  std::uint64_t serve_requests = 200'000;     ///< request lines for serve benches
+/// Seam/baseline ratio above which a gate fails: a disarmed seam may
+/// cost at most 10% of the loop it sits in.
+inline constexpr double kOverheadTolerance = 1.10;
 
-  /// Reduced-size configuration for CI smoke runs (~100x cheaper).
+/// One harness run. The loops are the same in both modes; smoke()
+/// takes fewer pairs for CI.
+struct MicroBenchConfig {
+  std::string mode = "full";  ///< recorded verbatim in the JSON
+  int repeats = 2001;         ///< interleaved pairs per gate
+
+  /// The CI configuration: 401 pairs per gate.
   [[nodiscard]] static MicroBenchConfig smoke();
 };
 
@@ -68,74 +63,60 @@ struct BenchHostInfo {
 /// One timed series.
 struct MicroBenchResult {
   std::string name;       ///< e.g. "event_queue.dispatch"
-  std::string unit;       ///< "ns/event", "ns/eval" or "MB/s"
-  double value = 0.0;     ///< best repeat, in `unit`
-  double per_second = 0.0;  ///< derived rate (events/s, evals/s, bytes/s)
-  std::uint64_t items = 0;  ///< work items timed per repeat
+  std::string unit;       ///< "ns/event", "ns/record" or "ns/request"
+  double value = 0.0;     ///< median over the gate's runs, in `unit`
+  double per_second = 0.0;  ///< items per second at `value`
+  std::uint64_t items = 0;  ///< work items per run
 };
+
+/// A loop one side of a gate times.
+struct TimedLoop {
+  std::string name;         ///< series name, e.g. "journal.serialize"
+  std::string unit;         ///< per-item unit of the series
+  std::uint64_t items = 0;  ///< work items one run of `body` does
+  /// One run of the loop. Returns a checksum of the work so the
+  /// compiler cannot drop it.
+  std::function<std::uint64_t()> body;
+};
+
+/// One disarmed-overhead gate.
+struct OverheadGate {
+  std::string name;      ///< "obs", "failpoint", "span" or "supervision"
+  std::string baseline;  ///< series name of the loop without the seam
+  std::string seam;      ///< series name of the same loop with the seam
+  double ratio = 0.0;    ///< median of the per-pair seam/baseline ratios
+
+  [[nodiscard]] bool ok() const noexcept { return ratio <= kOverheadTolerance; }
+};
+
+/// Runs `baseline` and `seam` back to back `pairs` times, alternating
+/// which goes first, and returns the gate over the median per-pair
+/// ratio. Appends both series (median per-item cost) to `results`,
+/// skipping a name already there.
+[[nodiscard]] OverheadGate measure_gate(std::string name, int pairs,
+                                        const TimedLoop& baseline,
+                                        const TimedLoop& seam,
+                                        std::vector<MicroBenchResult>& results);
 
 /// Everything `pftk bench --json` serializes.
 struct MicroBenchReport {
   std::string mode;
-  int repeats = 0;
+  int repeats = 0;  ///< interleaved pairs per gate
   BenchHostInfo host;
-  std::vector<MicroBenchResult> results;
-  double approx_batch_speedup = 0.0;  ///< scalar ns / batched ns, eq (33)
-  double full_batch_speedup = 0.0;    ///< scalar ns / batched ns, eq (32)
+  std::vector<MicroBenchResult> results;  ///< the gates' series, in gate order
+  std::vector<OverheadGate> gates;        ///< obs, failpoint, span, supervision
   double batch_max_rel_err = 0.0;     ///< max over both models' grids
   double batch_tolerance = 1e-12;
   /// True when the batched path matched the scalar path within tolerance.
   bool equivalence_ok = false;
-  /// event_queue.dispatch_obs ns over event_queue.dispatch ns: what an
-  /// attached EventLoopStats sink costs per dispatched event. `--gate`
-  /// runs fail when this exceeds obs_overhead_tolerance.
-  double obs_overhead_ratio = 0.0;
-  double obs_overhead_tolerance = 1.10;
-  /// journal.serialize_failpoint ns over journal.serialize ns: what the
-  /// disarmed failpoint check costs per journal record on the campaign
-  /// persistence path. Gated alongside the obs ratio — the chaos layer
-  /// must be free when it is not injecting.
-  double failpoint_overhead_ratio = 0.0;
-  double failpoint_overhead_tolerance = 1.10;
-  /// span.record_disarmed ns over journal.serialize ns: what a disarmed
-  /// PFTK_SPAN site costs per record on the same serialization loop —
-  /// the flight recorder's "one relaxed load" contract as a measured
-  /// number. Gated alongside the obs and failpoint ratios. (The armed
-  /// cost is reported as span.record but not gated: arming is opt-in.)
-  double span_overhead_ratio = 0.0;
-  double span_overhead_tolerance = 1.10;
-  /// serve.request_path_supervised ns over serve.request_path ns: what a
-  /// worker pays per request for living inside the supervised pool with
-  /// nothing injected — one disarmed `serve.worker.crash` failpoint
-  /// check plus one relaxed load of the shared degrade flag. Gated with
-  /// the other disarmed-overhead ratios: self-healing must be free when
-  /// no one is dying.
-  double supervision_overhead_ratio = 0.0;
-  double supervision_overhead_tolerance = 1.10;
-
-  [[nodiscard]] bool obs_overhead_ok() const noexcept {
-    return obs_overhead_ratio <= obs_overhead_tolerance;
-  }
-
-  [[nodiscard]] bool failpoint_overhead_ok() const noexcept {
-    return failpoint_overhead_ratio <= failpoint_overhead_tolerance;
-  }
-
-  [[nodiscard]] bool span_overhead_ok() const noexcept {
-    return span_overhead_ratio <= span_overhead_tolerance;
-  }
-
-  [[nodiscard]] bool supervision_overhead_ok() const noexcept {
-    return supervision_overhead_ratio <= supervision_overhead_tolerance;
-  }
-
-  [[nodiscard]] const MicroBenchResult* find(const std::string& name) const noexcept;
 };
 
-/// Runs every benchmark; deterministic workloads, wall-clock timings.
+/// Measures the four gates and runs the equivalence check. The span
+/// gate always measures a disarmed recorder; an armed caller's recorder
+/// is armed again afterwards.
 [[nodiscard]] MicroBenchReport run_micro_bench(const MicroBenchConfig& config);
 
-/// Serializes the report as schema-stable JSON ("pftk-bench-micro/2").
+/// Serializes the report as schema-stable JSON ("pftk-bench-micro/3").
 void write_bench_json(std::ostream& os, const MicroBenchReport& report);
 
 }  // namespace pftk::exp

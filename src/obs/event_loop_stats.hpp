@@ -7,8 +7,8 @@
 // much schedule/cancel churn the run generated, and how often the heap
 // had to compact. The queue holds a nullable pointer to this struct and
 // does `if (sink) ++sink->field` — one predictable branch, no atomics,
-// no function calls. The 10% dispatch-overhead gate in
-// bench/micro_hotpaths holds the line on exactly this code.
+// no function calls. The 10% dispatch-overhead gate of `pftk bench`
+// (the obs gate) holds the line on exactly this code.
 #pragma once
 
 #include <cstdint>

@@ -201,7 +201,7 @@ class EventQueue {
   /// Attaches an observability sink (nullptr detaches). The queue then
   /// counts schedules/executions/cancellations and tracks heap/slab
   /// high-water marks into it — one predictable branch per operation,
-  /// cheap enough for the hot path (the micro_hotpaths gate enforces
+  /// cheap enough for the hot path (the `pftk bench` obs gate enforces
   /// <= 10% dispatch overhead). The sink must outlive the attachment.
   void set_stats_sink(obs::EventLoopStats* sink) noexcept { stats_ = sink; }
 
