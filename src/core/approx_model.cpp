@@ -1,31 +1,12 @@
 #include "core/approx_model.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
+#include "core/model_kernels.hpp"
 
 namespace pftk::model {
 
-double approx_model_loss_limited_rate(const ModelParams& params) {
-  params.validate();
-  if (params.p == 0.0) {
-    return std::numeric_limits<double>::infinity();
-  }
-  const double p = params.p;
-  const double b = static_cast<double>(params.b);
-  const double td_term = params.rtt * std::sqrt(2.0 * b * p / 3.0);
-  const double to_term = params.t0 * std::min(1.0, 3.0 * std::sqrt(3.0 * b * p / 8.0)) * p *
-                         (1.0 + 32.0 * p * p);
-  return 1.0 / (td_term + to_term);
-}
-
 double approx_model_send_rate(const ModelParams& params) {
   params.validate();
-  const double ceiling = params.wm / params.rtt;
-  if (params.p == 0.0) {
-    return ceiling;
-  }
-  return std::min(ceiling, approx_model_loss_limited_rate(params));
+  return kernel::approx(kernel::Constants(params), params.p);
 }
 
 }  // namespace pftk::model

@@ -17,10 +17,4 @@ namespace pftk::model {
 /// @throws std::invalid_argument if params are invalid.
 [[nodiscard]] double approx_model_send_rate(const ModelParams& params);
 
-/// The unclamped reciprocal term of eq (33) (no Wm/RTT cap); exposed so
-/// tests and the TCP-friendly rate controller can inspect the loss-driven
-/// component alone. For p == 0 returns +infinity.
-/// @throws std::invalid_argument if params are invalid.
-[[nodiscard]] double approx_model_loss_limited_rate(const ModelParams& params);
-
 }  // namespace pftk::model

@@ -1,99 +1,36 @@
 #include "core/batch_eval.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
 #include <stdexcept>
-
-#include "core/model_terms.hpp"
 
 namespace pftk::model {
 
 namespace {
 
-void require_p(double p) {
+ModelParams validated(const ModelParams& base) {
+  ModelParams probe = base;
+  probe.p = 0.0;  // p is supplied per evaluation; validate the rest
+  probe.validate();
+  return probe;
+}
+
+}  // namespace
+
+PreparedModel::PreparedModel(ModelKind kind, const ModelParams& base)
+    : kind_(kind), constants_(validated(base)) {}
+
+double PreparedModel::operator()(double p) const {
   // A single composite check: NaN fails every comparison, so this also
   // rejects non-finite p without a separate isfinite branch.
   if (!(p >= 0.0 && p < 1.0)) {
     throw std::invalid_argument("PreparedModel: p must be in [0, 1)");
   }
-}
-
-}  // namespace
-
-PreparedModel::PreparedModel(ModelKind kind, const ModelParams& base) : kind_(kind) {
-  ModelParams probe = base;
-  probe.p = 0.0;  // p is supplied per evaluation; validate the rest
-  probe.validate();
-  rtt_ = base.rtt;
-  t0_ = base.t0;
-  wm_ = base.wm;
-  const double b = static_cast<double>(base.b);
-  half_b_ = b / 2.0;
-  eighth_b_wm_ = b / 8.0 * wm_;
-  ceiling_ = wm_ / rtt_;
-  ewu_c_ = (2.0 + b) / (3.0 * b);
-  ewu_c2_ = ewu_c_ * ewu_c_;
-  ewu_k_ = 8.0 / (3.0 * b);
-  td_coef_ = rtt_ * std::sqrt(2.0 * b / 3.0);
-  to_sqrt_coef_ = 3.0 * std::sqrt(3.0 * b / 8.0);
-  td_only_coef_ = std::sqrt(3.0 / (2.0 * b)) / rtt_;
-}
-
-double PreparedModel::eval_full(double p) const {
-  if (p == 0.0) {
-    return ceiling_;  // analytic p -> 0 limit, as in full_model_breakdown
-  }
-  const double one_minus_p = 1.0 - p;
-  // eq (29), Horner form — identical arithmetic to backoff_polynomial().
-  const double f =
-      1.0 + p * (1.0 + p * (2.0 + p * (4.0 + p * (8.0 + p * (16.0 + p * 32.0)))));
-  // eq (13) with (2+b)/(3b) and 8/(3b) hoisted.
-  const double ewu = ewu_c_ + std::sqrt(ewu_k_ * one_minus_p / p + ewu_c2_);
-  double ew = 0.0;
-  double ex = 0.0;
-  if (ewu < wm_) {
-    ew = std::max(1.0, ewu);  // E[W] floored at one packet, as in full_model
-    ex = half_b_ * ewu;       // eq (11)
-  } else {
-    ew = wm_;
-    ex = eighth_b_wm_ + one_minus_p / (p * wm_) + 1.0;  // Section II-C
-  }
-  const double qh = q_hat_exact(p, ew);
-  const double numerator = one_minus_p / p + ew + qh / one_minus_p;
-  const double denominator = rtt_ * (ex + 1.0) + qh * t0_ * f / one_minus_p;
-  return numerator / denominator;
-}
-
-double PreparedModel::eval_approx(double p) const {
-  if (p == 0.0) {
-    return ceiling_;
-  }
-  // eq (33) with the b-dependent radicals hoisted: sqrt(2bp/3) becomes
-  // sqrt(2b/3)*sqrt(p), so one sqrt per point serves both terms.
-  const double sqrt_p = std::sqrt(p);
-  const double td_term = td_coef_ * sqrt_p;
-  const double to_term =
-      t0_ * std::min(1.0, to_sqrt_coef_ * sqrt_p) * p * (1.0 + 32.0 * p * p);
-  return std::min(ceiling_, 1.0 / (td_term + to_term));
-}
-
-double PreparedModel::eval_td_only(double p) const {
-  if (p == 0.0) {
-    return std::numeric_limits<double>::infinity();  // eq (20) diverges
-  }
-  return td_only_coef_ / std::sqrt(p);
-}
-
-double PreparedModel::operator()(double p) const {
-  require_p(p);
   switch (kind_) {
     case ModelKind::kFull:
-      return eval_full(p);
+      return kernel::full(constants_, p).send_rate;
     case ModelKind::kApproximate:
-      return eval_approx(p);
+      return kernel::approx(constants_, p);
     case ModelKind::kTdOnly:
-      return eval_td_only(p);
+      return kernel::td_only(constants_, p);
   }
   throw std::invalid_argument("PreparedModel: unknown ModelKind");
 }
@@ -102,36 +39,8 @@ void PreparedModel::evaluate(std::span<const double> p, std::span<double> out) c
   if (p.size() != out.size()) {
     throw std::invalid_argument("PreparedModel::evaluate: p/out size mismatch");
   }
-  switch (kind_) {
-    case ModelKind::kFull:
-      for (std::size_t i = 0; i < p.size(); ++i) {
-        require_p(p[i]);
-        out[i] = eval_full(p[i]);
-      }
-      return;
-    case ModelKind::kApproximate:
-      for (std::size_t i = 0; i < p.size(); ++i) {
-        require_p(p[i]);
-        out[i] = eval_approx(p[i]);
-      }
-      return;
-    case ModelKind::kTdOnly:
-      for (std::size_t i = 0; i < p.size(); ++i) {
-        require_p(p[i]);
-        out[i] = eval_td_only(p[i]);
-      }
-      return;
-  }
-  throw std::invalid_argument("PreparedModel::evaluate: unknown ModelKind");
-}
-
-void evaluate_batch(ModelKind kind, std::span<const ModelParams> params,
-                    std::span<double> out) {
-  if (params.size() != out.size()) {
-    throw std::invalid_argument("evaluate_batch: params/out size mismatch");
-  }
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    out[i] = evaluate_model(kind, params[i]);
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    out[i] = (*this)(p[i]);
   }
 }
 

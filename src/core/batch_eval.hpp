@@ -1,31 +1,23 @@
-// Batched evaluation of the Section-III model family.
+// Evaluation of the Section-III model family at a fixed (RTT, T0, b, Wm)
+// for many p in a row — the shape of the inverse model's root finder,
+// Fig. 9 scoring over an hour trace's intervals and the serve cache.
 //
-// The scalar entry points (evaluate_model and friends) validate a full
-// ModelParams bundle on every call and recompute every p-independent
-// subexpression. That is fine for one-off predictions, but the hot
-// callers — the inverse model's root finder, Fig. 9/10 scoring over
-// thousands of intervals, TFRC's per-RTT rate update, and campaign
-// grids — evaluate B(p) at a fixed (RTT, T0, b, Wm) for many p in a row.
-//
-// PreparedModel hoists everything that does not depend on p once at
-// construction (see MODELS.md, "Batched evaluation" for the exact terms
-// per equation) and then evaluates points with no validation branches
-// beyond a single range check on p. Numerical contract: the prepared
-// path agrees with the scalar path to better than 1e-12 relative error
-// at every admissible p (asserted by tests and the CI bench job); it is
-// not guaranteed bit-identical, because hoisting reassociates a few
-// products (e.g. sqrt(2bp/3) becomes sqrt(2b/3)*sqrt(p)).
+// PreparedModel validates the non-p fields once and keeps the exact
+// hoists of kernel::Constants (see core/model_kernels.hpp and MODELS.md,
+// "One kernel per equation"). It runs the same kernels as the scalar
+// entry points, so PreparedModel(kind, base)(p) == evaluate_model(kind,
+// base-with-p) bit for bit at every admissible p.
 #pragma once
 
 #include <span>
 
+#include "core/model_kernels.hpp"
 #include "core/model_registry.hpp"
 #include "core/tcp_model_params.hpp"
 
 namespace pftk::model {
 
-/// A send-rate model with the p-independent terms pre-evaluated for a
-/// fixed (RTT, T0, b, Wm). Cheap to construct, cheaper to call.
+/// A send-rate model bound to a fixed (RTT, T0, b, Wm).
 class PreparedModel {
  public:
   /// Prepares `kind` at `base`'s RTT/T0/b/Wm (base.p is ignored).
@@ -33,7 +25,7 @@ class PreparedModel {
   PreparedModel(ModelKind kind, const ModelParams& base);
 
   /// Evaluates the prepared model at loss probability `p`; equals
-  /// evaluate_model(kind, base-with-p) to < 1e-12 relative error.
+  /// evaluate_model(kind, base-with-p) exactly.
   /// @throws std::invalid_argument unless 0 <= p < 1 (NaN rejected).
   [[nodiscard]] double operator()(double p) const;
 
@@ -42,37 +34,13 @@ class PreparedModel {
   /// p[i] is outside [0, 1); out is unspecified after a throw.
   void evaluate(std::span<const double> p, std::span<double> out) const;
 
-  [[nodiscard]] ModelKind kind() const noexcept { return kind_; }
-
  private:
-  [[nodiscard]] double eval_full(double p) const;
-  [[nodiscard]] double eval_approx(double p) const;
-  [[nodiscard]] double eval_td_only(double p) const;
-
   ModelKind kind_;
-  double rtt_ = 0.0;
-  double t0_ = 0.0;
-  double wm_ = 0.0;
-  double half_b_ = 0.0;        ///< b/2                      (eq 11)
-  double eighth_b_wm_ = 0.0;   ///< (b/8)*Wm                 (Section II-C)
-  double ceiling_ = 0.0;       ///< Wm/RTT, the p = 0 limit
-  double ewu_c_ = 0.0;         ///< (2+b)/(3b)               (eq 13)
-  double ewu_c2_ = 0.0;        ///< ewu_c_^2                 (eq 13)
-  double ewu_k_ = 0.0;         ///< 8/(3b)                   (eq 13)
-  double td_coef_ = 0.0;       ///< RTT*sqrt(2b/3)           (eq 33)
-  double to_sqrt_coef_ = 0.0;  ///< 3*sqrt(3b/8)             (eq 33)
-  double td_only_coef_ = 0.0;  ///< sqrt(3/(2b))/RTT         (eq 20)
+  kernel::Constants constants_;
 };
 
-/// General batched form: out[i] = evaluate_model(kind, params[i]).
-/// Each bundle is validated; no terms can be hoisted because every
-/// field may vary. Prefer evaluate_batch_p when only p varies.
-/// @throws std::invalid_argument on size mismatch or invalid params.
-void evaluate_batch(ModelKind kind, std::span<const ModelParams> params,
-                    std::span<double> out);
-
-/// Fast path: out[i] = evaluate_model(kind, base-with-p[i]) via a
-/// PreparedModel built once from `base`.
+/// out[i] = evaluate_model(kind, base-with-p[i]) via a PreparedModel
+/// built once from `base`.
 /// @throws std::invalid_argument as PreparedModel and its evaluate().
 void evaluate_batch_p(ModelKind kind, const ModelParams& base,
                       std::span<const double> p, std::span<double> out);

@@ -1,77 +1,16 @@
 #include "core/full_model.hpp"
 
-#include <algorithm>
-#include <cmath>
-
-#include "core/model_terms.hpp"
+#include "core/model_kernels.hpp"
 
 namespace pftk::model {
 
-namespace {
-
-double evaluate_q_hat(QHatMode mode, double p, double w) {
-  return mode == QHatMode::kExact ? q_hat_exact(p, w) : q_hat_approx(w);
-}
-
-}  // namespace
-
-FullModelBreakdown full_model_breakdown(const ModelParams& params, QHatMode q_mode) {
+FullModelBreakdown full_model_breakdown(const ModelParams& params) {
   params.validate();
-  FullModelBreakdown out;
-
-  if (params.p == 0.0) {
-    // Analytic p -> 0 limit: the flow is purely window-limited and sends a
-    // full window every RTT.
-    out.expected_window_unconstrained = ModelParams::unlimited_window;
-    out.expected_window = params.wm;
-    out.q_hat = 0.0;
-    out.expected_rounds = 0.0;
-    out.window_limited = true;
-    out.numerator_packets = params.wm;
-    out.denominator_seconds = params.rtt;
-    out.send_rate = params.wm / params.rtt;
-    return out;
-  }
-
-  const double p = params.p;
-  const double b = static_cast<double>(params.b);
-  const double f = backoff_polynomial(p);
-  const double ewu = expected_unconstrained_window(p, params.b);
-  out.expected_window_unconstrained = ewu;
-  out.window_limited = ewu >= params.wm;
-
-  if (!out.window_limited) {
-    // Unconstrained branch of eq (32). Note E[X] = (b/2) E[Wu] via eq (11).
-    // For large b at high p, eq (13) dips below one packet; a congestion
-    // window cannot, so E[W] is floored at 1 (Qhat's domain starts there
-    // too). Only inputs that previously threw reach the clamp.
-    const double ew = std::max(1.0, ewu);
-    const double qh = evaluate_q_hat(q_mode, p, ew);
-    const double ex = b / 2.0 * ewu;
-    out.expected_window = ew;
-    out.q_hat = qh;
-    out.expected_rounds = ex;
-    out.numerator_packets = (1.0 - p) / p + ew + qh / (1.0 - p);
-    out.denominator_seconds = params.rtt * (ex + 1.0) + qh * params.t0 * f / (1.0 - p);
-  } else {
-    // Window-limited branch: the window saturates at Wm and the TDP gains
-    // E[V] flat rounds (Section II-C); E[X] = (b/8) Wm + (1-p)/(p Wm) + 1.
-    const double wm = params.wm;
-    const double qh = evaluate_q_hat(q_mode, p, wm);
-    const double ex = b / 8.0 * wm + (1.0 - p) / (p * wm) + 1.0;
-    out.expected_window = wm;
-    out.q_hat = qh;
-    out.expected_rounds = ex;
-    out.numerator_packets = (1.0 - p) / p + wm + qh / (1.0 - p);
-    out.denominator_seconds = params.rtt * (ex + 1.0) + qh * params.t0 * f / (1.0 - p);
-  }
-
-  out.send_rate = out.numerator_packets / out.denominator_seconds;
-  return out;
+  return kernel::full(kernel::Constants(params), params.p);
 }
 
-double full_model_send_rate(const ModelParams& params, QHatMode q_mode) {
-  return full_model_breakdown(params, q_mode).send_rate;
+double full_model_send_rate(const ModelParams& params) {
+  return full_model_breakdown(params).send_rate;
 }
 
 }  // namespace pftk::model

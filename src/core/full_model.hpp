@@ -15,12 +15,6 @@
 
 namespace pftk::model {
 
-/// Which expression is used for Qhat(w) inside the full model.
-enum class QHatMode {
-  kExact,   ///< eq (24)
-  kApprox,  ///< eq (25): min(1, 3/w)
-};
-
 /// Intermediate quantities of the full model, exposed for diagnostics,
 /// tests and the benches that print per-regime behaviour.
 struct FullModelBreakdown {
@@ -38,12 +32,10 @@ struct FullModelBreakdown {
 /// For p == 0 returns the window-limited ceiling Wm / RTT (the analytic
 /// p -> 0 limit of the window-limited branch).
 /// @throws std::invalid_argument if params are invalid.
-[[nodiscard]] double full_model_send_rate(const ModelParams& params,
-                                          QHatMode q_mode = QHatMode::kExact);
+[[nodiscard]] double full_model_send_rate(const ModelParams& params);
 
 /// As full_model_send_rate, but returns every intermediate term.
 /// @throws std::invalid_argument if params are invalid.
-[[nodiscard]] FullModelBreakdown full_model_breakdown(const ModelParams& params,
-                                                      QHatMode q_mode = QHatMode::kExact);
+[[nodiscard]] FullModelBreakdown full_model_breakdown(const ModelParams& params);
 
 }  // namespace pftk::model

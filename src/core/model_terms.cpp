@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/model_kernels.hpp"
+
 namespace pftk::model {
 
 namespace {
@@ -24,16 +26,15 @@ void require_ack_factor(int b) {
 
 double backoff_polynomial(double p) {
   require_loss_prob(p, /*strict_positive=*/false);
-  // Horner evaluation of 1 + p + 2p^2 + 4p^3 + 8p^4 + 16p^5 + 32p^6.
-  return 1.0 + p * (1.0 + p * (2.0 + p * (4.0 + p * (8.0 + p * (16.0 + p * 32.0)))));
+  return kernel::backoff(p);
 }
 
 double expected_unconstrained_window(double p, int b) {
   require_loss_prob(p, /*strict_positive=*/true);
   require_ack_factor(b);
   const double db = static_cast<double>(b);
-  const double c = (2.0 + db) / (3.0 * db);
-  return c + std::sqrt(8.0 * (1.0 - p) / (3.0 * db * p) + c * c);
+  const double three_b = 3.0 * db;
+  return kernel::unconstrained_window(p, three_b, (2.0 + db) / three_b);
 }
 
 double expected_rounds_unconstrained(double p, int b) {
@@ -49,14 +50,7 @@ double q_hat_exact(double p, double w) {
   if (!(std::isfinite(w) && w >= 1.0)) {
     throw std::invalid_argument("q_hat_exact: w must be >= 1");
   }
-  if (w <= 3.0) {
-    return 1.0;  // with at most 3 packets in flight a TD indication is impossible
-  }
-  const double q = 1.0 - p;
-  const double q3 = q * q * q;
-  const double denom = 1.0 - std::pow(q, w);
-  const double value = (1.0 - q3) * (1.0 + q3 * (1.0 - std::pow(q, w - 3.0))) / denom;
-  return std::min(1.0, value);
+  return kernel::q_hat(p, w);
 }
 
 double q_hat_summation(double p, int w) {

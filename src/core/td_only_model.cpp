@@ -1,8 +1,8 @@
 #include "core/td_only_model.hpp"
 
-#include <cmath>
 #include <limits>
 
+#include "core/model_kernels.hpp"
 #include "core/model_terms.hpp"
 
 namespace pftk::model {
@@ -21,10 +21,7 @@ double td_only_send_rate(const ModelParams& params) {
 
 double td_only_asymptotic_send_rate(const ModelParams& params) {
   params.validate();
-  if (params.p == 0.0) {
-    return std::numeric_limits<double>::infinity();
-  }
-  return std::sqrt(3.0 / (2.0 * static_cast<double>(params.b) * params.p)) / params.rtt;
+  return kernel::td_only(kernel::Constants(params), params.p);
 }
 
 }  // namespace pftk::model

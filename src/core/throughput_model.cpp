@@ -1,38 +1,25 @@
 #include "core/throughput_model.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "core/full_model.hpp"
-#include "core/model_terms.hpp"
+#include "core/model_kernels.hpp"
 
 namespace pftk::model {
 
 double throughput_model_rate(const ModelParams& params) {
-  params.validate();
-  if (params.p == 0.0) {
-    return params.wm / params.rtt;
-  }
+  // E[W], E[X] and Qhat(E[W]) are the eq-(32) terms, regime switch and
+  // E[W] >= 1 floor included.
+  const FullModelBreakdown full = full_model_breakdown(params);
   const double p = params.p;
-  const double b = static_cast<double>(params.b);
-  const double g = backoff_polynomial(p);
-  const double ewu = expected_unconstrained_window(p, params.b);
-
-  double ew = 0.0;
-  double ex = 0.0;
-  if (ewu < params.wm) {
-    // E[W] floored at one packet, matching full_model_breakdown: eq (13)
-    // drops below 1 for large b at high p, outside Qhat's domain.
-    ew = std::max(1.0, ewu);
-    ex = b / 2.0 * ewu;  // eq (11)
-  } else {
-    ew = params.wm;
-    ex = b / 8.0 * params.wm + (1.0 - p) / (p * params.wm) + 1.0;  // Section II-C
+  if (p == 0.0) {
+    return full.send_rate;  // Wm/RTT
   }
-  const double qh = q_hat_exact(p, ew);
+  const double qh = full.q_hat;
   // E[Y'] + Q*E[R'] with E[Y'] = 1/p + E[W]/2 - 1 and E[R'] = 1 (eq 35/36).
-  const double numerator = (1.0 - p) / p + ew / 2.0 + qh;
-  const double denominator = params.rtt * (ex + 1.0) + qh * g * params.t0 / (1.0 - p);
+  const double numerator = (1.0 - p) / p + full.expected_window / 2.0 + qh;
+  const double denominator = params.rtt * (full.expected_rounds + 1.0) +
+                             qh * kernel::backoff(p) * params.t0 / (1.0 - p);
   return numerator / denominator;
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iomanip>
@@ -16,9 +15,6 @@
 #include <unistd.h>
 #endif
 
-#include "core/approx_model.hpp"
-#include "core/batch_eval.hpp"
-#include "core/full_model.hpp"
 #include "obs/event_loop_stats.hpp"
 #include "obs/flight/flight_recorder.hpp"
 #include "robust/failpoint.hpp"
@@ -79,7 +75,6 @@ constexpr int kChains = 64;  // a realistic number of live timers
 constexpr std::uint64_t kQueueEvents = 2'000;
 constexpr std::uint64_t kJournalRecords = 2'000;
 constexpr std::uint64_t kServeRequests = 500;
-constexpr std::size_t kGridPoints = 10'000;  // equivalence-check p grid
 
 /// Dispatches `events` chain events plus each chain's final no-op
 /// (events + kChains in all), optionally with an EventLoopStats sink.
@@ -161,41 +156,6 @@ std::uint64_t serve_request_path(const std::vector<std::string>& lines,
     checksum += response.size();
   }
   return checksum;
-}
-
-/// Log-spaced loss-probability grid over the models' practical domain.
-std::vector<double> make_p_grid(std::size_t n) {
-  std::vector<double> grid(n);
-  const double lo = std::log(1e-6);
-  const double hi = std::log(0.99);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double t = n > 1 ? static_cast<double>(i) / static_cast<double>(n - 1) : 0.0;
-    grid[i] = std::exp(lo + (hi - lo) * t);
-  }
-  return grid;
-}
-
-/// Max relative error of evaluate_batch_p against the scalar entry
-/// point `scalar_rate` over `grid`.
-template <typename ScalarFn>
-double batch_max_rel_err(model::ModelKind kind, const std::vector<double>& grid,
-                         ScalarFn scalar_rate) {
-  model::ModelParams mp;
-  mp.p = 0.01;
-  mp.rtt = 0.2;
-  mp.t0 = 2.0;
-  mp.b = 2;
-  mp.wm = 32.0;
-  std::vector<double> batched(grid.size());
-  model::evaluate_batch_p(kind, mp, grid, batched);
-  double worst = 0.0;
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    mp.p = grid[i];
-    const double scalar = scalar_rate(mp);
-    worst = std::max(worst,
-                     std::abs(batched[i] - scalar) / std::max(std::abs(scalar), 1e-300));
-  }
-  return worst;
 }
 
 /// Minimal JSON string escaping for host strings (quotes, backslashes,
@@ -362,16 +322,6 @@ MicroBenchReport run_micro_bench(const MicroBenchConfig& config) {
              });
        }},
       results));
-
-  const auto grid = make_p_grid(kGridPoints);
-  const double approx_err = batch_max_rel_err(
-      model::ModelKind::kApproximate, grid,
-      [](const model::ModelParams& mp) { return approx_model_send_rate(mp); });
-  const double full_err = batch_max_rel_err(
-      model::ModelKind::kFull, grid,
-      [](const model::ModelParams& mp) { return full_model_send_rate(mp); });
-  report.batch_max_rel_err = std::max(approx_err, full_err);
-  report.equivalence_ok = report.batch_max_rel_err <= report.batch_tolerance;
   return report;
 }
 
@@ -379,7 +329,7 @@ void write_bench_json(std::ostream& os, const MicroBenchReport& report) {
   const auto saved_precision = os.precision();
   os << std::setprecision(12);
   os << "{\n"
-     << "  \"schema\": \"pftk-bench-micro/3\",\n"
+     << "  \"schema\": \"pftk-bench-micro/4\",\n"
      << "  \"mode\": \"" << report.mode << "\",\n"
      << "  \"repeats\": " << report.repeats << ",\n"
      << "  \"host\": {\n"
@@ -405,12 +355,7 @@ void write_bench_json(std::ostream& os, const MicroBenchReport& report) {
        << ", \"ok\": " << (g.ok() ? "true" : "false") << "}"
        << (i + 1 == report.gates.size() ? "\n" : ",\n");
   }
-  os << "  ],\n"
-     << "  \"equivalence\": {\n"
-     << "    \"batch_max_rel_err\": " << report.batch_max_rel_err << ",\n"
-     << "    \"tolerance\": " << report.batch_tolerance << ",\n"
-     << "    \"ok\": " << (report.equivalence_ok ? "true" : "false") << "\n"
-     << "  }\n"
+  os << "  ]\n"
      << "}\n";
   os << std::setprecision(static_cast<int>(saved_precision));
 }

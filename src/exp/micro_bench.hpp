@@ -1,19 +1,14 @@
-// Disarmed-overhead gates and the eq 32/33 batch-equivalence check —
-// the source of BENCH_micro.json.
+// Disarmed-overhead gates — the source of BENCH_micro.json.
 //
-// `pftk bench` holds two contracts and times nothing else (the
+// `pftk bench` holds one contract and times nothing else (the
 // end-to-end benchmark in perfbench/ times the layers inside real
-// workloads):
-//   * four seams that are compiled into hot loops but disarmed by
-//     default must each cost at most kOverheadTolerance times the loop
-//     without them: an obs::EventLoopStats sink on event-queue dispatch
-//     (obs), a disarmed failpoint on journal-record serialization
-//     (failpoint), a disarmed PFTK_SPAN on the same loop (span), and the
-//     supervised worker's crash failpoint plus degrade-flag load on the
-//     serve request path (supervision);
-//   * the batched evaluate_batch_p path must match the scalar eq (32)
-//     and eq (33) entry points within 1e-12 relative error over a
-//     10k-point p grid.
+// workloads): four seams that are compiled into hot loops but disarmed
+// by default must each cost at most kOverheadTolerance times the loop
+// without them. They are an obs::EventLoopStats sink on event-queue
+// dispatch (obs), a disarmed failpoint on journal-record serialization
+// (failpoint), a disarmed PFTK_SPAN on the same loop (span), and the
+// supervised worker's crash failpoint plus degrade-flag load on the
+// serve request path (supervision).
 //
 // A gate times its baseline and seam loops as interleaved pairs,
 // alternating which one runs first, and judges the median of the
@@ -21,7 +16,7 @@
 // runs of a pair see the same host state; host noise that slows one run
 // spoils one sample, not one whole side of the comparison.
 //
-// The JSON schema is stable within a version ("pftk-bench-micro/3"):
+// The JSON schema is stable within a version ("pftk-bench-micro/4"):
 // fields are only ever added, never renamed, so trajectory files from
 // different commits can be diffed mechanically; removing a field bumps
 // the version. See EXPERIMENTS.md, "Micro-benchmarks".
@@ -105,18 +100,13 @@ struct MicroBenchReport {
   BenchHostInfo host;
   std::vector<MicroBenchResult> results;  ///< the gates' series, in gate order
   std::vector<OverheadGate> gates;        ///< obs, failpoint, span, supervision
-  double batch_max_rel_err = 0.0;     ///< max over both models' grids
-  double batch_tolerance = 1e-12;
-  /// True when the batched path matched the scalar path within tolerance.
-  bool equivalence_ok = false;
 };
 
-/// Measures the four gates and runs the equivalence check. The span
-/// gate always measures a disarmed recorder; an armed caller's recorder
-/// is armed again afterwards.
+/// Measures the four gates. The span gate always measures a disarmed
+/// recorder; an armed caller's recorder is armed again afterwards.
 [[nodiscard]] MicroBenchReport run_micro_bench(const MicroBenchConfig& config);
 
-/// Serializes the report as schema-stable JSON ("pftk-bench-micro/3").
+/// Serializes the report as schema-stable JSON ("pftk-bench-micro/4").
 void write_bench_json(std::ostream& os, const MicroBenchReport& report);
 
 }  // namespace pftk::exp

@@ -1,5 +1,6 @@
 #include "exp/model_comparison.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/batch_eval.hpp"
@@ -61,34 +62,22 @@ ModelErrorRow score_short_traces(const std::string& label,
   row.label = label;
   std::array<stats::AverageErrorMetric, 3> metrics;
 
-  // Every short trace carries its own measured RTT/T0/p, so nothing can
-  // be hoisted across records; the general batched form still folds the
-  // whole series into one evaluation pass per model.
-  std::vector<model::ModelParams> bundles;
-  std::vector<double> observed;
-  bundles.reserve(records.size());
-  observed.reserve(records.size());
-  for (const ShortTraceRecord& rec : records) {
-    if (rec.packets_sent == 0) {
-      continue;
-    }
-    bundles.push_back(rec.params);
-    observed.push_back(static_cast<double>(rec.packets_sent));
-  }
-  row.observations = bundles.size();
-
-  std::vector<double> rates(bundles.size());
+  // Every short trace carries its own measured RTT/T0/p, so each record
+  // is one scalar evaluation.
   for (std::size_t m = 0; m < model::all_model_kinds.size(); ++m) {
     const model::ModelKind kind = model::all_model_kinds[m];
-    model::evaluate_batch(kind, bundles, rates);
-    for (std::size_t i = 0; i < bundles.size(); ++i) {
-      if (!model_defined_at(kind, bundles[i].p)) {
+    for (const ShortTraceRecord& rec : records) {
+      if (rec.packets_sent == 0 || !model_defined_at(kind, rec.params.p)) {
         continue;
       }
-      metrics[m].add(rates[i] * duration, observed[i]);
+      metrics[m].add(model::evaluate_model(kind, rec.params) * duration,
+                     static_cast<double>(rec.packets_sent));
     }
     row.avg_error[m] = metrics[m].value();
   }
+  row.observations = static_cast<std::size_t>(std::count_if(
+      records.begin(), records.end(),
+      [](const ShortTraceRecord& rec) { return rec.packets_sent != 0; }));
   return row;
 }
 

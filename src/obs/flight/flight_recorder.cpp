@@ -53,8 +53,9 @@ thread_local std::unordered_map<std::string, std::uint32_t>* t_name_cache =
 
 std::uint32_t cached_intern(Recorder& rec, std::string_view name) {
   if (t_name_cache == nullptr) {
-    // Leaked deliberately: detached serve/campaign threads may record
-    // right up to thread exit, and a destroyed thread_local map would
+    // Leaked deliberately: a thread may record from code that runs
+    // while its thread_local and static objects are being destroyed at
+    // thread or process exit, and a destroyed thread_local map would
     // turn those late records into use-after-free. The leak is one map
     // per recording thread, bounded and intentional — told to LSan so
     // sanitized tier-1 runs stay clean.

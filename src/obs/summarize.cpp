@@ -85,9 +85,16 @@ std::string render_breakdown_text(const LossBreakdown& bd, const std::string& so
   os << std::fixed;
   os << "loss-indication breakdown (" << source << ", " << std::setprecision(1)
      << bd.duration << " s of events)\n";
-  os << "  loss indications " << bd.loss_indications() << ": TD " << bd.td << " ("
-     << std::setprecision(1) << 100.0 * bd.td_fraction() << "%), TO sequences "
-     << bd.to_sequences << " (" << 100.0 * bd.to_fraction() << "%)\n";
+  os << "  loss indications " << bd.loss_indications() << ": TD " << bd.td;
+  if (events_dropped > 0) {
+    // Overwritten events can hide either kind, so the split is unknown,
+    // not bounded.
+    os << ", TO sequences " << bd.to_sequences << " [INDETERMINATE: " << events_dropped
+       << " events dropped]\n";
+  } else {
+    os << " (" << std::setprecision(1) << 100.0 * bd.td_fraction() << "%), TO sequences "
+       << bd.to_sequences << " (" << 100.0 * bd.to_fraction() << "%)\n";
+  }
   os << "  timeout events " << bd.timeout_events << ", max backoff level "
      << bd.max_backoff_level << "; depth";
   for (std::size_t k = 0; k < bd.timeouts_by_depth.size(); ++k) {
@@ -113,9 +120,13 @@ void write_breakdown_json(std::ostream& os, const LossBreakdown& bd,
                           const std::string& source, std::uint64_t events_dropped) {
   std::ostringstream frac;
   frac.imbue(std::locale::classic());
-  frac << std::fixed << std::setprecision(6) << "\"td_fraction\":" << bd.td_fraction()
-       << ",\"to_fraction\":" << bd.to_fraction()
-       << ",\"duration_s\":" << bd.duration;
+  frac << std::fixed << std::setprecision(6);
+  if (events_dropped > 0) {
+    frac << "\"td_fraction\":null,\"to_fraction\":null";
+  } else {
+    frac << "\"td_fraction\":" << bd.td_fraction() << ",\"to_fraction\":" << bd.to_fraction();
+  }
+  frac << ",\"duration_s\":" << bd.duration;
   os << "{\"schema\":\"pftk-obs/1\",\"kind\":\"summary\",\"source\":\"" << source
      << "\",\"loss_indications\":" << bd.loss_indications() << ",\"td\":" << bd.td
      << ",\"to_sequences\":" << bd.to_sequences

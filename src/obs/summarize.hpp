@@ -50,13 +50,16 @@ struct LossBreakdown {
 [[nodiscard]] LossBreakdown summarize_events(std::span<const ConnEvent> events);
 
 /// Human-readable multi-line rendering (the `pftk obs summarize` body).
+/// With events_dropped > 0 the TD/TO split prints as
+/// "[INDETERMINATE: N events dropped]" instead of percentages.
 [[nodiscard]] std::string render_breakdown_text(const LossBreakdown& breakdown,
                                                 const std::string& source,
                                                 std::uint64_t events_dropped);
 
 /// Machine-readable rendering (`--json`): one stable JSON object, fields
 /// only ever added. Counts are exact integers; fractions use fixed
-/// 6-digit formatting so golden files are byte-stable.
+/// 6-digit formatting so golden files are byte-stable, and are null when
+/// events_dropped > 0.
 void write_breakdown_json(std::ostream& os, const LossBreakdown& breakdown,
                           const std::string& source, std::uint64_t events_dropped);
 

@@ -223,11 +223,12 @@ ConnResult drive_connection(const LoadConfig& config,
         if (good) {
           const double got = std::strtod(rate->c_str(), nullptr);
           // A degraded answer is the eq-33 approximation of the same
-          // request — verified against its own local expectation.
+          // request — verified against its own local expectation. Replies
+          // print 17 significant digits and the server runs the library's
+          // kernels, so the parsed rate must equal the expectation exactly.
           const double want =
               degraded ? scripted->expected_approx : scripted->expected_rate;
-          const double tol = 1e-9 * std::max(1.0, std::fabs(want));
-          good = std::isfinite(got) && std::fabs(got - want) <= tol;
+          good = std::isfinite(got) && got == want;
         }
         if (!good) {
           ++rep.verify_failures;

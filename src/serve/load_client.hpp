@@ -3,9 +3,8 @@
 // Drives the daemon with a fixed-seed request stream over N concurrent
 // connections with bounded pipelining, and verifies answers against
 // locally computed expectations: the expected MODEL rates are
-// precomputed with evaluate_batch_p over the same PreparedModel path the
-// server uses, so a verify failure means the serving path diverged from
-// the library, not that two float paths disagreed.
+// precomputed with evaluate_batch_p, which runs the same model kernels
+// as the server, so a served rate must equal its expectation exactly.
 //
 // The client keeps its own accounting identity, mirror of the server's:
 //

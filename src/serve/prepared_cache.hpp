@@ -1,14 +1,14 @@
 // Per-worker cache of PreparedModel instances.
 //
 // A serving shard sees long runs of MODEL requests that share
-// (kind, RTT, T0, b, Wm) and differ only in p — exactly the shape
-// PreparedModel hoists for (ROADMAP item 5: "PreparedModel cache keyed
-// by (RTT, T0, b, Wm), request batching into evaluate_batch_p"). The
-// cache is a move-to-front list with exact-double key equality: tiny,
-// allocation-light after warmup, and owned by one worker thread so it
-// needs no locking. An LRU bound keeps a hostile key-churning client
-// from growing it without limit — the same "no unbounded buffering"
-// stance the admission queue takes.
+// (kind, RTT, T0, b, Wm) and differ only in p, so it validates those
+// fields once per key and reuses the prepared model. A cached model
+// runs the same kernels as evaluate_model, so a served rate equals the
+// library's bit for bit. The cache is a move-to-front list with
+// exact-double key equality: tiny, allocation-light after warmup, and
+// owned by one worker thread so it needs no locking. An LRU bound keeps
+// a hostile key-churning client from growing it without limit — the
+// same "no unbounded buffering" stance the admission queue takes.
 #pragma once
 
 #include <algorithm>

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/batch_eval.hpp"
+#include "core/approx_model.hpp"
 
 namespace pftk::tfrc {
 
@@ -81,16 +81,13 @@ void TfrcSender::recompute_rate() {
   } else {
     slow_start_ = false;
     pftk::model::ModelParams params;
+    params.p = std::min(p_, 0.999);
     params.rtt = std::max(1e-4, srtt_);
     params.t0 = std::max(4.0 * params.rtt, 0.01);  // RFC: t_RTO = 4 R
     params.b = config_.b;
     params.wm = pftk::model::ModelParams::unlimited_window;
-    // The per-RTT rate update runs on the prepared eq-(33) evaluator —
-    // the same hoisted fast path the batched API uses — so the update
-    // costs a single sqrt(p) beyond the RTT/T0-derived constants.
-    const pftk::model::PreparedModel x_calc_model(
-        pftk::model::ModelKind::kApproximate, params);
-    const double x_calc = x_calc_model(std::min(p_, 0.999));
+    // X_calc is the eq-(33) send rate at the loss event rate.
+    const double x_calc = pftk::model::approx_model_send_rate(params);
     const double cap = x_recv_ > 0.0 ? 2.0 * x_recv_ : x_calc;
     rate_ = std::clamp(std::min(x_calc, cap), config_.min_rate_pps, config_.max_rate_pps);
   }

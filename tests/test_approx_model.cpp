@@ -60,14 +60,15 @@ TEST(ApproxModel, WindowCeilingApplies) {
 TEST(ApproxModel, ZeroLossIsCeiling) {
   const ModelParams mp = params(0.0, 0.5, 2.0, 2, 20.0);
   EXPECT_DOUBLE_EQ(approx_model_send_rate(mp), 40.0);
-  EXPECT_TRUE(std::isinf(approx_model_loss_limited_rate(mp)));
 }
 
 TEST(ApproxModel, LossLimitedTermIgnoresWindow) {
-  ModelParams mp = params(0.05, 0.2, 2.0, 2, 4.0);
-  const double small_window = approx_model_loss_limited_rate(mp);
-  mp.wm = 400.0;
-  EXPECT_DOUBLE_EQ(approx_model_loss_limited_rate(mp), small_window);
+  // Once Wm/RTT no longer binds, the rate is eq (33)'s loss term alone.
+  ModelParams mp = params(0.05, 0.2, 2.0, 2, 400.0);
+  const double large_window = approx_model_send_rate(mp);
+  EXPECT_LT(large_window, mp.wm / mp.rtt);
+  mp.wm = ModelParams::unlimited_window;
+  EXPECT_EQ(approx_model_send_rate(mp), large_window);
 }
 
 TEST(ApproxModel, MonotoneDecreasingInLoss) {

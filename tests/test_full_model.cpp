@@ -84,14 +84,6 @@ TEST(FullModel, BreakdownRatioEqualsRate) {
   EXPECT_NEAR(b.send_rate, full_model_send_rate(params(0.03, 0.3, 1.5, 2, 20.0)), 1e-12);
 }
 
-TEST(FullModel, QHatModeMakesSmallDifference) {
-  for (const double p : {0.01, 0.05, 0.15}) {
-    const double exact = full_model_send_rate(params(p), QHatMode::kExact);
-    const double approx = full_model_send_rate(params(p), QHatMode::kApprox);
-    EXPECT_NEAR(exact / approx, 1.0, 0.25) << "p=" << p;
-  }
-}
-
 TEST(FullModel, LongerTimeoutsSlowTheFlow) {
   const double fast = full_model_send_rate(params(0.05, 0.2, 1.0));
   const double slow = full_model_send_rate(params(0.05, 0.2, 8.0));

@@ -160,16 +160,42 @@ TEST(ObsSummarize, TextRenderingMentionsTheSplitAndDrops) {
   bd.max_backoff_level = 2;
   bd.timeouts_by_depth[1] = 1;
   bd.duration = 30.0;
-  const std::string text = render_breakdown_text(bd, "simulate", 5);
-  EXPECT_NE(text.find("loss-indication breakdown (simulate"), std::string::npos);
-  EXPECT_NE(text.find("TD 3 (75.0%)"), std::string::npos);
-  EXPECT_NE(text.find("TO sequences 1 (25.0%)"), std::string::npos);
-  EXPECT_NE(text.find("T2=1"), std::string::npos);
-  EXPECT_NE(text.find("T6+=0"), std::string::npos);
-  EXPECT_NE(text.find("5 events were overwritten"), std::string::npos);
-
   const std::string clean = render_breakdown_text(bd, "simulate", 0);
+  EXPECT_NE(clean.find("loss-indication breakdown (simulate"), std::string::npos);
+  EXPECT_NE(clean.find("TD 3 (75.0%)"), std::string::npos);
+  EXPECT_NE(clean.find("TO sequences 1 (25.0%)"), std::string::npos);
+  EXPECT_NE(clean.find("T2=1"), std::string::npos);
+  EXPECT_NE(clean.find("T6+=0"), std::string::npos);
   EXPECT_EQ(clean.find("overwritten"), std::string::npos);
+  EXPECT_EQ(clean.find("INDETERMINATE"), std::string::npos);
+
+  // Overwritten events can hide either kind of indication, so the split
+  // is indeterminate: no percentages, whatever the surviving counts say.
+  const std::string text = render_breakdown_text(bd, "simulate", 5);
+  EXPECT_NE(text.find("TD 3, TO sequences 1 [INDETERMINATE: 5 events dropped]"),
+            std::string::npos);
+  EXPECT_EQ(text.find('%'), std::string::npos);
+  EXPECT_NE(text.find("T2=1"), std::string::npos);
+  EXPECT_NE(text.find("5 events were overwritten"), std::string::npos);
+}
+
+TEST(ObsSummarize, JsonFractionsAreNullWhenEventsWereDropped) {
+  LossBreakdown bd;
+  bd.td = 3;
+  bd.to_sequences = 1;
+  bd.duration = 30.0;
+  std::ostringstream clean;
+  write_breakdown_json(clean, bd, "simulate", 0);
+  std::ostringstream dropped;
+  write_breakdown_json(dropped, bd, "simulate", 7);
+  EXPECT_NE(clean.str().find("\"td_fraction\":0.750000,\"to_fraction\":0.250000,"),
+            std::string::npos);
+  // Only the two fractions and the drop count differ.
+  std::string want = clean.str();
+  want.replace(want.find("0.750000"), 8, "null");
+  want.replace(want.find("0.250000"), 8, "null");
+  want.replace(want.find("\"events_dropped\":0"), 18, "\"events_dropped\":7");
+  EXPECT_EQ(dropped.str(), want);
 }
 
 TEST(ObsSummarize, GoldenJsonForFixedSeedFig8ShortTrace) {

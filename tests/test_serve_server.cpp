@@ -135,22 +135,31 @@ TEST(ServeServer, PingAndModelMatchTheLibrary) {
   EXPECT_TRUE(pong.ok);
   EXPECT_EQ(pong.id, "hello");
 
-  ASSERT_TRUE(client.send_text(
-      "MODEL m1 p=0.02 rtt=0.1 t0=0.4 wm=16 b=2 model=full\n"));
-  const Response resp = parse_response(client.read_line());
-  ASSERT_TRUE(resp.ok);
-  ASSERT_NE(resp.find("rate"), nullptr);
-  const model::ModelParams params{0.02, 0.1, 0.4, 2, 16.0};
-  const double expected = model::evaluate_model(model::ModelKind::kFull, params);
-  EXPECT_NEAR(std::stod(*resp.find("rate")), expected, 1e-9 * expected);
-  ASSERT_NE(resp.find("model"), nullptr);
-  EXPECT_EQ(*resp.find("model"), "full");
+  // A served rate is the library's answer bit for bit: the reply prints
+  // 17 significant digits and the shard runs the same model kernels.
+  std::uint64_t models = 0;
+  for (const model::ModelKind kind : model::all_model_kinds) {
+    const std::string token(model_kind_token(kind));
+    for (const double p : {0.001, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.4}) {
+      ASSERT_TRUE(client.send_text("MODEL m p=" + format_number(p) +
+                                   " rtt=0.1 t0=0.4 wm=16 b=2 model=" + token + "\n"));
+      const Response resp = parse_response(client.read_line());
+      ASSERT_TRUE(resp.ok);
+      ASSERT_NE(resp.find("rate"), nullptr);
+      const model::ModelParams params{p, 0.1, 0.4, 2, 16.0};
+      EXPECT_EQ(std::stod(*resp.find("rate")), model::evaluate_model(kind, params))
+          << token << " @ p=" << p;
+      ASSERT_NE(resp.find("model"), nullptr);
+      EXPECT_EQ(*resp.find("model"), token);
+      ++models;
+    }
+  }
 
   server.request_stop();
   const ServeSummary summary = server.wait();
   EXPECT_TRUE(summary.accounting_ok());
   EXPECT_EQ(summary.pings, 1u);
-  EXPECT_EQ(summary.served, 1u);
+  EXPECT_EQ(summary.served, models);
   EXPECT_EQ(summary.connections, 1u);
 }
 
