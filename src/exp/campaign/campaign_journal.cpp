@@ -1,298 +1,83 @@
 #include "exp/campaign/campaign_journal.hpp"
 
-#include <cctype>
-#include <cstdio>
 #include <fstream>
-#include <sstream>
+#include <limits>
 #include <stdexcept>
+
+#include "robust/json_line.hpp"
 
 namespace pftk::exp::campaign {
 
 namespace {
 
-// ---- serialization -------------------------------------------------------
+using robust::json::escape;
+using robust::json::g17;
 
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
+/// The six FaultStats counters in journal order.
+std::string fault_stats_json(const sim::FaultStats& s) {
+  std::string out;
+  for (const std::uint64_t v : {s.offered, s.dropped_blackout, s.dropped_loss,
+                                s.duplicated, s.reordered, s.delayed}) {
+    out += (out.empty() ? "[" : ",") + std::to_string(v);
   }
-  out += '"';
+  return out + ']';
 }
 
-/// Round-trip-exact, locale-independent double rendering.
-std::string fmt_double(double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  return buf;
-}
-
-void append_fault_stats(std::string& out, const sim::FaultStats& stats) {
-  out += '[';
-  const std::uint64_t fields[] = {stats.offered,    stats.dropped_blackout,
-                                  stats.dropped_loss, stats.duplicated,
-                                  stats.reordered,  stats.delayed};
-  for (std::size_t i = 0; i < 6; ++i) {
-    if (i > 0) {
-      out += ',';
-    }
-    out += std::to_string(fields[i]);
-  }
-  out += ']';
-}
-
-// ---- parsing -------------------------------------------------------------
-
-/// Cursor over one JSON line; supports exactly the subset to_json emits
-/// (flat object of string / number / number-array values).
-class Scanner {
- public:
-  explicit Scanner(const std::string& line) : s_(line) {}
-
-  void expect(char c) {
-    skip_ws();
-    if (pos_ >= s_.size() || s_[pos_] != c) {
-      fail(std::string("expected '") + c + "'");
-    }
-    ++pos_;
-  }
-
-  [[nodiscard]] bool consume(char c) {
-    skip_ws();
-    if (pos_ < s_.size() && s_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  [[nodiscard]] std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      char c = s_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= s_.size()) {
-          fail("dangling escape");
-        }
-        const char esc = s_[pos_++];
-        switch (esc) {
-          case 'n':
-            c = '\n';
-            break;
-          case 't':
-            c = '\t';
-            break;
-          case 'r':
-            c = '\r';
-            break;
-          case 'u': {
-            if (pos_ + 4 > s_.size()) {
-              fail("short \\u escape");
-            }
-            c = static_cast<char>(
-                std::stoi(s_.substr(pos_, 4), nullptr, 16));
-            pos_ += 4;
-            break;
-          }
-          default:
-            c = esc;  // \" and \\ (and anything else verbatim)
-        }
-      }
-      out += c;
-    }
-    if (pos_ >= s_.size()) {
-      fail("unterminated string");
-    }
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  [[nodiscard]] double parse_number() {
-    skip_ws();
-    const std::size_t start = pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) != 0 ||
-            s_[pos_] == '-' || s_[pos_] == '+' || s_[pos_] == '.' ||
-            s_[pos_] == 'e' || s_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) {
-      fail("expected a number");
-    }
-    return std::stod(s_.substr(start, pos_ - start));
-  }
-
-  [[nodiscard]] std::vector<double> parse_number_array() {
-    expect('[');
-    std::vector<double> out;
-    if (consume(']')) {
-      return out;
-    }
-    do {
-      out.push_back(parse_number());
-    } while (consume(','));
-    expect(']');
-    return out;
-  }
-
-  void skip_value() {
-    skip_ws();
-    if (pos_ >= s_.size()) {
-      fail("expected a value");
-    }
-    if (s_[pos_] == '"') {
-      (void)parse_string();
-    } else if (s_[pos_] == '[') {
-      (void)parse_number_array();
-    } else {
-      (void)parse_number();
-    }
-  }
-
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::invalid_argument("journal entry: " + what + " at offset " +
-                                std::to_string(pos_) + " in: " + s_);
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           (s_[pos_] == ' ' || s_[pos_] == '\t')) {
-      ++pos_;
-    }
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
-
-sim::FaultStats fault_stats_from_array(const std::vector<double>& fields) {
-  if (fields.size() != 6) {
+sim::FaultStats fault_stats_from(const std::vector<std::uint64_t>& v) {
+  if (v.size() != 6) {
     throw std::invalid_argument("journal entry: fault-stats array needs 6 fields");
   }
-  sim::FaultStats stats;
-  stats.offered = static_cast<std::uint64_t>(fields[0]);
-  stats.dropped_blackout = static_cast<std::uint64_t>(fields[1]);
-  stats.dropped_loss = static_cast<std::uint64_t>(fields[2]);
-  stats.duplicated = static_cast<std::uint64_t>(fields[3]);
-  stats.reordered = static_cast<std::uint64_t>(fields[4]);
-  stats.delayed = static_cast<std::uint64_t>(fields[5]);
-  return stats;
+  return {v[0], v[1], v[2], v[3], v[4], v[5]};
 }
 
 }  // namespace
 
 std::string JournalEntry::to_json() const {
-  std::string out = "{\"item\":" + std::to_string(index) + ",\"key\":";
-  append_escaped(out, key);
+  std::string out = "{\"item\":" + std::to_string(index) + ",\"key\":\"" + escape(key) + '"';
   out += ",\"status\":";
   out += ok ? "\"ok\"" : "\"failed\"";
   out += ",\"attempts\":" + std::to_string(attempts);
   if (ok) {
     out += ",\"packets\":" + std::to_string(metrics.packets_sent);
-    out += ",\"send_rate\":" + fmt_double(metrics.send_rate);
-    out += ",\"p\":" + fmt_double(metrics.p);
-    out += ",\"rtt\":" + fmt_double(metrics.rtt);
-    out += ",\"t0\":" + fmt_double(metrics.t0);
-    out += ",\"predicted\":" + fmt_double(metrics.predicted);
-    out += ",\"ff\":";
-    append_fault_stats(out, metrics.forward_faults);
-    out += ",\"rf\":";
-    append_fault_stats(out, metrics.reverse_faults);
+    out += ",\"send_rate\":" + g17(metrics.send_rate);
+    out += ",\"p\":" + g17(metrics.p);
+    out += ",\"rtt\":" + g17(metrics.rtt);
+    out += ",\"t0\":" + g17(metrics.t0);
+    out += ",\"predicted\":" + g17(metrics.predicted);
+    out += ",\"ff\":" + fault_stats_json(metrics.forward_faults);
+    out += ",\"rf\":" + fault_stats_json(metrics.reverse_faults);
   } else {
     out += ",\"class\":\"";
     out += failure_class_name(failure_class);
     out += "\",\"kind\":\"";
     out += failure_kind_name(failure_kind);
-    out += "\",\"error\":";
-    append_escaped(out, error);
+    out += "\",\"error\":\"" + escape(error) + '"';
   }
   out += '}';
   return out;
 }
 
 JournalEntry JournalEntry::from_json(const std::string& line) {
+  const robust::json::Object obj(line);
   JournalEntry entry;
-  Scanner scan(line);
-  scan.expect('{');
-  bool saw_status = false;
-  if (!scan.consume('}')) {
-    do {
-      const std::string field = scan.parse_string();
-      scan.expect(':');
-      if (field == "item") {
-        entry.index = static_cast<std::size_t>(scan.parse_number());
-      } else if (field == "key") {
-        entry.key = scan.parse_string();
-      } else if (field == "status") {
-        const std::string status = scan.parse_string();
-        if (status != "ok" && status != "failed") {
-          scan.fail("status must be ok|failed");
-        }
-        entry.ok = status == "ok";
-        saw_status = true;
-      } else if (field == "attempts") {
-        entry.attempts = static_cast<int>(scan.parse_number());
-      } else if (field == "packets") {
-        entry.metrics.packets_sent =
-            static_cast<std::uint64_t>(scan.parse_number());
-      } else if (field == "send_rate") {
-        entry.metrics.send_rate = scan.parse_number();
-      } else if (field == "p") {
-        entry.metrics.p = scan.parse_number();
-      } else if (field == "rtt") {
-        entry.metrics.rtt = scan.parse_number();
-      } else if (field == "t0") {
-        entry.metrics.t0 = scan.parse_number();
-      } else if (field == "predicted") {
-        entry.metrics.predicted = scan.parse_number();
-      } else if (field == "ff") {
-        entry.metrics.forward_faults =
-            fault_stats_from_array(scan.parse_number_array());
-      } else if (field == "rf") {
-        entry.metrics.reverse_faults =
-            fault_stats_from_array(scan.parse_number_array());
-      } else if (field == "class") {
-        entry.failure_class = scan.parse_string() == "transient"
-                                  ? FailureClass::kTransient
-                                  : FailureClass::kPermanent;
-      } else if (field == "kind") {
-        entry.failure_kind = failure_kind_from_name(scan.parse_string());
-      } else if (field == "error") {
-        entry.error = scan.parse_string();
-      } else {
-        scan.skip_value();  // forward compatibility
-      }
-    } while (scan.consume(','));
-    scan.expect('}');
+  entry.index = obj.u64("item");
+  entry.key = obj.str("key");
+  const std::string status = obj.str("status");
+  if (entry.key.empty() || (status != "ok" && status != "failed")) {
+    throw std::invalid_argument("journal entry: needs a key and status ok|failed");
   }
-  if (!saw_status || entry.key.empty()) {
-    throw std::invalid_argument("journal entry: missing status/key in: " + line);
+  entry.ok = status == "ok";
+  entry.attempts = static_cast<int>(obj.u64("attempts", std::numeric_limits<int>::max()));
+  if (entry.ok) {
+    // ItemMetrics' field order, which is also the journal's.
+    entry.metrics = {obj.u64("packets"), obj.f64("send_rate"), obj.f64("p"), obj.f64("rtt"),
+                     obj.f64("t0"), obj.f64("predicted"), fault_stats_from(obj.u64s("ff")),
+                     fault_stats_from(obj.u64s("rf"))};
+  } else {
+    entry.failure_class = obj.str("class") == "transient" ? FailureClass::kTransient
+                                                           : FailureClass::kPermanent;
+    entry.failure_kind = failure_kind_from_name(obj.str("kind"));
+    entry.error = obj.str("error");
   }
   return entry;
 }

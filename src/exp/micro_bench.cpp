@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <fstream>
 #include <iomanip>
 #include <ostream>
@@ -18,6 +17,7 @@
 #include "obs/event_loop_stats.hpp"
 #include "obs/flight/flight_recorder.hpp"
 #include "robust/failpoint.hpp"
+#include "robust/json_line.hpp"
 #include "serve/prepared_cache.hpp"
 #include "serve/protocol.hpp"
 #include "sim/event_queue.hpp"
@@ -156,26 +156,6 @@ std::uint64_t serve_request_path(const std::vector<std::string>& lines,
     checksum += response.size();
   }
   return checksum;
-}
-
-/// Minimal JSON string escaping for host strings (quotes, backslashes,
-/// control bytes — cpuinfo model names are ASCII but not guaranteed).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -333,7 +313,7 @@ void write_bench_json(std::ostream& os, const MicroBenchReport& report) {
      << "  \"mode\": \"" << report.mode << "\",\n"
      << "  \"repeats\": " << report.repeats << ",\n"
      << "  \"host\": {\n"
-     << "    \"cpu_model\": \"" << json_escape(report.host.cpu_model) << "\",\n"
+     << "    \"cpu_model\": \"" << robust::json::escape(report.host.cpu_model) << "\",\n"
      << "    \"cores\": " << report.host.cores << ",\n"
      << "    \"page_size\": " << report.host.page_size << "\n"
      << "  },\n"

@@ -2,23 +2,17 @@
 
 #include <algorithm>
 #include <fstream>
-#include <iomanip>
 #include <sstream>
 #include <stdexcept>
 
 #include "robust/durable_file.hpp"
+#include "robust/json_line.hpp"
 
 namespace pftk::mc {
 
 namespace {
 
 constexpr const char* kMagic = "pftk-mc/1";
-
-std::string format_double(double value) {
-  std::ostringstream os;
-  os << std::setprecision(17) << value;  // round-trips exactly
-  return os.str();
-}
 
 std::string one_line(std::string text) {
   std::replace(text.begin(), text.end(), '\n', ' ');
@@ -33,11 +27,11 @@ std::string serialize_trace(const CounterexampleTrace& trace) {
   std::ostringstream os;
   os << kMagic << '\n';
   os << "packets=" << c.packets << '\n';
-  os << "window=" << format_double(c.window) << '\n';
+  os << "window=" << robust::json::g17(c.window) << '\n';
   os << "ack_every=" << c.ack_every << '\n';
-  os << "one_way_delay=" << format_double(c.one_way_delay) << '\n';
-  os << "min_rto=" << format_double(c.min_rto) << '\n';
-  os << "time_cap=" << format_double(c.time_cap) << '\n';
+  os << "one_way_delay=" << robust::json::g17(c.one_way_delay) << '\n';
+  os << "min_rto=" << robust::json::g17(c.min_rto) << '\n';
+  os << "time_cap=" << robust::json::g17(c.time_cap) << '\n';
   if (!c.fault_schedule.empty()) {
     os << "faults=" << one_line(c.fault_schedule) << '\n';
   }

@@ -1,8 +1,6 @@
 #include "obs/export.hpp"
 
-#include <cmath>
 #include <fstream>
-#include <iomanip>
 #include <istream>
 #include <limits>
 #include <ostream>
@@ -10,222 +8,104 @@
 #include <stdexcept>
 
 #include "robust/durable_file.hpp"
+#include "robust/json_line.hpp"
 
 namespace pftk::obs {
 
 namespace {
 
-/// Stable double rendering: round-trip precision, locale-free.
-std::string fmt_double(double v) {
-  std::ostringstream os;
-  os.imbue(std::locale::classic());
-  os << std::setprecision(17) << v;
-  return os.str();
-}
+using robust::json::escape;
+using robust::json::g17;
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default: out += c; break;
-    }
-  }
-  return out;
-}
-
-// ---- minimal key-based JSON field extraction -------------------------
-//
-// The reader only ever consumes lines this module wrote, so a targeted
-// scanner is enough: find `"key":` at object level and parse the value
-// after it. Failures throw std::invalid_argument; the lenient line loop
-// converts them into dropped-line accounting.
-
-std::size_t find_key(const std::string& line, const std::string& key,
-                     std::size_t from = 0) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t pos = line.find(needle, from);
-  if (pos == std::string::npos) {
-    throw std::invalid_argument("missing field '" + key + "'");
-  }
-  return pos + needle.size();
-}
-
-std::string get_string(const std::string& line, const std::string& key,
-                       std::size_t from = 0) {
-  std::size_t pos = find_key(line, key, from);
-  if (pos >= line.size() || line[pos] != '"') {
-    throw std::invalid_argument("field '" + key + "' is not a string");
-  }
-  std::string out;
-  for (++pos; pos < line.size(); ++pos) {
-    const char c = line[pos];
-    if (c == '\\' && pos + 1 < line.size()) {
-      const char next = line[++pos];
-      out += next == 'n' ? '\n' : next == 't' ? '\t' : next == 'r' ? '\r' : next;
-    } else if (c == '"') {
-      return out;
-    } else {
-      out += c;
-    }
-  }
-  throw std::invalid_argument("unterminated string for '" + key + "'");
-}
-
-double get_number(const std::string& line, const std::string& key,
-                  std::size_t from = 0) {
-  const std::size_t pos = find_key(line, key, from);
-  std::size_t consumed = 0;
-  const double v = std::stod(line.substr(pos), &consumed);
-  if (consumed == 0) {
-    throw std::invalid_argument("field '" + key + "' is not a number");
-  }
-  return v;
-}
-
-std::uint64_t get_u64(const std::string& line, const std::string& key,
-                      std::size_t from = 0) {
-  const double v = get_number(line, key, from);
-  if (!(v >= 0.0)) {
-    throw std::invalid_argument("field '" + key + "' is negative");
-  }
-  return static_cast<std::uint64_t>(v);
-}
-
-/// Parses `"key":[n, n, ...]` of plain numbers.
-template <typename T>
-std::vector<T> get_number_array(const std::string& line, const std::string& key,
-                                std::size_t from = 0) {
-  std::size_t pos = find_key(line, key, from);
-  if (pos >= line.size() || line[pos] != '[') {
-    throw std::invalid_argument("field '" + key + "' is not an array");
-  }
-  std::vector<T> out;
-  ++pos;
-  while (pos < line.size() && line[pos] != ']') {
-    std::size_t consumed = 0;
-    out.push_back(static_cast<T>(std::stod(line.substr(pos), &consumed)));
-    pos += consumed;
-    if (pos < line.size() && line[pos] == ',') {
-      ++pos;
-    }
-  }
-  if (pos >= line.size()) {
-    throw std::invalid_argument("unterminated array for '" + key + "'");
-  }
-  return out;
+const char* kind_name(MetricKind kind) noexcept {
+  return kind == MetricKind::kCounter ? "counter"
+         : kind == MetricKind::kGauge ? "gauge"
+                                      : "histogram";
 }
 
 // ---- record writers --------------------------------------------------
 
 void write_metric_line(std::ostream& os, const MetricValue& mv) {
-  os << "{\"kind\":\"metric\",\"type\":\""
-     << (mv.kind == MetricKind::kCounter    ? "counter"
-         : mv.kind == MetricKind::kGauge    ? "gauge"
-                                            : "histogram")
-     << "\",\"name\":\"" << json_escape(mv.name) << "\",\"help\":\""
-     << json_escape(mv.help) << "\"";
+  os << "{\"kind\":\"metric\",\"type\":\"" << kind_name(mv.kind) << "\",\"name\":\""
+     << escape(mv.name) << "\",\"help\":\"" << escape(mv.help) << "\"";
   if (mv.kind == MetricKind::kHistogram) {
     os << ",\"bounds\":[";
     for (std::size_t i = 0; i < mv.bounds.size(); ++i) {
-      os << (i ? "," : "") << fmt_double(mv.bounds[i]);
+      os << (i ? "," : "") << g17(mv.bounds[i]);
     }
     os << "],\"buckets\":[";
     for (std::size_t i = 0; i < mv.buckets.size(); ++i) {
       os << (i ? "," : "") << mv.buckets[i];
     }
-    os << "],\"count\":" << mv.count << ",\"sum\":" << fmt_double(mv.sum)
+    os << "],\"count\":" << mv.count << ",\"sum\":" << g17(mv.sum)
        << ",\"rejected\":" << mv.rejected;
   } else {
-    os << ",\"value\":" << fmt_double(mv.value);
+    os << ",\"value\":" << g17(mv.value);
   }
   os << "}\n";
 }
 
 void write_event_line(std::ostream& os, const ConnEvent& event) {
-  os << "{\"kind\":\"event\",\"t\":" << fmt_double(event.t) << ",\"event\":\""
-     << conn_event_name(event.kind) << "\",\"value\":" << fmt_double(event.value)
-     << ",\"aux\":" << fmt_double(event.aux) << "}\n";
+  os << "{\"kind\":\"event\",\"t\":" << g17(event.t) << ",\"event\":\""
+     << conn_event_name(event.kind) << "\",\"value\":" << g17(event.value)
+     << ",\"aux\":" << g17(event.aux) << "}\n";
 }
 
 void write_span_line(std::ostream& os, const SpanRecord& span) {
-  os << "{\"kind\":\"span\",\"name\":\"" << json_escape(span.name)
-     << "\",\"outcome\":\"" << json_escape(span.outcome)
+  os << "{\"kind\":\"span\",\"name\":\"" << escape(span.name)
+     << "\",\"outcome\":\"" << escape(span.outcome)
      << "\",\"attempts\":" << span.attempts
-     << ",\"total_s\":" << fmt_double(span.total_seconds)
-     << ",\"backoff_s\":" << fmt_double(span.backoff_seconds)
+     << ",\"total_s\":" << g17(span.total_seconds)
+     << ",\"backoff_s\":" << g17(span.backoff_seconds)
      << ",\"journal_writes\":" << span.journal_writes
      << ",\"journal_bytes\":" << span.journal_bytes << ",\"phases\":[";
   for (std::size_t i = 0; i < span.phases.size(); ++i) {
     const SpanPhase& phase = span.phases[i];
-    os << (i ? "," : "") << "{\"phase\":\"" << json_escape(phase.name)
-       << "\",\"s\":" << fmt_double(phase.seconds) << ",\"detail\":\""
-       << json_escape(phase.detail) << "\"}";
+    os << (i ? "," : "") << "{\"phase\":\"" << escape(phase.name)
+       << "\",\"s\":" << g17(phase.seconds) << ",\"detail\":\""
+       << escape(phase.detail) << "\"}";
   }
   os << "]}\n";
 }
 
-MetricValue parse_metric_line(const std::string& line) {
+MetricValue parse_metric_line(const robust::json::Object& obj) {
   MetricValue mv;
-  const std::string type = get_string(line, "type");
+  const std::string type = obj.str("type");
   mv.kind = type == "counter"     ? MetricKind::kCounter
             : type == "gauge"     ? MetricKind::kGauge
             : type == "histogram" ? MetricKind::kHistogram
                                   : throw std::invalid_argument(
                                         "unknown metric type '" + type + "'");
-  mv.name = get_string(line, "name");
-  mv.help = get_string(line, "help");
+  mv.name = obj.str("name");
+  mv.help = obj.str("help");
   if (mv.kind == MetricKind::kHistogram) {
-    mv.bounds = get_number_array<double>(line, "bounds");
-    mv.buckets = get_number_array<std::uint64_t>(line, "buckets");
-    mv.count = get_u64(line, "count");
-    mv.sum = get_number(line, "sum");
-    mv.rejected = get_u64(line, "rejected");
+    mv.bounds = obj.f64s("bounds");
+    mv.buckets = obj.u64s("buckets");
+    mv.count = obj.u64("count");
+    mv.sum = obj.f64("sum");
+    mv.rejected = obj.u64("rejected");
     if (mv.buckets.size() != mv.bounds.size() + 1) {
       throw std::invalid_argument("histogram bucket/bound count mismatch");
     }
   } else {
-    mv.value = get_number(line, "value");
+    mv.value = obj.f64("value");
   }
   return mv;
 }
 
-ConnEvent parse_event_line(const std::string& line) {
-  ConnEvent event;
-  event.t = get_number(line, "t");
-  event.kind = conn_event_from_name(get_string(line, "event"));
-  event.value = get_number(line, "value");
-  event.aux = get_number(line, "aux");
-  return event;
-}
-
-SpanRecord parse_span_line(const std::string& line) {
+SpanRecord parse_span_line(const robust::json::Object& obj) {
   SpanRecord span;
-  span.name = get_string(line, "name");
-  span.outcome = get_string(line, "outcome");
-  span.attempts = static_cast<int>(get_number(line, "attempts"));
-  span.total_seconds = get_number(line, "total_s");
-  span.backoff_seconds = get_number(line, "backoff_s");
-  span.journal_writes = get_u64(line, "journal_writes");
-  span.journal_bytes = get_u64(line, "journal_bytes");
-  // Phases: scan the objects of the "phases" array in order.
-  std::size_t pos = find_key(line, "phases");
-  while (true) {
-    const std::size_t obj = line.find("{\"phase\":", pos);
-    if (obj == std::string::npos) {
-      break;
-    }
-    SpanPhase phase;
-    phase.name = get_string(line, "phase", obj);
-    phase.seconds = get_number(line, "s", obj);
-    phase.detail = get_string(line, "detail", obj);
-    span.phases.push_back(std::move(phase));
-    pos = obj + 1;
+  span.name = obj.str("name");
+  span.outcome = obj.str("outcome");
+  span.attempts = static_cast<int>(
+      obj.u64("attempts", std::numeric_limits<int>::max()));
+  span.total_seconds = obj.f64("total_s");
+  span.backoff_seconds = obj.f64("backoff_s");
+  span.journal_writes = obj.u64("journal_writes");
+  span.journal_bytes = obj.u64("journal_bytes");
+  for (const robust::json::Object& entry : obj.objects("phases")) {
+    span.phases.push_back(
+        {entry.str("phase"), entry.f64("s"), entry.str("detail")});
   }
   return span;
 }
@@ -235,34 +115,30 @@ SpanRecord parse_span_line(const std::string& line) {
 void write_prometheus(std::ostream& os, const MetricsSnapshot& snapshot) {
   for (const MetricValue& mv : snapshot.metrics) {
     os << "# HELP " << mv.name << " " << mv.help << "\n"
-       << "# TYPE " << mv.name << " "
-       << (mv.kind == MetricKind::kCounter    ? "counter"
-           : mv.kind == MetricKind::kGauge    ? "gauge"
-                                              : "histogram")
-       << "\n";
+       << "# TYPE " << mv.name << " " << kind_name(mv.kind) << "\n";
     if (mv.kind == MetricKind::kHistogram) {
       std::uint64_t cumulative = 0;
       for (std::size_t i = 0; i < mv.bounds.size(); ++i) {
         cumulative += mv.buckets[i];
-        os << mv.name << "_bucket{le=\"" << fmt_double(mv.bounds[i]) << "\"} "
+        os << mv.name << "_bucket{le=\"" << g17(mv.bounds[i]) << "\"} "
            << cumulative << "\n";
       }
       cumulative += mv.buckets.back();
       os << mv.name << "_bucket{le=\"+Inf\"} " << cumulative << "\n"
-         << mv.name << "_sum " << fmt_double(mv.sum) << "\n"
+         << mv.name << "_sum " << g17(mv.sum) << "\n"
          << mv.name << "_count " << mv.count << "\n";
       if (mv.rejected > 0) {
         os << mv.name << "_rejected " << mv.rejected << "\n";
       }
     } else {
-      os << mv.name << " " << fmt_double(mv.value) << "\n";
+      os << mv.name << " " << g17(mv.value) << "\n";
     }
   }
 }
 
 void write_obs_jsonl(std::ostream& os, const ObsBundle& bundle) {
   os << "{\"schema\":\"" << kObsSchema << "\",\"kind\":\"header\",\"source\":\""
-     << json_escape(bundle.source) << "\",\"events_dropped\":" << bundle.events_dropped
+     << escape(bundle.source) << "\",\"events_dropped\":" << bundle.events_dropped
      << "}\n";
   for (const MetricValue& mv : bundle.metrics.metrics) {
     write_metric_line(os, mv);
@@ -289,26 +165,28 @@ ObsBundle read_obs_jsonl(std::istream& is, ObsReadReport* report) {
       continue;
     }
     try {
+      const robust::json::Object obj(line);
       if (!have_header) {
         // The first non-empty line must be the header; anything else
         // means this is not an obs file at all.
-        const std::string schema = get_string(line, "schema");
+        const std::string schema = obj.str("schema");
         if (schema != kObsSchema) {
           throw std::invalid_argument("unsupported obs schema '" + schema + "'");
         }
-        bundle.source = get_string(line, "source");
-        bundle.events_dropped = get_u64(line, "events_dropped");
+        bundle.source = obj.str("source");
+        bundle.events_dropped = obj.u64("events_dropped");
         have_header = true;
         ++rr.records_parsed;
         continue;
       }
-      const std::string kind = get_string(line, "kind");
+      const std::string kind = obj.str("kind");
       if (kind == "metric") {
-        bundle.metrics.metrics.push_back(parse_metric_line(line));
+        bundle.metrics.metrics.push_back(parse_metric_line(obj));
       } else if (kind == "event") {
-        bundle.events.push_back(parse_event_line(line));
+        bundle.events.push_back({obj.f64("t"), conn_event_from_name(obj.str("event")),
+                                 obj.f64("value"), obj.f64("aux")});
       } else if (kind == "span") {
-        bundle.spans.push_back(parse_span_line(line));
+        bundle.spans.push_back(parse_span_line(obj));
       } else {
         throw std::invalid_argument("unknown record kind '" + kind + "'");
       }

@@ -8,6 +8,8 @@
 #include <unordered_map>
 #include <utility>
 
+#include "robust/json_line.hpp"
+
 namespace pftk::obs::flight {
 
 namespace {
@@ -41,18 +43,6 @@ std::string fmt_us(std::uint64_t ns) {
   os << std::fixed << std::setprecision(1)
      << static_cast<double>(ns) / 1e3;
   return os.str();
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-    }
-    out += c;
-  }
-  return out;
 }
 
 }  // namespace
@@ -227,7 +217,7 @@ void write_prof_json(std::ostream& os, const ProfReport& report) {
      << ",\"wall_ns\":" << report.wall_ns << ",\"names\":[";
   for (std::size_t i = 0; i < report.names.size(); ++i) {
     const NameStats& stats = report.names[i];
-    os << (i ? "," : "") << "\n{\"name\":\"" << json_escape(stats.name)
+    os << (i ? "," : "") << "\n{\"name\":\"" << robust::json::escape(stats.name)
        << "\",\"count\":" << stats.count
        << ",\"inclusive_ns\":" << stats.inclusive_ns
        << ",\"exclusive_ns\":" << stats.exclusive_ns
@@ -237,8 +227,8 @@ void write_prof_json(std::ostream& os, const ProfReport& report) {
   os << "],\"rollup\":[";
   for (std::size_t i = 0; i < report.rollup.size(); ++i) {
     const RollupEdge& edge = report.rollup[i];
-    os << (i ? "," : "") << "\n{\"parent\":\"" << json_escape(edge.parent)
-       << "\",\"child\":\"" << json_escape(edge.child)
+    os << (i ? "," : "") << "\n{\"parent\":\"" << robust::json::escape(edge.parent)
+       << "\",\"child\":\"" << robust::json::escape(edge.child)
        << "\",\"count\":" << edge.count << ",\"total_ns\":" << edge.total_ns
        << "}";
   }

@@ -1,96 +1,26 @@
 #include "obs/flight/span_export.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
 #include "robust/durable_file.hpp"
 #include "robust/failpoint.hpp"
+#include "robust/json_line.hpp"
 
 namespace pftk::obs::flight {
 
 namespace {
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
+using robust::json::escape;
 
 /// Microseconds with ns resolution kept as a fraction — Chrome's `ts`
 /// is conventionally µs, and three decimals preserve the full clock.
 std::string us_from_ns(std::uint64_t ns) {
-  std::ostringstream os;
-  os.imbue(std::locale::classic());
-  os << ns / 1000 << '.';
-  const auto frac = static_cast<unsigned>(ns % 1000);
-  os << static_cast<char>('0' + frac / 100) << static_cast<char>('0' + frac / 10 % 10)
-     << static_cast<char>('0' + frac % 10);
-  return os.str();
-}
-
-// ---- targeted field scanner (mirrors obs/export.cpp's reader) --------
-
-std::size_t find_key(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t pos = line.find(needle);
-  if (pos == std::string::npos) {
-    throw std::invalid_argument("missing field '" + key + "'");
-  }
-  return pos + needle.size();
-}
-
-std::string get_string(const std::string& line, const std::string& key) {
-  std::size_t pos = find_key(line, key);
-  if (pos >= line.size() || line[pos] != '"') {
-    throw std::invalid_argument("field '" + key + "' is not a string");
-  }
-  std::string out;
-  for (++pos; pos < line.size(); ++pos) {
-    const char c = line[pos];
-    if (c == '\\' && pos + 1 < line.size()) {
-      const char next = line[++pos];
-      out += next == 'n' ? '\n' : next == 't' ? '\t' : next == 'r' ? '\r' : next;
-    } else if (c == '"') {
-      return out;
-    } else {
-      out += c;
-    }
-  }
-  throw std::invalid_argument("unterminated string for '" + key + "'");
-}
-
-std::uint64_t get_u64(const std::string& line, const std::string& key) {
-  std::size_t pos = find_key(line, key);
-  if (pos >= line.size() || line[pos] < '0' || line[pos] > '9') {
-    throw std::invalid_argument("field '" + key + "' is not an unsigned integer");
-  }
-  std::uint64_t v = 0;
-  for (; pos < line.size() && line[pos] >= '0' && line[pos] <= '9'; ++pos) {
-    v = v * 10 + static_cast<std::uint64_t>(line[pos] - '0');
-  }
-  return v;
+  // 1000 + the remainder always has four digits; drop the leading 1.
+  return std::to_string(ns / 1000) + '.' + std::to_string(1000 + ns % 1000).substr(1);
 }
 
 }  // namespace
@@ -106,14 +36,14 @@ std::string render_chrome_json(const DrainedSpans& drained,
       os << ",";
     }
     first = false;
-    os << "\n{\"name\":\"" << json_escape(span.name)
+    os << "\n{\"name\":\"" << escape(span.name)
        << "\",\"cat\":\"pftk\",\"ph\":\"X\",\"ts\":" << us_from_ns(span.begin_ns)
        << ",\"dur\":" << us_from_ns(span.end_ns - span.begin_ns)
        << ",\"pid\":1,\"tid\":" << span.tid << ",\"args\":{\"arg\":" << span.arg
        << "}}";
   }
   os << "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"schema\":\""
-     << kSpansSchema << "\",\"source\":\"" << json_escape(source)
+     << kSpansSchema << "\",\"source\":\"" << escape(source)
      << "\",\"spans\":" << drained.spans.size()
      << ",\"dropped\":" << drained.dropped << ",\"threads\":" << drained.threads
      << "}}\n";
@@ -125,11 +55,11 @@ std::string render_spans_jsonl(const DrainedSpans& drained,
   std::ostringstream os;
   os.imbue(std::locale::classic());
   os << "{\"schema\":\"" << kSpansSchema << "\",\"kind\":\"header\",\"source\":\""
-     << json_escape(source) << "\",\"spans\":" << drained.spans.size()
+     << escape(source) << "\",\"spans\":" << drained.spans.size()
      << ",\"dropped\":" << drained.dropped << ",\"threads\":" << drained.threads
      << "}\n";
   for (const DrainedSpan& span : drained.spans) {
-    os << "{\"kind\":\"span\",\"name\":\"" << json_escape(span.name)
+    os << "{\"kind\":\"span\",\"name\":\"" << escape(span.name)
        << "\",\"tid\":" << span.tid << ",\"begin_ns\":" << span.begin_ns
        << ",\"end_ns\":" << span.end_ns << ",\"arg\":" << span.arg << "}\n";
   }
@@ -159,6 +89,7 @@ DrainedSpans load_spans_file(const std::string& path) {
   DrainedSpans out;
   std::string line;
   bool saw_header = false;
+  std::uint64_t declared = 0;  // the header's span count
   std::size_t lineno = 0;
   while (std::getline(in, line)) {
     ++lineno;
@@ -166,24 +97,26 @@ DrainedSpans load_spans_file(const std::string& path) {
       continue;
     }
     try {
+      const robust::json::Object obj(line);
       if (!saw_header) {
-        if (get_string(line, "schema") != kSpansSchema) {
+        if (obj.str("schema") != kSpansSchema) {
           throw std::invalid_argument("unsupported schema");
         }
-        out.dropped = get_u64(line, "dropped");
-        out.threads = static_cast<std::uint32_t>(get_u64(line, "threads"));
+        declared = obj.u64("spans");
+        out.dropped = obj.u64("dropped");
+        out.threads = static_cast<std::uint32_t>(obj.u64("threads", UINT32_MAX));
         saw_header = true;
         continue;
       }
-      if (get_string(line, "kind") != "span") {
+      if (obj.str("kind") != "span") {
         throw std::invalid_argument("unexpected record kind");
       }
-      DrainedSpan span;
-      span.name = get_string(line, "name");
-      span.tid = static_cast<std::uint32_t>(get_u64(line, "tid"));
-      span.begin_ns = get_u64(line, "begin_ns");
-      span.end_ns = get_u64(line, "end_ns");
-      span.arg = get_u64(line, "arg");
+      if (out.spans.size() == declared) {
+        throw std::invalid_argument("more span lines than the header's " +
+                                    std::to_string(declared));
+      }
+      DrainedSpan span{obj.str("name"), static_cast<std::uint32_t>(obj.u64("tid", UINT32_MAX)),
+                       obj.u64("begin_ns"), obj.u64("end_ns"), obj.u64("arg")};
       if (span.end_ns < span.begin_ns) {
         throw std::invalid_argument("span ends before it begins");
       }
@@ -197,6 +130,9 @@ DrainedSpans load_spans_file(const std::string& path) {
     throw std::invalid_argument("span file '" + path +
                                 "' has no pftk-spans/1 header");
   }
+  // Span lines missing against the header's count were lost after the
+  // drain; they count as dropped, so no verdict is drawn from the rest.
+  out.dropped += std::min(declared - out.spans.size(), UINT64_MAX - out.dropped);
   return out;
 }
 

@@ -38,8 +38,10 @@ void save_spans_file(const std::string& path, const DrainedSpans& drained,
                      std::string_view source);
 
 /// Strict pftk-spans/1 reader: validates the schema header and every
-/// span line; throws std::invalid_argument on malformed input and
-/// robust::IoError when the file cannot be read.
+/// span line, and counts span lines missing against the header's `spans`
+/// as dropped; throws std::invalid_argument on malformed input (or more
+/// span lines than the header counted) and robust::IoError when the file
+/// cannot be read.
 [[nodiscard]] DrainedSpans load_spans_file(const std::string& path);
 
 }  // namespace pftk::obs::flight

@@ -5,6 +5,8 @@
 #include <ostream>
 #include <sstream>
 
+#include "robust/json_line.hpp"
+
 namespace pftk::obs {
 
 double LossBreakdown::td_fraction() const noexcept {
@@ -127,8 +129,9 @@ void write_breakdown_json(std::ostream& os, const LossBreakdown& bd,
     frac << "\"td_fraction\":" << bd.td_fraction() << ",\"to_fraction\":" << bd.to_fraction();
   }
   frac << ",\"duration_s\":" << bd.duration;
-  os << "{\"schema\":\"pftk-obs/1\",\"kind\":\"summary\",\"source\":\"" << source
-     << "\",\"loss_indications\":" << bd.loss_indications() << ",\"td\":" << bd.td
+  os << "{\"schema\":\"pftk-obs/1\",\"kind\":\"summary\",\"source\":\""
+     << robust::json::escape(source) << "\",\"loss_indications\":" << bd.loss_indications()
+     << ",\"td\":" << bd.td
      << ",\"to_sequences\":" << bd.to_sequences
      << ",\"timeout_events\":" << bd.timeout_events
      << ",\"max_backoff_level\":" << bd.max_backoff_level << ",\"timeouts_by_depth\":[";

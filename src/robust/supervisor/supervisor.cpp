@@ -10,7 +10,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <deque>
 #include <new>
@@ -20,6 +19,7 @@
 
 #include "robust/durable_file.hpp"
 #include "robust/failpoint.hpp"
+#include "robust/json_line.hpp"
 
 namespace pftk::robust {
 
@@ -36,37 +36,6 @@ void set_nonblocking(int fd) {
   if (flags >= 0) {
     (void)::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
   }
-}
-
-/// Minimal JSON string escaping for post-mortem details.
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 struct Slot {
@@ -370,7 +339,7 @@ SupervisorResult Supervisor::run(const WorkerMain& worker_main) {
         os << ",\"backoff_ms\":" << ev.backoff_ms;
       }
       if (!ev.detail.empty()) {
-        os << ",\"detail\":\"" << json_escape(ev.detail) << "\"";
+        os << ",\"detail\":\"" << json::escape(ev.detail) << "\"";
       }
       os << "}";
     }

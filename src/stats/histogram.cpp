@@ -50,21 +50,4 @@ double Histogram::fraction_in_bin(std::size_t i) const {
   return static_cast<double>(count_in_bin(i)) / static_cast<double>(total_);
 }
 
-CategoryCounter::CategoryCounter(std::size_t saturating_at) : counts_(saturating_at, 0) {
-  if (saturating_at == 0) {
-    throw std::invalid_argument("CategoryCounter: saturating_at must be > 0");
-  }
-}
-
-void CategoryCounter::add(std::size_t category) noexcept {
-  ++total_;
-  if (category >= counts_.size()) {
-    ++counts_.back();
-  } else {
-    ++counts_[category];
-  }
-}
-
-std::uint64_t CategoryCounter::count(std::size_t i) const { return counts_.at(i); }
-
 }  // namespace pftk::stats

@@ -1,6 +1,4 @@
-// Fixed-width-bin histogram over a bounded range, plus a small counter
-// histogram for discrete categories (used for the timeout-depth breakdown
-// of Table II: TD, T0, T1, ..., "T5 or more").
+// Fixed-width-bin histogram over a bounded range.
 #pragma once
 
 #include <cstddef>
@@ -41,26 +39,6 @@ class Histogram {
   std::vector<std::uint64_t> counts_;
   std::uint64_t underflow_ = 0;
   std::uint64_t overflow_ = 0;
-  std::uint64_t total_ = 0;
-};
-
-/// Counts observations of small non-negative integer categories, clamping
-/// everything >= `saturating_at` into the last bucket ("N or more").
-class CategoryCounter {
- public:
-  /// @throws std::invalid_argument if saturating_at == 0.
-  explicit CategoryCounter(std::size_t saturating_at);
-
-  void add(std::size_t category) noexcept;
-
-  /// Count in category i (i < saturating_at). The final category
-  /// aggregates all categories >= saturating_at - 1.
-  [[nodiscard]] std::uint64_t count(std::size_t i) const;
-  [[nodiscard]] std::size_t num_categories() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
-
- private:
-  std::vector<std::uint64_t> counts_;
   std::uint64_t total_ = 0;
 };
 

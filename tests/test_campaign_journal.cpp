@@ -39,7 +39,7 @@ JournalEntry failed_entry(std::size_t index) {
   entry.attempts = 3;
   entry.failure_class = FailureClass::kTransient;
   entry.failure_kind = FailureKind::kWatchdogStall;
-  entry.error = "watchdog: stall \"quoted\"\nwith newline and \\backslash";
+  entry.error = "watchdog: stall \"quoted\"\nwith newline, \\backslash and \x01";
   return entry;
 }
 
@@ -67,6 +67,20 @@ TEST(CampaignJournal, FailedEntryRoundTripsWithEscapes) {
   EXPECT_EQ(parsed.failure_kind, FailureKind::kWatchdogStall);
   EXPECT_EQ(parsed.error, entry.error);
   EXPECT_EQ(parsed.to_json(), entry.to_json());
+}
+
+TEST(CampaignJournal, ReadsEscapesAndIndicesExactly) {
+  // \u0001 is the byte 0x01 and the item index is an exact integer; a
+  // fractional or signed index is a bad line, not a rounded one.
+  const std::string line =
+      "{\"item\":9007199254740993,\"key\":\"k\\u0001\",\"status\":\"failed\","
+      "\"attempts\":2,\"class\":\"transient\",\"kind\":\"io_error\",\"error\":\"e\"}";
+  const JournalEntry entry = JournalEntry::from_json(line);
+  EXPECT_EQ(entry.index, 9007199254740993u);
+  EXPECT_EQ(entry.key, "k\x01");
+  std::string fractional = line;
+  fractional.replace(fractional.find("9007199254740993"), 16, "1.5");
+  EXPECT_THROW((void)JournalEntry::from_json(fractional), std::invalid_argument);
 }
 
 TEST(CampaignJournal, MalformedLinesThrow) {

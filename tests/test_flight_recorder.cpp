@@ -157,7 +157,7 @@ TEST_F(FlightRecorderTest, ClearDropsSpansButKeepsRecorderUsable) {
 TEST_F(FlightRecorderTest, JsonlRoundTripPreservesEverySpanField) {
   auto& rec = flight::Recorder::instance();
   rec.arm(kCap);
-  rec.record("unit.rt \"quoted\"", 100, 250, 7);
+  rec.record("unit.rt \"quoted\" \\ \n \x01", 100, 250, 7);
   rec.record("unit.rt2", 300, 300);  // zero-length marker survives too
   rec.disarm();
   const auto drained = rec.drain();
@@ -246,6 +246,64 @@ TEST_F(FlightRecorderTest, LoadRejectsMissingHeaderAndBadSpans) {
   }
   EXPECT_THROW(flight::load_spans_file(backwards), std::invalid_argument);
   std::remove(backwards.c_str());
+}
+
+/// Writes `body` to a temp span file and returns its path.
+std::string write_span_file(const char* name, const std::string& body) {
+  const std::string path = (std::filesystem::temp_directory_path() / name).string();
+  std::ofstream(path) << body;
+  return path;
+}
+
+std::string header(const char* spans, const char* dropped) {
+  return std::string("{\"schema\":\"pftk-spans/1\",\"kind\":\"header\",\"source\":\"t\",") +
+         "\"spans\":" + spans + ",\"dropped\":" + dropped + ",\"threads\":1}\n";
+}
+
+std::string span_line(const char* name, const char* tid) {
+  return std::string("{\"kind\":\"span\",\"name\":\"") + name + "\",\"tid\":" + tid +
+         ",\"begin_ns\":0,\"end_ns\":1,\"arg\":0}\n";
+}
+
+/// The message load_spans_file throws for `body`, or "" if it loads.
+std::string load_error(const std::string& body) {
+  const std::string path = write_span_file("pftk_spans_bad.jsonl", body);
+  try {
+    (void)flight::load_spans_file(path);
+  } catch (const std::invalid_argument& e) {
+    std::remove(path.c_str());
+    return e.what();
+  }
+  std::remove(path.c_str());
+  return "";
+}
+
+TEST_F(FlightRecorderTest, LoadRejectsCountersBeyondTheirWidthNamingTheLine) {
+  // Integers are exact: one past UINT64_MAX is not a wrapped 0, and a tid
+  // past UINT32_MAX is not truncated to 1.
+  EXPECT_NE(load_error(header("0", "18446744073709551616")).find("line 1"),
+            std::string::npos);
+  EXPECT_NE(load_error(header("1", "0") + span_line("x", "4294967297")).find("line 2"),
+            std::string::npos);
+  EXPECT_EQ(load_error(header("1", "18446744073709551615") + span_line("x", "4294967295")),
+            "");
+}
+
+TEST_F(FlightRecorderTest, HeaderSpanCountIsCheckedAgainstTheSpanLines) {
+  // Lines lost after the drain count as dropped, so prof's verdict turns
+  // indeterminate instead of violated.
+  const std::string path = write_span_file(
+      "pftk_spans_short.jsonl", header("3", "2") + span_line("a\\u0001", "1"));
+  const auto loaded = flight::load_spans_file(path);
+  std::remove(path.c_str());
+  ASSERT_EQ(loaded.spans.size(), 1u);
+  EXPECT_EQ(loaded.spans[0].name, "a\x01");
+  EXPECT_EQ(loaded.dropped, 4u);
+
+  // More lines than the header counted is damage, named by line.
+  const std::string extra = load_error(header("1", "0") + span_line("a", "1") +
+                                       span_line("b", "1"));
+  EXPECT_NE(extra.find("line 3"), std::string::npos) << extra;
 }
 
 }  // namespace

@@ -52,24 +52,5 @@ TEST(Histogram, FractionsIncludeOutliers) {
   EXPECT_DOUBLE_EQ(h.fraction_in_bin(0), 0.5);
 }
 
-TEST(CategoryCounter, RejectsZeroCategories) {
-  EXPECT_THROW(CategoryCounter(0), std::invalid_argument);
-}
-
-TEST(CategoryCounter, SaturatesIntoLastBucket) {
-  // Mirrors the Table-II columns: depths 1..5 plus "5 or more".
-  CategoryCounter c(6);
-  c.add(0);
-  c.add(1);
-  c.add(5);
-  c.add(6);
-  c.add(99);
-  EXPECT_EQ(c.count(0), 1u);
-  EXPECT_EQ(c.count(1), 1u);
-  EXPECT_EQ(c.count(5), 3u);  // 5, 6 and 99 all saturate
-  EXPECT_EQ(c.total(), 5u);
-  EXPECT_THROW((void)c.count(6), std::out_of_range);
-}
-
 }  // namespace
 }  // namespace pftk::stats

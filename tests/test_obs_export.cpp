@@ -4,9 +4,12 @@
 // line by line — but refuses files that are not obs files at all.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -14,6 +17,10 @@
 
 namespace pftk::obs {
 namespace {
+
+/// A string every JSON writer must escape: quote, backslash, newline and
+/// a control byte with no short escape.
+const std::string kAwkward = "q\"b\\s\nc\x01" "d";
 
 /// A snapshot with one of each metric kind and interesting values.
 MetricsSnapshot sample_snapshot() {
@@ -77,14 +84,16 @@ TEST(ObsExport, PrometheusTextFollowsExpositionConventions) {
 }
 
 TEST(ObsExport, JsonlRoundTripIsLossless) {
-  const ObsBundle original = sample_bundle();
+  ObsBundle original = sample_bundle();
+  original.source = kAwkward;
+  original.spans[0].phases[0].detail = kAwkward;
   std::stringstream stream;
   write_obs_jsonl(stream, original);
 
   ObsReadReport report;
   const ObsBundle back = read_obs_jsonl(stream, &report);
   EXPECT_TRUE(report.clean());
-  EXPECT_EQ(back.source, "test");
+  EXPECT_EQ(back.source, kAwkward);
   EXPECT_EQ(back.events_dropped, 3u);
 
   ASSERT_EQ(back.metrics.metrics.size(), original.metrics.metrics.size());
@@ -120,8 +129,56 @@ TEST(ObsExport, JsonlRoundTripIsLossless) {
   EXPECT_EQ(span.journal_bytes, 120u);
   ASSERT_EQ(span.phases.size(), 2u);
   EXPECT_EQ(span.phases[0].name, "backoff");
-  EXPECT_EQ(span.phases[0].detail, "before attempt 2");
+  EXPECT_EQ(span.phases[0].detail, kAwkward);
   EXPECT_EQ(span.phases[1].name, "attempt");
+}
+
+TEST(ObsExport, CountersRoundTripExactlyAtFullU64Width) {
+  // Integers never pass through a double: 2^53 + 1 and UINT64_MAX read
+  // back as written, not as 2^53 and 0.
+  constexpr std::uint64_t kOdd = (std::uint64_t{1} << 53) + 1;
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  ObsBundle original;
+  original.source = "test";
+  original.events_dropped = kMax;
+  MetricValue hist;
+  hist.name = "pftk_wide";
+  hist.help = "wide counts";
+  hist.kind = MetricKind::kHistogram;
+  hist.bounds = {1.0};
+  hist.buckets = {kOdd, kMax};
+  hist.count = kMax;
+  hist.rejected = kOdd;
+  original.metrics.metrics.push_back(hist);
+  std::stringstream stream;
+  write_obs_jsonl(stream, original);
+
+  ObsReadReport report;
+  const ObsBundle back = read_obs_jsonl(stream, &report);
+  ASSERT_TRUE(report.clean()) << report.first_error;
+  EXPECT_EQ(back.events_dropped, kMax);
+  ASSERT_EQ(back.metrics.metrics.size(), 1u);
+  EXPECT_EQ(back.metrics.metrics[0].buckets, (std::vector<std::uint64_t>{kOdd, kMax}));
+  EXPECT_EQ(back.metrics.metrics[0].count, kMax);
+  EXPECT_EQ(back.metrics.metrics[0].rejected, kOdd);
+}
+
+TEST(ObsExport, CutOrOverflowingLinesAreDroppedAndCounted) {
+  // A metric line cut inside its last number is torn, not the value 12;
+  // a count one past UINT64_MAX is damage, not a wrapped 0.
+  std::istringstream is(
+      "{\"schema\":\"pftk-obs/1\",\"kind\":\"header\",\"source\":\"a\\u0001b\","
+      "\"events_dropped\":0}\n"
+      "{\"kind\":\"metric\",\"type\":\"counter\",\"name\":\"x\",\"help\":\"y\","
+      "\"value\":12\n"
+      "{\"kind\":\"metric\",\"type\":\"histogram\",\"name\":\"h\",\"help\":\"y\","
+      "\"bounds\":[],\"buckets\":[18446744073709551616],\"count\":0,\"sum\":0,"
+      "\"rejected\":0}\n");
+  ObsReadReport report;
+  const ObsBundle back = read_obs_jsonl(is, &report);
+  EXPECT_EQ(report.lines_dropped, 2u);
+  EXPECT_TRUE(back.metrics.metrics.empty());
+  EXPECT_EQ(back.source, "a\x01" "b");  // \u0001 decodes to its byte
 }
 
 TEST(ObsExport, LenientReaderSalvagesDamagedLines) {

@@ -15,6 +15,7 @@
 #include "obs/conn_event_trace.hpp"
 #include "obs/export.hpp"
 #include "obs/summarize.hpp"
+#include "robust/json_line.hpp"
 #include "sim/connection.hpp"
 
 namespace pftk::obs {
@@ -196,6 +197,15 @@ TEST(ObsSummarize, JsonFractionsAreNullWhenEventsWereDropped) {
   want.replace(want.find("0.250000"), 8, "null");
   want.replace(want.find("\"events_dropped\":0"), 18, "\"events_dropped\":7");
   EXPECT_EQ(dropped.str(), want);
+}
+
+TEST(ObsSummarize, JsonEscapesTheSource) {
+  // A merged source is free text; a quote, newline or control byte in it
+  // must not break the JSON line.
+  const std::string source = "a\"b\nc\x01" "d";
+  std::ostringstream os;
+  write_breakdown_json(os, LossBreakdown{}, source, 0);
+  EXPECT_EQ(robust::json::Object(os.str()).str("source"), source);
 }
 
 TEST(ObsSummarize, GoldenJsonForFixedSeedFig8ShortTrace) {

@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "robust/json_line.hpp"
+
 namespace flight = pftk::obs::flight;
 
 namespace {
@@ -201,6 +203,21 @@ TEST(ProfTest, JsonHasSchemaAndIdentityBlock) {
   EXPECT_NE(json.find("\"serve_identity\""), std::string::npos);
   EXPECT_NE(json.find("\"verdict\":\"ok\""), std::string::npos);
   EXPECT_EQ(json.find("\"holds\""), std::string::npos);
+}
+
+TEST(ProfTest, JsonStaysValidForNamesThatNeedEscaping) {
+  // A quote, newline or control byte in a span name must come out
+  // escaped, or the report is no longer JSON.
+  const std::string awkward = "a\"b\nc\x01" "d";
+  const auto report = flight::profile_spans(
+      make({span(awkward.c_str(), 1, 0, 10), span("leaf", 1, 2, 4)}));
+  std::ostringstream os;
+  flight::write_prof_json(os, report);
+  const pftk::robust::json::Object doc(os.str());
+  const auto names = doc.objects("names");
+  ASSERT_EQ(names.size(), 2u);
+  EXPECT_EQ(names[0].str("name"), awkward);
+  EXPECT_EQ(doc.objects("rollup").at(0).str("parent"), awkward);
 }
 
 /// A serve recording of `admitted` requests of which `served` were

@@ -54,6 +54,7 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -264,6 +265,31 @@ const char* flag_value(int argc, char** argv, int& i) {
     throw pftk::model::ParamError(std::string(argv[i]) + " needs a value");
   }
   return argv[++i];
+}
+
+/// The optional FILE of `--json [FILE]` at argv[i], advancing i past it;
+/// a next word that starts with '-' is the next flag, so `fallback` is
+/// returned instead. An empty path means stdout (see write_json).
+std::string json_flag_path(int argc, char** argv, int& i, const char* fallback = "") {
+  return i + 1 < argc && argv[i + 1][0] != '-' ? argv[++i] : fallback;
+}
+
+/// Runs `write` on the file at `path`, or on stdout when `path` is empty.
+/// Returns the exit code: 1 when the file cannot be opened.
+template <typename Write>
+int write_json(const std::string& path, Write&& write) {
+  if (path.empty()) {
+    write(std::cout);
+    return 0;
+  }
+  std::ofstream os(path);
+  if (!os) {
+    std::cerr << "error: cannot open " << path << " for writing\n";
+    return 1;
+  }
+  write(os);
+  std::cout << "json written to " << path << "\n";
+  return 0;
 }
 
 /// Observability outputs requested on the command line.
@@ -935,63 +961,60 @@ int cmd_serve(int argc, char** argv) {
   int workers = 1;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    const bool has_value = i + 1 < argc;
-    if (arg == "--socket" && has_value) {
-      config.socket_path = argv[++i];
-    } else if (arg == "--workers" && has_value) {
-      workers = parse_positive_int(argv[++i], "--workers");
-    } else if (arg == "--stall-timeout" && has_value) {
-      sup.stall_timeout_ms = parse_nonnegative(argv[++i], "--stall-timeout");
-    } else if (arg == "--restart-budget" && has_value) {
-      sup.restart_budget = parse_positive_int(argv[++i], "--restart-budget");
-    } else if (arg == "--restart-window" && has_value) {
-      sup.restart_window_s = parse_nonnegative(argv[++i], "--restart-window");
-    } else if (arg == "--postmortem" && has_value) {
-      sup.postmortem_path = argv[++i];
-    } else if (arg == "--degrade-watermark" && has_value) {
-      config.degrade_shed_watermark =
-          parse_nonnegative(argv[++i], "--degrade-watermark");
-    } else if (arg == "--ping-interval" && has_value) {
-      sup.self_ping_interval_ms = parse_nonnegative(argv[++i], "--ping-interval");
-    } else if (arg == "--shards" && has_value) {
-      config.shards = parse_positive_int(argv[++i], "--shards");
-    } else if (arg == "--queue-depth" && has_value) {
-      config.queue_depth =
-          static_cast<std::size_t>(parse_positive_int(argv[++i], "--queue-depth"));
-    } else if (arg == "--batch-max" && has_value) {
-      config.batch_max =
-          static_cast<std::size_t>(parse_positive_int(argv[++i], "--batch-max"));
-    } else if (arg == "--max-line-bytes" && has_value) {
-      config.max_line_bytes = static_cast<std::size_t>(
-          parse_positive_int(argv[++i], "--max-line-bytes"));
-    } else if (arg == "--max-clients" && has_value) {
-      config.max_clients =
-          static_cast<std::size_t>(parse_positive_int(argv[++i], "--max-clients"));
-    } else if (arg == "--deadline-ms" && has_value) {
-      config.default_deadline_ms = parse_nonnegative(argv[++i], "--deadline-ms");
+    const char* flag = arg.c_str();
+    const auto value = [&] { return flag_value(argc, argv, i); };
+    const auto size = [&] {
+      return static_cast<std::size_t>(parse_positive_int(value(), flag));
+    };
+    if (arg == "--socket") {
+      config.socket_path = value();
+    } else if (arg == "--workers") {
+      workers = parse_positive_int(value(), flag);
+    } else if (arg == "--stall-timeout") {
+      sup.stall_timeout_ms = parse_nonnegative(value(), flag);
+    } else if (arg == "--restart-budget") {
+      sup.restart_budget = parse_positive_int(value(), flag);
+    } else if (arg == "--restart-window") {
+      sup.restart_window_s = parse_nonnegative(value(), flag);
+    } else if (arg == "--postmortem") {
+      sup.postmortem_path = value();
+    } else if (arg == "--degrade-watermark") {
+      config.degrade_shed_watermark = parse_nonnegative(value(), flag);
+    } else if (arg == "--ping-interval") {
+      sup.self_ping_interval_ms = parse_nonnegative(value(), flag);
+    } else if (arg == "--shards") {
+      config.shards = parse_positive_int(value(), flag);
+    } else if (arg == "--queue-depth") {
+      config.queue_depth = size();
+    } else if (arg == "--batch-max") {
+      config.batch_max = size();
+    } else if (arg == "--max-line-bytes") {
+      config.max_line_bytes = size();
+    } else if (arg == "--max-clients") {
+      config.max_clients = size();
+    } else if (arg == "--deadline-ms") {
+      config.default_deadline_ms = parse_nonnegative(value(), flag);
       load.deadline_ms = config.default_deadline_ms;
-    } else if (arg == "--metrics-out" && has_value) {
-      config.metrics_out = argv[++i];
-    } else if (arg == "--metrics-every" && has_value) {
-      config.metrics_every = parse_u64(argv[++i], "--metrics-every");
-    } else if (arg == "--slow-us" && has_value) {
-      config.slow_us = parse_u64(argv[++i], "--slow-us");
+    } else if (arg == "--metrics-out") {
+      config.metrics_out = value();
+    } else if (arg == "--metrics-every") {
+      config.metrics_every = parse_u64(value(), flag);
+    } else if (arg == "--slow-us") {
+      config.slow_us = parse_u64(value(), flag);
     } else if (arg == "--selftest") {
       selftest = true;
-    } else if (arg == "--requests" && has_value) {
-      load.requests = parse_u64(argv[++i], "--requests");
-    } else if (arg == "--connections" && has_value) {
-      load.connections = parse_positive_int(argv[++i], "--connections");
-    } else if (arg == "--pipeline" && has_value) {
-      load.pipeline =
-          static_cast<std::uint64_t>(parse_positive_int(argv[++i], "--pipeline"));
-    } else if (arg == "--seed" && has_value) {
-      load.seed = parse_u64(argv[++i], "--seed");
-    } else if (arg == "--param-sets" && has_value) {
-      load.param_sets = parse_positive_int(argv[++i], "--param-sets");
-    } else if (arg == "--inverse-every" && has_value) {
-      load.inverse_every =
-          parse_positive_int(argv[++i], "--inverse-every");
+    } else if (arg == "--requests") {
+      load.requests = parse_u64(value(), flag);
+    } else if (arg == "--connections") {
+      load.connections = parse_positive_int(value(), flag);
+    } else if (arg == "--pipeline") {
+      load.pipeline = size();
+    } else if (arg == "--seed") {
+      load.seed = parse_u64(value(), flag);
+    } else if (arg == "--param-sets") {
+      load.param_sets = parse_positive_int(value(), flag);
+    } else if (arg == "--inverse-every") {
+      load.inverse_every = parse_positive_int(value(), flag);
     } else {
       std::cerr << "unknown serve option: " << arg << "\n";
       return usage();
@@ -1059,9 +1082,8 @@ int cmd_serve(int argc, char** argv) {
 
 int cmd_bench(int argc, char** argv) {
   pftk::exp::MicroBenchConfig config;
-  bool want_json = false;
   bool gate = false;
-  std::string json_path = "BENCH_micro.json";
+  std::optional<std::string> json_path;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--smoke") {
@@ -1069,10 +1091,7 @@ int cmd_bench(int argc, char** argv) {
     } else if (arg == "--gate") {
       gate = true;
     } else if (arg == "--json") {
-      want_json = true;
-      if (i + 1 < argc && argv[i + 1][0] != '-') {
-        json_path = argv[++i];
-      }
+      json_path = json_flag_path(argc, argv, i, "BENCH_micro.json");
     } else {
       std::cerr << "unknown bench option: " << arg << "\n";
       return usage();
@@ -1104,14 +1123,10 @@ int cmd_bench(int argc, char** argv) {
     }
   }
 
-  if (want_json) {
-    std::ofstream os(json_path);
-    if (!os) {
-      std::cerr << "error: cannot open " << json_path << " for writing\n";
-      return 1;
-    }
-    pftk::exp::write_bench_json(os, report);
-    std::cout << "json written to " << json_path << "\n";
+  if (json_path && write_json(*json_path, [&report](std::ostream& os) {
+        pftk::exp::write_bench_json(os, report);
+      }) != 0) {
+    return 1;
   }
   return rc;
 }
@@ -1121,15 +1136,11 @@ int cmd_obs(int argc, char** argv) {
     return usage();
   }
   std::vector<std::string> paths;
-  bool want_json = false;
-  std::string json_path;
+  std::optional<std::string> json_path;
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--json") {
-      want_json = true;
-      if (i + 1 < argc && argv[i + 1][0] != '-') {
-        json_path = argv[++i];
-      }
+      json_path = json_flag_path(argc, argv, i);
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "unknown obs option: " << arg << "\n";
       return usage();
@@ -1159,23 +1170,14 @@ int cmd_obs(int argc, char** argv) {
   }
 
   const auto breakdown = pftk::obs::summarize_events(bundle.events);
-  if (want_json) {
-    if (json_path.empty()) {
-      pftk::obs::write_breakdown_json(std::cout, breakdown, bundle.source,
-                                      bundle.events_dropped);
-    } else {
-      std::ofstream os(json_path);
-      if (!os) {
-        std::cerr << "error: cannot open " << json_path << " for writing\n";
-        return 1;
-      }
-      pftk::obs::write_breakdown_json(os, breakdown, bundle.source,
-                                      bundle.events_dropped);
-      std::cout << "json written to " << json_path << "\n";
-    }
-  } else {
+  if (!json_path) {
     std::cout << pftk::obs::render_breakdown_text(breakdown, bundle.source,
                                                   bundle.events_dropped);
+  } else if (write_json(*json_path, [&](std::ostream& os) {
+               pftk::obs::write_breakdown_json(os, breakdown, bundle.source,
+                                               bundle.events_dropped);
+             }) != 0) {
+    return 1;
   }
   // Events lost to ring overwrite can hide TD and TO indications alike,
   // so the split is indeterminate, the same verdict `pftk prof` gives.
@@ -1192,15 +1194,11 @@ int cmd_prof(int argc, char** argv) {
     return usage();
   }
   const std::string path = argv[2];
-  bool want_json = false;
-  std::string json_path;
+  std::optional<std::string> json_path;
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--json") {
-      want_json = true;
-      if (i + 1 < argc && argv[i + 1][0] != '-') {
-        json_path = argv[++i];
-      }
+      json_path = json_flag_path(argc, argv, i);
     } else {
       std::cerr << "unknown prof option: " << arg << "\n";
       return usage();
@@ -1209,20 +1207,12 @@ int cmd_prof(int argc, char** argv) {
 
   const auto drained = pftk::obs::flight::load_spans_file(path);
   const auto report = pftk::obs::flight::profile_spans(drained);
-  if (want_json) {
-    if (json_path.empty()) {
-      pftk::obs::flight::write_prof_json(std::cout, report);
-    } else {
-      std::ofstream os(json_path);
-      if (!os) {
-        std::cerr << "error: cannot open " << json_path << " for writing\n";
-        return 1;
-      }
-      pftk::obs::flight::write_prof_json(os, report);
-      std::cout << "json written to " << json_path << "\n";
-    }
-  } else {
+  if (!json_path) {
     std::cout << pftk::obs::flight::render_prof_text(report);
+  } else if (write_json(*json_path, [&report](std::ostream& os) {
+               pftk::obs::flight::write_prof_json(os, report);
+             }) != 0) {
+    return 1;
   }
   // The span-count accounting identity is a correctness contract, not a
   // report detail: a serve recording whose markers do not balance means
@@ -1278,15 +1268,25 @@ int cmd_analyze(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Global fault-injection flag: pulled out before dispatch so every
-  // subcommand's persistence path can be chaos-tested. Disarmed (the
-  // default), the failpoint checks are a single relaxed atomic load.
+  // Global flags, pulled out before dispatch so every subcommand can be
+  // chaos-tested (--failpoints; disarmed, a check is one relaxed atomic
+  // load) and can record spans (--trace-spans, --span-ring) with zero
+  // per-command plumbing. The span drain+write happens after the command
+  // returns (below), so arming never touches a command's stdout or data
+  // files.
+  std::string trace_spans_path;
+  std::size_t ring = pftk::obs::flight::Recorder::kDefaultRingCapacity;
   try {
     int out = 1;
     for (int i = 1; i < argc; ++i) {
-      if (std::string(argv[i]) == "--failpoints") {
-        pftk::robust::FailpointRegistry::instance().arm_specs(
-            flag_value(argc, argv, i));
+      const std::string arg = argv[i];
+      if (arg == "--failpoints") {
+        pftk::robust::FailpointRegistry::instance().arm_specs(flag_value(argc, argv, i));
+      } else if (arg == "--trace-spans") {
+        trace_spans_path = flag_value(argc, argv, i);
+      } else if (arg == "--span-ring") {
+        ring = static_cast<std::size_t>(
+            parse_positive_int(flag_value(argc, argv, i), "--span-ring"));
       } else {
         argv[out++] = argv[i];
       }
@@ -1296,37 +1296,11 @@ int main(int argc, char** argv) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;
   }
-  // Global flight-recorder flags, same pre-dispatch extraction: any
-  // subcommand can record spans with zero per-command plumbing. The
-  // drain+write happens after the command returns (below), so arming
-  // never touches a command's stdout or data files.
-  std::string trace_spans_path;
-  {
-    std::size_t ring = pftk::obs::flight::Recorder::kDefaultRingCapacity;
-    int out = 1;
-    try {
-      for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--trace-spans") {
-          trace_spans_path = flag_value(argc, argv, i);
-        } else if (arg == "--span-ring") {
-          ring = static_cast<std::size_t>(
-              parse_positive_int(flag_value(argc, argv, i), "--span-ring"));
-        } else {
-          argv[out++] = argv[i];
-        }
-      }
-    } catch (const std::exception& e) {
-      std::cerr << "error: " << e.what() << "\n";
-      return 2;
-    }
-    argc = out;
-    if (!trace_spans_path.empty()) {
-      pftk::obs::flight::Recorder::instance().arm(ring);
-    } else if (ring != pftk::obs::flight::Recorder::kDefaultRingCapacity) {
-      std::cerr << "error: --span-ring requires --trace-spans\n";
-      return 2;
-    }
+  if (!trace_spans_path.empty()) {
+    pftk::obs::flight::Recorder::instance().arm(ring);
+  } else if (ring != pftk::obs::flight::Recorder::kDefaultRingCapacity) {
+    std::cerr << "error: --span-ring requires --trace-spans\n";
+    return 2;
   }
   if (argc < 2) {
     return usage();
