@@ -59,26 +59,26 @@ JournalEntry make_entry(const CampaignItemResult& result) {
 
 }  // namespace
 
-ItemOutcome run_campaign_item(const CampaignSpec& spec, const CampaignItem& item,
-                              std::uint64_t seed) {
-  ItemOutcome outcome;
+TraceOutcome run_campaign_trace(const CampaignSpec& spec, const CampaignItem& first,
+                                std::uint64_t seed) {
+  TraceOutcome outcome;
   if (spec.kind == CampaignKind::kShortTrace) {
     ShortTraceOptions opt;
     opt.connections = 1;
     opt.duration = spec.duration;
     opt.seed = seed;
-    opt.forward_faults = item.scenario.forward;
-    opt.reverse_faults = item.scenario.reverse;
+    opt.forward_faults = first.scenario.forward;
+    opt.reverse_faults = first.scenario.reverse;
     opt.enable_watchdog = true;
     opt.watchdog = supervised_watchdog(spec);
-    ShortTraceRecord rec = run_one_short_trace(item.profile, opt, 0);
+    ShortTraceRecord rec = run_one_short_trace(first.profile, opt, 0);
     outcome.metrics.packets_sent = rec.packets_sent;
     outcome.metrics.send_rate =
         static_cast<double>(rec.packets_sent) / spec.duration;
     outcome.metrics.p = rec.params.p;
     outcome.metrics.rtt = rec.params.rtt;
     outcome.metrics.t0 = rec.params.t0;
-    outcome.metrics.predicted = rec.predicted[model_index(item.model)];
+    outcome.predicted = rec.predicted;
     outcome.metrics.forward_faults = rec.forward_faults;
     outcome.metrics.reverse_faults = rec.reverse_faults;
     outcome.short_trace = std::move(rec);
@@ -87,18 +87,21 @@ ItemOutcome run_campaign_item(const CampaignSpec& spec, const CampaignItem& item
     opt.duration = spec.duration;
     opt.interval_length = spec.interval_length;
     opt.seed = seed;
-    opt.forward_faults = item.scenario.forward;
-    opt.reverse_faults = item.scenario.reverse;
+    opt.forward_faults = first.scenario.forward;
+    opt.reverse_faults = first.scenario.reverse;
     opt.enable_watchdog = true;
     opt.watchdog = supervised_watchdog(spec);
-    HourTraceResult result = run_hour_trace(item.profile, opt);
+    HourTraceResult result = run_hour_trace(first.profile, opt);
     outcome.metrics.packets_sent = result.summary.packets_sent;
     outcome.metrics.send_rate = result.measured_send_rate;
     outcome.metrics.p = result.trace_params.p;
     outcome.metrics.rtt = result.trace_params.rtt;
     outcome.metrics.t0 = result.trace_params.t0;
-    outcome.metrics.predicted =
-        model::evaluate_model(item.model, result.trace_params) * spec.duration;
+    for (std::size_t m = 0; m < model::all_model_kinds.size(); ++m) {
+      outcome.predicted[m] =
+          model::evaluate_model(model::all_model_kinds[m], result.trace_params) *
+          spec.duration;
+    }
     outcome.metrics.forward_faults = result.forward_faults;
     outcome.metrics.reverse_faults = result.reverse_faults;
     outcome.hour = std::move(result);
@@ -149,11 +152,15 @@ CampaignRunner::CampaignRunner(CampaignSpec spec, CampaignRunnerOptions options)
 
 CampaignResult CampaignRunner::run() {
   const std::vector<CampaignItem> items = spec_.expand();
+  // Models vary fastest in expansion order, so trace t (one profile,
+  // seed and scenario) is the run of items [t * per_trace, (t + 1) *
+  // per_trace).
+  const std::size_t per_trace = spec_.models.empty() ? 1 : spec_.models.size();
   CampaignResult result;
   result.items.resize(items.size());
 
   // Per-worker metric shards: counters sum and gauges max on merge, so
-  // the snapshot is independent of which worker ran which item.
+  // the snapshot is independent of which worker ran which trace.
   obs::MetricsRegistry registry;
   const obs::StandardMetrics met = obs::StandardMetrics::register_on(registry);
   registry.freeze(static_cast<std::size_t>(options_.threads));
@@ -221,11 +228,11 @@ CampaignResult CampaignRunner::run() {
     }
   }
 
-  const ItemExecutor executor =
+  const TraceExecutor executor =
       options_.executor
           ? options_.executor
-          : ItemExecutor([this](const CampaignItem& item, std::uint64_t seed) {
-              return run_campaign_item(spec_, item, seed);
+          : TraceExecutor([this](const CampaignItem& first, std::uint64_t seed) {
+              return run_campaign_trace(spec_, first, seed);
             });
   const std::function<void(std::chrono::milliseconds)> sleep_fn =
       options_.sleep ? options_.sleep : [](std::chrono::milliseconds delay) {
@@ -239,17 +246,19 @@ CampaignResult CampaignRunner::run() {
            options_.stop->load(std::memory_order_relaxed);
   };
 
-  // One supervised item: attempt / classify / backoff-retry loop. The
-  // span records wall timings per phase — diagnostics only, never fed
-  // back into scheduling or the journal.
-  const auto run_item = [&](const CampaignItem& item, obs::MetricsShard& shard) {
-    // Flight-recorder scope for the whole item lifecycle; the
-    // per-phase SpanRecord below stays as the journaled pftk-obs/1
-    // summary, while these spans carry the ns-resolution timeline.
-    PFTK_SPAN("campaign.item", item.seed);
+  // One supervised trace: attempt / classify / backoff-retry loop, one
+  // simulation per attempt. Returns the settlement every one of the
+  // trace's `pending` items shares, and fills `predicted` on success.
+  // The span records wall timings per phase — diagnostics only, never
+  // fed back into scheduling or the journal.
+  const auto run_trace = [&](const CampaignItem& first, std::size_t pending,
+                             obs::MetricsShard& shard,
+                             decltype(TraceOutcome::predicted)& predicted) {
+    // Flight-recorder scope for the whole ladder; the per-phase
+    // SpanRecord below stays as the journaled pftk-obs/1 summary, while
+    // these spans carry the ns-resolution timeline.
+    PFTK_SPAN("campaign.trace", first.seed);
     CampaignItemResult settled;
-    settled.item = item;
-    settled.span.name = item.key();
     const auto span_start = std::chrono::steady_clock::now();
     const auto close_span = [&](const char* outcome) {
       settled.span.outcome = outcome;
@@ -269,7 +278,7 @@ CampaignResult CampaignRunner::run() {
         settled.span.phases.push_back(obs::SpanPhase{
             "backoff", delay_s, "before attempt " + std::to_string(attempt + 1)});
         shard.observe(met.backoff_seconds, delay_s);
-        shard.add(met.retries);
+        shard.add(met.retries, static_cast<double>(pending));  // per item
       }
       const auto attempt_start = std::chrono::steady_clock::now();
       const auto attempt_seconds = [&attempt_start] {
@@ -287,7 +296,7 @@ CampaignResult CampaignRunner::run() {
         }
       };
       try {
-        ItemOutcome outcome = executor(item, perturbed_seed(item.seed, attempt));
+        TraceOutcome outcome = executor(first, perturbed_seed(first.seed, attempt));
         const double secs = attempt_seconds();
         record_attempt();
         shard.observe(met.attempt_seconds, secs);
@@ -298,6 +307,7 @@ CampaignResult CampaignRunner::run() {
         settled.span.attempts = attempt + 1;
         settled.error.clear();
         settled.metrics = outcome.metrics;
+        predicted = outcome.predicted;
         settled.hour = std::move(outcome.hour);
         settled.short_trace = std::move(outcome.short_trace);
         close_span("ok");
@@ -323,7 +333,7 @@ CampaignResult CampaignRunner::run() {
         }
         settled.status = ItemStatus::kFailedTransient;
         // Graceful shutdown mid-ladder: abandon instead of settling a
-        // short-changed retry budget. An abandoned item is never
+        // short-changed retry budget. An abandoned trace is never
         // journaled, so a --resume re-runs the full ladder and the
         // final journal matches an uninterrupted run byte for byte.
         if (stop_requested()) {
@@ -365,7 +375,10 @@ CampaignResult CampaignRunner::run() {
     }
   };
 
-  std::atomic<std::size_t> next{first_pending};
+  // A journal prefix that ends inside a trace leaves that trace's tail
+  // pending: it is re-simulated, and only the unjournaled items settle.
+  std::atomic<std::size_t> next{first_pending / per_trace};
+  const std::size_t trace_count = items.size() / per_trace;
   std::atomic<bool> abort{false};
   std::mutex error_mu;
   std::exception_ptr infra_error;
@@ -373,23 +386,33 @@ CampaignResult CampaignRunner::run() {
     obs::MetricsShard& shard = registry.shard(worker_id);
     while (!abort.load(std::memory_order_relaxed)) {
       if (stop_requested()) {
-        return;  // graceful shutdown: stop admitting items
+        return;  // graceful shutdown: stop admitting traces
       }
-      const std::size_t index = next.fetch_add(1, std::memory_order_relaxed);
-      if (index >= items.size()) {
+      const std::size_t trace = next.fetch_add(1, std::memory_order_relaxed);
+      if (trace >= trace_count) {
         return;
       }
+      const std::size_t begin = std::max(trace * per_trace, first_pending);
+      const std::size_t end = (trace + 1) * per_trace;
       try {
-        CampaignItemResult settled = run_item(items[index], shard);
+        decltype(TraceOutcome::predicted) predicted{};
+        const CampaignItemResult settled =
+            run_trace(items[trace * per_trace], end - begin, shard, predicted);
+        for (std::size_t i = begin; i < end; ++i) {
+          CampaignItemResult& item_result = result.items[i];
+          item_result = settled;
+          item_result.item = items[i];
+          item_result.span.name = items[i].key();
+          item_result.metrics.predicted = predicted[model_index(items[i].model)];
+        }
         if (settled.status == ItemStatus::kNotRun) {
-          // Abandoned by shutdown: record it, but never journal it —
-          // a partial retry ladder must not become a durable verdict.
-          result.items[index] = std::move(settled);
+          // Abandoned by shutdown: recorded, but never journaled — a
+          // partial retry ladder must not become a durable verdict.
           return;
         }
-        JournalEntry entry = make_entry(settled);
-        result.items[index] = std::move(settled);
-        settle(index, std::move(entry));
+        for (std::size_t i = begin; i < end; ++i) {
+          settle(i, make_entry(result.items[i]));
+        }
       } catch (...) {
         // Infrastructure fault (journal I/O, non-std exception): stop the
         // pool and surface the first cause.
@@ -406,7 +429,7 @@ CampaignResult CampaignRunner::run() {
   if (first_pending < items.size()) {
     const int thread_count = static_cast<int>(
         std::min<std::size_t>(static_cast<std::size_t>(options_.threads),
-                              items.size() - first_pending));
+                              trace_count - first_pending / per_trace));
     std::vector<std::thread> pool;
     pool.reserve(static_cast<std::size_t>(thread_count));
     for (int t = 0; t < thread_count; ++t) {
@@ -448,7 +471,12 @@ CampaignResult CampaignRunner::run() {
   shard0.add(met.journal_bytes, static_cast<double>(result.journal_io.bytes));
   shard0.add(met.journal_flushes, static_cast<double>(result.journal_io.flushes));
   shard0.add(met.journal_replayed, static_cast<double>(result.journal_io.replayed));
-  for (const CampaignItemResult& item_result : result.items) {
+  // Item counts are per item; packet and fault totals are per
+  // simulation, so each settled trace adds them once (from its first ok
+  // item, journal-replayed or not).
+  std::size_t counted_trace = items.size();  // none yet
+  for (std::size_t i = 0; i < result.items.size(); ++i) {
+    const CampaignItemResult& item_result = result.items[i];
     if (item_result.status == ItemStatus::kNotRun) {
       ++result.not_run;
       if (!item_result.span.name.empty()) {
@@ -459,6 +487,13 @@ CampaignResult CampaignRunner::run() {
     shard0.add(met.items_total);
     if (item_result.ok()) {
       shard0.add(met.items_ok);
+      result.report.record_success();
+    } else {
+      result.report.record_failure(item_result.item.key(), item_result.error);
+    }
+    result.report.spans.push_back(item_result.span);
+    if (item_result.ok() && i / per_trace != counted_trace) {
+      counted_trace = i / per_trace;
       shard0.add(met.packets_sent,
                  static_cast<double>(item_result.metrics.packets_sent));
       const sim::FaultStats& fwd = item_result.metrics.forward_faults;
@@ -471,13 +506,9 @@ CampaignResult CampaignRunner::run() {
       shard0.add(met.fault_reordered,
                  static_cast<double>(fwd.reordered + rev.reordered));
       shard0.add(met.fault_delayed, static_cast<double>(fwd.delayed + rev.delayed));
-      result.report.record_success();
-      result.report.forward_faults += item_result.metrics.forward_faults;
-      result.report.reverse_faults += item_result.metrics.reverse_faults;
-    } else {
-      result.report.record_failure(item_result.item.key(), item_result.error);
+      result.report.forward_faults += fwd;
+      result.report.reverse_faults += rev;
     }
-    result.report.spans.push_back(item_result.span);
   }
   result.report.interrupted = result.interrupted;
   result.report.metrics = registry.snapshot();

@@ -1,8 +1,11 @@
 // Supervised parallel execution of a CampaignSpec.
 //
 // The runner is the robustness backbone for paper-scale sweeps: it
-// expands the spec's grid, executes items on a bounded worker pool, and
-// supervises every run —
+// expands the spec's grid, executes it on a bounded worker pool, and
+// supervises every run. The unit of work is the trace, one (profile,
+// seed, scenario) cell: as in the paper's Section III, each trace is
+// simulated once and every model item of the cell is scored against
+// it, so an item's attempts, failure and error are its trace's.
 //
 //   * deadline    — each attempt runs under a SimWatchdog carrying the
 //                   spec's event/stall budgets plus a per-attempt
@@ -22,6 +25,7 @@
 //                   which are inherently load-dependent).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <functional>
@@ -39,11 +43,15 @@
 
 namespace pftk::exp::campaign {
 
-/// What one successful attempt produced. Metrics are always filled;
-/// the experiment payloads are filled by the built-in executors (hour
-/// or short kind) and power the table/figure drivers.
-struct ItemOutcome {
+/// What one successful simulation of a trace produced. Metrics are
+/// always filled; each item's `metrics.predicted` is taken from
+/// `predicted` by its model. The experiment payloads are filled by the
+/// built-in executor (hour or short kind) and power the table/figure
+/// drivers.
+struct TraceOutcome {
   ItemMetrics metrics;
+  /// Predicted packets over the run, indexed like model::all_model_kinds.
+  std::array<double, model::all_model_kinds.size()> predicted{};
   std::optional<HourTraceResult> hour;
   std::optional<ShortTraceRecord> short_trace;
 };
@@ -66,11 +74,13 @@ struct CampaignItemResult {
   std::string error;
   bool from_journal = false;  ///< replayed from a checkpoint, not re-run
   ItemMetrics metrics;
-  /// Payloads (absent for journal-replayed or failed items).
+  /// Payloads, shared by every item of the trace (absent for
+  /// journal-replayed or failed items).
   std::optional<HourTraceResult> hour;
   std::optional<ShortTraceRecord> short_trace;
-  /// Supervision span: attempt/backoff wall timings, retry taxonomy,
-  /// journal I/O charged to this item. Wall-clock, diagnostics only.
+  /// Supervision span: the trace's attempt/backoff wall timings and
+  /// retry taxonomy, plus the journal I/O charged to this item.
+  /// Wall-clock, diagnostics only.
   obs::SpanRecord span;
 
   [[nodiscard]] bool ok() const noexcept { return status == ItemStatus::kOk; }
@@ -93,10 +103,11 @@ struct CampaignResult {
   [[nodiscard]] std::string taxonomy_summary() const;
 };
 
-/// Executes one attempt of one item with the given (possibly perturbed)
-/// seed; throws to report failure.
-using ItemExecutor =
-    std::function<ItemOutcome(const CampaignItem&, std::uint64_t seed)>;
+/// Executes one attempt of one trace, one simulation, with the given
+/// (possibly perturbed) seed; throws to report failure. `first` is the
+/// trace's first item: its profile, seed and scenario are the trace's.
+using TraceExecutor =
+    std::function<TraceOutcome(const CampaignItem& first, std::uint64_t seed)>;
 
 /// Runner knobs. The executor and sleep hooks are injectable for tests
 /// (simulate failure sequences; capture backoff delays instead of
@@ -105,7 +116,7 @@ struct CampaignRunnerOptions {
   int threads = 1;
   std::string journal_path;  ///< empty = no checkpointing
   bool resume = false;       ///< replay an existing journal first
-  ItemExecutor executor;     ///< empty = built-in simulation executor
+  TraceExecutor executor;    ///< empty = built-in simulation executor
   std::function<void(std::chrono::milliseconds)> sleep;  ///< empty = real sleep
   /// fsync the journal after every N committed records (robust durable
   /// appender). 1 = every record durable before the next commit (the
@@ -113,18 +124,20 @@ struct CampaignRunnerOptions {
   /// only on close.
   std::uint64_t fsync_every = 1;
   /// Cooperative stop flag (e.g. ShutdownGuard::stop_flag()). When it
-  /// goes true, workers stop claiming items, in-flight retry ladders are
-  /// abandoned after the current attempt (those items settle kNotRun and
-  /// are *not* journaled), and the result reports `interrupted`.
+  /// goes true, workers stop claiming traces, in-flight retry ladders
+  /// are abandoned after the current attempt (every pending item of the
+  /// trace settles kNotRun and is *not* journaled), and the result
+  /// reports `interrupted`.
   const std::atomic<bool>* stop = nullptr;
 };
 
-/// The built-in executor: runs item's simulation per spec.kind under the
-/// spec's watchdog + deadline and returns metrics + the experiment
-/// payload. Exposed for tests and custom drivers.
-[[nodiscard]] ItemOutcome run_campaign_item(const CampaignSpec& spec,
-                                            const CampaignItem& item,
-                                            std::uint64_t seed);
+/// The built-in executor: runs the trace's simulation per spec.kind
+/// under the spec's watchdog + deadline and returns metrics, every
+/// model's prediction and the experiment payload. Exposed for tests and
+/// custom drivers.
+[[nodiscard]] TraceOutcome run_campaign_trace(const CampaignSpec& spec,
+                                              const CampaignItem& first,
+                                              std::uint64_t seed);
 
 /// Expands, supervises, and journals one campaign.
 class CampaignRunner {

@@ -1,9 +1,13 @@
 #include "exp/campaign/campaign_spec.hpp"
 
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
+
+#include "robust/decimal.hpp"
 
 namespace pftk::exp::campaign {
 
@@ -31,6 +35,9 @@ std::vector<std::string> split(const std::string& s, char sep) {
   return parts;
 }
 
+/// A seed range may name at most this many seeds (fig8's spec has 100).
+constexpr std::uint64_t kMaxSeedRange = 1000000;
+
 double parse_double(const std::string& value, const std::string& where) {
   try {
     std::size_t used = 0;
@@ -40,23 +47,25 @@ double parse_double(const std::string& value, const std::string& where) {
     }
     return parsed;
   } catch (const std::exception&) {
-    throw std::invalid_argument("campaign spec: bad number '" + value + "' for " +
-                                where);
+    throw std::invalid_argument("campaign spec " + where + ": bad number '" + value +
+                                "'");
   }
 }
 
-std::uint64_t parse_u64(const std::string& value, const std::string& where) {
-  try {
-    std::size_t used = 0;
-    const unsigned long long parsed = std::stoull(value, &used);
-    if (used != value.size()) {
-      throw std::invalid_argument(value);
-    }
-    return parsed;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("campaign spec: bad integer '" + value + "' for " +
-                                where);
+std::uint64_t parse_u64(const std::string& value, const std::string& where,
+                        std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+  if (const auto parsed = robust::parse_decimal(value, max)) {
+    return *parsed;
   }
+  throw std::invalid_argument("campaign spec " + where + ": '" + value +
+                              "' is not an integer in [0, " + std::to_string(max) +
+                              "]");
+}
+
+std::chrono::milliseconds parse_ms(const std::string& value, const std::string& where) {
+  using Rep = std::chrono::milliseconds::rep;
+  return std::chrono::milliseconds{
+      static_cast<Rep>(parse_u64(value, where, std::numeric_limits<Rep>::max()))};
 }
 
 PathProfile resolve_profile(const std::string& label) {
@@ -80,11 +89,13 @@ std::string CampaignItem::key() const {
 }
 
 void CampaignSpec::validate() const {
-  if (!(duration > 0.0)) {
-    throw std::invalid_argument("CampaignSpec: duration must be positive");
+  if (!(duration > 0.0) || !std::isfinite(duration)) {
+    throw std::invalid_argument("CampaignSpec: duration must be positive and finite");
   }
-  if (kind == CampaignKind::kHourTrace && !(interval_length > 0.0)) {
-    throw std::invalid_argument("CampaignSpec: interval_length must be positive");
+  if (!std::isfinite(interval_length) ||
+      (kind == CampaignKind::kHourTrace && !(interval_length > 0.0))) {
+    throw std::invalid_argument(
+        "CampaignSpec: interval_length must be positive and finite");
   }
   if (profiles.empty()) {
     throw std::invalid_argument("CampaignSpec: no profiles");
@@ -92,8 +103,8 @@ void CampaignSpec::validate() const {
   if (seeds.empty()) {
     throw std::invalid_argument("CampaignSpec: no seeds");
   }
-  if (deadline_s < 0.0) {
-    throw std::invalid_argument("CampaignSpec: deadline must be >= 0");
+  if (!(deadline_s >= 0.0) || !std::isfinite(deadline_s)) {
+    throw std::invalid_argument("CampaignSpec: deadline must be finite and >= 0");
   }
   for (const FaultScenario& scenario : scenarios) {
     if (scenario.name.empty()) {
@@ -160,6 +171,7 @@ CampaignSpec CampaignSpec::parse(std::istream& in) {
     }
     const std::string key = trim(line.substr(0, eq));
     const std::string value = trim(line.substr(eq + 1));
+    const std::string where = "line " + std::to_string(line_no) + " (" + key + ")";
 
     if (key == "kind") {
       if (value == "short") {
@@ -171,9 +183,9 @@ CampaignSpec CampaignSpec::parse(std::istream& in) {
                                     value + "'");
       }
     } else if (key == "duration") {
-      spec.duration = parse_double(value, key);
+      spec.duration = parse_double(value, where);
     } else if (key == "interval") {
-      spec.interval_length = parse_double(value, key);
+      spec.interval_length = parse_double(value, where);
     } else if (key == "profiles") {
       if (value == "all") {
         spec.profiles = table2_profiles();
@@ -185,18 +197,26 @@ CampaignSpec CampaignSpec::parse(std::istream& in) {
     } else if (key == "seeds") {
       const auto dots = value.find("..");
       if (dots != std::string::npos) {
-        const std::uint64_t lo = parse_u64(trim(value.substr(0, dots)), key);
-        const std::uint64_t hi = parse_u64(trim(value.substr(dots + 2)), key);
+        const std::uint64_t lo = parse_u64(trim(value.substr(0, dots)), where);
+        const std::uint64_t hi = parse_u64(trim(value.substr(dots + 2)), where);
         if (hi < lo) {
-          throw std::invalid_argument("campaign spec: seed range " + value +
-                                      " is descending");
+          throw std::invalid_argument("campaign spec " + where + ": seed range " +
+                                      value + " is descending");
         }
-        for (std::uint64_t s = lo; s <= hi; ++s) {
+        if (hi - lo >= kMaxSeedRange) {
+          throw std::invalid_argument("campaign spec " + where + ": seed range " +
+                                      value + " has more than " +
+                                      std::to_string(kMaxSeedRange) + " seeds");
+        }
+        for (std::uint64_t s = lo;; ++s) {  // stops at hi, even at UINT64_MAX
           spec.seeds.push_back(s);
+          if (s == hi) {
+            break;
+          }
         }
       } else {
         for (const std::string& token : split(value, ',')) {
-          spec.seeds.push_back(parse_u64(token, key));
+          spec.seeds.push_back(parse_u64(token, where));
         }
       }
     } else if (key == "models") {
@@ -220,19 +240,18 @@ CampaignSpec CampaignSpec::parse(std::istream& in) {
       }
       spec.scenarios.push_back(std::move(scenario));
     } else if (key == "deadline") {
-      spec.deadline_s = parse_double(value, key);
+      spec.deadline_s = parse_double(value, where);
     } else if (key == "max_events") {
-      spec.watchdog.max_events = parse_u64(value, key);
+      spec.watchdog.max_events = parse_u64(value, where);
     } else if (key == "stall_rtos") {
-      spec.watchdog.stall_rtos = parse_double(value, key);
+      spec.watchdog.stall_rtos = parse_double(value, where);
     } else if (key == "retries") {
-      spec.retry.max_attempts = static_cast<int>(parse_u64(value, key));
+      spec.retry.max_attempts = static_cast<int>(
+          parse_u64(value, where, std::numeric_limits<int>::max()));
     } else if (key == "backoff_ms") {
-      spec.retry.backoff_base =
-          std::chrono::milliseconds{static_cast<long long>(parse_u64(value, key))};
+      spec.retry.backoff_base = parse_ms(value, where);
     } else if (key == "backoff_cap_ms") {
-      spec.retry.backoff_cap =
-          std::chrono::milliseconds{static_cast<long long>(parse_u64(value, key))};
+      spec.retry.backoff_cap = parse_ms(value, where);
     } else {
       throw std::invalid_argument("campaign spec line " + std::to_string(line_no) +
                                   ": unknown key '" + key + "'");

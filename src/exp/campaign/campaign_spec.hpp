@@ -24,7 +24,7 @@
 //   scenario = ackloss | | loss@10+50:0.3
 //   deadline = 30            # per-attempt wall seconds, 0 = off
 //   max_events = 50000000    # watchdog event budget, 0 = off
-//   retries = 3              # attempts per item, incl. the first
+//   retries = 3              # attempts per trace, incl. the first
 //   backoff_ms = 25
 //   backoff_cap_ms = 2000
 #pragma once
@@ -71,7 +71,7 @@ struct CampaignItem {
 /// The declarative campaign description.
 struct CampaignSpec {
   CampaignKind kind = CampaignKind::kShortTrace;
-  double duration = 100.0;         ///< simulated seconds per item
+  double duration = 100.0;         ///< simulated seconds per trace
   double interval_length = 100.0;  ///< hour kind: Fig.-7 interval split
 
   std::vector<PathProfile> profiles;

@@ -60,8 +60,9 @@ struct ChaosOptions {
   /// Failpoint specs to run, one case each. Empty = the default journal
   /// crash matrix (default_journal_crash_failpoints).
   std::vector<std::string> failpoints;
-  /// Injectable executor (tests); empty = the built-in simulation.
-  ItemExecutor executor;
+  /// Injectable per-trace executor (tests); empty = the built-in
+  /// simulation.
+  TraceExecutor executor;
 };
 
 /// The default crash matrix: kill mid-append (torn tails of 0 and a few

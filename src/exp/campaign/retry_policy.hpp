@@ -19,7 +19,7 @@ namespace pftk::exp::campaign {
 
 /// Retry knobs for transient failures.
 struct RetryPolicy {
-  /// Total tries per item, including the first (1 = never retry).
+  /// Total tries per trace, including the first (1 = never retry).
   int max_attempts = 3;
   /// Backoff before retry k (k >= 1) is base * multiplier^(k-1), capped.
   std::chrono::milliseconds backoff_base{25};

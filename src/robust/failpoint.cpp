@@ -5,11 +5,14 @@
 #include <array>
 #include <chrono>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+
+#include "robust/decimal.hpp"
 
 namespace pftk::robust {
 
@@ -75,20 +78,13 @@ constexpr std::array<std::pair<FailpointAction, std::string_view>, 6>
     }};
 
 std::uint64_t parse_u64(std::string_view key, std::string_view value) {
-  if (value.empty()) {
-    throw std::invalid_argument("failpoint spec: empty value for '" +
-                                std::string(key) + "'");
+  if (const auto out = parse_decimal(value)) {
+    return *out;
   }
-  std::uint64_t out = 0;
-  for (char c : value) {
-    if (c < '0' || c > '9') {
-      throw std::invalid_argument("failpoint spec: non-numeric value '" +
-                                  std::string(value) + "' for '" +
-                                  std::string(key) + "'");
-    }
-    out = out * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return out;
+  throw std::invalid_argument(
+      "failpoint spec: '" + std::string(key) + "' = '" + std::string(value) +
+      "' is not an integer in [0, " +
+      std::to_string(std::numeric_limits<std::uint64_t>::max()) + "]");
 }
 
 }  // namespace

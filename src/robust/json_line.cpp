@@ -7,6 +7,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "robust/decimal.hpp"
+
 namespace pftk::robust::json {
 
 namespace {
@@ -39,14 +41,11 @@ double number(std::string_view token) {
 }
 
 std::uint64_t to_u64(std::string_view token, std::string_view key, std::uint64_t max) {
-  std::uint64_t out = 0;
-  const char* end = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(token.data(), end, out);
-  if (ec != std::errc{} || ptr != end || out > max) {
-    fail("field '" + std::string(key) + "' = " + std::string(token) +
-         " is not an integer in [0, " + std::to_string(max) + "]");
+  if (const auto out = parse_decimal(token, max)) {
+    return *out;
   }
-  return out;
+  fail("field '" + std::string(key) + "' = " + std::string(token) +
+       " is not an integer in [0, " + std::to_string(max) + "]");
 }
 
 /// Left-to-right scanner that checks the grammar as it goes.

@@ -4,13 +4,17 @@
 //   * a kill-then-resume run (journal replay) equals an uninterrupted
 //     run;
 //   * watchdog trips are transient: retried with backoff and a perturbed
-//     seed; invalid inputs are permanent: recorded once, never retried.
+//     seed; invalid inputs are permanent: recorded once, never retried;
+//   * one simulation settles every model item of a trace, and the
+//     multi-model journals stay byte-identical to the committed goldens.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -63,6 +67,25 @@ CampaignSpec mixed_spec() {
   spec.retry.max_attempts = 2;
   spec.retry.backoff_base = std::chrono::milliseconds{0};  // no real sleeping
   return spec;
+}
+
+std::string data_path(const std::string& name) {
+  return std::string(PFTK_TEST_DATA_DIR) + "/" + name;
+}
+
+/// 8 traces x {full, approx, td}: the clean traces succeed first time,
+/// the dark ones stall on every attempt (12 ok, 12 lost with tries = 3).
+CampaignSpec golden_spec() {
+  return CampaignSpec::parse_file(data_path("campaign_models.spec"));
+}
+
+/// Runs `spec` into a fresh journal `name` and returns its bytes.
+std::string journal_of(const CampaignSpec& spec, const std::string& name,
+                       CampaignRunnerOptions options = {}) {
+  options.journal_path = temp_path(name);
+  std::remove(options.journal_path.c_str());
+  (void)CampaignRunner(spec, options).run();
+  return read_file(options.journal_path);
 }
 
 /// Status/attempts/metrics fingerprint for cross-run comparison.
@@ -172,12 +195,12 @@ TEST(CampaignRunner, WatchdogTripIsTransientAndRetriedWithBackoff) {
   std::vector<std::uint64_t> seeds_seen;
   std::vector<std::chrono::milliseconds> delays;
   CampaignRunnerOptions options;
-  options.executor = [&](const CampaignItem&, std::uint64_t seed) -> ItemOutcome {
+  options.executor = [&](const CampaignItem&, std::uint64_t seed) -> TraceOutcome {
     seeds_seen.push_back(seed);
     if (seeds_seen.size() < 3) {
       throw sim::WatchdogError(sim::WatchdogSnapshot{.reason = "stall"});
     }
-    ItemOutcome outcome;
+    TraceOutcome outcome;
     outcome.metrics.packets_sent = 42;
     return outcome;
   };
@@ -213,7 +236,7 @@ TEST(CampaignRunner, TransientFailureExhaustsRetriesAndIsRecordedOnce) {
 
   int calls = 0;
   CampaignRunnerOptions options;
-  options.executor = [&](const CampaignItem&, std::uint64_t) -> ItemOutcome {
+  options.executor = [&](const CampaignItem&, std::uint64_t) -> TraceOutcome {
     ++calls;
     throw sim::WatchdogError(sim::WatchdogSnapshot{.reason = "stall"});
   };
@@ -236,7 +259,7 @@ TEST(CampaignRunner, InvalidInputIsPermanentNeverRetried) {
   int calls = 0;
   int sleeps = 0;
   CampaignRunnerOptions options;
-  options.executor = [&](const CampaignItem&, std::uint64_t) -> ItemOutcome {
+  options.executor = [&](const CampaignItem&, std::uint64_t) -> TraceOutcome {
     ++calls;
     throw std::invalid_argument("ModelParams: p must be in [0, 1)");
   };
@@ -399,6 +422,135 @@ TEST(CampaignRunner, ResumedItemsCarryReplayedSpans) {
       resumed.report.metrics.find("pftk_journal_replayed_total");
   ASSERT_NE(replayed, nullptr);
   EXPECT_DOUBLE_EQ(replayed->value, static_cast<double>(resumed.items.size()));
+}
+
+TEST(CampaignRunner, MultiModelJournalsMatchTheGoldensAtAnyThreadCount) {
+  const std::string short_golden = read_file(data_path("campaign_models.golden.jsonl"));
+  const CampaignSpec hour =
+      CampaignSpec::parse_file(data_path("campaign_models_hour.spec"));
+  const std::string hour_golden =
+      read_file(data_path("campaign_models_hour.golden.jsonl"));
+  ASSERT_EQ(std::count(short_golden.begin(), short_golden.end(), '\n'), 24);
+  ASSERT_EQ(std::count(hour_golden.begin(), hour_golden.end(), '\n'), 6);
+  for (const int threads : {1, 8}) {
+    CampaignRunnerOptions options;
+    options.threads = threads;
+    EXPECT_EQ(journal_of(golden_spec(), "golden_short.jsonl", options), short_golden)
+        << threads << " threads";
+    EXPECT_EQ(journal_of(hour, "golden_hour.jsonl", options), hour_golden)
+        << threads << " threads";
+  }
+}
+
+TEST(CampaignRunner, ResumeFromEveryLinePrefixReproducesTheGolden) {
+  const std::string golden = read_file(data_path("campaign_models.golden.jsonl"));
+  std::vector<std::string> lines;
+  std::istringstream in(golden);
+  for (std::string line; std::getline(in, line);) {
+    lines.push_back(line + "\n");
+  }
+  ASSERT_EQ(lines.size(), 24u);
+  std::string prefix;
+  for (std::size_t k = 0; k < lines.size(); ++k) {
+    // k settled lines plus a torn tail: a prefix that ends inside a
+    // trace re-simulates it and journals only the missing items.
+    const std::string path = temp_path("prefix.jsonl");
+    write_file(path, prefix + lines[k].substr(0, lines[k].size() / 2));
+    CampaignRunnerOptions options;
+    options.threads = 1 + static_cast<int>(k % 8);
+    options.journal_path = path;
+    options.resume = true;
+    const CampaignResult resumed = CampaignRunner(golden_spec(), options).run();
+    EXPECT_EQ(resumed.resumed, k);
+    EXPECT_EQ(read_file(path), golden) << "resumed after " << k << " lines";
+    EXPECT_EQ(resumed.report.succeeded, 12u) << k;
+    for (std::size_t i = 0; i < resumed.items.size(); ++i) {
+      EXPECT_EQ(resumed.items[i].from_journal, i < k) << k << ": item " << i;
+    }
+    prefix += lines[k];
+  }
+}
+
+TEST(CampaignRunner, OneSimulationPerTraceAttempt) {
+  const CampaignSpec spec = golden_spec();
+  std::mutex mu;
+  std::map<std::string, int> calls;  // by the trace's first item key
+  CampaignRunnerOptions options;
+  options.threads = 4;
+  options.executor = [&](const CampaignItem& first, std::uint64_t seed) {
+    {
+      const std::lock_guard<std::mutex> lock(mu);
+      ++calls[first.key()];
+    }
+    EXPECT_EQ(first.index % 3, 0u);  // a trace is handed over by its first item
+    return run_campaign_trace(spec, first, seed);
+  };
+  EXPECT_EQ(journal_of(spec, "hooked.jsonl", options),
+            read_file(data_path("campaign_models.golden.jsonl")));
+  ASSERT_EQ(calls.size(), 8u);
+  for (const auto& [key, count] : calls) {
+    EXPECT_EQ(count, key.find("/dark/") != std::string::npos ? 3 : 1) << key;
+  }
+}
+
+TEST(CampaignRunner, TotalsCountSimulationsOnceAndItemsPerItem) {
+  CampaignSpec spec = golden_spec();
+  spec.scenarios.push_back({"lossy", sim::FaultSchedule::parse("loss@5+50:0.05"), {}});
+  std::atomic<int> simulations{0};
+  CampaignRunnerOptions options;
+  options.threads = 3;
+  options.executor = [&](const CampaignItem& first, std::uint64_t seed) {
+    ++simulations;
+    return run_campaign_trace(spec, first, seed);
+  };
+  const CampaignResult result = CampaignRunner(spec, options).run();
+  ASSERT_EQ(result.items.size(), 36u);
+
+  std::uint64_t packets = 0;
+  std::uint64_t offered = 0;
+  std::uint64_t dropped = 0;
+  std::size_t ok = 0;
+  std::size_t retries = 0;
+  for (std::size_t i = 0; i < result.items.size(); ++i) {
+    const CampaignItemResult& item = result.items[i];
+    retries += static_cast<std::size_t>(item.attempts - 1);
+    if (!item.ok()) {
+      continue;
+    }
+    ++ok;
+    if (i % 3 == 0) {  // one simulation per trace
+      const sim::FaultStats& fwd = item.metrics.forward_faults;
+      const sim::FaultStats& rev = item.metrics.reverse_faults;
+      packets += item.metrics.packets_sent;
+      offered += fwd.offered + rev.offered;
+      dropped += fwd.total_dropped() + rev.total_dropped();
+    }
+  }
+  EXPECT_EQ(ok, 24u);
+  EXPECT_EQ(retries, 24u);  // 12 dark items x 2 retries
+  EXPECT_EQ(simulations.load(), 4 + 4 * 3 + 4);
+  EXPECT_GT(dropped, 0u);  // the lossy traces really were impaired
+
+  const obs::MetricsSnapshot& m = result.report.metrics;
+  const auto value = [&m](const char* name) {
+    const obs::MetricValue* metric = m.find(name);
+    EXPECT_NE(metric, nullptr) << name;
+    return metric == nullptr ? -1.0 : metric->value;
+  };
+  EXPECT_DOUBLE_EQ(value("pftk_packets_sent_total"), static_cast<double>(packets));
+  EXPECT_DOUBLE_EQ(value("pftk_fault_offered_total"), static_cast<double>(offered));
+  EXPECT_DOUBLE_EQ(value("pftk_fault_dropped_total"), static_cast<double>(dropped));
+  EXPECT_EQ(result.report.forward_faults.total_dropped() +
+                result.report.reverse_faults.total_dropped(),
+            dropped);
+  ASSERT_NE(m.find("pftk_attempt_seconds"), nullptr);
+  EXPECT_EQ(m.find("pftk_attempt_seconds")->count,
+            static_cast<std::uint64_t>(simulations.load()));
+  EXPECT_DOUBLE_EQ(value("pftk_campaign_items_total"), 36.0);
+  EXPECT_DOUBLE_EQ(value("pftk_campaign_items_ok_total"), 24.0);
+  EXPECT_DOUBLE_EQ(value("pftk_campaign_retries_total"), static_cast<double>(retries));
+  EXPECT_EQ(result.report.succeeded, 24u);
+  EXPECT_EQ(result.report.failures.size(), 12u);
 }
 
 TEST(CampaignRunner, RejectsBadOptions) {

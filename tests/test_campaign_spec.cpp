@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "exp/campaign/campaign_spec.hpp"
 
@@ -128,6 +130,72 @@ TEST(CampaignSpecParse, RejectsGarbageWithLineDiagnostics) {
   expect_rejected("profiles = manic->ganef\nseeds = 1\nmodels = cubist\n");
   expect_rejected("profiles = manic->ganef\nseeds = 1\nscenario = | blackout@0+1 |\n");
   expect_rejected("profiles = manic->ganef\nseeds = 1\nwombat = 3\n");
+}
+
+/// The message parse() throws for `text`, or "" when it parses.
+std::string parse_error(const std::string& text) {
+  std::istringstream in(text);
+  try {
+    (void)CampaignSpec::parse(in);
+  } catch (const std::invalid_argument& ex) {
+    return ex.what();
+  }
+  return "";
+}
+
+TEST(CampaignSpecParse, IntegersAreStrictDecimals) {
+  // A sign is never negated or skipped, and the error names the line.
+  for (const char* line : {"seeds = -1", "seeds = +7", "seeds = 3, -4",
+                           "max_events = -5", "retries = +2"}) {
+    const std::string error =
+        parse_error(std::string("profiles = manic->ganef\nseeds = 1\n") + line + "\n");
+    EXPECT_NE(error.find("line 3"), std::string::npos) << line << ": " << error;
+  }
+}
+
+TEST(CampaignSpecParse, RetriesAreRangeCheckedIntoInt) {
+  // 4294967297 used to truncate to one attempt.
+  const std::string error =
+      parse_error("profiles = manic->ganef\nseeds = 1\nretries = 4294967297\n");
+  EXPECT_NE(error.find("line 3 (retries)"), std::string::npos) << error;
+  std::istringstream in("profiles = manic->ganef\nseeds = 1\nretries = 2147483647\n");
+  EXPECT_EQ(CampaignSpec::parse(in).retry.max_attempts, 2147483647);
+}
+
+TEST(CampaignSpecParse, SeedRangeStopsAtItsEnd) {
+  // `s <= hi` never fails at UINT64_MAX: the loop wrapped and grew
+  // without bound.
+  std::istringstream in(
+      "profiles = manic->ganef\nseeds = 18446744073709551614..18446744073709551615\n");
+  const CampaignSpec spec = CampaignSpec::parse(in);
+  ASSERT_EQ(spec.seeds.size(), 2u);
+  EXPECT_EQ(spec.seeds[0], 18446744073709551614u);
+  EXPECT_EQ(spec.seeds[1], 18446744073709551615u);
+}
+
+TEST(CampaignSpecParse, SeedRangesHoldAtMostAMillionSeeds) {
+  for (const char* range : {"1..1000001", "0..18446744073709551615"}) {
+    const std::string error = parse_error(
+        std::string("profiles = manic->ganef\n# a comment line\nseeds = ") + range + "\n");
+    EXPECT_NE(error.find("line 3 (seeds)"), std::string::npos) << range << ": " << error;
+    EXPECT_NE(error.find("more than 1000000 seeds"), std::string::npos) << error;
+  }
+  std::istringstream in("profiles = manic->ganef\nseeds = 1..1000000\n");
+  EXPECT_EQ(CampaignSpec::parse(in).seeds.size(), 1000000u);
+}
+
+TEST(CampaignSpec, NonFiniteDurationIntervalAndDeadlineAreRejected) {
+  for (const char* line : {"duration = inf", "duration = nan", "interval = inf",
+                           "interval = nan", "deadline = nan", "deadline = inf"}) {
+    EXPECT_NE(parse_error(std::string("kind = hour\nprofiles = manic->ganef\nseeds = 1\n") +
+                          line + "\n"),
+              "")
+        << line;
+    EXPECT_NE(parse_error(std::string("profiles = manic->ganef\nseeds = 1\n") + line +
+                          "\n"),
+              "")
+        << line;
+  }
 }
 
 TEST(CampaignSpecParse, MissingFileThrows) {

@@ -35,11 +35,11 @@ CampaignSpec small_spec() {
 /// Instant deterministic executor: metrics derive only from the item and
 /// seed, so reference, crashed, and resumed runs all agree. Item 4 fails
 /// permanently, exercising failure entries in the crash window.
-ItemOutcome fake_executor(const CampaignItem& item, std::uint64_t seed) {
+TraceOutcome fake_executor(const CampaignItem& item, std::uint64_t seed) {
   if (item.index == 4) {
     throw std::invalid_argument("deliberately invalid item");
   }
-  ItemOutcome outcome;
+  TraceOutcome outcome;
   outcome.metrics.packets_sent = 100 + item.index;
   outcome.metrics.send_rate = static_cast<double>(seed);
   outcome.metrics.p = 0.01 * static_cast<double>(item.index + 1);

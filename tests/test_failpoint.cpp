@@ -51,6 +51,18 @@ TEST_F(FailpointTest, MalformedSpecsThrow) {
   }
 }
 
+TEST_F(FailpointTest, CountsPastUint64AreRejectedNotWrapped) {
+  // after=2^64+1 used to wrap to 1 and fire on the second evaluation.
+  for (const char* bad : {"journal.append:after=18446744073709551617:action=error",
+                          "journal.append:after=18446744073709551616:action=error",
+                          "d:after=0:action=delay:arg=18446744073709551617",
+                          "d:after=-1:action=error", "d:after=+1:action=error"}) {
+    EXPECT_THROW((void)FailpointSpec::parse_one(bad), std::invalid_argument) << bad;
+  }
+  EXPECT_EQ(FailpointSpec::parse_one("x:after=18446744073709551615:action=error").after,
+            18446744073709551615u);
+}
+
 TEST_F(FailpointTest, DefaultsAndEmptyClausesAreLenient) {
   // Omitted keys default (action=error, after=0), and empty clauses in a
   // ';'-separated list are skipped.

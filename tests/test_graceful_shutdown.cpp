@@ -8,6 +8,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstdio>
@@ -15,6 +16,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "exp/campaign/campaign_runner.hpp"
 #include "robust/shutdown.hpp"
@@ -50,8 +52,8 @@ CampaignSpec small_spec() {
   return spec;
 }
 
-ItemOutcome fake_outcome(const CampaignItem& item) {
-  ItemOutcome outcome;
+TraceOutcome fake_outcome(const CampaignItem& item) {
+  TraceOutcome outcome;
   outcome.metrics.packets_sent = 10 + item.index;
   outcome.metrics.p = 0.001 * static_cast<double>(item.index + 1);
   return outcome;
@@ -135,36 +137,46 @@ TEST(GracefulShutdown, StopBeforeStartRunsNothing) {
 }
 
 TEST(GracefulShutdown, MidLadderStopAbandonsWithoutJournaling) {
-  // The item always fails transiently; the stop arrives inside its retry
-  // ladder. It must settle kNotRun (not kFailedTransient with a
-  // short-changed budget) and leave the journal empty, so a resume
-  // re-runs the full ladder.
-  CampaignSpec spec;
-  spec.profiles = {quick_profile("a", "b")};
-  spec.seeds = {1};
-  spec.retry.max_attempts = 5;
-  spec.retry.backoff_base = std::chrono::milliseconds{0};
+  // The trace always fails transiently; the stop arrives inside its
+  // retry ladder. Every item of the trace, one per model, must settle
+  // kNotRun (not kFailedTransient with a short-changed budget) and the
+  // journal stay empty, so a resume re-runs the full ladder.
+  for (const std::vector<model::ModelKind>& models :
+       {std::vector<model::ModelKind>{},
+        std::vector<model::ModelKind>{model::ModelKind::kFull,
+                                      model::ModelKind::kApproximate,
+                                      model::ModelKind::kTdOnly}}) {
+    CampaignSpec spec;
+    spec.profiles = {quick_profile("a", "b")};
+    spec.seeds = {1};
+    spec.models = models;
+    spec.retry.max_attempts = 5;
+    spec.retry.backoff_base = std::chrono::milliseconds{0};
 
-  const std::string path = temp_path("ladder.jsonl");
-  std::remove(path.c_str());
-  std::atomic<bool> stop{false};
-  int calls = 0;
-  CampaignRunnerOptions options;
-  options.journal_path = path;
-  options.stop = &stop;
-  options.sleep = [](std::chrono::milliseconds) {};
-  options.executor = [&](const CampaignItem&, std::uint64_t) -> ItemOutcome {
-    if (++calls == 2) {
-      stop.store(true);
+    const std::string path = temp_path("ladder.jsonl");
+    std::remove(path.c_str());
+    std::atomic<bool> stop{false};
+    int calls = 0;
+    CampaignRunnerOptions options;
+    options.journal_path = path;
+    options.stop = &stop;
+    options.sleep = [](std::chrono::milliseconds) {};
+    options.executor = [&](const CampaignItem&, std::uint64_t) -> TraceOutcome {
+      if (++calls == 2) {
+        stop.store(true);
+      }
+      throw TransientCampaignError("flaky");
+    };
+    const CampaignResult result = CampaignRunner(spec, options).run();
+    EXPECT_EQ(calls, 2);  // one simulation per attempt, abandoned after the stop
+    ASSERT_EQ(result.items.size(), std::max<std::size_t>(1, models.size()));
+    for (const CampaignItemResult& item : result.items) {
+      EXPECT_EQ(item.status, ItemStatus::kNotRun) << item.item.key();
     }
-    throw TransientCampaignError("flaky");
-  };
-  const CampaignResult result = CampaignRunner(spec, options).run();
-  EXPECT_EQ(calls, 2);  // abandoned after the attempt that saw the stop
-  ASSERT_EQ(result.items.size(), 1u);
-  EXPECT_EQ(result.items[0].status, ItemStatus::kNotRun);
-  EXPECT_TRUE(result.interrupted);
-  EXPECT_EQ(read_file(path), "");  // never journaled
+    EXPECT_EQ(result.not_run, result.items.size());
+    EXPECT_TRUE(result.interrupted);
+    EXPECT_EQ(read_file(path), "");  // never journaled
+  }
 }
 
 TEST(GracefulShutdown, GuardTurnsSignalIntoStopFlag) {

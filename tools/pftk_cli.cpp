@@ -46,11 +46,9 @@
 // their hot loops and emits schema-stable BENCH_micro.json; with --gate
 // it exits nonzero if a seam costs more than 1.10x.
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -80,6 +78,7 @@
 #include "obs/metrics.hpp"
 #include "obs/standard_metrics.hpp"
 #include "obs/summarize.hpp"
+#include "robust/decimal.hpp"
 #include "robust/exit_codes.hpp"
 #include "robust/failpoint.hpp"
 #include "robust/shutdown.hpp"
@@ -225,27 +224,22 @@ double parse_nonnegative(const char* text, const char* what) {
 }
 
 int parse_positive_int(const char* text, const char* what) {
-  char* end = nullptr;
-  const long long v = std::strtoll(text, &end, 10);
-  if (end == text || *end != '\0' || v <= 0 || v > std::numeric_limits<int>::max()) {
+  const auto v = pftk::robust::parse_decimal(text, std::numeric_limits<int>::max());
+  if (!v || *v == 0) {
     throw pftk::model::ParamError(std::string(what) +
                                   " must be a positive integer, got '" + text +
                                   "'");
   }
-  return static_cast<int>(v);
+  return static_cast<int>(*v);
 }
 
 std::uint64_t parse_u64(const char* text, const char* what) {
-  // strtoull would negate a leading '-' and saturate on overflow.
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE ||
-      std::strchr(text, '-') != nullptr) {
+  const auto v = pftk::robust::parse_decimal(text);
+  if (!v) {
     throw pftk::model::ParamError(std::string(what) +
                                   " must be an integer >= 0, got '" + text + "'");
   }
-  return v;
+  return *v;
 }
 
 std::uint32_t parse_u32(const char* text, const char* what) {
