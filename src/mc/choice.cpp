@@ -1,6 +1,10 @@
 #include "mc/choice.hpp"
 
+#include <optional>
 #include <sstream>
+#include <string_view>
+
+#include "robust/decimal.hpp"
 
 namespace pftk::mc {
 
@@ -77,31 +81,18 @@ std::vector<Choice> decode_choices(const std::string& text) {
       // kinds always do. Anything else cannot have come from encode.
       throw std::invalid_argument("malformed choice token '" + token + "'");
     }
-    std::size_t consumed = 0;
-    try {
-      const unsigned long chosen = std::stoul(rest.substr(0, slash), &consumed);
-      if (slash == std::string::npos) {
-        c.arity = 2;
-      } else {
-        std::size_t arity_consumed = 0;
-        const std::string arity_text = rest.substr(slash + 1);
-        const unsigned long arity = std::stoul(arity_text, &arity_consumed);
-        if (arity_consumed != arity_text.size() || arity > UINT16_MAX) {
-          throw std::invalid_argument("bad arity");
-        }
-        c.arity = static_cast<std::uint16_t>(arity);
-      }
-      if (chosen > UINT16_MAX) {
-        throw std::invalid_argument("bad chosen index");
-      }
-      c.chosen = static_cast<std::uint16_t>(chosen);
-    } catch (const std::exception&) {
+    // Both numbers are plain decimals (no sign or suffix) that fit u16.
+    const auto chosen = robust::parse_decimal(std::string_view(rest).substr(0, slash),
+                                              UINT16_MAX);
+    const auto arity = slash == std::string::npos
+                           ? std::optional<std::uint64_t>(2)
+                           : robust::parse_decimal(std::string_view(rest).substr(slash + 1),
+                                                   UINT16_MAX);
+    if (!chosen || !arity || *arity < 2 || *chosen >= *arity) {
       throw std::invalid_argument("malformed choice token '" + token + "'");
     }
-    if (consumed != (slash == std::string::npos ? rest.size() : slash) ||
-        c.arity < 2 || c.chosen >= c.arity) {
-      throw std::invalid_argument("malformed choice token '" + token + "'");
-    }
+    c.chosen = static_cast<std::uint16_t>(*chosen);
+    c.arity = static_cast<std::uint16_t>(*arity);
     path.push_back(c);
   }
   return path;

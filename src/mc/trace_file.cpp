@@ -1,10 +1,14 @@
 #include "mc/trace_file.hpp"
 
 #include <algorithm>
+#include <climits>
+#include <cstdint>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
+#include "robust/decimal.hpp"
 #include "robust/durable_file.hpp"
 #include "robust/json_line.hpp"
 
@@ -18,6 +22,31 @@ std::string one_line(std::string text) {
   std::replace(text.begin(), text.end(), '\n', ' ');
   std::replace(text.begin(), text.end(), '\r', ' ');
   return text;
+}
+
+/// `value` as a plain decimal integer in [min, max]: no sign, suffix,
+/// fraction or wrap-around.
+std::uint64_t integer(const std::string& value, std::uint64_t min, std::uint64_t max) {
+  const auto parsed = robust::parse_decimal(value, max);
+  if (!parsed || *parsed < min) {
+    throw std::invalid_argument("not an integer in [" + std::to_string(min) + ", " +
+                                std::to_string(max) + "]");
+  }
+  return *parsed;
+}
+
+std::uint32_t u32(const std::string& value) {
+  return static_cast<std::uint32_t>(integer(value, 0, UINT32_MAX));
+}
+
+/// `value` as a number that consumes the whole text.
+double real(const std::string& value) {
+  char* end = nullptr;
+  const double parsed = std::strtod(value.c_str(), &end);
+  if (value.empty() || end != value.c_str() + value.size()) {
+    throw std::invalid_argument("not a number");
+  }
+  return parsed;
 }
 
 }  // namespace
@@ -56,44 +85,44 @@ CounterexampleTrace parse_trace(const std::string& content) {
   }
   CounterexampleTrace trace;
   bool saw_digest = false;
-  while (std::getline(is, line)) {
+  for (std::size_t number = 2; std::getline(is, line); ++number) {
     if (line.empty()) {
       continue;
     }
-    const std::size_t eq = line.find('=');
-    if (eq == std::string::npos) {
-      throw std::invalid_argument("trace file: malformed line '" + line + "'");
-    }
-    const std::string key = line.substr(0, eq);
-    const std::string value = line.substr(eq + 1);
-    ExploreConfig& c = trace.config;
     try {
+      const std::size_t eq = line.find('=');
+      if (eq == std::string::npos) {
+        throw std::invalid_argument("no '='");
+      }
+      const std::string key = line.substr(0, eq);
+      const std::string value = line.substr(eq + 1);
+      ExploreConfig& c = trace.config;
       if (key == "packets") {
-        c.packets = static_cast<std::uint32_t>(std::stoul(value));
+        c.packets = u32(value);
       } else if (key == "window") {
-        c.window = std::stod(value);
+        c.window = real(value);
       } else if (key == "ack_every") {
-        c.ack_every = std::stoi(value);
+        c.ack_every = static_cast<int>(integer(value, 1, INT_MAX));
       } else if (key == "one_way_delay") {
-        c.one_way_delay = std::stod(value);
+        c.one_way_delay = real(value);
       } else if (key == "min_rto") {
-        c.min_rto = std::stod(value);
+        c.min_rto = real(value);
       } else if (key == "time_cap") {
-        c.time_cap = std::stod(value);
+        c.time_cap = real(value);
       } else if (key == "faults") {
         c.fault_schedule = value;
       } else if (key == "ack_loss") {
-        c.ack_loss = std::stoi(value) != 0;
+        c.ack_loss = integer(value, 0, 1) == 1;
       } else if (key == "loss_choices") {
-        c.loss_choices = static_cast<std::uint32_t>(std::stoul(value));
+        c.loss_choices = u32(value);
       } else if (key == "tie_width") {
-        c.tie_width = static_cast<std::uint32_t>(std::stoul(value));
+        c.tie_width = u32(value);
       } else if (key == "tie_choices") {
-        c.tie_choices = static_cast<std::uint32_t>(std::stoul(value));
+        c.tie_choices = u32(value);
       } else if (key == "depth") {
-        c.depth = static_cast<std::uint32_t>(std::stoul(value));
+        c.depth = u32(value);
       } else if (key == "seed") {
-        c.seed = std::stoull(value);
+        c.seed = integer(value, 0, UINT64_MAX);
       } else if (key == "check") {
         trace.check = value;
       } else if (key == "message") {
@@ -106,10 +135,9 @@ CounterexampleTrace parse_trace(const std::string& content) {
       } else {
         throw std::invalid_argument("unknown key");
       }
-    } catch (const std::invalid_argument&) {
-      throw std::invalid_argument("trace file: bad line '" + line + "'");
-    } catch (const std::out_of_range&) {
-      throw std::invalid_argument("trace file: value out of range in '" + line + "'");
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument("trace file: line " + std::to_string(number) + ": " +
+                                  e.what() + " in '" + line + "'");
     }
   }
   if (!saw_digest) {

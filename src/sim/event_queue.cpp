@@ -1,7 +1,10 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace pftk::sim {
@@ -12,6 +15,16 @@ namespace {
 // callers can use 0 as a "no timer armed" sentinel.
 constexpr EventId make_id(std::uint32_t slot, std::uint32_t gen) noexcept {
   return (static_cast<EventId>(gen) << 32) | (static_cast<EventId>(slot) + 1);
+}
+
+// Event times (and delays) must be finite and at least `floor`: now, or
+// 0 for a delay. Written so that NaN fails too: a NaN time would run at
+// once and set now() to NaN, after which no time is in the past.
+void check_time(double t, double floor, const char* who, const char* too_low) {
+  if (!(t >= floor && t <= std::numeric_limits<double>::max())) {
+    throw std::invalid_argument(std::string(who) +
+                                (std::isfinite(t) ? too_low : ": not finite"));
+  }
 }
 
 }  // namespace
@@ -36,17 +49,7 @@ void EventQueue::release_slot(std::uint32_t slot) noexcept {
   --live_count_;
 }
 
-EventId EventQueue::schedule_at(Time at, EventCallback action) {
-  if (at < now_) {
-    throw std::invalid_argument("EventQueue::schedule_at: time in the past");
-  }
-  const std::uint32_t slot = acquire_slot();
-  Slot& s = slots_[slot];
-  s.action = std::move(action);
-  s.live = true;
-  heap_.push_back(Entry{at, next_seq_++, slot, s.gen});
-  std::push_heap(heap_.begin(), heap_.end(), EntryAfter{});
-  ++live_count_;
+void EventQueue::note_scheduled() noexcept {
   if (stats_ != nullptr) {
     ++stats_->scheduled;
     if (heap_.size() > stats_->heap_peak) {
@@ -56,13 +59,27 @@ EventId EventQueue::schedule_at(Time at, EventCallback action) {
       stats_->slab_peak = slots_.size();
     }
   }
+}
+
+void EventQueue::push_heap_entry(const Entry& entry) {
+  heap_.push_back(entry);
+  std::push_heap(heap_.begin(), heap_.end(), EntryAfter{});
+}
+
+EventId EventQueue::schedule_at(Time at, EventCallback action) {
+  check_time(at, now_, "EventQueue::schedule_at", ": time in the past");
+  const std::uint32_t slot = acquire_slot();
+  Slot& s = slots_[slot];
+  s.action = std::move(action);
+  s.live = true;
+  push_heap_entry(Entry{at, next_seq_++, slot, s.gen});
+  ++live_count_;
+  note_scheduled();
   return make_id(slot, s.gen);
 }
 
 EventId EventQueue::schedule_in(Duration delay, EventCallback action) {
-  if (delay < 0.0) {
-    throw std::invalid_argument("EventQueue::schedule_in: negative delay");
-  }
+  check_time(delay, 0.0, "EventQueue::schedule_in", ": negative delay");
   return schedule_at(now_ + delay, std::move(action));
 }
 
@@ -84,6 +101,84 @@ void EventQueue::cancel(EventId id) noexcept {
   compact_if_mostly_cancelled();
 }
 
+TimerId EventQueue::add_timer(EventCallback action) {
+  const std::uint32_t slot = acquire_slot();
+  const auto id = static_cast<TimerId>(timers_.size());
+  timers_.push_back(Timer{.slot = slot});
+  slots_[slot].action = std::move(action);
+  slots_[slot].timer = id;
+  return id;
+}
+
+void EventQueue::arm_at(TimerId timer, Time at) {
+  check_time(at, now_, "EventQueue::arm_at", ": time in the past");
+  Timer& t = timers_[timer];
+  Slot& s = slots_[t.slot];
+  if (s.live) {
+    if (stats_ != nullptr) {
+      ++stats_->cancelled;  // a re-arm is a cancel plus a schedule
+    }
+  } else {
+    s.live = true;
+    ++live_count_;
+    if (t.queued) {
+      --cancelled_in_heap_;  // the disarmed entry is current again
+    }
+  }
+  t.due = at;
+  t.seq = next_seq_++;
+  // A current entry no later than the new key can stay: it re-pushes
+  // itself at (due, seq) when it reaches the top. An earlier deadline
+  // needs an entry of its own; the old one goes stale.
+  const bool stale = t.queued && at < t.entry_at;
+  if (!t.queued || stale) {
+    if (stale) {
+      ++s.gen;
+      ++cancelled_in_heap_;
+    }
+    push_heap_entry(Entry{at, t.seq, t.slot, s.gen});
+    t.entry_at = at;
+    t.queued = true;
+  }
+  note_scheduled();
+  if (stale) {
+    compact_if_mostly_cancelled();
+  }
+}
+
+void EventQueue::arm_in(TimerId timer, Duration delay) {
+  check_time(delay, 0.0, "EventQueue::arm_in", ": negative delay");
+  arm_at(timer, now_ + delay);
+}
+
+void EventQueue::disarm(TimerId timer) noexcept {
+  Slot& s = slots_[timers_[timer].slot];
+  if (!s.live) {
+    return;
+  }
+  s.live = false;
+  --live_count_;
+  ++cancelled_in_heap_;  // an armed timer's current entry is in the heap
+  if (stats_ != nullptr) {
+    ++stats_->cancelled;
+  }
+  compact_if_mostly_cancelled();
+}
+
+bool EventQueue::drop_if_dead(const Entry& e) noexcept {
+  Slot& s = slots_[e.slot];
+  if (s.gen != e.gen) {
+    return true;  // cancelled, fired or stale: the slot has moved on
+  }
+  if (s.live) {
+    return false;
+  }
+  if (s.timer != kNoSlot) {
+    timers_[s.timer].queued = false;  // a disarmed timer's current entry
+  }
+  return true;
+}
+
 void EventQueue::compact_if_mostly_cancelled() noexcept {
   // Rebuild only when cancelled entries dominate, so the amortized cost
   // per cancel stays O(log n) while the heap stays O(live events).
@@ -91,7 +186,7 @@ void EventQueue::compact_if_mostly_cancelled() noexcept {
     return;
   }
   heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
-                             [this](const Entry& e) { return !entry_alive(e); }),
+                             [this](const Entry& e) { return drop_if_dead(e); }),
               heap_.end());
   std::make_heap(heap_.begin(), heap_.end(), EntryAfter{});
   cancelled_in_heap_ = 0;
@@ -101,15 +196,26 @@ void EventQueue::compact_if_mostly_cancelled() noexcept {
 }
 
 bool EventQueue::peek_next(Entry& out) {
-  // Skip heap entries whose slot was cancelled (or recycled since).
   while (!heap_.empty()) {
     const Entry top = heap_.front();
-    if (!entry_alive(top)) {
+    // Skip dead entries: cancelled, fired and recycled, stale or disarmed.
+    if (drop_if_dead(top)) {
       pop_heap_top();
       if (cancelled_in_heap_ > 0) {
         --cancelled_in_heap_;
       }
       continue;
+    }
+    // A timer re-armed later than its entry: move the entry to the real
+    // key, so callers only ever see exact (time, seq) keys.
+    if (const std::uint32_t timer = slots_[top.slot].timer; timer != kNoSlot) {
+      Timer& t = timers_[timer];
+      if (top.seq != t.seq) {
+        pop_heap_top();
+        push_heap_entry(Entry{t.due, t.seq, top.slot, top.gen});
+        t.entry_at = t.due;
+        continue;
+      }
     }
     out = top;
     return true;
@@ -123,21 +229,41 @@ void EventQueue::pop_heap_top() {
 }
 
 void EventQueue::dispatch(const Entry& entry) {
-  // Move the action out and free the slot before invoking: the action
-  // may itself schedule events (reusing this slot is fine — the
-  // generation bump has already invalidated the old id) or cancel its
-  // own id (a harmless no-op for the same reason).
-  EventCallback action = std::move(slots_[entry.slot].action);
-  release_slot(entry.slot);
   now_ = entry.at;
   ++executed_;
   if (stats_ != nullptr) {
     ++stats_->executed;
   }
-  action();
+  if (slots_[entry.slot].timer == kNoSlot) {
+    // Move the action out and free the slot before invoking: the action
+    // may itself schedule events (reusing this slot is fine — the
+    // generation bump has already invalidated the old id) or cancel its
+    // own id (a harmless no-op for the same reason).
+    EventCallback action = std::move(slots_[entry.slot].action);
+    release_slot(entry.slot);
+    action();
+  } else {
+    fire_timer(entry.slot);
+  }
   if (inspector_ && executed_ % inspect_every_ == 0) {
     inspector_();
   }
+}
+
+void EventQueue::fire_timer(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  s.live = false;
+  timers_[s.timer].queued = false;
+  --live_count_;
+  // Run the callback from outside the slab, which it may grow (moving
+  // every slot), and hand it back to the timer even if it throws.
+  struct Running {
+    std::vector<Slot>& slots;
+    std::uint32_t slot;
+    EventCallback action;
+    ~Running() { slots[slot].action = std::move(action); }
+  } running{slots_, slot, std::move(s.action)};
+  running.action();
 }
 
 void EventQueue::run_one(const Entry& entry) {
@@ -168,16 +294,17 @@ void EventQueue::run_one_tied(const Entry& top) {
   // is preserved, and each later pop at this timestamp is a fresh
   // tie-break decision (so a chooser can realize any permutation).
   for (std::size_t i = 0; i < tie_buffer_.size(); ++i) {
-    if (i == chosen) {
-      continue;
+    if (i != chosen) {
+      push_heap_entry(tie_buffer_[i]);
     }
-    heap_.push_back(tie_buffer_[i]);
-    std::push_heap(heap_.begin(), heap_.end(), EntryAfter{});
   }
   dispatch(tie_buffer_[chosen]);
 }
 
 void EventQueue::run_until(Time end_time) {
+  if (std::isnan(end_time)) {
+    throw std::invalid_argument("EventQueue::run_until: end time is NaN");
+  }
   Entry entry{};
   while (peek_next(entry)) {
     if (entry.at > end_time) {
@@ -226,7 +353,8 @@ void EventQueue::pending_times(std::vector<Time>& out) const {
   const std::size_t base = out.size();
   for (const Entry& entry : heap_) {
     if (entry_alive(entry)) {
-      out.push_back(entry.at);
+      const std::uint32_t timer = slots_[entry.slot].timer;
+      out.push_back(timer == kNoSlot ? entry.at : timers_[timer].due);
     }
   }
   std::sort(out.begin() + static_cast<std::ptrdiff_t>(base), out.end());

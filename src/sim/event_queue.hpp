@@ -18,6 +18,16 @@
 // when cancelled entries outnumber live ones the heap is compacted in
 // place, so fault-heavy runs that schedule and cancel millions of timers
 // keep the heap within a small factor of the live count.
+//
+// Timers that restart constantly (a sender's RTO, a receiver's delayed
+// ACK) are re-armable: a timer keeps one slab slot and its callback for
+// the queue's lifetime and has at most one current heap entry, never
+// later than its real (time, seq) key. Arming takes a fresh sequence
+// number exactly as cancel + schedule_at would, but moves the entry only
+// when the deadline gets earlier; an entry that reaches the top early is
+// re-pushed at the real key before anything looks at it. Pop order is
+// therefore the (time, seq) order of cancel + schedule_at, and a restart
+// does no heap work.
 #pragma once
 
 #include <cstddef>
@@ -36,6 +46,9 @@ namespace pftk::sim {
 /// Opaque handle for cancelling a scheduled event. 0 is never issued,
 /// so callers can use it as a "no timer armed" sentinel.
 using EventId = std::uint64_t;
+
+/// Handle of a re-armable timer (EventQueue::add_timer).
+using TimerId = std::uint32_t;
 
 /// Move-only callable wrapper with inline small-buffer storage — the
 /// slab cell of the event queue. Unlike std::function it never
@@ -149,18 +162,46 @@ class EventCallback {
 class EventQueue {
  public:
   /// Schedules `action` to run at absolute time `at` (>= now()).
-  /// @throws std::invalid_argument if `at` precedes the current time.
+  /// @throws std::invalid_argument if `at` is not finite or precedes
+  /// the current time.
   EventId schedule_at(Time at, EventCallback action);
 
-  /// Schedules `action` to run after `delay` (>= 0) seconds.
+  /// Schedules `action` to run after `delay` (finite, >= 0) seconds.
   EventId schedule_in(Duration delay, EventCallback action);
 
   /// Cancels a pending event; cancelling an already-fired or unknown id
   /// is a harmless no-op (timers are routinely cancelled late).
   void cancel(EventId id) noexcept;
 
+  /// Creates a disarmed timer that runs `action` each time it fires. The
+  /// timer holds one slab slot and the callback for the queue's lifetime.
+  TimerId add_timer(EventCallback action);
+
+  /// Arms `timer` to fire at `at`, replacing any pending deadline. This
+  /// is cancel + schedule_at in every observable respect: a fresh
+  /// sequence number, the same pop order and the same counters (a
+  /// re-arm counts one cancel and one schedule). A timer is disarmed
+  /// before its callback runs: the callback may re-arm it, and if the
+  /// callback throws, the timer stays disarmed and can be armed again.
+  /// @throws std::invalid_argument if `at` is not finite or precedes
+  /// the current time.
+  void arm_at(TimerId timer, Time at);
+
+  /// Arms `timer` to fire after `delay` (finite, >= 0) seconds.
+  void arm_in(TimerId timer, Duration delay);
+
+  /// Disarms `timer`, exactly as cancel does an event; a no-op when the
+  /// timer is not armed.
+  void disarm(TimerId timer) noexcept;
+
+  /// Whether `timer` is armed (counted by pending()).
+  [[nodiscard]] bool armed(TimerId timer) const noexcept {
+    return slots_[timers_[timer].slot].live;
+  }
+
   /// Runs events until the queue empties or the next event is after
   /// `end_time`; the clock finishes at exactly `end_time`.
+  /// @throws std::invalid_argument if `end_time` is NaN.
   void run_until(Time end_time);
 
   /// Runs every pending event (use only when the event graph terminates).
@@ -193,9 +234,10 @@ class EventQueue {
   /// a correctness limit).
   static constexpr std::size_t kMaxTieFanout = 16;
 
-  /// Appends the timestamps of every pending (uncancelled) event to
-  /// `out`, sorted ascending — a canonical view of the timer wheel for
-  /// state digests. O(heap) — diagnostics/digest use only.
+  /// Appends the timestamps of every pending (uncancelled) event and
+  /// armed timer to `out`, sorted ascending — a canonical view of the
+  /// timer wheel for state digests. O(heap) — diagnostics/digest use
+  /// only.
   void pending_times(std::vector<Time>& out) const;
 
   /// Attaches an observability sink (nullptr detaches). The queue then
@@ -208,7 +250,7 @@ class EventQueue {
   /// Current simulation clock.
   [[nodiscard]] Time now() const noexcept { return now_; }
 
-  /// Number of pending (uncancelled) events.
+  /// Number of pending (uncancelled) events, armed timers included.
   [[nodiscard]] std::size_t pending() const noexcept { return live_count_; }
 
   /// Total events executed so far.
@@ -246,23 +288,41 @@ class EventQueue {
   /// A slab cell: the callback plus free-list/liveness bookkeeping.
   struct Slot {
     EventCallback action;
-    std::uint32_t gen = 0;         ///< bumped on every release
+    std::uint32_t gen = 0;  ///< bumped on release, or when a timer's entry goes stale
     std::uint32_t next_free = kNoSlot;
-    bool live = false;
+    std::uint32_t timer = kNoSlot;  ///< index into timers_, or kNoSlot
+    bool live = false;              ///< pending event or armed timer
+  };
+
+  /// A re-armable timer. Its current heap entry is the one carrying its
+  /// slot's generation; an entry superseded by an earlier deadline is
+  /// made stale by bumping the generation, like a cancelled event.
+  struct Timer {
+    Time due = 0.0;          ///< real deadline while armed
+    std::uint64_t seq = 0;   ///< real FIFO key while armed
+    Time entry_at = 0.0;     ///< time of the current heap entry
+    std::uint32_t slot = 0;
+    bool queued = false;     ///< the current heap entry exists
   };
 
   [[nodiscard]] bool entry_alive(const Entry& e) const noexcept {
     const Slot& s = slots_[e.slot];
     return s.live && s.gen == e.gen;
   }
+  /// entry_alive's negation, for entries leaving the heap: a timer whose
+  /// current entry this is has none afterwards.
+  bool drop_if_dead(const Entry& e) noexcept;
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot) noexcept;
+  void note_scheduled() noexcept;
 
   bool peek_next(Entry& out);
   void pop_heap_top();
+  void push_heap_entry(const Entry& entry);
   void compact_if_mostly_cancelled() noexcept;
   void run_one(const Entry& entry);
   void dispatch(const Entry& entry);
+  void fire_timer(std::uint32_t slot);
   void run_one_tied(const Entry& top);
 
   Time now_ = 0.0;
@@ -270,6 +330,7 @@ class EventQueue {
   std::uint64_t executed_ = 0;
   std::vector<Entry> heap_;  ///< std::push_heap/pop_heap with EntryAfter
   std::vector<Slot> slots_;  ///< slab indexed by Entry::slot
+  std::vector<Timer> timers_;  ///< indexed by TimerId
   std::uint32_t free_head_ = kNoSlot;
   std::size_t live_count_ = 0;
   std::size_t cancelled_in_heap_ = 0;

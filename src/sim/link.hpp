@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -35,8 +36,11 @@ struct LinkConfig {
   Duration jitter = 0.0;              ///< max extra uniform delay per packet (>= 0)
   double rate_pps = 0.0;              ///< serialization rate; 0 = unlimited
   void validate() const {
-    if (propagation_delay < 0.0 || jitter < 0.0 || rate_pps < 0.0) {
-      throw std::invalid_argument("LinkConfig: negative delay/jitter/rate");
+    // Written so that NaN fails too: a NaN delay would schedule NaN times.
+    for (const double v : {propagation_delay, jitter, rate_pps}) {
+      if (!(v >= 0.0 && v <= std::numeric_limits<double>::max())) {
+        throw std::invalid_argument("LinkConfig: delay/jitter/rate must be finite and >= 0");
+      }
     }
   }
 };

@@ -17,6 +17,14 @@ void TcpReceiverConfig::validate() const {
 TcpReceiver::TcpReceiver(EventQueue& queue, const TcpReceiverConfig& config)
     : queue_(queue), config_(config) {
   config_.validate();
+  delack_timer_ = queue_.add_timer([this] {
+    if (unacked_in_order_ > 0) {
+      unacked_in_order_ = 0;
+      emit(obs::ConnEventKind::kDelayedAckFire, static_cast<double>(next_expected_));
+      emit_ack(queue_.now(), next_expected_ > 0 ? next_expected_ - 1 : 0,
+               /*duplicate=*/false);
+    }
+  });
 }
 
 void TcpReceiver::on_segment(const Segment& segment, Time now) {
@@ -44,14 +52,14 @@ void TcpReceiver::on_segment(const Segment& segment, Time now) {
       // point at once (RFC 2581 section 4.2).
       emit(obs::ConnEventKind::kHoleFilled, static_cast<double>(next_expected_),
            static_cast<double>(segment.seq));
-      cancel_delack_timer();
+      queue_.disarm(delack_timer_);
       unacked_in_order_ = 0;
       emit_ack(now, segment.seq, /*duplicate=*/false);
       return;
     }
     ++unacked_in_order_;
     if (unacked_in_order_ >= config_.ack_every || config_.delayed_ack_timeout == 0.0) {
-      cancel_delack_timer();
+      queue_.disarm(delack_timer_);
       unacked_in_order_ = 0;
       emit_ack(now, segment.seq, /*duplicate=*/false);
     } else {
@@ -65,7 +73,7 @@ void TcpReceiver::on_segment(const Segment& segment, Time now) {
   out_of_order_.insert(segment.seq);
   emit(obs::ConnEventKind::kOutOfOrderBuffered,
        static_cast<double>(out_of_order_.size()), static_cast<double>(segment.seq));
-  cancel_delack_timer();
+  queue_.disarm(delack_timer_);
   if (unacked_in_order_ > 0) {
     unacked_in_order_ = 0;  // fold the pending delayed ACK into this one
   }
@@ -88,10 +96,9 @@ void TcpReceiver::emit_ack(Time now, SeqNo triggered_by, bool duplicate) {
 }
 
 void TcpReceiver::arm_delack_timer() {
-  if (delack_armed_) {
+  if (delack_armed()) {
     return;
   }
-  delack_armed_ = true;
   // Fire at the next heartbeat-grid boundary (BSD fasttimo style): an
   // unpaired segment waits U(0, period], period/2 on average.
   const Duration period = config_.delayed_ack_timeout;
@@ -101,22 +108,7 @@ void TcpReceiver::arm_delack_timer() {
   if (delay <= 0.0 || delay > period) {
     delay = period;
   }
-  delack_timer_ = queue_.schedule_in(delay, [this] {
-    delack_armed_ = false;
-    if (unacked_in_order_ > 0) {
-      unacked_in_order_ = 0;
-      emit(obs::ConnEventKind::kDelayedAckFire, static_cast<double>(next_expected_));
-      emit_ack(queue_.now(), next_expected_ > 0 ? next_expected_ - 1 : 0,
-               /*duplicate=*/false);
-    }
-  });
-}
-
-void TcpReceiver::cancel_delack_timer() {
-  if (delack_armed_) {
-    queue_.cancel(delack_timer_);
-    delack_armed_ = false;
-  }
+  queue_.arm_in(delack_timer_, delay);
 }
 
 }  // namespace pftk::sim

@@ -47,6 +47,10 @@ class TcpReceiver {
   /// @throws std::invalid_argument if config is invalid.
   TcpReceiver(EventQueue& queue, const TcpReceiverConfig& config);
 
+  // The delayed-ACK timer's callback holds `this`.
+  TcpReceiver(const TcpReceiver&) = delete;
+  TcpReceiver& operator=(const TcpReceiver&) = delete;
+
   /// Sets the ACK transmission callback (must be set before traffic flows).
   void set_send_ack(SendAckFn fn) { send_ack_ = std::move(fn); }
 
@@ -71,14 +75,13 @@ class TcpReceiver {
   [[nodiscard]] int unacked_in_order() const noexcept { return unacked_in_order_; }
 
   /// Whether the delayed-ACK timer is currently armed.
-  [[nodiscard]] bool delack_armed() const noexcept { return delack_armed_; }
+  [[nodiscard]] bool delack_armed() const noexcept { return queue_.armed(delack_timer_); }
 
   [[nodiscard]] const TcpReceiverStats& stats() const noexcept { return stats_; }
 
  private:
   void emit_ack(Time now, SeqNo triggered_by, bool duplicate);
   void arm_delack_timer();
-  void cancel_delack_timer();
 
   void emit(obs::ConnEventKind kind, double value = 0.0, double aux = 0.0) {
     if (etrace_ != nullptr) {
@@ -93,8 +96,7 @@ class TcpReceiver {
   SeqNo next_expected_ = 0;
   std::set<SeqNo> out_of_order_;
   int unacked_in_order_ = 0;
-  EventId delack_timer_ = 0;
-  bool delack_armed_ = false;
+  TimerId delack_timer_ = 0;
   TcpReceiverStats stats_;
 };
 

@@ -36,6 +36,7 @@ TcpRenoSender::TcpRenoSender(EventQueue& queue, const TcpRenoSenderConfig& confi
   cwnd_ = config_.initial_cwnd;
   ssthresh_ = config_.initial_ssthresh;
   rto_ = config_.initial_rto;
+  rtx_timer_ = queue_.add_timer([this] { handle_timeout(); });
 }
 
 void TcpRenoSender::start() {
@@ -124,7 +125,7 @@ void TcpRenoSender::try_send_new() {
     transmit(seq, /*retransmission=*/seq < highest_sent_);
     sent_any = true;
   }
-  if (sent_any && !rtx_timer_armed_) {
+  if (sent_any && !rtx_timer_armed()) {
     restart_rtx_timer();
   }
 }
@@ -158,7 +159,7 @@ void TcpRenoSender::on_ack(const Ack& ack, Time now) {
       if (completion_time_ == 0.0) {
         completion_time_ = now;
       }
-      stop_rtx_timer();
+      queue_.disarm(rtx_timer_);
       return;
     }
 
@@ -191,7 +192,7 @@ void TcpRenoSender::on_ack(const Ack& ack, Time now) {
     note_window_state();
 
     if (in_flight() == 0) {
-      stop_rtx_timer();
+      queue_.disarm(rtx_timer_);
     } else {
       restart_rtx_timer();
     }
@@ -253,12 +254,12 @@ void TcpRenoSender::enter_fast_retransmit() {
 
 Duration TcpRenoSender::backed_off_rto() const {
   const int exponent = std::min(consecutive_timeouts_, config_.max_backoff_exponent);
-  const double multiplier = std::ldexp(1.0, exponent);  // 2^exponent
+  // validate() keeps the exponent <= 20: 2^exponent exactly, without libm.
+  const double multiplier = static_cast<double>(1u << exponent);
   return std::min(rto_ * multiplier, config_.max_rto * 64.0);
 }
 
 void TcpRenoSender::handle_timeout() {
-  rtx_timer_armed_ = false;
   if (in_flight() == 0) {
     return;  // spurious: everything was acked as the timer fired
   }
@@ -288,16 +289,7 @@ void TcpRenoSender::handle_timeout() {
 }
 
 void TcpRenoSender::restart_rtx_timer() {
-  stop_rtx_timer();
-  rtx_timer_armed_ = true;
-  rtx_timer_ = queue_.schedule_in(backed_off_rto(), [this] { handle_timeout(); });
-}
-
-void TcpRenoSender::stop_rtx_timer() {
-  if (rtx_timer_armed_) {
-    queue_.cancel(rtx_timer_);
-    rtx_timer_armed_ = false;
-  }
+  queue_.arm_in(rtx_timer_, backed_off_rto());
 }
 
 void TcpRenoSender::take_rtt_sample(const Ack& ack, Time now) {

@@ -82,6 +82,10 @@ class TcpRenoSender {
   /// @throws std::invalid_argument if config is invalid.
   TcpRenoSender(EventQueue& queue, const TcpRenoSenderConfig& config);
 
+  // The RTO timer's callback holds `this`.
+  TcpRenoSender(const TcpRenoSender&) = delete;
+  TcpRenoSender& operator=(const TcpRenoSender&) = delete;
+
   /// Sets the segment transmission callback (must be set before start()).
   void set_send_segment(SendSegmentFn fn) { send_segment_ = std::move(fn); }
 
@@ -148,7 +152,7 @@ class TcpRenoSender {
   [[nodiscard]] bool rtt_timing_active() const noexcept { return timing_active_; }
   [[nodiscard]] SeqNo rtt_timed_seq() const noexcept { return timed_seq_; }
   [[nodiscard]] Time rtt_timing_started() const noexcept { return timing_started_; }
-  [[nodiscard]] bool rtx_timer_armed() const noexcept { return rtx_timer_armed_; }
+  [[nodiscard]] bool rtx_timer_armed() const noexcept { return queue_.armed(rtx_timer_); }
   /// Outstanding-segment records, front == snd_una() (Karn flags).
   [[nodiscard]] const std::deque<FlightRecord>& flight() const noexcept {
     return flight_;
@@ -161,7 +165,6 @@ class TcpRenoSender {
   void enter_fast_retransmit();
   void handle_timeout();
   void restart_rtx_timer();
-  void stop_rtx_timer();
   void take_rtt_sample(const Ack& ack, Time now);
   void update_rto(Duration sample);
   [[nodiscard]] double effective_window() const;
@@ -211,8 +214,7 @@ class TcpRenoSender {
   Time timing_started_ = 0.0;
   std::size_t timing_in_flight_ = 0;
 
-  EventId rtx_timer_ = 0;
-  bool rtx_timer_armed_ = false;
+  TimerId rtx_timer_ = 0;
 
   /// Flight records indexed by (seq - flight_base_); front == snd_una_.
   std::deque<FlightRecord> flight_;

@@ -3,10 +3,15 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <memory>
+#include <random>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
+#include "obs/event_loop_stats.hpp"
 #include "sim/event_queue.hpp"
 
 namespace pftk::sim {
@@ -401,6 +406,381 @@ TEST(EventQueue, ClearedTieBreakerRestoresFifoFastPath) {
   q.run_all();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
   EXPECT_EQ(decisions, 0);
+}
+
+TEST(EventQueue, NonFiniteTimesAreRejected) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EventQueue q;
+  for (const double bad : {kNaN, kInf, -kInf}) {
+    EXPECT_THROW(q.schedule_at(bad, [] {}), std::invalid_argument) << bad;
+    EXPECT_THROW(q.schedule_in(bad, [] {}), std::invalid_argument) << bad;
+  }
+  EXPECT_EQ(q.pending(), 0u);
+  // A NaN event used to run inside run_until and set now() to NaN, after
+  // which every "time in the past" check passed.
+  q.run_until(10.0);
+  EXPECT_DOUBLE_EQ(q.now(), 10.0);
+  EXPECT_THROW(q.schedule_at(5.0, [] {}), std::invalid_argument);
+}
+
+TEST(EventQueue, RunUntilNaNThrowsBeforeRunningAnything) {
+  // run_until(NaN) used to run every pending event: a chain like this
+  // one (or a saturated connection) would never return.
+  EventQueue q;
+  int fired = 0;
+  std::function<void()> chain = [&] {
+    if (++fired < 1000) {
+      q.schedule_in(1.0, chain);
+    }
+  };
+  q.schedule_at(1.0, chain);
+  EXPECT_THROW(q.run_until(std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(q.executed(), 0u);
+  EXPECT_EQ(q.pending(), 1u);
+}
+
+// ---- Re-armable timers --------------------------------------------------
+
+std::vector<Time> pending_times_of(const EventQueue& q) {
+  std::vector<Time> out;
+  q.pending_times(out);
+  return out;
+}
+
+TEST(EventQueueTimer, ArmsFiresAndReportsState) {
+  EventQueue q;
+  std::vector<double> fired;
+  const TimerId t = q.add_timer([&] { fired.push_back(q.now()); });
+  EXPECT_FALSE(q.armed(t));
+  EXPECT_EQ(q.pending(), 0u);
+  q.arm_at(t, 2.0);
+  EXPECT_TRUE(q.armed(t));
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_EQ(pending_times_of(q), (std::vector<Time>{2.0}));
+  q.run_all();
+  EXPECT_EQ(fired, (std::vector<double>{2.0}));
+  EXPECT_FALSE(q.armed(t));
+  EXPECT_EQ(q.pending(), 0u);
+  EXPECT_EQ(q.executed(), 1u);
+}
+
+TEST(EventQueueTimer, RearmEarlierThanThePendingEntry) {
+  EventQueue q;
+  std::vector<double> fired;
+  const TimerId t = q.add_timer([&] { fired.push_back(q.now()); });
+  q.arm_at(t, 5.0);
+  q.arm_at(t, 2.0);  // the 5.0 entry goes stale
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_EQ(pending_times_of(q), (std::vector<Time>{2.0}));
+  q.run_all();
+  EXPECT_EQ(fired, (std::vector<double>{2.0}));
+  EXPECT_EQ(q.executed(), 1u);
+  EXPECT_DOUBLE_EQ(q.now(), 2.0);  // the stale entry ran nothing
+}
+
+TEST(EventQueueTimer, RearmLaterKeepsOneEntryAndFiresAtTheNewDeadline) {
+  EventQueue q;
+  std::vector<int> order;
+  const TimerId t = q.add_timer([&] { order.push_back(0); });
+  q.arm_at(t, 2.0);
+  const std::size_t heap_before = q.heap_size();
+  q.arm_at(t, 5.0);
+  EXPECT_EQ(q.heap_size(), heap_before);  // no heap work for a restart
+  EXPECT_EQ(pending_times_of(q), (std::vector<Time>{5.0}));
+  q.schedule_at(3.0, [&] { order.push_back(1); });
+  q.run_until(4.0);
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  EXPECT_TRUE(q.armed(t));
+  EXPECT_EQ(pending_times_of(q), (std::vector<Time>{5.0}));
+  q.run_all();
+  EXPECT_EQ(order, (std::vector<int>{1, 0}));
+  EXPECT_DOUBLE_EQ(q.now(), 5.0);
+}
+
+TEST(EventQueueTimer, DisarmThenRearmAtTheSameTimeTakesAFreshSequenceNumber) {
+  EventQueue q;
+  std::vector<int> order;
+  const TimerId t = q.add_timer([&] { order.push_back(0); });
+  q.arm_at(t, 3.0);
+  q.schedule_at(3.0, [&] { order.push_back(1); });
+  q.disarm(t);
+  EXPECT_FALSE(q.armed(t));
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_EQ(pending_times_of(q), (std::vector<Time>{3.0}));
+  q.arm_at(t, 3.0);  // behind the one-shot, as cancel + schedule_at puts it
+  q.run_all();
+  EXPECT_EQ(order, (std::vector<int>{1, 0}));
+}
+
+TEST(EventQueueTimer, RearmsItselfFromItsOwnCallback) {
+  EventQueue q;
+  std::vector<double> fired;
+  TimerId t = 0;
+  t = q.add_timer([&] {
+    fired.push_back(q.now());
+    EXPECT_FALSE(q.armed(t));  // disarmed before the callback runs
+    if (fired.size() < 3) {
+      q.arm_in(t, 1.0);
+    }
+  });
+  q.arm_at(t, 1.0);
+  q.run_all();
+  EXPECT_EQ(fired, (std::vector<double>{1.0, 2.0, 3.0}));
+  EXPECT_EQ(q.executed(), 3u);
+  EXPECT_EQ(q.pending(), 0u);
+}
+
+TEST(EventQueueTimer, TiedWithTheEventThatRearmsIt) {
+  // Under a tie-breaker that always runs the youngest tied event, the
+  // one-shot runs first and re-arms the timer at the same instant: the
+  // timer keeps its place in the heap but now sits behind every event
+  // scheduled before the re-arm, and fires exactly once.
+  EventQueue q;
+  std::vector<int> order;
+  std::vector<std::size_t> groups;
+  const TimerId t = q.add_timer([&] { order.push_back(0); });
+  q.arm_at(t, 1.0);
+  q.schedule_at(1.0, [&] {
+    order.push_back(1);
+    q.arm_at(t, 1.0);
+  });
+  q.schedule_at(1.0, [&] { order.push_back(2); });
+  q.set_tie_breaker([&](std::size_t tied) {
+    groups.push_back(tied);
+    return tied - 1;
+  });
+  q.run_all();
+  // [t, 1, 2] -> 2 runs; [t, 1] -> 1 runs and re-arms t; t alone runs.
+  EXPECT_EQ(order, (std::vector<int>{2, 1, 0}));
+  EXPECT_EQ(groups, (std::vector<std::size_t>{3, 2}));
+  EXPECT_EQ(q.executed(), 3u);
+}
+
+TEST(EventQueueTimer, CompactionDropsDisarmedTimerEntriesAndKeepsThemRearmable) {
+  EventQueue q;
+  obs::EventLoopStats stats;
+  q.set_stats_sink(&stats);
+  std::vector<int> fired;
+  std::vector<TimerId> timers;
+  for (int i = 0; i < 100; ++i) {
+    timers.push_back(q.add_timer([&fired, i] { fired.push_back(i); }));
+    q.arm_at(timers.back(), 10.0 + i);
+  }
+  for (int i = 0; i < 90; ++i) {
+    q.disarm(timers[static_cast<std::size_t>(i)]);
+  }
+  EXPECT_EQ(stats.compactions, 1u);
+  EXPECT_EQ(q.pending(), 10u);
+  EXPECT_LE(q.heap_size(), 2 * q.pending() + 64);
+  // Re-arm two whose entries compaction removed: each needs a new one.
+  q.arm_at(timers[5], 1.0);
+  q.arm_at(timers[7], 200.0);
+  EXPECT_EQ(pending_times_of(q).front(), 1.0);
+  EXPECT_EQ(pending_times_of(q).back(), 200.0);
+  q.run_all();
+  EXPECT_EQ(fired, (std::vector<int>{5, 90, 91, 92, 93, 94, 95, 96, 97, 98, 99, 7}));
+  EXPECT_EQ(stats.scheduled, 102u);
+  EXPECT_EQ(stats.cancelled, 90u);
+  EXPECT_EQ(stats.executed, 12u);
+}
+
+TEST(EventQueueTimer, ThrowingCallbackLeavesTheTimerRearmable) {
+  EventQueue q;
+  int calls = 0;
+  const TimerId t = q.add_timer([&] {
+    if (++calls == 1) {
+      throw std::runtime_error("invariant");
+    }
+  });
+  q.arm_at(t, 1.0);
+  EXPECT_THROW(q.run_all(), std::runtime_error);
+  EXPECT_FALSE(q.armed(t));
+  EXPECT_EQ(q.pending(), 0u);
+  q.arm_at(t, 2.0);
+  q.run_all();
+  EXPECT_EQ(calls, 2);
+  EXPECT_DOUBLE_EQ(q.now(), 2.0);
+}
+
+TEST(EventQueueTimer, CallbackSurvivesSlabGrowthWhileRunning) {
+  // The running callback schedules enough events to reallocate the slab;
+  // its captures must still be intact afterwards (ASan checks the rest).
+  EventQueue q;
+  std::array<double, 4> captured{1.0, 2.0, 3.0, 4.0};
+  double seen = 0.0;
+  const TimerId t = q.add_timer([&q, &seen, captured] {
+    for (int i = 0; i < 1000; ++i) {
+      q.schedule_in(1.0, [] {});
+    }
+    seen = captured[3];
+  });
+  q.arm_at(t, 1.0);
+  q.run_all();
+  EXPECT_DOUBLE_EQ(seen, 4.0);
+  EXPECT_EQ(q.executed(), 1001u);
+}
+
+TEST(EventQueueTimer, NonFiniteOrPastDeadlinesAreRejected) {
+  EventQueue q;
+  const TimerId t = q.add_timer([] {});
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(q.arm_at(t, bad), std::invalid_argument) << bad;
+    EXPECT_THROW(q.arm_in(t, bad), std::invalid_argument) << bad;
+  }
+  q.run_until(2.0);
+  EXPECT_THROW(q.arm_at(t, 1.0), std::invalid_argument);
+  EXPECT_THROW(q.arm_in(t, -0.5), std::invalid_argument);
+  EXPECT_FALSE(q.armed(t));
+}
+
+/// One side of the timer differential test: K logical timers and
+/// one-shots on one queue. With `use_timers` the K timers are re-armable
+/// timers; without, every arm is cancel + schedule_at of a fresh event
+/// and every disarm a cancel. Callbacks log (tag, now) and perform more
+/// operations drawn from the side's own RNG, so two sides seeded alike
+/// stay in lockstep exactly as long as their dispatch orders agree.
+class ScriptedQueue {
+ public:
+  ScriptedQueue(bool use_timers, std::uint64_t seed, std::size_t timers, bool tie_breaks)
+      : use_timers_(use_timers), rng_(seed), ids_(timers, 0) {
+    queue.set_stats_sink(&stats);
+    for (std::size_t i = 0; i < timers; ++i) {
+      if (use_timers_) {
+        handles_.push_back(queue.add_timer([this, i] { fired(static_cast<int>(i)); }));
+      }
+    }
+    next_tag_ = static_cast<int>(timers);
+    if (tie_breaks) {
+      queue.set_tie_breaker([this](std::size_t tied) {
+        ties.push_back(tied);
+        return static_cast<std::size_t>(rng_() % tied);
+      });
+    }
+  }
+
+  /// One random arm, disarm or one-shot on the 0.25-s grid ahead of now.
+  void random_op() {
+    const Time at = queue.now() + 0.25 * static_cast<double>(rng_() % 9);
+    const std::size_t i = rng_() % ids_.size();
+    switch (rng_() % 3) {
+      case 0:
+        if (use_timers_) {
+          queue.arm_at(handles_[i], at);
+        } else {
+          queue.cancel(ids_[i]);
+          ids_[i] = queue.schedule_at(at, [this, i] { fired(static_cast<int>(i)); });
+        }
+        break;
+      case 1:
+        if (use_timers_) {
+          queue.disarm(handles_[i]);
+        } else {
+          queue.cancel(ids_[i]);
+        }
+        break;
+      default: {
+        const int tag = next_tag_++;
+        queue.schedule_at(at, [this, tag] { fired(tag); });
+        break;
+      }
+    }
+  }
+
+  EventQueue queue;
+  obs::EventLoopStats stats;
+  std::vector<std::pair<int, Time>> log;  ///< (tag, time) per dispatch
+  std::vector<std::size_t> ties;          ///< tie-group sizes offered
+
+ private:
+  void fired(int tag) {
+    log.emplace_back(tag, queue.now());
+    if (budget_ > 0) {  // bounded, so run_all terminates
+      --budget_;
+      for (std::uint64_t n = rng_() % 3; n > 0; --n) {
+        random_op();
+      }
+    }
+  }
+
+  bool use_timers_;
+  std::mt19937_64 rng_;
+  std::vector<EventId> ids_;
+  std::vector<TimerId> handles_;
+  int next_tag_ = 0;
+  int budget_ = 60;
+};
+
+::testing::AssertionResult same_state(const ScriptedQueue& a, const ScriptedQueue& b) {
+  if (a.log != b.log) {
+    return ::testing::AssertionFailure() << "dispatch logs differ";
+  }
+  if (a.ties != b.ties) {
+    return ::testing::AssertionFailure() << "tie groups differ";
+  }
+  if (a.queue.executed() != b.queue.executed() || a.queue.pending() != b.queue.pending()) {
+    return ::testing::AssertionFailure()
+           << "executed/pending " << a.queue.executed() << "/" << a.queue.pending()
+           << " vs " << b.queue.executed() << "/" << b.queue.pending();
+  }
+  if (pending_times_of(a.queue) != pending_times_of(b.queue)) {
+    return ::testing::AssertionFailure() << "pending_times differ";
+  }
+  if (a.stats.scheduled != b.stats.scheduled || a.stats.cancelled != b.stats.cancelled ||
+      a.stats.executed != b.stats.executed) {
+    return ::testing::AssertionFailure() << "event counters differ";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Runs `scripts` seeded scripts on twin queues, timers against cancel +
+/// schedule_at, comparing after every step; returns the scripts that
+/// diverged.
+int diverging_scripts(int scripts, bool tie_breaks) {
+  int diverged = 0;
+  for (int script = 0; script < scripts; ++script) {
+    const auto seed = static_cast<std::uint64_t>(script) * 7919u + (tie_breaks ? 1u : 0u);
+    std::mt19937_64 pick(seed);
+    const std::size_t k = 1 + pick() % 4;
+    ScriptedQueue timers(true, seed, k, tie_breaks);
+    ScriptedQueue events(false, seed, k, tie_breaks);
+    bool same = true;
+    for (int step = 0; step < 40 && same; ++step) {
+      const bool run = pick() % 4 == 0;
+      const double span = 0.25 * static_cast<double>(pick() % 5);
+      for (ScriptedQueue* d : {&timers, &events}) {
+        if (run) {
+          d->queue.run_until(d->queue.now() + span);
+        } else {
+          d->random_op();
+        }
+      }
+      same = static_cast<bool>(same_state(timers, events));
+    }
+    if (same) {
+      timers.queue.run_all();
+      events.queue.run_all();
+      same = static_cast<bool>(same_state(timers, events));
+    }
+    if (!same) {
+      ADD_FAILURE() << "script " << script << " (tie_breaks=" << tie_breaks
+                    << "): " << same_state(timers, events).message();
+      ++diverged;
+    }
+  }
+  return diverged;
+}
+
+TEST(EventQueueTimer, MatchesCancelPlusScheduleOnRandomScripts) {
+  EXPECT_EQ(diverging_scripts(2000, /*tie_breaks=*/false), 0);
+}
+
+TEST(EventQueueTimer, MatchesCancelPlusScheduleUnderARandomTieBreaker) {
+  EXPECT_EQ(diverging_scripts(2000, /*tie_breaks=*/true), 0);
 }
 
 }  // namespace

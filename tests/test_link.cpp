@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -133,10 +134,18 @@ TEST(Link, SendWithoutCallbackThrows) {
 }
 
 TEST(Link, InvalidConfigThrows) {
+  // Negative or non-finite: a NaN delay used to pass validation and
+  // schedule NaN delivery times.
   EventQueue q;
-  LinkConfig cfg;
-  cfg.propagation_delay = -1.0;
-  EXPECT_THROW(Link<Segment>(q, cfg, Rng(1)), std::invalid_argument);
+  for (const double bad : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    for (double LinkConfig::*field :
+         {&LinkConfig::propagation_delay, &LinkConfig::jitter, &LinkConfig::rate_pps}) {
+      LinkConfig cfg;
+      cfg.*field = bad;
+      EXPECT_THROW(Link<Segment>(q, cfg, Rng(1)), std::invalid_argument) << bad;
+    }
+  }
 }
 
 TEST(Link, ResetProcessesClearsStats) {

@@ -39,7 +39,9 @@ TEST(ChoiceEncoding, PathRoundTrips) {
 TEST(ChoiceEncoding, RejectsMalformedTokens) {
   for (const char* bad :
        {"Z1", "F", "F9x", "T2", "T2/", "T2/1", "T3/3", "O1/2junk", "F1/2",
-        "A0/3", "T1/99999999999"}) {
+        "A0/3", "T1/99999999999",
+        // Plain decimals only: stoul used to accept a sign.
+        "F+1", "T+1/2", "T1/+2", "O+0/3", "A-0", "T1/-2"}) {
     EXPECT_THROW((void)decode_choices(bad), std::invalid_argument)
         << "token: " << bad;
   }

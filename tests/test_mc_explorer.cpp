@@ -4,10 +4,12 @@
 // violation byte-for-byte, and the pftk-mc/1 trace format round-trip.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mc/explorer.hpp"
@@ -48,6 +50,28 @@ TEST(Explorer, DocumentedConfigEnumeratesExactly) {
   EXPECT_EQ(result.stats.branches, 247u);
   EXPECT_EQ(result.stats.terminals, 247u);
   EXPECT_EQ(result.stats.violations, 0u);
+}
+
+TEST(Explorer, PerfbenchConfigEnumeratesExactly) {
+  // perfbench's explore workload: 20 packets, window 16, 14 loss choices
+  // with ACK loss, ties of width 2 with 4 choices. Timer entries take
+  // part in the tie groups, so a change to event order moves these.
+  for (const int threads : {1, 2}) {
+    ExploreConfig cfg;
+    cfg.packets = 20;
+    cfg.window = 16.0;
+    cfg.loss_choices = 14;
+    cfg.ack_loss = true;
+    cfg.tie_width = 2;
+    cfg.tie_choices = 4;
+    cfg.threads = threads;
+    const ExploreResult result = Explorer(cfg).run();
+    EXPECT_TRUE(result.complete);
+    EXPECT_EQ(result.stats.states, 37142u) << "threads=" << threads;
+    EXPECT_EQ(result.stats.branches, 37143u) << "threads=" << threads;
+    EXPECT_EQ(result.stats.pruned, 21647u) << "threads=" << threads;
+    EXPECT_EQ(result.stats.violations, 0u);
+  }
 }
 
 TEST(Explorer, StateCountsAreDeterministicAcrossRunsAndThreads) {
@@ -251,6 +275,46 @@ TEST(TraceFile, ParseRejectsMalformedInput) {
   EXPECT_THROW((void)parse_trace(good + "mystery=1\n"), std::invalid_argument);
   EXPECT_THROW((void)parse_trace("pftk-mc/1\n"), std::invalid_argument)
       << "a trace without a digest must not parse";
+}
+
+TEST(TraceFile, NumbersAreStrictAndErrorsNameTheLine) {
+  // Each edit used to replay as the clean packets=6 file: stoul wrapped
+  // 4294967302 to 6 and stopped at a suffix, stoi truncated 2.9, stod
+  // ignored a suffix and stoull negated a sign.
+  CounterexampleTrace trace;
+  trace.config.packets = 6;
+  trace.config.loss_choices = 0;
+  const std::string good = serialize_trace(trace);
+  ASSERT_NO_THROW((void)parse_trace(good));
+  const std::vector<std::pair<std::string, std::string>> edits{
+      {"packets=6", "packets=4294967302"},
+      {"packets=6", "packets=6junk"},
+      {"packets=6", "packets=-6"},
+      {"ack_every=2", "ack_every=2.9"},
+      {"ack_every=2", "ack_every=0"},
+      {"window=8", "window=8junk"},
+      {"ack_loss=0", "ack_loss=2"},
+      {"seed=1", "seed=-18446744073709551615"},
+      {"seed=1", "seed=18446744073709551616"},
+      {"depth=64", "depth=+64"},
+  };
+  for (const auto& [from, to] : edits) {
+    std::string text = good;
+    const std::size_t at = text.find("\n" + from + "\n");
+    ASSERT_NE(at, std::string::npos) << from;
+    text.replace(at + 1, from.size(), to);
+    const std::size_t line = 1 + static_cast<std::size_t>(
+                                     std::count(text.begin(), text.begin() + at + 1, '\n'));
+    try {
+      (void)parse_trace(text);
+      ADD_FAILURE() << to << " parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("line " + std::to_string(line) + ": "),
+                std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find(to), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(TraceFile, SaveLoadRoundTripsOnDisk) {
