@@ -4,7 +4,9 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
-#include <sstream>
+#include <limits>
+
+#include "robust/json_line.hpp"
 
 namespace pftk::serve {
 
@@ -68,6 +70,11 @@ double parse_finite(const std::string& id, std::string_view key,
 int parse_int_field(const std::string& id, std::string_view key,
                     std::string_view value) {
   const double v = parse_finite(id, key, value);
+  // Casting a double outside int's range is undefined, so range first.
+  if (!(v >= std::numeric_limits<int>::min() && v <= std::numeric_limits<int>::max())) {
+    bad(id, "'" + std::string(key) + "' is outside the int range (got " +
+                std::string(value) + ")");
+  }
   const int i = static_cast<int>(v);
   if (static_cast<double>(i) != v) {
     bad(id, "'" + std::string(key) + "' must be an integer");
@@ -238,12 +245,7 @@ Request parse_request(std::string_view line) {
   return req;
 }
 
-std::string format_number(double v) {
-  std::ostringstream os;
-  os.precision(17);
-  os << v;
-  return os.str();
-}
+std::string format_number(double v) { return robust::json::g17(v); }
 
 std::string format_ok(
     std::string_view id,

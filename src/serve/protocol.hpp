@@ -124,7 +124,8 @@ struct Response {
 /// malformed line — the *client's* signal of a damaged stream.
 [[nodiscard]] Response parse_response(std::string_view line);
 
-/// Renders a numeric field with enough digits to round-trip a double.
+/// Renders a numeric field as "%.17g" (robust::json::g17), enough digits
+/// to round-trip a double.
 [[nodiscard]] std::string format_number(double v);
 
 }  // namespace pftk::serve

@@ -1,5 +1,6 @@
 #include "trace/trace_io.hpp"
 
+#include <bit>
 #include <charconv>
 #include <cstdint>
 #include <limits>
@@ -22,6 +23,38 @@ constexpr std::size_t kMaxRealChars =
 /// Longest integer field: UINT64_MAX's 20 digits (INT_MIN needs 11).
 constexpr std::size_t kMaxIntChars = std::numeric_limits<std::uint64_t>::digits10 + 1;
 
+__extension__ typedef unsigned __int128 u128;
+
+constexpr std::uint64_t kNanosPerSecond = 1'000'000'000;
+/// The exact path's bound B = 2^53·10⁻⁹ s (about 104 days). Every
+/// double below it has n = round(v·10⁹) ≤ 2^53 + 1, far inside a u64.
+/// Non-negative doubles order like their bit patterns, so one unsigned
+/// compare of the bits against B's also turns away -0.0, every negative
+/// value, +inf and NaN.
+constexpr std::uint64_t kExactLimitBits = std::bit_cast<std::uint64_t>(9007199.254740992);
+
+/// round(v·10⁹), ties to even, for the v whose bits are `bits` (below
+/// kExactLimitBits). With v = m·2^-s, m < 2^53, the product m·10⁹ is
+/// below 2^83 and exact in 128 bits; dropping its low s bits and
+/// rounding on them is the correctly rounded result `%.9f` prints.
+std::uint64_t nanos_half_even(std::uint64_t bits) noexcept {
+  const auto biased = static_cast<unsigned>(bits >> 52);
+  const std::uint64_t fraction = bits & ((std::uint64_t{1} << 52) - 1);
+  const std::uint64_t m = biased == 0 ? fraction : fraction | (std::uint64_t{1} << 52);
+  // Below B, v < 2^24, so s ≥ 29. A shift of 128 or more is undefined;
+  // by then v·10⁹ < 2^83·2^-128 is far below a half, so n is 0.
+  const unsigned s = biased == 0 ? 1074 : 1075 - biased;
+  if (s >= 128) {
+    return 0;
+  }
+  const u128 product = static_cast<u128>(m) * kNanosPerSecond;
+  const u128 q = product >> s;
+  const u128 dropped = product & ((u128{1} << s) - 1);
+  const u128 half = u128{1} << (s - 1);
+  // Up when the dropped bits exceed a half, or equal it and q is odd.
+  return static_cast<std::uint64_t>(q) + ((dropped + (q & 1)) > half ? 1 : 0);
+}
+
 /// One record assembled in a stack buffer sized for the worst record (S
 /// and T: two reals, three integer or flag fields, the tag, five
 /// separators and the newline), so no field value can be clipped.
@@ -29,9 +62,23 @@ class RecordBuffer {
  public:
   explicit RecordBuffer(char tag) noexcept { *p_++ = tag; }
 
+  /// Fixed with 9 decimals, as `%.9f` prints it: below B by integer
+  /// arithmetic, anything else by std::to_chars.
   RecordBuffer& real(double v) {
     *p_++ = '\t';
-    return advance(std::to_chars(p_, std::end(buf_), v, std::chars_format::fixed, 9));
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    if (bits >= kExactLimitBits) {
+      return advance(std::to_chars(p_, std::end(buf_), v, std::chars_format::fixed, 9));
+    }
+    const std::uint64_t n = nanos_half_even(bits);
+    advance(std::to_chars(p_, std::end(buf_), n / kNanosPerSecond));
+    // 10⁹ + the remainder prints a leading 1 and the nine zero-padded
+    // decimals; the 1 is then overwritten by the point.
+    char* const point = p_;
+    advance(std::to_chars(point, std::end(buf_),
+                          static_cast<std::uint32_t>(kNanosPerSecond + n % kNanosPerSecond)));
+    *point = '.';
+    return *this;
   }
   template <typename Int>
   RecordBuffer& integer(Int v) {

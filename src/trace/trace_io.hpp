@@ -15,11 +15,18 @@
 // Lines starting with '#' are comments. Times are seconds with fixed
 // 9-digit precision, so a round trip is loss-free for simulation scales.
 //
-// Writing is one pass of std::to_chars into a single reserved string
-// (format_trace), which save_trace_file hands to the durable writer.
-// to_chars fixed and glibc's printf("%.9f") are both correctly rounded
-// (ties to even), so every real prints exactly as "%.9f" would;
-// tests/data holds a golden capture that pins the bytes.
+// Writing is one pass into a single reserved string (format_trace),
+// which save_trace_file hands to the durable writer. A real v with a
+// clear sign bit and v < 2^53·10⁻⁹ s (~104 days; every simulated time,
+// cwnd, RTT sample and RTO) prints through an exact integer path: with
+// v = m·2^e, n = round(m·10⁹·2^e), ties to even, comes from one 128-bit
+// multiply and shift, and n/10⁹, a point and the nine-digit remainder
+// are written. That is the correctly rounded decimal, which is what
+// glibc's printf("%.9f") and std::to_chars(fixed, 9) both print. Every
+// other real (-0.0, negatives, huge and non-finite values) goes to
+// to_chars itself. tests/data holds a golden capture that pins the
+// bytes, and test_trace_io checks the exact path against to_chars on
+// over 10M values.
 //
 // Real capture files get truncated, hit disk-full mid-line, and pick up
 // garbage; an hour of capture must not be voided by one bad line. The
@@ -87,7 +94,8 @@ struct TraceReadOptions {
 };
 
 /// Renders the trace, one event per line, preceded by a '#' header.
-/// Reals are fixed with 9 decimals, byte-identical to printf("%.9f").
+/// Reals are fixed with 9 decimals, byte-identical to printf("%.9f"):
+/// integer arithmetic below 2^53·10⁻⁹, std::to_chars elsewhere.
 /// @throws std::logic_error if a field does not fit its record buffer
 /// (sized for DBL_MAX, so never for a real double).
 [[nodiscard]] std::string format_trace(std::span<const TraceEvent> events);

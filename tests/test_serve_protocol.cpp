@@ -5,6 +5,10 @@
 // rejected with the same typed path as the model inputs.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "core/model_registry.hpp"
@@ -107,6 +111,25 @@ TEST(ServeProtocol, ZeroOrNegativeBIsATypedRejection) {
                model::ParamError);
 }
 
+TEST(ServeProtocol, IntegerFieldsOutsideIntRangeAreBadRequests) {
+  // The range is checked before the double is cast to int: the cast
+  // itself is undefined out of range (the sanitize build aborts on it).
+  for (const char* line : {"MODEL m p=0.01 rtt=0.2 t0=1 wm=10 b=1e10",
+                           "MODEL m p=0.01 rtt=0.2 t0=1 wm=10 b=-3e9",
+                           "MODEL m p=0.01 rtt=0.2 t0=1 wm=10 b=2147483648",
+                           "CALIB c trace=/tmp/t.tsv dupack=1e300"}) {
+    SCOPED_TRACE(line);
+    const ProtocolError e = capture(line);
+    EXPECT_EQ(e.code(), ErrCode::kBadRequest);
+    EXPECT_NE(std::string(e.what()).find("outside the int range"), std::string::npos)
+        << e.what();
+  }
+  // The grammar is unchanged: an integral real and int's extremes parse.
+  EXPECT_EQ(parse_request("MODEL m p=0.01 rtt=0.2 t0=1 wm=10 b=2.0").params.b, 2);
+  EXPECT_EQ(parse_request("CALIB c trace=/tmp/t.tsv dupack=2147483647").dupack_threshold,
+            2147483647);
+}
+
 TEST(ServeProtocol, OutOfRangeModelInputsAreBadRequests) {
   // p=0 is *valid* (the window-limited regime); p >= 1 is not.
   EXPECT_NO_THROW((void)parse_request("MODEL m p=0 rtt=0.1 t0=0.4 wm=8"));
@@ -163,9 +186,14 @@ TEST(ServeProtocol, MalformedResponsesThrowOnTheClientSide) {
 }
 
 TEST(ServeProtocol, NumbersRoundTripAtFullPrecision) {
-  for (const double v : {123.456789012345678, 1e-9, 0.3, 7.0 / 3.0}) {
+  // INVERSE's wm_required can be infinite; strtod reads "inf" back.
+  for (const double v : {123.456789012345678, 1e-9, 0.3, 7.0 / 3.0,
+                         std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::denorm_min() * 12345}) {
     const std::string text = format_number(v);
-    EXPECT_DOUBLE_EQ(std::stod(text), v) << text;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(std::strtod(text.c_str(), nullptr)),
+              std::bit_cast<std::uint64_t>(v))
+        << text;
   }
 }
 

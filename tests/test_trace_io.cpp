@@ -2,12 +2,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <iomanip>
 #include <iterator>
 #include <limits>
+#include <random>
 #include <sstream>
 
 #include "exp/path_profile.hpp"
@@ -165,6 +168,124 @@ TEST(TraceIo, FormatMatchesOstreamFixedOnAdversarialFields) {
     EXPECT_EQ(line + '\n', ostream_record(events[i])) << "record " << i;
   }
   EXPECT_FALSE(std::getline(text, line)) << "extra output";
+}
+
+/// Formats each real as the time of an F record through format_trace, a
+/// batch at a time, and compares every record with the one built by
+/// std::to_chars(fixed, 9).
+class Fixed9Oracle {
+ public:
+  void push(double v) {
+    batch_.push_back(v);
+    if (batch_.size() == kBatch) {
+      flush();
+    }
+  }
+  void flush() {
+    if (batch_.empty()) {
+      return;
+    }
+    std::vector<TraceEvent> events(batch_.size());
+    std::string expected = format_trace({});
+    for (std::size_t i = 0; i < batch_.size(); ++i) {
+      events[i].type = TraceEventType::kFastRetransmit;
+      events[i].t = batch_[i];
+      append_expected(expected, batch_[i]);
+    }
+    const std::string got = format_trace(events);
+    if (got != expected) {
+      std::istringstream lines(got);
+      std::string line;
+      std::getline(lines, line);  // header
+      for (const double v : batch_) {
+        std::getline(lines, line);
+        std::string want;
+        append_expected(want, v);
+        want.pop_back();  // the newline getline drops
+        if (line != want) {
+          ADD_FAILURE() << "real " << std::hexfloat << v << ": wrote '" << line
+                        << "', to_chars wrote '" << want << "'";
+          break;
+        }
+      }
+    }
+    checked_ += batch_.size();
+    batch_.clear();
+  }
+  [[nodiscard]] std::size_t checked() const noexcept { return checked_; }
+
+ private:
+  static constexpr std::size_t kBatch = std::size_t{1} << 16;
+
+  static void append_expected(std::string& out, double v) {
+    char buf[400];
+    const auto r = std::to_chars(buf, std::end(buf), v, std::chars_format::fixed, 9);
+    out += "F\t";
+    out.append(buf, r.ptr);
+    out += "\t0\n";
+  }
+
+  std::vector<double> batch_;
+  std::size_t checked_ = 0;
+};
+
+// The writer prints reals below B = 2^53·10⁻⁹ s through an exact integer
+// path and the rest through to_chars. Both must print the correctly
+// rounded "%.9f" text (ties to even) for every double: this sweeps each
+// class of value where the two could part.
+TEST(TraceIo, RealsMatchToCharsFixed9OnTenMillionValues) {
+  using lim = std::numeric_limits<double>;
+  constexpr double kB = 9007199.254740992;
+  constexpr double kHour = 3600.0;
+  const auto b_bits = std::bit_cast<std::uint64_t>(kB);
+  std::mt19937_64 rng(1998);
+  Fixed9Oracle oracle;
+
+  // Every exact half-nanosecond tie below an hour: the odd multiples of
+  // 2^-10 (a tie (2j+1)/(2·10⁹) is dyadic only when 5^9 divides 2j+1).
+  for (std::uint64_t k = 1; k < 3600u * 1024u; k += 2) {
+    oracle.push(static_cast<double>(k) / 1024.0);
+  }
+  std::uniform_real_distribution<double> hour(0.0, kHour);
+  for (int i = 0; i < 6'000'000; ++i) {
+    oracle.push(hour(rng));
+  }
+  std::uniform_real_distribution<double> beyond(kHour, kB);
+  for (int i = 0; i < 1'000'000; ++i) {
+    oracle.push(beyond(rng));
+  }
+  // Bit patterns below B: every exponent the path handles, including the
+  // subnormals and the tiny normals whose shift reaches 128.
+  for (int i = 0; i < 1'000'000; ++i) {
+    oracle.push(std::bit_cast<double>(rng() % b_bits));
+  }
+  // On, one ulp either side of, and midway between points of the 10⁻⁹
+  // grid, within the hour and up to B.
+  for (int i = 0; i < 120'000; ++i) {
+    const std::uint64_t grid_points = i % 2 == 0 ? 3'600'000'000'000 : std::uint64_t{1} << 53;
+    const std::uint64_t j = rng() % grid_points;
+    const double on = static_cast<double>(j) / 1e9;
+    oracle.push(on);
+    oracle.push(std::nextafter(on, 0.0));
+    oracle.push(std::nextafter(on, lim::infinity()));
+    oracle.push((static_cast<double>(j) + 0.5) / 1e9);
+  }
+  // Decimals that round up into the integer part.
+  for (int i = 0; i < 5'000; ++i) {
+    const double k = i < 3600 ? i : static_cast<double>(rng() % 9'007'198);
+    const double carry = k + 0.9999999995;
+    oracle.push(carry);
+    oracle.push(std::nextafter(carry, 0.0));
+    oracle.push(std::nextafter(carry, lim::infinity()));
+  }
+  // The domain's edges: zeros, the largest double below B, and B and its
+  // successor, which take the to_chars path.
+  for (const double v : {0.0, -0.0, std::nextafter(kB, 0.0), kB,
+                         std::nextafter(kB, lim::infinity())}) {
+    oracle.push(v);
+  }
+  oracle.flush();
+  EXPECT_GE(oracle.checked(), 10'000'000u);
 }
 
 TEST(TraceIo, AnalysisIsIdenticalOnReloadedTrace) {
