@@ -5,6 +5,7 @@
 
 #include "core/batch_eval.hpp"
 #include "core/full_model.hpp"
+#include "core/model_kernels.hpp"
 
 namespace pftk::model {
 
@@ -29,13 +30,23 @@ double max_loss_for_rate(const ModelParams& params, double target_rate) {
   if (rate_at(0.0) < target_rate) {
     return 0.0;
   }
-  double lo = 1e-12;  // rate >= target here (practically the ceiling)
+  double lo = 1e-12;  // rate >= target here, checked below
   double hi = 0.999;  // rate < target here for any sane target
   if (rate_at(hi) >= target_rate) {
     return hi;  // even near-certain loss sustains the target
   }
+  if (rate_at(lo) < target_rate) {
+    // The target lies between B(1e-12) and the ceiling B(0).
+    hi = lo;
+    lo = 0.0;
+  }
+  // Each end has been evaluated on its own side of the target, so once
+  // the midpoint rounds onto an end every later step is a no-op.
   for (int i = 0; i < 200; ++i) {
     const double mid = 0.5 * (lo + hi);
+    if (mid == lo || mid == hi) {
+      break;
+    }
     (rate_at(mid) >= target_rate ? lo : hi) = mid;
   }
   return lo;
@@ -50,7 +61,8 @@ double required_window_for_rate(const ModelParams& params, double target_rate) {
   // B is monotone non-decreasing in Wm and saturates at the unconstrained
   // (loss-limited) rate.
   probe.wm = ModelParams::unlimited_window;
-  if (full_model_send_rate(probe) < target_rate) {
+  const FullModelBreakdown unlimited = full_model_breakdown(probe);
+  if (unlimited.send_rate < target_rate) {
     return std::numeric_limits<double>::infinity();
   }
   probe.wm = 1.0;
@@ -59,10 +71,19 @@ double required_window_for_rate(const ModelParams& params, double target_rate) {
   }
   double lo = 1.0;                              // rate < target
   double hi = ModelParams::unlimited_window;    // rate >= target
+  // Above E[Wu] (eq 13) the window does not bind and eq (32) reads no
+  // term of Wm, so the rate there is the unlimited one, >= target. At
+  // p = 0 E[Wu] reads as unlimited_window and nothing is skipped.
+  const double ewu = unlimited.expected_window_unconstrained;
   for (int i = 0; i < 200; ++i) {
     const double mid = 0.5 * (lo + hi);
-    probe.wm = mid;
-    (full_model_send_rate(probe) >= target_rate ? hi : lo) = mid;
+    if (mid == lo || mid == hi) {
+      break;
+    }
+    probe.wm = mid;  // inside (1, 1e9): validate() has nothing to add
+    const bool reaches =
+        mid > ewu || kernel::full(kernel::Constants(probe), probe.p).send_rate >= target_rate;
+    (reaches ? hi : lo) = mid;
   }
   return hi;
 }

@@ -18,8 +18,9 @@ namespace pftk::model {
 /// at least `target_rate` packets/second with the given RTT, T0, b, Wm
 /// (the `p` field of `params` is ignored).
 ///
-/// @returns p in (0, 1); 0.0 if even a vanishing loss rate cannot reach
-///          the target (the window/RTT ceiling is below it).
+/// @returns p in (0, 1), at which eq (32) reaches the target; 0.0 if even
+///          a vanishing loss rate cannot reach it (the window/RTT ceiling
+///          is below it).
 /// @throws std::invalid_argument on invalid params or target_rate <= 0.
 [[nodiscard]] double max_loss_for_rate(const ModelParams& params, double target_rate);
 

@@ -7,6 +7,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <string>
@@ -194,6 +195,62 @@ TEST(ServeProtocol, NumbersRoundTripAtFullPrecision) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(std::strtod(text.c_str(), nullptr)),
               std::bit_cast<std::uint64_t>(v))
         << text;
+  }
+}
+
+TEST(ServeProtocol, NumberGrammarIsPinnedByATable) {
+  // The numeric grammar strtod gives the parser today, one token per row
+  // as `p=`: the value's bits when accepted, the exact BADREQ otherwise.
+  // from_chars would differ (no '+', no hex, no leading whitespace), so a
+  // parser change must edit this table on purpose. The tokenizer splits
+  // only on space and tab; strtod skips a leading \v or \f itself.
+  const std::pair<const char*, const char*> table[] = {
+      {"0.01", "3f847ae147ae147b"},
+      {"1e-2", "3f847ae147ae147b"},
+      {"1E-2", "3f847ae147ae147b"},
+      {"00.01", "3f847ae147ae147b"},
+      {".5", "3fe0000000000000"},
+      {"-0", "8000000000000000"},
+      {"0.0", "0000000000000000"},
+      {"0.999", "3feff7ced916872b"},
+      {"2.2250738585072014e-308", "0010000000000000"},
+      {"+0.01", "3f847ae147ae147b"},
+      {"0x1p-7", "3f80000000000000"},
+      {"0X1P-7", "3f80000000000000"},
+      {"\v0.01", "3f847ae147ae147b"},
+      {"\f0.01", "3f847ae147ae147b"},
+      {"5.", "BADREQ m: ModelParams: p must be in [0, 1)"},
+      {"1", "BADREQ m: ModelParams: p must be in [0, 1)"},
+      {"-0.01", "BADREQ m: ModelParams: p must be in [0, 1)"},
+      {"inf", "BADREQ m: 'p' must be finite (got inf)"},
+      {"-inf", "BADREQ m: 'p' must be finite (got -inf)"},
+      {"infinity", "BADREQ m: 'p' must be finite (got infinity)"},
+      {"nan", "BADREQ m: 'p' must be finite (got nan)"},
+      {"NaN", "BADREQ m: 'p' must be finite (got NaN)"},
+      {"1e400", "BADREQ m: bad number '1e400' for 'p'"},
+      {"1e-400", "BADREQ m: bad number '1e-400' for 'p'"},
+      {"4e-320", "BADREQ m: bad number '4e-320' for 'p'"},
+      {"0.01x", "BADREQ m: bad number '0.01x' for 'p'"},
+      {"1e", "BADREQ m: bad number '1e' for 'p'"},
+      {"1e+", "BADREQ m: bad number '1e+' for 'p'"},
+      {"0x", "BADREQ m: bad number '0x' for 'p'"},
+      {"1_0", "BADREQ m: bad number '1_0' for 'p'"},
+      {"", "BADREQ m: empty value for 'p'"},
+  };
+  for (const auto& [token, want] : table) {
+    SCOPED_TRACE(std::string("p=") + token);
+    std::string got;
+    try {
+      const Request req =
+          parse_request(std::string("MODEL m p=") + token + " rtt=0.1 t0=0.4 wm=8");
+      char hex[17];
+      std::snprintf(hex, sizeof hex, "%016llx",
+                    static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(req.params.p)));
+      got = hex;
+    } catch (const ProtocolError& e) {
+      got = std::string(err_code_name(e.code())) + " " + e.id() + ": " + e.what();
+    }
+    EXPECT_EQ(got, want);
   }
 }
 

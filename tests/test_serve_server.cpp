@@ -14,8 +14,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <filesystem>
@@ -177,9 +180,10 @@ TEST(ServeServer, InverseMatchesTheInversionLibrary) {
   model::ModelParams params{0.01, 0.1, 0.4, 2, 64.0};
   const double max_p = model::max_loss_for_rate(params, 50.0);
   const double wm_req = model::required_window_for_rate(params, 50.0);
-  EXPECT_NEAR(std::stod(*resp.find("max_p")), max_p, 1e-9);
-  EXPECT_NEAR(std::stod(*resp.find("wm_required")), wm_req,
-              1e-9 * (wm_req > 1.0 ? wm_req : 1.0));
+  // Replies carry 17 significant digits, so strtod gives back the bits.
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_EQ(bits(std::strtod(resp.find("max_p")->c_str(), nullptr)), bits(max_p));
+  EXPECT_EQ(bits(std::strtod(resp.find("wm_required")->c_str(), nullptr)), bits(wm_req));
 }
 
 TEST(ServeServer, CalibSummarizesATraceAndReportsDroppedLines) {
