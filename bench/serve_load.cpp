@@ -1,7 +1,7 @@
 // Replay load driver for a running `pftk serve` daemon.
 //
-//   serve_load [--churn] <socket> [requests] [connections] [pipeline]
-//              [deadline_ms] [seed]
+//   serve_load <socket> [requests] [connections] [pipeline] [deadline_ms]
+//              [seed]
 //
 // Sends the deterministic fixed-seed request stream (serve/load_client)
 // against the socket, prints the client-side report (p50/p99 latency,
@@ -10,54 +10,40 @@
 // failures, zero lost responses. BUSY sheds are *expected* under
 // overload and do not fail the run — the CI serve-smoke job asserts
 // they are nonzero while this binary asserts they are well-formed.
-//
-// --churn relaxes exactly one clause for supervised-pool chaos runs:
-// `lost` may be nonzero (requests in flight when a worker was killed),
-// but the identity sent == ok+busy+deadline+errors+lost must still
-// balance to the unit and the stream must stay protocol- and
-// verify-clean across every reconnect.
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 
 #include "serve/load_client.hpp"
 
 int main(int argc, char** argv) {
-  bool churn = false;
-  int first = 1;
-  if (argc > 1 && std::strcmp(argv[1], "--churn") == 0) {
-    churn = true;
-    first = 2;
-  }
-  if (argc <= first) {
-    std::cerr << "usage: serve_load [--churn] <socket> [requests] "
-                 "[connections] [pipeline] [deadline_ms] [seed]\n";
+  if (argc < 2) {
+    std::cerr << "usage: serve_load <socket> [requests] [connections] "
+                 "[pipeline] [deadline_ms] [seed]\n";
     return 2;
   }
   pftk::serve::LoadConfig config;
-  config.socket_path = argv[first];
-  if (argc > first + 1) {
-    config.requests = std::strtoull(argv[first + 1], nullptr, 10);
+  config.socket_path = argv[1];
+  if (argc > 2) {
+    config.requests = std::strtoull(argv[2], nullptr, 10);
   }
-  if (argc > first + 2) {
-    config.connections = std::atoi(argv[first + 2]);
+  if (argc > 3) {
+    config.connections = std::atoi(argv[3]);
   }
-  if (argc > first + 3) {
-    config.pipeline = std::strtoull(argv[first + 3], nullptr, 10);
+  if (argc > 4) {
+    config.pipeline = std::strtoull(argv[4], nullptr, 10);
   }
-  if (argc > first + 4) {
-    config.deadline_ms = std::atof(argv[first + 4]);
+  if (argc > 5) {
+    config.deadline_ms = std::atof(argv[5]);
   }
-  if (argc > first + 5) {
-    config.seed = std::strtoull(argv[first + 5], nullptr, 10);
+  if (argc > 6) {
+    config.seed = std::strtoull(argv[6], nullptr, 10);
   }
 
   try {
     const auto report = pftk::serve::run_load(config);
     std::cout << report.describe() << "\n";
     const bool ok = report.accounting_ok() && report.protocol_errors == 0 &&
-                    report.verify_failures == 0 &&
-                    (churn || report.lost == 0);
+                    report.verify_failures == 0 && report.lost == 0;
     std::cout << (ok ? "load ok" : "load FAILED") << "\n";
     return ok ? 0 : 1;
   } catch (const std::exception& e) {

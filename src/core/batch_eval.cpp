@@ -1,5 +1,6 @@
 #include "core/batch_eval.hpp"
 
+#include <cfloat>
 #include <stdexcept>
 
 namespace pftk::model {
@@ -19,10 +20,10 @@ PreparedModel::PreparedModel(ModelKind kind, const ModelParams& base)
     : kind_(kind), constants_(validated(base)) {}
 
 double PreparedModel::operator()(double p) const {
-  // A single composite check: NaN fails every comparison, so this also
-  // rejects non-finite p without a separate isfinite branch.
-  if (!(p >= 0.0 && p < 1.0)) {
-    throw std::invalid_argument("PreparedModel: p must be in [0, 1)");
+  // ModelParams' domain, 0 or [DBL_MIN, 1). A normal p costs the two
+  // compares; NaN fails every comparison, so it needs no isfinite branch.
+  if (!(p >= DBL_MIN && p < 1.0) && p != 0.0) {
+    throw std::invalid_argument("PreparedModel: p must be 0 or in [DBL_MIN, 1)");
   }
   switch (kind_) {
     case ModelKind::kFull:

@@ -26,12 +26,14 @@ class PreparedModel {
 
   /// Evaluates the prepared model at loss probability `p`; equals
   /// evaluate_model(kind, base-with-p) exactly.
-  /// @throws std::invalid_argument unless 0 <= p < 1 (NaN rejected).
+  /// @throws std::invalid_argument unless p is 0 or in [DBL_MIN, 1)
+  /// (NaN and subnormals rejected).
   [[nodiscard]] double operator()(double p) const;
 
   /// Evaluates a whole grid: out[i] = (*this)(p[i]).
   /// @throws std::invalid_argument if the spans' sizes differ or any
-  /// p[i] is outside [0, 1); out is unspecified after a throw.
+  /// p[i] is neither 0 nor in [DBL_MIN, 1); out is unspecified after a
+  /// throw.
   void evaluate(std::span<const double> p, std::span<double> out) const;
 
  private:

@@ -1,5 +1,6 @@
 #include "core/tcp_model_params.hpp"
 
+#include <cfloat>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -7,7 +8,7 @@
 namespace pftk::model {
 
 bool ModelParams::valid() const noexcept {
-  return std::isfinite(p) && p >= 0.0 && p < 1.0 && std::isfinite(rtt) && rtt > 0.0 &&
+  return (p == 0.0 || (p >= DBL_MIN && p < 1.0)) && std::isfinite(rtt) && rtt > 0.0 &&
          std::isfinite(t0) && t0 > 0.0 && b >= 1 && std::isfinite(wm) && wm >= 1.0;
 }
 
@@ -30,6 +31,14 @@ void ModelParams::validate() const {
   }
   if (!(p >= 0.0 && p < 1.0)) {
     throw ParamError("ModelParams: p must be in [0, 1)");
+  }
+  // Eq (32) has terms of size 1/p, which overflow for a subnormal p and
+  // turn the answer into inf or NaN.
+  if (p != 0.0 && p < DBL_MIN) {
+    std::ostringstream os;
+    os << "ModelParams: p must be 0 or at least DBL_MIN = " << DBL_MIN
+       << ", got subnormal " << p;
+    throw ParamError(os.str());
   }
   if (!(rtt > 0.0)) {
     throw ParamError("ModelParams: rtt must be positive");

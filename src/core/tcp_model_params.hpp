@@ -28,7 +28,8 @@ struct ModelParams {
   /// Loss-indication probability: the probability that a packet is lost
   /// given that it is the first packet of its round or its predecessor in
   /// the round was not lost (Section II-A). Estimated from traces as
-  /// (number of loss indications) / (packets sent). Range [0, 1).
+  /// (number of loss indications) / (packets sent). Range: 0, or
+  /// [DBL_MIN, 1) — a subnormal p overflows eq (32)'s 1/p terms.
   double p = 0.01;
 
   /// Average round trip time E[r] in seconds (> 0).

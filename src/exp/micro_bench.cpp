@@ -6,7 +6,6 @@
 #include <fstream>
 #include <iomanip>
 #include <ostream>
-#include <sstream>
 #include <thread>
 #include <utility>
 
@@ -18,8 +17,6 @@
 #include "obs/flight/flight_recorder.hpp"
 #include "robust/failpoint.hpp"
 #include "robust/json_line.hpp"
-#include "serve/prepared_cache.hpp"
-#include "serve/protocol.hpp"
 #include "sim/event_queue.hpp"
 #include "stats/quantile.hpp"
 
@@ -67,14 +64,12 @@ struct ChainEvent {
 constexpr int kChains = 64;  // a realistic number of live timers
 
 // Work per run. Long enough that clock reads and per-run set-up vanish
-// and warm-up does not favour either side (at 250 requests the
-// supervision ratio sits ~5% high), short enough (0.2-1.3 ms) that a
-// pair's two runs see the same host state: on a shared 4-vCPU Xeon VM a
-// single pair's journal ratio spread 0.80-1.29 (p10-p90) at 50k
-// records per run and 0.86-1.15 at 5k.
+// and warm-up does not favour either side, short enough (0.2-1.3 ms)
+// that a pair's two runs see the same host state: on a shared 4-vCPU
+// Xeon VM a single pair's journal ratio spread 0.80-1.29 (p10-p90) at
+// 50k records per run and 0.86-1.15 at 5k.
 constexpr std::uint64_t kQueueEvents = 2'000;
 constexpr std::uint64_t kJournalRecords = 2'000;
-constexpr std::uint64_t kServeRequests = 500;
 
 /// Dispatches `events` chain events plus each chain's final no-op
 /// (events + kChains in all), optionally with an EventLoopStats sink.
@@ -109,51 +104,6 @@ std::uint64_t serialize_journal(std::uint64_t records, Site site) {
     buf += std::to_string(1e-3 * static_cast<double>(i & 1023));
     buf += "}";
     checksum += buf.size();
-  }
-  return checksum;
-}
-
-/// A rotating pool of well-formed MODEL request lines: 4 parameter sets
-/// (so the PreparedCache sees realistic hit runs) x 16 p values.
-std::vector<std::string> make_request_lines() {
-  std::vector<std::string> lines;
-  for (int set = 0; set < 4; ++set) {
-    const double rtt = 0.05 + 0.05 * set;
-    const double t0 = 4.0 * rtt;
-    const double wm = static_cast<double>(8 << set);
-    for (int i = 0; i < 16; ++i) {
-      const double p = 0.001 * static_cast<double>(1 + i * 7 % 97);
-      std::ostringstream os;
-      os << "MODEL r" << set << "-" << i << " p=" << p << " rtt=" << rtt
-         << " t0=" << t0 << " wm=" << wm << " b=2 model="
-         << (set % 2 == 0 ? "full" : "approx");
-      lines.push_back(os.str());
-    }
-  }
-  return lines;
-}
-
-/// A serve worker's whole per-request CPU cost, socket I/O excluded:
-/// parse the line, hit the PreparedModel cache, evaluate, format the OK
-/// response. `site(checksum)` runs first per request; true forces the
-/// approximate model, as the degrade flag does.
-template <typename Site>
-std::uint64_t serve_request_path(const std::vector<std::string>& lines,
-                                 serve::PreparedCache& cache, std::uint64_t requests,
-                                 Site site) {
-  std::uint64_t checksum = 0;
-  for (std::uint64_t i = 0; i < requests; ++i) {
-    const bool degraded = site(checksum);
-    auto req = serve::parse_request(lines[i % lines.size()]);
-    if (degraded) {
-      req.kind = model::ModelKind::kApproximate;
-    }
-    const auto& prepared = cache.get(req.kind, req.params);
-    const double rate = prepared(req.params.p);
-    const std::string response = serve::format_ok(
-        req.id, {{"rate", serve::format_number(rate)},
-                 {"model", std::string(serve::model_kind_token(req.kind))}});
-    checksum += response.size();
   }
   return checksum;
 }
@@ -278,30 +228,6 @@ MicroBenchReport run_micro_bench(const MicroBenchConfig& config) {
   if (was_armed) {
     recorder.arm();
   }
-
-  // Living inside the supervised pool costs a worker one disarmed
-  // `serve.worker.crash` failpoint and one relaxed load of the shared
-  // degrade flag per request.
-  const auto lines = make_request_lines();
-  serve::PreparedCache cache(32);
-  std::atomic<std::uint32_t> degrade_flag{0};
-  report.gates.push_back(measure_gate(
-      "supervision", pairs,
-      {"serve.request_path", "ns/request", kServeRequests,
-       [&] {
-         return serve_request_path(lines, cache, kServeRequests,
-                                   [](std::uint64_t&) { return false; });
-       }},
-      {"serve.request_path_supervised", "ns/request", kServeRequests,
-       [&] {
-         return serve_request_path(
-             lines, cache, kServeRequests, [&degrade_flag](std::uint64_t& checksum) {
-               checksum += static_cast<std::uint64_t>(
-                   robust::failpoint("serve.worker.crash").action);
-               return degrade_flag.load(std::memory_order_relaxed) != 0;
-             });
-       }},
-      results));
   return report;
 }
 

@@ -2,13 +2,11 @@
 //
 // `pftk bench` holds one contract and times nothing else (the
 // end-to-end benchmark in perfbench/ times the layers inside real
-// workloads): four seams that are compiled into hot loops but disarmed
+// workloads): three seams that are compiled into hot loops but disarmed
 // by default must each cost at most kOverheadTolerance times the loop
 // without them. They are an obs::EventLoopStats sink on event-queue
 // dispatch (obs), a disarmed failpoint on journal-record serialization
-// (failpoint), a disarmed PFTK_SPAN on the same loop (span), and the
-// supervised worker's crash failpoint plus degrade-flag load on the
-// serve request path (supervision).
+// (failpoint), and a disarmed PFTK_SPAN on the same loop (span).
 //
 // A gate times its baseline and seam loops as interleaved pairs,
 // alternating which one runs first, and judges the median of the
@@ -58,7 +56,7 @@ struct BenchHostInfo {
 /// One timed series.
 struct MicroBenchResult {
   std::string name;       ///< e.g. "event_queue.dispatch"
-  std::string unit;       ///< "ns/event", "ns/record" or "ns/request"
+  std::string unit;       ///< "ns/event" or "ns/record"
   double value = 0.0;     ///< median over the gate's runs, in `unit`
   double per_second = 0.0;  ///< items per second at `value`
   std::uint64_t items = 0;  ///< work items per run
@@ -76,7 +74,7 @@ struct TimedLoop {
 
 /// One disarmed-overhead gate.
 struct OverheadGate {
-  std::string name;      ///< "obs", "failpoint", "span" or "supervision"
+  std::string name;      ///< "obs", "failpoint" or "span"
   std::string baseline;  ///< series name of the loop without the seam
   std::string seam;      ///< series name of the same loop with the seam
   double ratio = 0.0;    ///< median of the per-pair seam/baseline ratios
@@ -99,10 +97,10 @@ struct MicroBenchReport {
   int repeats = 0;  ///< interleaved pairs per gate
   BenchHostInfo host;
   std::vector<MicroBenchResult> results;  ///< the gates' series, in gate order
-  std::vector<OverheadGate> gates;        ///< obs, failpoint, span, supervision
+  std::vector<OverheadGate> gates;        ///< obs, failpoint, span
 };
 
-/// Measures the four gates. The span gate always measures a disarmed
+/// Measures the three gates. The span gate always measures a disarmed
 /// recorder; an armed caller's recorder is armed again afterwards.
 [[nodiscard]] MicroBenchReport run_micro_bench(const MicroBenchConfig& config);
 

@@ -74,8 +74,7 @@ void save_obs_file(const std::string& path, const ObsBundle& bundle);
 /// merge by name (counters/buckets sum, gauges max — see
 /// MetricsSnapshot::merge), events and spans append, events_dropped
 /// sums. Differing sources render as "a+b" so a merged file says so.
-/// Used for the supervisor's per-worker snapshots and multi-file
-/// `pftk obs summarize`.
+/// Used by multi-file `pftk obs summarize`.
 /// @throws std::invalid_argument when a shared metric name disagrees on
 /// kind or bucket layout.
 void merge_obs_bundles(ObsBundle& bundle, const ObsBundle& other);

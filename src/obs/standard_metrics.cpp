@@ -108,11 +108,6 @@ ServeMetrics ServeMetrics::register_on(MetricsRegistry& r,
                              "CALIB trace chunks parsed (deadline checkpoints)");
   m.metrics_flushes = r.counter("pftk_serve_metrics_flushes_total",
                                 "Durable metrics snapshots written");
-  m.degraded = r.counter("pftk_serve_degraded_total",
-                         "Requests answered on the degraded approx path");
-  m.degrade_transitions =
-      r.counter("pftk_serve_degrade_transitions_total",
-                "Local degraded-mode on/off flips (shed-rate watermark)");
   m.queue_peak = r.gauge("pftk_serve_queue_peak",
                          "High-water queued requests over every shard");
   m.latency_seconds = r.histogram("pftk_serve_latency_seconds",
@@ -122,24 +117,6 @@ ServeMetrics ServeMetrics::register_on(MetricsRegistry& r,
       r.histogram("pftk_serve_queue_wait_ms",
                   "Admission-to-dequeue wait (milliseconds, merged shards)",
                   std::move(queue_wait_bounds));
-  return m;
-}
-
-SupervisorMetrics SupervisorMetrics::register_on(MetricsRegistry& r) {
-  SupervisorMetrics m;
-  m.forks = r.counter("pftk_serve_worker_forks_total",
-                      "Worker processes forked (initial + restarts)");
-  m.restarts = r.counter("pftk_serve_worker_restarts_total",
-                         "Worker restarts after crash/error exits");
-  m.crashes = r.counter("pftk_serve_worker_crashes_total",
-                        "Worker exits classified as crashes");
-  m.stalls = r.counter("pftk_serve_worker_stalls_total",
-                       "Workers SIGKILLed for heartbeat silence");
-  m.probe_failures = r.counter("pftk_serve_probe_failures_total",
-                               "Self-PING liveness probe failures");
-  m.degrade_flips =
-      r.counter("pftk_serve_supervisor_degrade_transitions_total",
-                "Fleet degrade-flag flips driven by restart pressure");
   return m;
 }
 

@@ -90,8 +90,6 @@ struct ServeMetrics {
   MetricId batched_requests;  ///< pftk_serve_batched_requests_total
   MetricId calib_chunks;      ///< pftk_serve_calib_chunks_total
   MetricId metrics_flushes;   ///< pftk_serve_metrics_flushes_total
-  MetricId degraded;          ///< pftk_serve_degraded_total (approx-path answers)
-  MetricId degrade_transitions;  ///< pftk_serve_degrade_transitions_total
   MetricId queue_peak;        ///< pftk_serve_queue_peak (gauge)
   MetricId latency_seconds;   ///< pftk_serve_latency_seconds (histogram)
   MetricId queue_wait_ms;     ///< pftk_serve_queue_wait_ms (histogram)
@@ -101,20 +99,6 @@ struct ServeMetrics {
   [[nodiscard]] static ServeMetrics register_on(
       MetricsRegistry& registry, std::vector<double> latency_bounds,
       std::vector<double> queue_wait_bounds);
-};
-
-/// Worker-pool supervision counters (`pftk serve --workers N`). Derived
-/// by the parent from robust::SupervisorStats at drain time and merged
-/// into the fleet bundle alongside the per-worker serve counters.
-struct SupervisorMetrics {
-  MetricId forks;           ///< pftk_serve_worker_forks_total
-  MetricId restarts;        ///< pftk_serve_worker_restarts_total
-  MetricId crashes;         ///< pftk_serve_worker_crashes_total
-  MetricId stalls;          ///< pftk_serve_worker_stalls_total
-  MetricId probe_failures;  ///< pftk_serve_probe_failures_total
-  MetricId degrade_flips;   ///< pftk_serve_supervisor_degrade_transitions_total
-
-  [[nodiscard]] static SupervisorMetrics register_on(MetricsRegistry& registry);
 };
 
 }  // namespace pftk::obs

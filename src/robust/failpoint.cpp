@@ -31,7 +31,7 @@ struct ArmedEntry {
 /// Canonical failpoint sites baked into the binary. Sites with
 /// configurable names (DurableAppender's append/flush) register their
 /// custom names at construction on top of these.
-constexpr std::array<std::pair<std::string_view, std::string_view>, 14> kBuiltinSites{{
+constexpr std::array<std::pair<std::string_view, std::string_view>, 12> kBuiltinSites{{
     {"checkpoint.rename", "campaign checkpoint atomic-rename commit"},
     {"export.jsonl.write", "metrics JSONL export write"},
     {"export.prom.write", "Prometheus textfile export write"},
@@ -41,9 +41,7 @@ constexpr std::array<std::pair<std::string_view, std::string_view>, 14> kBuiltin
     {"serve.accept", "serve daemon connection accept"},
     {"serve.enqueue", "serve daemon request admission (forced shed)"},
     {"serve.read", "serve daemon client-socket read"},
-    {"serve.worker.crash", "serve worker batch loop (action=crash kills the worker)"},
     {"serve.write", "serve daemon response write"},
-    {"sup.postmortem.write", "supervisor give-up post-mortem snapshot write"},
     {"trace.read.line", "trace file line read"},
     {"trace.write", "trace file write"},
 }};

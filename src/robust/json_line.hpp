@@ -1,6 +1,6 @@
 // One JSON codec for the files pftk writes and reads back: the campaign
-// journal, pftk-obs/1, pftk-spans/1 and its Chrome rendering, the prof,
-// summary and bench reports and the supervisor post-mortem. Writers use
+// journal, pftk-obs/1, pftk-spans/1 and its Chrome rendering, and the
+// prof, summary and bench reports. Writers use
 // escape() and g17(); readers parse each line into one Object, whose
 // integer getters are exact, never rounded through a double. Each format
 // keeps its own bad-line policy (EXPERIMENTS.md, "One JSON grammar").

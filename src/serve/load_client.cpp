@@ -47,9 +47,6 @@ struct Scripted {
   std::string id;
   bool is_inverse = false;
   double expected_rate = 0.0;  ///< MODEL only, filled by evaluate_batch_p
-  /// Expected eq-33 rate for the same request — what a degraded=1
-  /// answer must match (the server swapped in kApproximate).
-  double expected_approx = 0.0;
   std::size_t param_set = 0;
   double p = 0.0;
 };
@@ -132,12 +129,8 @@ std::vector<Scripted> make_script(const LoadConfig& config, int conn,
     std::vector<double> rates(ps.size());
     model::evaluate_batch_p(sets[set_idx].kind, sets[set_idx].params, ps,
                             rates);
-    std::vector<double> approx(ps.size());
-    model::evaluate_batch_p(model::ModelKind::kApproximate,
-                            sets[set_idx].params, ps, approx);
     for (std::size_t j = 0; j < where.size(); ++j) {
       script[where[j]].expected_rate = rates[j];
-      script[where[j]].expected_approx = approx[j];
     }
   }
   return script;
@@ -212,23 +205,15 @@ ConnResult drive_connection(const LoadConfig& config,
           std::chrono::duration<double, std::milli>(Clock::now() - sent_at)
               .count();
       result.latencies_ms.push_back(ms);
-      const std::string* degraded_tag = resp.find("degraded");
-      const bool degraded = degraded_tag != nullptr && *degraded_tag == "1";
-      if (degraded) {
-        ++rep.degraded;
-      }
       if (config.verify && !scripted->is_inverse) {
         const std::string* rate = resp.find("rate");
         bool good = rate != nullptr;
         if (good) {
+          // Replies print 17 significant digits and the server runs the
+          // library's kernels, so the parsed rate must equal the
+          // expectation exactly.
           const double got = std::strtod(rate->c_str(), nullptr);
-          // A degraded answer is the eq-33 approximation of the same
-          // request — verified against its own local expectation. Replies
-          // print 17 significant digits and the server runs the library's
-          // kernels, so the parsed rate must equal the expectation exactly.
-          const double want =
-              degraded ? scripted->expected_approx : scripted->expected_rate;
-          good = std::isfinite(got) && got == want;
+          good = std::isfinite(got) && got == scripted->expected_rate;
         }
         if (!good) {
           ++rep.verify_failures;
@@ -251,7 +236,7 @@ ConnResult drive_connection(const LoadConfig& config,
 
   while (next_to_send < script.size() || !in_flight.empty()) {
     if (dead) {
-      // The connection died (worker crash, injected write fault, wedged
+      // The connection died (server crash, injected write fault, wedged
       // server). Whatever was in flight is gone — count it lost, then
       // reconnect under a capped per-death attempt budget so the rest
       // of the fixed-seed script still runs.
@@ -365,8 +350,7 @@ std::string LoadReport::describe() const {
      << " + deadline " << deadline << " + err " << errors << " + lost " << lost
      << (accounting_ok() ? "" : "  [ACCOUNTING MISMATCH]") << "\n"
      << "protocol errors " << protocol_errors << ", verify failures "
-     << verify_failures << ", reconnects " << reconnects << ", degraded "
-     << degraded << "\n"
+     << verify_failures << ", reconnects " << reconnects << "\n"
      << "latency p50 " << p50_ms << " ms, p99 " << p99_ms << " ms, max "
      << max_ms << " ms over " << wall_s << " s wall";
   return os.str();
@@ -417,7 +401,6 @@ LoadReport run_load(const LoadConfig& config) {
     total.errors += r.report.errors;
     total.lost += r.report.lost;
     total.reconnects += r.report.reconnects;
-    total.degraded += r.report.degraded;
     total.protocol_errors += r.report.protocol_errors;
     total.verify_failures += r.report.verify_failures;
     latencies.insert(latencies.end(), r.latencies_ms.begin(),

@@ -36,11 +36,11 @@ struct LoadConfig {
   double deadline_ms = 0.0;
   /// Verify OK payloads against locally computed expected rates.
   bool verify = true;
-  /// When a connection dies mid-stream (worker crash), requests still
-  /// in flight are counted `lost` and the connection reconnects with a
-  /// capped attempt budget per death — so a fixed-seed run keeps its
-  /// accounting identity exact across worker churn instead of silently
-  /// abandoning the unsent tail. 0 restores the old die-on-EOF behavior.
+  /// When a connection dies mid-stream (server crash or restart),
+  /// requests still in flight are counted `lost` and the connection
+  /// reconnects with a capped attempt budget per death — so a fixed-seed
+  /// run keeps its accounting identity exact across a restart instead
+  /// of silently abandoning the unsent tail. 0 gives up at the first EOF.
   int reconnect_attempts = 8;
   /// First reconnect backoff; doubles per failed attempt, capped at 1 s.
   double reconnect_backoff_ms = 25.0;
@@ -54,7 +54,6 @@ struct LoadReport {
   std::uint64_t errors = 0;    ///< BADREQ/TOOBIG/SHUTDOWN/INTERNAL responses
   std::uint64_t lost = 0;      ///< in-flight when the connection died
   std::uint64_t reconnects = 0;  ///< successful mid-stream reconnects
-  std::uint64_t degraded = 0;    ///< OK responses tagged degraded=1
   std::uint64_t protocol_errors = 0;  ///< unparseable response lines
   std::uint64_t verify_failures = 0;  ///< OK payload != local expectation
   double p50_ms = 0.0;  ///< request-to-response wall latency, exact

@@ -160,8 +160,6 @@ ServeSummary summarize(const ServeTotals& totals,
   s.batches = totals.batches.load();
   s.batched_requests = totals.batched_requests.load();
   s.calib_chunks = totals.calib_chunks.load();
-  s.degraded = totals.degraded.load();
-  s.degrade_transitions = totals.degrade_transitions.load();
   s.queue_peak = totals.queue_peak.load();
   s.latency_p50_s = latency.quantile(0.50);
   s.latency_p99_s = latency.quantile(0.99);
@@ -182,8 +180,6 @@ std::string ServeSummary::describe() const {
      << "batches " << batches << " covering " << batched_requests
      << " request(s), calib chunks " << calib_chunks << ", queue peak "
      << queue_peak << "\n"
-     << "degraded answers " << degraded << " (mode flips "
-     << degrade_transitions << ")\n"
      << "latency p50 " << latency_p50_s * 1e3 << " ms, p99 "
      << latency_p99_s * 1e3 << " ms (histogram estimate)\n"
      << "queue wait p50 " << queue_wait_p50_ms << " ms, p99 "
@@ -218,8 +214,6 @@ obs::ObsBundle make_bundle(const ServeTotals& totals,
   add(met.batched_requests, totals.batched_requests);
   add(met.calib_chunks, totals.calib_chunks);
   add(met.metrics_flushes, totals.metrics_flushes);
-  add(met.degraded, totals.degraded);
-  add(met.degrade_transitions, totals.degrade_transitions);
   shard.set(met.queue_peak,
             static_cast<double>(totals.queue_peak.load(std::memory_order_relaxed)));
 
@@ -242,49 +236,6 @@ obs::ObsBundle make_bundle(const ServeTotals& totals,
     }
   }
   return bundle;
-}
-
-ServeSummary summary_from_metrics(const obs::MetricsSnapshot& metrics) {
-  const auto counter = [&metrics](const char* name) -> std::uint64_t {
-    const obs::MetricValue* m = metrics.find(name);
-    return m == nullptr ? 0 : static_cast<std::uint64_t>(m->value);
-  };
-  ServeSummary s;
-  s.requests = counter("pftk_serve_requests_total");
-  s.served = counter("pftk_serve_served_total");
-  s.shed = counter("pftk_serve_shed_total");
-  s.deadline_missed = counter("pftk_serve_deadline_missed_total");
-  s.internal_errors = counter("pftk_serve_internal_errors_total");
-  s.protocol_errors = counter("pftk_serve_protocol_errors_total");
-  s.oversized = counter("pftk_serve_oversized_lines_total");
-  s.pings = counter("pftk_serve_pings_total");
-  s.connections = counter("pftk_serve_connections_total");
-  s.rejected_connections = counter("pftk_serve_rejected_connections_total");
-  s.disconnects = counter("pftk_serve_client_disconnects_total");
-  s.batches = counter("pftk_serve_batches_total");
-  s.batched_requests = counter("pftk_serve_batched_requests_total");
-  s.calib_chunks = counter("pftk_serve_calib_chunks_total");
-  s.degraded = counter("pftk_serve_degraded_total");
-  s.degrade_transitions = counter("pftk_serve_degrade_transitions_total");
-  s.queue_peak = counter("pftk_serve_queue_peak");
-  const auto quantiles = [&metrics](const char* name, double& p50, double& p99) {
-    const obs::MetricValue* m = metrics.find(name);
-    if (m == nullptr || m->buckets.empty()) {
-      return;
-    }
-    HistogramSnapshot h;
-    h.bounds = m->bounds;
-    h.buckets = m->buckets;
-    h.count = m->count;
-    h.sum = m->sum;
-    h.rejected = m->rejected;
-    p50 = h.quantile(0.50);
-    p99 = h.quantile(0.99);
-  };
-  quantiles("pftk_serve_latency_seconds", s.latency_p50_s, s.latency_p99_s);
-  quantiles("pftk_serve_queue_wait_ms", s.queue_wait_p50_ms,
-            s.queue_wait_p99_ms);
-  return s;
 }
 
 std::uint64_t busy_retry_hint_ms(double service_ewma_s,

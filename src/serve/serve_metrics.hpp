@@ -122,11 +122,6 @@ struct ServeTotals {
   std::atomic<std::uint64_t> batches{0};           ///< multi-request drains
   std::atomic<std::uint64_t> batched_requests{0};  ///< requests inside them
   std::atomic<std::uint64_t> calib_chunks{0};      ///< trace chunks parsed
-  // Graceful degradation (inside the identity: a degraded answer is
-  // still `served`; this counts how many were answered on the eq-33
-  // approx path instead of the full eq-32 model).
-  std::atomic<std::uint64_t> degraded{0};
-  std::atomic<std::uint64_t> degrade_transitions{0};  ///< local watermark flips
   // High-water mark over every shard queue (gauge semantics).
   std::atomic<std::uint64_t> queue_peak{0};
   std::atomic<std::uint64_t> metrics_flushes{0};
@@ -163,8 +158,6 @@ struct ServeSummary {
   std::uint64_t batches = 0;
   std::uint64_t batched_requests = 0;
   std::uint64_t calib_chunks = 0;
-  std::uint64_t degraded = 0;
-  std::uint64_t degrade_transitions = 0;
   std::uint64_t queue_peak = 0;
   double latency_p50_s = 0.0;  ///< histogram-estimated
   double latency_p99_s = 0.0;
@@ -189,13 +182,6 @@ struct ServeSummary {
 [[nodiscard]] obs::ObsBundle make_bundle(const ServeTotals& totals,
                                          const ConcurrentHistogram& latency,
                                          const HistogramSnapshot& queue_wait);
-
-/// Reconstructs a summary from a pftk_serve_* metrics snapshot — the
-/// inverse of make_bundle, used by the supervisor parent to check the
-/// accounting identity fleet-wide after merging the per-worker snapshot
-/// files. Metrics absent from the snapshot read as zero.
-[[nodiscard]] ServeSummary summary_from_metrics(
-    const obs::MetricsSnapshot& metrics);
 
 /// The BUSY `retry_ms=` backpressure hint: estimated queue drain time
 /// from the shard's service-time EWMA, clamped to [1, 30000] so a cold

@@ -37,8 +37,6 @@ constexpr int kMaxEvents = 64;
 /// check between chunks, so a huge trace cannot pin a loop past the
 /// request's budget.
 constexpr std::size_t kCalibChunkLines = 4096;
-/// Admission decisions per local shed-rate window (degradation signal).
-constexpr std::uint64_t kDegradeWindow = 256;
 
 void spin_for_us(std::uint64_t us) {
   const auto end = Clock::now() + std::chrono::microseconds(us);
@@ -76,6 +74,40 @@ bool watch(int epoll_fd, int fd) {
   return ::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &ev) == 0;
 }
 
+/// Creates, binds, and listens on a unix-domain stream socket at `path`
+/// (replacing a stale file). Returns the fd.
+/// @throws robust::IoError on failure.
+int bind_listener(const std::string& path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) {
+    throw robust::IoError("serve: socket(AF_UNIX): " +
+                          std::string(std::strerror(errno)));
+  }
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  // A stale socket file (previous crash) would fail the bind; replace it.
+  ::unlink(path.c_str());
+  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
+    const int err = errno;
+    ::close(fd);
+    throw robust::IoError("serve: bind(" + path + "): " + std::strerror(err));
+  }
+  if (::listen(fd, 64) != 0) {
+    const int err = errno;
+    ::close(fd);
+    ::unlink(path.c_str());
+    throw robust::IoError("serve: listen: " + std::string(std::strerror(err)));
+  }
+  // Non-blocking: every shard loop watches this fd, so one connection
+  // wakes several of them — the losers must get EAGAIN, not block.
+  const int flags = ::fcntl(fd, F_GETFL, 0);
+  if (flags >= 0) {
+    (void)::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+  }
+  return fd;
+}
+
 }  // namespace
 
 void ServeConfig::validate() const {
@@ -103,10 +135,6 @@ void ServeConfig::validate() const {
       default_deadline_ms != default_deadline_ms) {
     throw model::ParamError(
         "ServeConfig: default_deadline_ms must be finite and >= 0");
-  }
-  if (!(degrade_shed_watermark >= 0.0 && degrade_shed_watermark <= 1.0)) {
-    throw model::ParamError(
-        "ServeConfig: degrade_shed_watermark must be in [0, 1]");
   }
 }
 
@@ -207,49 +235,11 @@ Server::~Server() {
   }
 }
 
-int Server::bind_listener(const std::string& path) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) {
-    throw robust::IoError("serve: socket(AF_UNIX): " +
-                          std::string(std::strerror(errno)));
-  }
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  // A stale socket file (previous crash) would fail the bind; replace it.
-  ::unlink(path.c_str());
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const int err = errno;
-    ::close(fd);
-    throw robust::IoError("serve: bind(" + path + "): " + std::strerror(err));
-  }
-  if (::listen(fd, 64) != 0) {
-    const int err = errno;
-    ::close(fd);
-    ::unlink(path.c_str());
-    throw robust::IoError("serve: listen: " + std::string(std::strerror(err)));
-  }
-  // Non-blocking: every shard loop (and, supervised, every worker
-  // process) watches this fd, so one connection wakes several of them —
-  // the losers must get EAGAIN, not block.
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) {
-    (void)::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-  }
-  return fd;
-}
-
 void Server::start() {
   if (started_) {
     throw std::logic_error("Server::start: already started");
   }
-  if (config_.listen_fd >= 0) {
-    listen_fd_ = config_.listen_fd;
-    owns_socket_file_ = false;
-  } else {
-    listen_fd_ = bind_listener(config_.socket_path);
-    owns_socket_file_ = true;
-  }
+  listen_fd_ = bind_listener(config_.socket_path);
   try {
     for (int i = 0; i < config_.shards; ++i) {
       shards_.push_back(std::make_unique<Shard>(listen_fd_));
@@ -258,9 +248,7 @@ void Server::start() {
     shards_.clear();
     ::close(listen_fd_);
     listen_fd_ = -1;
-    if (owns_socket_file_) {
-      ::unlink(config_.socket_path.c_str());
-    }
+    ::unlink(config_.socket_path.c_str());
     throw;
   }
   for (auto& shard : shards_) {
@@ -294,9 +282,7 @@ ServeSummary Server::wait() {
   }
   ::close(listen_fd_);
   listen_fd_ = -1;
-  if (owns_socket_file_) {
-    ::unlink(config_.socket_path.c_str());
-  }
+  ::unlink(config_.socket_path.c_str());
   joined_ = true;
   return summary();
 }
@@ -351,8 +337,8 @@ void Server::accept_one() {
   std::unique_lock<std::mutex> lock(accept_mu_);
   const int cfd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
   if (cfd < 0) {
-    // EAGAIN: another loop or worker process took it. Anything else
-    // (ECONNABORTED, EMFILE, ...) is retried on the next readiness.
+    // EAGAIN: another loop took it. Anything else (ECONNABORTED,
+    // EMFILE, ...) is retried on the next readiness.
     return;
   }
   // One span per accepted connection: failpoint handling, the client
@@ -536,7 +522,6 @@ void Server::admit(Shard& shard, const std::shared_ptr<ClientSession>& client,
         break;
     }
   }
-  note_admission(shed);
   if (shed) {
     totals_.shed.fetch_add(1, std::memory_order_relaxed);
     flight::Recorder::instance().record_marker("serve.req.shed");
@@ -566,48 +551,6 @@ void Server::admit(Shard& shard, const std::shared_ptr<ClientSession>& client,
   totals_.bump_queue_peak(shard.queue.size());
 }
 
-bool Server::effective_degraded() const noexcept {
-  if (config_.degrade_flag != nullptr &&
-      config_.degrade_flag->load(std::memory_order_relaxed) != 0) {
-    return true;
-  }
-  return degraded_local_.load(std::memory_order_relaxed);
-}
-
-void Server::note_admission(bool was_shed) noexcept {
-  if (config_.degrade_shed_watermark <= 0.0) {
-    return;
-  }
-  if (was_shed) {
-    window_shed_.fetch_add(1, std::memory_order_relaxed);
-  }
-  const std::uint64_t n =
-      window_admitted_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (n < kDegradeWindow) {
-    return;
-  }
-  // Close the window. Concurrent admissions between these two resets
-  // can leak into either window — the signal is a heuristic fraction,
-  // not part of the accounting identity, so approximate is fine.
-  const std::uint64_t shed_in_window = window_shed_.exchange(0, std::memory_order_relaxed);
-  window_admitted_.store(0, std::memory_order_relaxed);
-  const double frac =
-      static_cast<double>(shed_in_window) / static_cast<double>(kDegradeWindow);
-  const bool was = degraded_local_.load(std::memory_order_relaxed);
-  bool now = was;
-  if (frac >= config_.degrade_shed_watermark) {
-    now = true;
-  } else if (frac <= config_.degrade_shed_watermark / 2.0) {
-    now = false;  // hysteresis: recover only well below the watermark
-  }
-  if (now != was) {
-    degraded_local_.store(now, std::memory_order_relaxed);
-    totals_.degrade_transitions.fetch_add(1, std::memory_order_relaxed);
-    flight::Recorder::instance().record_marker(
-        now ? "serve.degrade.on" : "serve.degrade.off");
-  }
-}
-
 void Server::run_batch(Shard& shard) {
   if (shard.queue.empty()) {
     return;
@@ -627,20 +570,6 @@ void Server::run_batch(Shard& shard) {
       batch.push_back(std::move(shard.queue.front()));
       shard.queue.pop_front();
     }
-  }
-  // The worker-crash chaos site: `action=crash` kills this process
-  // with requests still queued and in flight — exactly what the
-  // supervisor must absorb. Disarmed cost: one relaxed load (gated by
-  // the supervision_overhead_ratio bench).
-  const auto hit = robust::failpoint("serve.worker.crash");
-  if (hit.fired()) {
-    if (hit.action == robust::FailpointAction::kCrash) {
-      robust::crash_now();
-    }
-    if (hit.action == robust::FailpointAction::kDelay) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(hit.arg));
-    }
-    // Other actions have no meaning mid-queue; fall through.
   }
 
   const auto start = Clock::now();
@@ -681,29 +610,18 @@ void Server::run_batch(Shard& shard) {
     for (std::size_t i = 0; i < batch.size(); ++i) {
       ps[i] = batch[i].req.params.p;
     }
-    // Graceful degradation: under restart pressure (supervisor flag) or
-    // a sustained shed-rate past the watermark, answer with the eq-33
-    // approximate model instead of the requested kind — a cheaper
-    // answer beats shedding everything. Tagged so clients can tell.
-    const bool degraded = effective_degraded();
-    const auto eval_kind =
-        degraded ? model::ModelKind::kApproximate : batch.front().req.kind;
+    const auto kind = batch.front().req.kind;
     try {
-      const auto& prepared =
-          shard.cache.get(eval_kind, batch.front().req.params);
+      const auto& prepared = shard.cache.get(kind, batch.front().req.params);
       prepared.evaluate(std::span<const double>(ps), std::span<double>(rates));
       for (std::size_t i = 0; i < batch.size(); ++i) {
         if (config_.slow_us > 0) {
           spin_for_us(config_.slow_us);
         }
-        std::vector<std::pair<std::string, std::string>> fields{
-            {"rate", format_number(rates[i])},
-            {"model", std::string(model_kind_token(eval_kind))}};
-        if (degraded) {
-          fields.emplace_back("degraded", "1");
-          totals_.degraded.fetch_add(1, std::memory_order_relaxed);
-        }
-        respond(batch[i], format_ok(batch[i].req.id, fields));
+        respond(batch[i],
+                format_ok(batch[i].req.id,
+                          {{"rate", format_number(rates[i])},
+                           {"model", std::string(model_kind_token(kind))}}));
         ++newly_served;
       }
     } catch (const std::exception& e) {

@@ -70,21 +70,6 @@ struct ServeConfig {
   /// (busy-wait). Test/bench hook: makes "sustainable load" a chosen
   /// number so overload behavior is reproducible. 0 in production.
   std::uint64_t slow_us = 0;
-  /// Pre-bound non-blocking listen socket to adopt instead of binding
-  /// socket_path ourselves (-1 = bind). Supervised workers all adopt the
-  /// one fd the parent bound, so they accept() from a shared backlog and
-  /// the socket file outlives any single worker. The adopting server
-  /// closes its copy of the fd on wait() but never unlinks the path.
-  int listen_fd = -1;
-  /// External degrade signal (e.g. the supervisor's MAP_SHARED flag).
-  /// Nonzero => serve MODEL requests on the approximate eq-33 path,
-  /// tagged `degraded=1`. May be null.
-  const std::atomic<std::uint32_t>* degrade_flag = nullptr;
-  /// Local overload degradation: when the shed fraction over the last
-  /// 256 admission decisions reaches this watermark, MODEL requests
-  /// switch to the eq-33 path until a later window drops back under
-  /// half the watermark (hysteresis). 0 disables.
-  double degrade_shed_watermark = 0.0;
 
   /// @throws model::ParamError on out-of-range values.
   void validate() const;
@@ -102,16 +87,10 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds the socket (or adopts config.listen_fd) and launches the loops.
+  /// Binds the socket and launches the loops.
   /// @throws robust::IoError when the socket or an epoll set cannot be
   /// created.
   void start();
-
-  /// Creates, binds, and listens on a unix-domain stream socket at
-  /// `path` (replacing a stale file), non-blocking so multiple
-  /// processes can safely poll+accept the same fd. Returns the fd.
-  /// @throws robust::IoError on failure.
-  [[nodiscard]] static int bind_listener(const std::string& path);
 
   /// Begins graceful drain: wakes every loop, which stops accepting and
   /// reading, answers every admitted request and closes its clients.
@@ -120,7 +99,8 @@ class Server {
   void request_stop();
 
   /// Joins the loops (each drains its queue first), flushes metrics,
-  /// closes the listen fd. Idempotent; returns the final summary.
+  /// closes the listen fd and unlinks the socket file. Idempotent;
+  /// returns the final summary.
   ServeSummary wait();
 
   [[nodiscard]] bool running() const noexcept { return started_ && !joined_; }
@@ -186,21 +166,12 @@ class Server {
   void fail(const QueuedRequest& qr, ErrCode code, std::string_view msg);
   void maybe_flush(std::uint64_t newly_served);
   void flush_metrics();
-  /// True while either the external degrade flag or the local shed-rate
-  /// watermark says to serve the approximate path.
-  [[nodiscard]] bool effective_degraded() const noexcept;
-  /// Feeds the local shed-rate window (one call per admission decision).
-  void note_admission(bool was_shed) noexcept;
 
   ServeConfig config_;
   ServeTotals totals_;
   ConcurrentHistogram latency_{default_latency_bounds()};
 
   int listen_fd_ = -1;
-  bool owns_socket_file_ = true;  ///< false when adopting config.listen_fd
-  std::atomic<bool> degraded_local_{false};
-  std::atomic<std::uint64_t> window_admitted_{0};
-  std::atomic<std::uint64_t> window_shed_{0};
   std::atomic<bool> stop_{false};  ///< no new connections/reads
   bool started_ = false;
   bool joined_ = false;

@@ -1,4 +1,4 @@
-// The micro-bench harness: the four disarmed-overhead gates in order,
+// The micro-bench harness: the three disarmed-overhead gates in order,
 // the interleaved-pair measurement catching a seam that doubles the
 // work, the span gate's recorder handling and the pftk-bench-micro/4
 // JSON.
@@ -44,13 +44,12 @@ std::uint64_t spin(std::uint64_t seed) {
   return x;
 }
 
-TEST(MicroBench, SmokeRunMeasuresTheFourGatesInOrder) {
+TEST(MicroBench, SmokeRunMeasuresTheThreeGatesInOrder) {
   const auto& report = smoke_report();
   const std::vector<std::vector<std::string>> expected = {
       {"obs", "event_queue.dispatch", "event_queue.dispatch_obs"},
       {"failpoint", "journal.serialize", "journal.serialize_failpoint"},
       {"span", "journal.serialize", "span.record_disarmed"},
-      {"supervision", "serve.request_path", "serve.request_path_supervised"},
   };
   ASSERT_EQ(report.gates.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
@@ -65,7 +64,7 @@ TEST(MicroBench, SmokeRunMeasuresTheFourGatesInOrder) {
   EXPECT_EQ(report.repeats, MicroBenchConfig::smoke().repeats);
 }
 
-TEST(MicroBench, ResultsAreExactlyTheSevenGateSeries) {
+TEST(MicroBench, ResultsAreExactlyTheFiveGateSeries) {
   const auto& report = smoke_report();
   std::vector<std::string> names;
   for (const auto& r : report.results) {
@@ -74,10 +73,8 @@ TEST(MicroBench, ResultsAreExactlyTheSevenGateSeries) {
     EXPECT_GT(r.items, 0u) << r.name;
   }
   const std::vector<std::string> expected = {
-      "event_queue.dispatch",        "event_queue.dispatch_obs",
-      "journal.serialize",           "journal.serialize_failpoint",
-      "span.record_disarmed",        "serve.request_path",
-      "serve.request_path_supervised"};
+      "event_queue.dispatch", "event_queue.dispatch_obs", "journal.serialize",
+      "journal.serialize_failpoint", "span.record_disarmed"};
   EXPECT_EQ(names, expected);
 }
 
@@ -121,7 +118,7 @@ TEST(MicroBench, SpanGateMeasuresDisarmedAndRestoresTheRecorder) {
   const auto drained = recorder.drain();
   recorder.clear();
 
-  EXPECT_EQ(report.gates.size(), 4u);
+  EXPECT_EQ(report.gates.size(), 3u);
   EXPECT_EQ(drained.dropped, 0u);
   std::size_t gate_spans = 0;
   std::size_t after_spans = 0;
@@ -149,11 +146,11 @@ TEST(MicroBench, JsonIsSchemaFourWithOneObjectPerGate) {
     }
     return n;
   };
-  for (const char* gate : {"obs", "failpoint", "span", "supervision"}) {
+  for (const char* gate : {"obs", "failpoint", "span"}) {
     EXPECT_EQ(count(std::string("{\"name\": \"") + gate + "\", \"baseline\": "), 1u)
         << gate;
   }
-  EXPECT_EQ(count("\"tolerance\": 1.1,"), 4u);
+  EXPECT_EQ(count("\"tolerance\": 1.1,"), 3u);
 }
 
 }  // namespace

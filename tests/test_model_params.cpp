@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
+#include "core/batch_eval.hpp"
+#include "core/model_registry.hpp"
 #include "core/tcp_model_params.hpp"
 
 namespace pftk::model {
@@ -108,12 +114,55 @@ TEST(ModelParams, ValidateNamesEachNonFiniteField) {
   }
 }
 
-TEST(ModelParams, NegativeZeroAndDenormalsAreFinite) {
+TEST(ModelParams, NegativeZeroCountsAsZero) {
   ModelParams p;
-  p.p = std::numeric_limits<double>::denorm_min();
-  EXPECT_NO_THROW(p.validate());
   p.p = -0.0;  // counts as zero, i.e. the window-limited regime
+  EXPECT_TRUE(p.valid());
   EXPECT_NO_THROW(p.validate());
+}
+
+// Eq (32)'s 1/p terms overflow below DBL_MIN: p = 4e-320 evaluated to
+// NaN and p = 5e-309 to inf. The domain is 0 or [DBL_MIN, 1).
+TEST(ModelParams, SubnormalLossRatesAreOutsideTheDomain) {
+  ModelParams p;
+  for (const double bad : {std::numeric_limits<double>::denorm_min(), 4e-320,
+                           5e-309, std::nextafter(DBL_MIN, 0.0)}) {
+    p.p = bad;
+    EXPECT_FALSE(p.valid()) << bad;
+    try {
+      p.validate();
+      ADD_FAILURE() << bad << " passed validate()";
+    } catch (const ParamError& e) {
+      EXPECT_NE(std::string(e.what()).find("ModelParams: p must be"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  for (const double good : {0.0, -0.0, DBL_MIN}) {
+    p.p = good;
+    EXPECT_TRUE(p.valid()) << good;
+    EXPECT_NO_THROW(p.validate()) << good;
+  }
+}
+
+TEST(ModelParams, PreparedModelRejectsSubnormalP) {
+  ModelParams base;
+  base.rtt = 0.1;
+  base.t0 = 0.4;
+  base.wm = 8.0;
+  const PreparedModel full(ModelKind::kFull, base);
+  EXPECT_THROW((void)full(std::numeric_limits<double>::denorm_min()),
+               std::invalid_argument);
+  EXPECT_THROW((void)full(std::nextafter(DBL_MIN, 0.0)), std::invalid_argument);
+  EXPECT_THROW((void)full(std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_THROW((void)full(1.0), std::invalid_argument);
+  for (const double good : {0.0, -0.0, DBL_MIN, 0.01}) {
+    base.p = good;
+    const double rate = full(good);
+    EXPECT_TRUE(std::isfinite(rate)) << good;
+    EXPECT_EQ(rate, evaluate_model(ModelKind::kFull, base)) << good;
+  }
 }
 
 TEST(ModelParams, DescribeMentionsFields) {

@@ -42,8 +42,7 @@
 // pool with per-run deadlines, retry-with-backoff on transient failures,
 // and a resumable JSONL checkpoint journal; it exits nonzero with a
 // failure-taxonomy summary when items were lost. `bench` measures what
-// four disarmed seams (obs sink, failpoint, span, supervision) cost
-// their hot loops and emits schema-stable BENCH_micro.json; with --gate
+// three disarmed seams (obs sink, failpoint, span) cost their hot loops and emits schema-stable BENCH_micro.json; with --gate
 // it exits nonzero if a seam costs more than 1.10x.
 #include <algorithm>
 #include <chrono>
@@ -85,7 +84,6 @@
 #include "serve/load_client.hpp"
 #include "serve/serve_metrics.hpp"
 #include "serve/server.hpp"
-#include "serve/supervised.hpp"
 #include "sim/fault_injector.hpp"
 #include "sim/sim_watchdog.hpp"
 #include "trace/trace_io.hpp"
@@ -135,34 +133,26 @@ int usage() {
                "  pftk serve --socket PATH [--shards N] [--queue-depth N] [--batch-max N]\n"
                "             [--max-line-bytes N] [--max-clients N] [--deadline-ms F]\n"
                "             [--metrics-out FILE] [--metrics-every N] [--slow-us N]\n"
-               "             [--workers N] [--stall-timeout MS] [--restart-budget N]\n"
-               "             [--restart-window S] [--postmortem FILE]\n"
-               "             [--degrade-watermark F] [--ping-interval MS]\n"
                "      throughput-prediction daemon on a unix socket (line protocol:\n"
-               "      MODEL/INVERSE/CALIB/PING, see EXPERIMENTS.md). Sheds load with\n"
-               "      BUSY at the per-shard queue watermark, enforces per-request\n"
-               "      deadlines, and on SIGINT/SIGTERM drains in-flight work, flushes\n"
-               "      metrics durably, and exits 3 (second signal: 130).\n"
-               "      --workers >= 2 engages the self-healing pool: the parent binds\n"
-               "      the socket once, forks N accept-sharing workers, restarts\n"
-               "      crashed/stalled ones under capped backoff, degrades to the\n"
-               "      approximate model while restart pressure is high, and exits 4\n"
-               "      (with a durable post-mortem) when the restart budget is spent\n"
+               "      MODEL/INVERSE/CALIB/PING, see EXPERIMENTS.md): one process of\n"
+               "      N shard loops. Sheds load with BUSY at the per-shard queue\n"
+               "      watermark, enforces per-request deadlines, and on SIGINT/SIGTERM\n"
+               "      drains in-flight work, flushes metrics durably, and exits 3\n"
+               "      (second signal: 130)\n"
                "  pftk serve --selftest [--requests N] [--connections N] [--pipeline N]\n"
                "             [--seed N] [--param-sets N] [--inverse-every N]\n"
                "             [--slow-us N] [--queue-depth N] ...\n"
                "      in-process daemon + deterministic replay load; verifies served\n"
                "      rates against the library and both accounting identities\n"
                "  pftk bench [--smoke] [--gate] [--json [FILE]]\n"
-               "      times four disarmed seams (obs, failpoint, span, supervision)\n"
-               "      against their loops as interleaved pairs; --json writes\n"
+               "      times three disarmed seams (obs, failpoint, span) against\n"
+               "      their loops as interleaved pairs; --json writes\n"
                "      BENCH_micro.json (or FILE); with --gate, exits 1 if a seam's\n"
                "      median overhead ratio exceeds 1.10x\n"
                "  pftk obs summarize <obs-file>... [--json [FILE]]\n"
                "      TD/TO loss-indication breakdown of pftk-obs/1 file(s); several\n"
-               "      files (e.g. per-worker snapshots) merge with the shard-merge\n"
-               "      semantics before summarizing (exit 5 when dropped events leave\n"
-               "      the split indeterminate)\n"
+               "      files merge with the shard-merge semantics before summarizing\n"
+               "      (exit 5 when dropped events leave the split indeterminate)\n"
                "  pftk prof <spans.jsonl> [--json [FILE]]\n"
                "      aggregate a pftk-spans/1 flight recording into an inclusive/\n"
                "      exclusive self-time table (p50/p99 per span) with a\n"
@@ -946,13 +936,11 @@ int serve_selftest(pftk::serve::ServeConfig config,
 }
 
 int cmd_serve(int argc, char** argv) {
-  pftk::serve::SupervisedServeConfig sup;
-  pftk::serve::ServeConfig& config = sup.serve;
+  pftk::serve::ServeConfig config;
   config.socket_path = pftk::serve::default_socket_path();
   pftk::serve::LoadConfig load;
   load.requests = 5000;
   bool selftest = false;
-  int workers = 1;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     const char* flag = arg.c_str();
@@ -962,20 +950,6 @@ int cmd_serve(int argc, char** argv) {
     };
     if (arg == "--socket") {
       config.socket_path = value();
-    } else if (arg == "--workers") {
-      workers = parse_positive_int(value(), flag);
-    } else if (arg == "--stall-timeout") {
-      sup.stall_timeout_ms = parse_nonnegative(value(), flag);
-    } else if (arg == "--restart-budget") {
-      sup.restart_budget = parse_positive_int(value(), flag);
-    } else if (arg == "--restart-window") {
-      sup.restart_window_s = parse_nonnegative(value(), flag);
-    } else if (arg == "--postmortem") {
-      sup.postmortem_path = value();
-    } else if (arg == "--degrade-watermark") {
-      config.degrade_shed_watermark = parse_nonnegative(value(), flag);
-    } else if (arg == "--ping-interval") {
-      sup.self_ping_interval_ms = parse_nonnegative(value(), flag);
     } else if (arg == "--shards") {
       config.shards = parse_positive_int(value(), flag);
     } else if (arg == "--queue-depth") {
@@ -1023,35 +997,6 @@ int cmd_serve(int argc, char** argv) {
   // First SIGINT/SIGTERM: stop accepting, drain every admitted request,
   // flush the durable metrics snapshot, exit 3. Second signal: 130.
   pftk::robust::ShutdownGuard shutdown(/*hard_exit_code=*/130);
-
-  if (workers >= 2) {
-    // Self-healing pool: parent binds + supervises, workers serve. A
-    // single worker (--workers 1 or no flag) takes the plain in-process
-    // path below — supervision fully disengaged, output unchanged.
-    sup.workers = workers;
-    sup.stop = pftk::robust::ShutdownGuard::stop_flag();
-    sup.validate();
-    std::cout << "serve: supervising " << workers << " worker(s) on "
-              << config.socket_path << " (restart budget " << sup.restart_budget
-              << " per " << sup.restart_window_s << "s";
-    if (sup.stall_timeout_ms > 0.0) {
-      std::cout << ", stall timeout " << sup.stall_timeout_ms << "ms";
-    }
-    std::cout << ")" << std::endl;
-    const auto report = pftk::serve::run_supervised_serve(sup);
-    std::cout << report.describe() << "\n";
-    if (!report.fleet_accounting_ok) {
-      std::cerr << "error: fleet accounting identity violated\n";
-    }
-    if (report.gave_up) {
-      std::cerr << "error: supervisor gave up (restart budget exhausted)"
-                << (sup.postmortem_path.empty()
-                        ? ""
-                        : "; post-mortem at " + sup.postmortem_path)
-                << "\n";
-    }
-    return report.exit_code;
-  }
 
   pftk::serve::Server server(config);
   server.start();
@@ -1146,9 +1091,8 @@ int cmd_obs(int argc, char** argv) {
     return usage();
   }
 
-  // Several files (e.g. the supervisor's per-worker snapshots) fold into
-  // one bundle with the shard-merge semantics before summarizing —
-  // counters sum, gauges max, events concatenate.
+  // Several files fold into one bundle with the shard-merge semantics
+  // before summarizing — counters sum, gauges max, events concatenate.
   pftk::obs::ObsBundle bundle;
   for (const auto& path : paths) {
     pftk::obs::ObsReadReport read_report;
