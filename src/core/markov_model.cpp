@@ -73,39 +73,55 @@ StateRow build_row(const ModelParams& params, const StateSpace& space,
 
   StateRow row;
   row.next.assign(space.size(), 0.0);
+  // Books a loss indication that ends the TDP at window w_end, with
+  // probability `weight`, Y = y packets and A = a seconds.
+  const auto add_loss = [&](double weight, double y, double a, int w_end) {
+    const double qh = q_hat_exact(p, static_cast<double>(w_end));
+    row.expected_packets += weight * (y + qh * er);
+    row.expected_seconds += weight * (a + qh * ezto);
+    row.q_acc += weight * qh;
+    // Next TDP: half the window after a TD (congestion avoidance), or
+    // slow start toward half the window after a timeout sequence.
+    const int w_half = std::max(1, w_end / 2);
+    row.next[space.ca_index(w_half)] += weight * (1.0 - qh);
+    row.next[space.ss_index(std::max(2, w_half))] += weight * qh;
+  };
 
   double survival = 1.0;        // P[no loss before round j]
   double packets_before = 0.0;  // packets sent in rounds 1..j-1
   for (int j = 1; survival > 1e-14; ++j) {
     const double wj = round_window(slow_start_mode, start, thresh, j, params.b, gamma);
     const int sj = std::max(1, std::min(wm, static_cast<int>(std::floor(wj))));
+    const double w_next = round_window(slow_start_mode, start, thresh, j + 1, params.b, gamma);
+    if (sj == wm && w_next >= static_cast<double>(wm)) {
+      // The window is pinned at wm from round j on (round_window never
+      // decreases), so every later round repeats this one with wm more
+      // packets before it and one more RTT. Sum rounds j, j+1, ... as a
+      // geometric series instead of walking them: with L = P[loss in a
+      // round], E[later rounds] = (1-L)/L, and the packets up to the
+      // first loss, counted from round j's first packet, are geometric
+      // with mean 1/p. expm1/log1p keep L > 0 for p near DBL_MIN, where
+      // (1-p)^wm rounds to 1.
+      const double loss_round = -std::expm1(static_cast<double>(wm) * std::log1p(-p));
+      const double later_rounds = (1.0 - loss_round) / loss_round;
+      add_loss(survival, packets_before + 1.0 / p + static_cast<double>(wm) - 1.0,
+               (static_cast<double>(j + 1) + later_rounds) * params.rtt, wm);
+      break;
+    }
     const double q_no_loss_round = std::pow(1.0 - p, sj);
     const double prob_loss_here = survival * (1.0 - q_no_loss_round);
     if (prob_loss_here > 0.0) {
-      const double w_next =
-          round_window(slow_start_mode, start, thresh, j + 1, params.b, gamma);
       const int w_end = std::max(1, std::min(wm, static_cast<int>(std::floor(w_next))));
       // E[position of first loss within the round | a loss in the round]:
       // truncated geometric on {1..sj}.
       const double denom = 1.0 - q_no_loss_round;
       const double mean_k = 1.0 / p - static_cast<double>(sj) * q_no_loss_round / denom;
-      // Y = alpha + W' - 1 (Section II-A), alpha = packets_before + K.
-      const double y = packets_before + mean_k + static_cast<double>(w_end) - 1.0;
-      const double a = static_cast<double>(j + 1) * params.rtt;  // X+1 rounds
-      const double qh = q_hat_exact(p, static_cast<double>(w_end));
-
-      row.expected_packets += prob_loss_here * (y + qh * er);
-      row.expected_seconds += prob_loss_here * (a + qh * ezto);
-      row.q_acc += prob_loss_here * qh;
-
-      // Next TDP: half the window after a TD (congestion avoidance), or
-      // slow start toward half the window after a timeout sequence.
-      const int w_half = std::max(1, w_end / 2);
-      row.next[space.ca_index(w_half)] += prob_loss_here * (1.0 - qh);
-      row.next[space.ss_index(std::max(2, w_half))] += prob_loss_here * qh;
+      // Y = alpha + W' - 1 (Section II-A), alpha = packets_before + K;
+      // A spans X+1 rounds.
+      add_loss(prob_loss_here, packets_before + mean_k + static_cast<double>(w_end) - 1.0,
+               static_cast<double>(j + 1) * params.rtt, w_end);
     }
-    packets_before += static_cast<double>(
-        std::max(1, std::min(wm, static_cast<int>(std::floor(wj)))));
+    packets_before += static_cast<double>(sj);
     survival *= q_no_loss_round;
     if (j > 1000000) {
       throw std::runtime_error("markov_model: loss-round loop failed to terminate");

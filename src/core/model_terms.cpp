@@ -1,6 +1,8 @@
 #include "core/model_terms.hpp"
 
+#include <cfloat>
 #include <cmath>
+#include <sstream>
 #include <stdexcept>
 
 #include "core/model_kernels.hpp"
@@ -9,10 +11,15 @@ namespace pftk::model {
 
 namespace {
 
+/// The model's p domain (ModelParams): DBL_MIN <= p < 1, or p == 0
+/// where the term allows it. A subnormal p overflows the 1/p terms.
 void require_loss_prob(double p, bool strict_positive) {
-  if (!(std::isfinite(p) && p < 1.0 && (strict_positive ? p > 0.0 : p >= 0.0))) {
-    throw std::invalid_argument(strict_positive ? "loss probability must be in (0, 1)"
-                                                : "loss probability must be in [0, 1)");
+  if (!((p >= DBL_MIN && p < 1.0) || (!strict_positive && p == 0.0))) {
+    std::ostringstream os;
+    os << (strict_positive ? "loss probability p must be in [DBL_MIN, 1)"
+                           : "loss probability p must be 0 or in [DBL_MIN, 1)")
+       << ", got " << p;
+    throw std::invalid_argument(os.str());
   }
 }
 

@@ -11,7 +11,9 @@
 //           expected_timeout_sequence_duration  E[Z^TO] = T0*f(p)/(1-p)
 //
 // All functions are pure; probabilities outside their documented domains
-// raise std::invalid_argument.
+// raise std::invalid_argument. The p domain is the model's (ModelParams):
+// DBL_MIN <= p < 1, plus p == 0 where a term is defined there. A
+// subnormal p would overflow the 1/p terms.
 #pragma once
 
 namespace pftk::model {
@@ -20,22 +22,22 @@ namespace pftk::model {
 /// This polynomial arises from summing the exponentially backed-off
 /// timeout durations (doubling capped at 64*T0) over the geometric
 /// distribution of timeout-sequence lengths.
-/// @throws std::invalid_argument unless 0 <= p < 1.
+/// @throws std::invalid_argument unless p is 0 or in [DBL_MIN, 1).
 [[nodiscard]] double backoff_polynomial(double p);
 
 /// E[Wu], the mean unconstrained window at the end of a TD period
 /// (eq 13):  (2+b)/(3b) + sqrt(8(1-p)/(3bp) + ((2+b)/(3b))^2).
-/// @throws std::invalid_argument unless 0 < p < 1 and b >= 1.
+/// @throws std::invalid_argument unless DBL_MIN <= p < 1 and b >= 1.
 [[nodiscard]] double expected_unconstrained_window(double p, int b);
 
 /// E[X], the mean number of rounds in an unconstrained TD period (eq 15).
-/// @throws std::invalid_argument unless 0 < p < 1 and b >= 1.
+/// @throws std::invalid_argument unless DBL_MIN <= p < 1 and b >= 1.
 [[nodiscard]] double expected_rounds_unconstrained(double p, int b);
 
 /// Exact probability that a loss indication at window size w is a timeout
 /// (eq 24), extended continuously to real-valued w (the model plugs in
 /// E[W], which is not an integer). For w <= 3 every loss is a timeout.
-/// @throws std::invalid_argument unless 0 < p < 1 and w >= 1.
+/// @throws std::invalid_argument unless DBL_MIN <= p < 1 and w >= 1.
 [[nodiscard]] double q_hat_exact(double p, double w);
 
 /// The paper's approximation Q-hat(w) ~= min(1, 3/w)  (eq 25).
@@ -52,12 +54,12 @@ namespace pftk::model {
 /// packets of the last round get through (eq 23). This is the definition
 /// the closed form (eq 24) was derived from; the two must agree, which
 /// the test suite verifies — an independent check of the paper's algebra.
-/// @throws std::invalid_argument unless 0 < p < 1 and w >= 1.
+/// @throws std::invalid_argument unless DBL_MIN <= p < 1 and w >= 1.
 [[nodiscard]] double q_hat_summation(double p, int w);
 
 /// E[R] = 1/(1-p): mean number of (re)transmissions in a timeout sequence
 /// (eq 27), from the geometric distribution P[R=k] = p^(k-1) (1-p).
-/// @throws std::invalid_argument unless 0 <= p < 1.
+/// @throws std::invalid_argument unless p is 0 or in [DBL_MIN, 1).
 [[nodiscard]] double expected_timeouts_in_sequence(double p);
 
 /// L_k, the duration of a timeout sequence containing k timeouts, with
@@ -70,12 +72,12 @@ namespace pftk::model {
 
 /// E[Z^TO] = T0 * f(p) / (1-p): mean duration of a timeout sequence
 /// (Section II-B), for the standard cap of 6 doublings.
-/// @throws std::invalid_argument unless 0 <= p < 1 and t0 > 0.
+/// @throws std::invalid_argument unless p is 0 or in [DBL_MIN, 1) and t0 > 0.
 [[nodiscard]] double expected_timeout_sequence_duration(double p, double t0);
 
 /// Generalization of E[Z^TO] to an arbitrary backoff cap, computed by
 /// direct summation of L_k * P[R=k]; equals the closed form at cap=6.
-/// @throws std::invalid_argument unless 0 <= p < 1, t0 > 0, 1 <= cap <= 30.
+/// @throws std::invalid_argument unless p is 0 or in [DBL_MIN, 1), t0 > 0, 1 <= cap <= 30.
 [[nodiscard]] double expected_timeout_sequence_duration_capped(double p, double t0,
                                                                int backoff_cap);
 

@@ -197,7 +197,7 @@ class Span {
 #define PFTK_SPAN_CONCAT_INNER(a, b) a##b
 #define PFTK_SPAN_CONCAT(a, b) PFTK_SPAN_CONCAT_INNER(a, b)
 /// Scope-shaped span site: PFTK_SPAN("serve.eval_batch") or
-/// PFTK_SPAN("trace.parse_chunk", chunk_bytes). Costs one relaxed load
+/// PFTK_SPAN("trace.parse", image_bytes). Costs one relaxed load
 /// when the recorder is disarmed.
 #define PFTK_SPAN(...) \
   ::pftk::obs::flight::Span PFTK_SPAN_CONCAT(pftk_flight_span_, __LINE__){__VA_ARGS__}

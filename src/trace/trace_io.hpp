@@ -40,9 +40,9 @@
 // line are corruption, not events.
 //
 // Both modes parse an in-memory image with the one reader in
-// trace_reader_fast.hpp (line-aligned chunks parsed in parallel). The
-// file loads put the whole file in memory first: a mapping for a
-// regular file, the bytes read to EOF for a pipe or device.
+// trace_reader_fast.hpp, in one pass on the calling thread. The file
+// loads put the whole file in memory first: a mapping for a regular
+// file, the bytes read to EOF for a pipe or device.
 #pragma once
 
 #include <cstddef>
@@ -83,16 +83,6 @@ struct TraceReadReport {
   [[nodiscard]] std::string describe() const;
 };
 
-/// Tunables for the chunk-parallel parse. Defaults are production
-/// values; tests shrink min_chunk_bytes to force many-chunk splits on
-/// small inputs.
-struct TraceReadOptions {
-  int threads = 0;  ///< worker count; <= 0 means hardware_concurrency
-  /// A chunk is only worth a thread above this size; small inputs parse
-  /// single-threaded regardless of `threads`.
-  std::size_t min_chunk_bytes = 1u << 20;
-};
-
 /// Renders the trace, one event per line, preceded by a '#' header.
 /// Reals are fixed with 9 decimals, byte-identical to printf("%.9f"):
 /// integer arithmetic below 2^53·10⁻⁹, std::to_chars elsewhere.
@@ -105,15 +95,13 @@ struct TraceReadOptions {
 /// the first malformed line.
 /// @throws robust::IoError when an armed `trace.read.line` failpoint
 /// injects a read error.
-[[nodiscard]] std::vector<TraceEvent> read_trace(std::string_view data,
-                                                 const TraceReadOptions& options = {});
+[[nodiscard]] std::vector<TraceEvent> read_trace(std::string_view data);
 
 /// Parses a trace image, skipping malformed/truncated lines instead of
 /// throwing, and fills `report` (if non-null) with what was salvaged and
 /// dropped. Never throws on content.
 [[nodiscard]] std::vector<TraceEvent> read_trace_lenient(
-    std::string_view data, TraceReadReport* report = nullptr,
-    const TraceReadOptions& options = {});
+    std::string_view data, TraceReadReport* report = nullptr);
 
 /// File wrappers. Loads open the file as a TraceFileImage (a mapping of
 /// a regular file; pipes, /dev/stdin and devices are read to EOF) and

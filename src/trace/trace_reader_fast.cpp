@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
-#include <thread>
 
 #include "obs/flight/flight_recorder.hpp"
 #include "robust/durable_file.hpp"
@@ -347,29 +346,21 @@ bool parse_line_fast(const char* begin, const char* end, TraceEvent& event,
 
 namespace {
 
-/// Everything one chunk's parse produces. Line counters are chunk-local;
-/// first_error_line_rel is 1-based within the chunk. The last_* flags
-/// describe the chunk's final line and only matter for the final chunk.
-struct ChunkOutcome {
+/// One pass over the whole image on the calling thread, filling `rep`.
+/// While any failpoint is armed, `trace.read.line` is evaluated before
+/// each line, in file order, so a fixed spec fires at a fixed line.
+std::vector<TraceEvent> parse_image(std::string_view data, bool stop_at_first_error,
+                                    TraceReadReport& rep) {
+  PFTK_SPAN("trace.parse", data.size());
+  const bool inject_faults = robust::any_failpoint_armed();
+  rep = TraceReadReport{};
   std::vector<TraceEvent> events;
-  std::size_t lines_total = 0;
-  std::size_t events_parsed = 0;
-  std::size_t comment_lines = 0;
-  std::size_t lines_dropped = 0;
-  std::size_t bytes_dropped = 0;
-  std::size_t first_error_line_rel = 0;
-  std::string first_error;
+  events.reserve(data.size() / 24 + 4);
   bool last_line_unterminated = false;
   bool last_line_bad = false;
   bool last_line_event = false;
-};
-
-/// `inject_faults` evaluates the `trace.read.line` failpoint before each
-/// line; only a single-chunk parse on the calling thread may set it.
-void parse_chunk(std::string_view data, std::size_t begin, std::size_t end,
-                 bool stop_at_first_error, bool inject_faults, ChunkOutcome& out) {
-  out.events.reserve((end - begin) / 24 + 4);
-  std::size_t pos = begin;
+  std::size_t end = data.size();
+  std::size_t pos = 0;
   std::string error;
   while (pos < end) {
     const std::size_t nl = find_newline(data.substr(0, end), pos);
@@ -387,126 +378,42 @@ void parse_chunk(std::string_view data, std::size_t begin, std::size_t end,
         robust::apply_failpoint(hit, "trace.read.line");
       }
     }
-    ++out.lines_total;
-    out.last_line_unterminated = !terminated;
-    out.last_line_bad = false;
-    out.last_line_event = false;
+    ++rep.lines_total;
+    last_line_unterminated = !terminated;
+    last_line_bad = false;
+    last_line_event = false;
     const char* line_begin = data.data() + pos;
     const char* content_end = data.data() + raw_end;
     if (content_end > line_begin && content_end[-1] == '\r') {
       --content_end;  // tolerate CRLF captures
     }
     if (content_end == line_begin || *line_begin == '#') {
-      ++out.comment_lines;
+      ++rep.comment_lines;
     } else {
       TraceEvent event;
       if (detail::parse_line_fast(line_begin, content_end, event, error)) {
-        out.events.push_back(event);
-        ++out.events_parsed;
-        out.last_line_event = true;
+        events.push_back(event);
+        ++rep.events_parsed;
+        last_line_event = true;
       } else {
-        out.last_line_bad = true;
-        ++out.lines_dropped;
+        last_line_bad = true;
+        ++rep.lines_dropped;
         // Actual on-disk bytes consumed by the dropped line: content
         // plus any '\r' plus the '\n' terminator if one existed.
-        out.bytes_dropped += (raw_end - pos) + (terminated ? 1 : 0);
-        if (out.first_error_line_rel == 0) {
-          out.first_error_line_rel = out.lines_total;
-          out.first_error = error;
+        rep.bytes_dropped += (raw_end - pos) + (terminated ? 1 : 0);
+        if (rep.first_error_line == 0) {
+          rep.first_error_line = rep.lines_total;
+          rep.first_error = error;
           if (stop_at_first_error) {
-            return;
+            return events;
           }
         }
       }
     }
     pos = terminated ? nl + 1 : end;
   }
-}
-
-std::vector<ChunkOutcome> parse_chunks(std::string_view data,
-                                       const TraceReadOptions& options,
-                                       bool stop_at_first_error) {
-  // Armed failpoints must see every line once, in file order, on the
-  // calling thread, so a fixed spec fires at a fixed line.
-  const bool inject_faults = robust::any_failpoint_armed();
-  int threads = inject_faults ? 1 : options.threads;
-  if (threads <= 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    threads = hw == 0 ? 1 : static_cast<int>(hw);
-  }
-  const std::size_t min_chunk = std::max<std::size_t>(1, options.min_chunk_bytes);
-  const std::size_t want =
-      std::min<std::size_t>(static_cast<std::size_t>(threads),
-                            std::max<std::size_t>(1, data.size() / min_chunk));
-  const auto chunks = split_line_aligned(data, want);
-
-  std::vector<ChunkOutcome> outcomes(chunks.size());
-  // One flight span per chunk, recorded on the thread that parses it
-  // (arg = chunk bytes): with --trace-spans the per-thread lanes make
-  // parallel-scaling stalls — a straggler chunk, a late-started worker —
-  // directly visible in the Perfetto view.
-  if (chunks.size() == 1) {
-    PFTK_SPAN("trace.parse_chunk", chunks[0].second - chunks[0].first);
-    parse_chunk(data, chunks[0].first, chunks[0].second, stop_at_first_error,
-                inject_faults, outcomes[0]);
-    return outcomes;
-  }
-  std::vector<std::thread> workers;
-  workers.reserve(chunks.size() - 1);
-  for (std::size_t i = 1; i < chunks.size(); ++i) {
-    workers.emplace_back([&, i] {
-      PFTK_SPAN("trace.parse_chunk", chunks[i].second - chunks[i].first);
-      parse_chunk(data, chunks[i].first, chunks[i].second, stop_at_first_error,
-                  /*inject_faults=*/false, outcomes[i]);
-    });
-  }
-  {
-    PFTK_SPAN("trace.parse_chunk", chunks[0].second - chunks[0].first);
-    parse_chunk(data, chunks[0].first, chunks[0].second, stop_at_first_error,
-                /*inject_faults=*/false, outcomes[0]);
-  }
-  for (auto& w : workers) {
-    w.join();
-  }
-  return outcomes;
-}
-
-std::vector<TraceEvent> merge_outcomes(std::vector<ChunkOutcome>&& outcomes,
-                                       TraceReadReport& rep) {
-  PFTK_SPAN("trace.merge", outcomes.size());
-  rep = TraceReadReport{};
-  std::size_t total_events = 0;
-  std::size_t line_prefix = 0;
-  for (const ChunkOutcome& c : outcomes) {
-    total_events += c.events.size();
-    rep.lines_total += c.lines_total;
-    rep.events_parsed += c.events_parsed;
-    rep.comment_lines += c.comment_lines;
-    rep.lines_dropped += c.lines_dropped;
-    rep.bytes_dropped += c.bytes_dropped;
-    if (rep.first_error_line == 0 && c.first_error_line_rel != 0) {
-      rep.first_error_line = line_prefix + c.first_error_line_rel;
-      rep.first_error = c.first_error;
-    }
-    line_prefix += c.lines_total;
-  }
-  const ChunkOutcome& last = outcomes.back();
-  rep.truncated = last.last_line_unterminated && last.last_line_bad;
-  rep.suspect_final_event = last.last_line_unterminated && last.last_line_event;
-
-  if (outcomes.size() == 1) {
-    // The common single-chunk case (small file, or one core): hand the
-    // parsed vector straight back instead of paying a full copy into a
-    // fresh allocation.
-    return std::move(outcomes.front().events);
-  }
-  std::vector<TraceEvent> events;
-  events.reserve(total_events);
-  for (ChunkOutcome& c : outcomes) {
-    events.insert(events.end(), c.events.begin(), c.events.end());
-    c.events.clear();
-    c.events.shrink_to_fit();
-  }
+  rep.truncated = last_line_unterminated && last_line_bad;
+  rep.suspect_final_event = last_line_unterminated && last_line_event;
   return events;
 }
 
@@ -563,31 +470,21 @@ bool TraceFileImage::open(const std::string& path) {
 }
 
 std::vector<TraceEvent> read_trace_lenient(std::string_view data,
-                                           TraceReadReport* report,
-                                           const TraceReadOptions& options) {
-  auto outcomes = parse_chunks(data, options, /*stop_at_first_error=*/false);
+                                           TraceReadReport* report) {
   TraceReadReport local;
-  TraceReadReport& rep = report != nullptr ? *report : local;
-  return merge_outcomes(std::move(outcomes), rep);
+  return parse_image(data, /*stop_at_first_error=*/false,
+                     report != nullptr ? *report : local);
 }
 
-std::vector<TraceEvent> read_trace(std::string_view data,
-                                   const TraceReadOptions& options) {
-  auto outcomes = parse_chunks(data, options, /*stop_at_first_error=*/true);
-  std::size_t line_prefix = 0;
-  for (const ChunkOutcome& c : outcomes) {
-    if (c.first_error_line_rel != 0) {
-      // Chunks before the first erroring one are error-free, so their
-      // line counts are complete and the prefix sum is the exact global
-      // line number of the first bad line.
-      throw std::invalid_argument(
-          "read_trace: line " + std::to_string(line_prefix + c.first_error_line_rel) +
-          ": " + c.first_error);
-    }
-    line_prefix += c.lines_total;
-  }
+std::vector<TraceEvent> read_trace(std::string_view data) {
   TraceReadReport rep;
-  return merge_outcomes(std::move(outcomes), rep);
+  auto events = parse_image(data, /*stop_at_first_error=*/true, rep);
+  if (rep.first_error_line != 0) {
+    throw std::invalid_argument("read_trace: line " +
+                                std::to_string(rep.first_error_line) + ": " +
+                                rep.first_error);
+  }
+  return events;
 }
 
 }  // namespace pftk::trace

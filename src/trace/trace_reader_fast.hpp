@@ -1,27 +1,27 @@
 // The trace reader behind read_trace / read_trace_lenient (trace_io.hpp):
-// whole-file images, zero-copy field decoding and chunk-parallel parsing.
+// whole-file images and zero-copy field decoding, in one pass on the
+// calling thread.
 //
 // Pipeline: TraceFileImage holds the capture in memory (a read-only
 // mapping of a regular file, or the bytes of a pipe, /dev/stdin or
-// device read to EOF), trace_scan splits it into line-aligned chunks,
-// and each chunk is decoded by a hand-rolled parser — no istringstream,
-// no per-line std::string, numbers via std::from_chars with an exact
-// small-decimal fast path. Per-chunk TraceReadReports merge
-// associatively, so lenient accounting (lines/bytes dropped, first
-// error, truncation flags) is exact and invariant to thread count, and
-// strict mode throws with the number of the lowest bad line.
+// device read to EOF), find_newline (trace_scan.hpp) cuts it into
+// lines, and each line is decoded by a hand-rolled parser — no
+// istringstream, no per-line std::string, numbers via std::from_chars
+// with an exact small-decimal fast path. The parse fills the
+// TraceReadReport as it goes (lines/bytes dropped, first error,
+// truncation flags), and strict mode throws with the number of the
+// first bad line.
 //
-// Failpoints: while any failpoint is armed, the whole image parses as
-// one chunk on the calling thread and `trace.read.line` is evaluated
-// once per line, in file order, before that line is parsed. short_write
-// clips the line to `arg` bytes and ends the input there (a torn tail),
-// error/enospc throw robust::IoError, delay sleeps and crash exits.
+// Failpoints: while any failpoint is armed, `trace.read.line` is
+// evaluated once per line, in file order, before that line is parsed.
+// short_write clips the line to `arg` bytes and ends the input there (a
+// torn tail), error/enospc throw robust::IoError, delay sleeps and crash
+// exits.
 //
 // The grammar is pinned by tests/test_trace_fast.cpp, which keeps an
 // istream reader as its oracle: clean, mangled, CRLF, NUL-bearing and
 // torn-tail inputs — including every byte offset of a final-record cut
-// — must give identical TraceEvent vectors and reports at one chunk and
-// at many.
+// — must give identical TraceEvent vectors and reports.
 #pragma once
 
 #include <cstddef>

@@ -1,13 +1,11 @@
-// Wide newline scanning for the trace fast path.
+// Newline scanning for the trace reader.
 //
-// The mmap reader (trace_reader_fast.*) needs two primitives: "where is
-// the next '\n'?" (hot: once per record, plus once per chunk boundary)
-// and "split this mapping into line-aligned chunks" (once per file).
-// find_newline is a wide memchr: it compares 8 input bytes per step with
-// the classic SWAR zero-in-word trick, and 32 bytes per step with AVX2
-// when the build enables it (-mavx2 / -march=native); the scalar head
-// and tail keep it exact at any alignment and length. It lives in the
-// header so the per-record call in the chunk parser inlines — taking it
+// The reader (trace_reader_fast.*) asks "where is the next '\n'?" once
+// per record, and serve's CALIB verb uses the same answer to cut a trace
+// into 4096-line slices. find_newline is a wide memchr: it compares 8
+// input bytes per step with the classic SWAR zero-in-word trick, and the
+// scalar tail keeps it exact at any alignment and length. It lives in
+// the header so the per-record call in the parser inlines — taking it
 // out of line costs ~10% of ingest throughput. A unit test cross-checks
 // it byte-for-byte against std::memchr.
 #pragma once
@@ -17,12 +15,6 @@
 #include <cstdint>
 #include <cstring>
 #include <string_view>
-#include <utility>
-#include <vector>
-
-#if defined(__AVX2__)
-#include <immintrin.h>
-#endif
 
 namespace pftk::trace {
 
@@ -49,21 +41,6 @@ constexpr std::uint64_t zero_byte_mask(std::uint64_t word) noexcept {
     return std::string_view::npos;
   }
 
-#if defined(__AVX2__)
-  // 32 bytes per step; unaligned loads are fine on every AVX2 part.
-  const __m256i needle = _mm256_set1_epi8('\n');
-  while (p + 32 <= end) {
-    const __m256i block =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-    const int mask = _mm256_movemask_epi8(_mm256_cmpeq_epi8(block, needle));
-    if (mask != 0) {
-      return static_cast<std::size_t>(p - base) +
-             static_cast<std::size_t>(std::countr_zero(static_cast<unsigned>(mask)));
-    }
-    p += 32;
-  }
-#endif
-
   // SWAR: 8 bytes per step. XOR maps '\n' bytes to zero; the zero-byte
   // mask's lowest set bit then indexes the first match (little-endian:
   // byte i of the word is bits [8i, 8i+8), so countr_zero/8 is exact).
@@ -87,15 +64,5 @@ constexpr std::uint64_t zero_byte_mask(std::uint64_t word) noexcept {
   }
   return std::string_view::npos;
 }
-
-/// Splits [0, data.size()) into at most `target_chunks` contiguous
-/// [begin, end) ranges covering the whole input, where every boundary
-/// except the outer two sits one byte past a '\n'. A chunk therefore
-/// contains only whole lines — except the final chunk, which may end in
-/// an unterminated tail line (exactly the file's own torn tail, if any).
-/// Never returns an empty chunk; returns {{0, size}} when the input is
-/// too small to split.
-[[nodiscard]] std::vector<std::pair<std::size_t, std::size_t>> split_line_aligned(
-    std::string_view data, std::size_t target_chunks);
 
 }  // namespace pftk::trace

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -223,6 +224,47 @@ TEST_F(FlightRecorderTest, TraceSaveIsAttributedToItsOwnSpan) {
   ASSERT_NE(save, drained.spans.end());
   EXPECT_EQ(save->arg, events.size());
   EXPECT_LE(save->begin_ns, save->end_ns);
+}
+
+TEST_F(FlightRecorderTest, TraceLoadParsesInOneSpanOnTheCallingThread) {
+  // Over 2 MiB of records: the whole image is still one parse, on the
+  // thread that asked for the load.
+  std::vector<pftk::trace::TraceEvent> events(100'000);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    events[i].t = 0.001 * static_cast<double>(i);
+    events[i].seq = i;
+    events[i].cwnd = 2.0;
+  }
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "pftk_flight_load.tsv").string();
+  pftk::trace::save_trace_file(path, events);
+  const auto file_bytes = std::filesystem::file_size(path);
+  ASSERT_GT(file_bytes, std::uintmax_t{2} << 20);
+
+  auto& rec = flight::Recorder::instance();
+  rec.arm(kCap);
+  rec.record_marker("unit.caller");
+  const auto loaded = pftk::trace::load_trace_file(path);
+  rec.disarm();
+  std::remove(path.c_str());
+  ASSERT_EQ(loaded.size(), events.size());
+
+  const auto drained = rec.drain();
+  EXPECT_EQ(drained.dropped, 0u);
+  const auto caller = std::find_if(drained.spans.begin(), drained.spans.end(),
+                                   [](const auto& s) { return s.name == "unit.caller"; });
+  ASSERT_NE(caller, drained.spans.end());
+  std::size_t parses = 0;
+  for (const auto& span : drained.spans) {
+    EXPECT_NE(span.name, "trace.parse_chunk");
+    EXPECT_NE(span.name, "trace.merge");
+    if (span.name == "trace.parse") {
+      ++parses;
+      EXPECT_EQ(span.arg, file_bytes);
+      EXPECT_EQ(span.tid, caller->tid);
+    }
+  }
+  EXPECT_EQ(parses, 1u);
 }
 
 TEST_F(FlightRecorderTest, LoadRejectsMissingHeaderAndBadSpans) {

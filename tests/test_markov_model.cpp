@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
 #include <numeric>
 #include <stdexcept>
 
@@ -71,6 +73,24 @@ TEST(MarkovModel, UnlimitedWindowIsTruncatedSanely) {
   wide.max_window_states = 512;
   const MarkovModelResult r2 = markov_model_solve(mp, wide);
   EXPECT_NEAR(r.send_rate / r2.send_rate, 1.0, 0.02);
+}
+
+TEST(MarkovModel, SmallLossPinnedAtTheWindowCapMatchesTheClosedForm) {
+  // At Wm = 8 a round survives with (1-p)^8, so p = 1e-6 keeps the
+  // window pinned at Wm for millions of rounds, and at DBL_MIN no round
+  // loss is representable at all. The chain must still answer, and
+  // agree with eq (32), whose limit is Wm/RTT.
+  for (const double p : {1e-6, 1e-12, DBL_MIN}) {
+    ModelParams mp;
+    mp.p = p;
+    mp.rtt = 0.1;
+    mp.t0 = 0.4;
+    mp.wm = 8.0;
+    const double markov = markov_model_send_rate(mp);
+    const double closed = full_model_send_rate(mp);
+    ASSERT_TRUE(std::isfinite(markov)) << "p=" << p;
+    EXPECT_NEAR(markov / closed, 1.0, 1e-3) << "p=" << p;
+  }
 }
 
 TEST(MarkovModel, RejectsZeroLoss) {

@@ -1,8 +1,10 @@
 // Unit tests for the individual equations of Section II.
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "core/model_terms.hpp"
 
@@ -206,6 +208,26 @@ TEST(Terms, DomainChecks) {
   EXPECT_THROW((void)q_hat_exact(0.5, 0.5), std::invalid_argument);
   EXPECT_THROW((void)q_hat_approx(0.0), std::invalid_argument);
   EXPECT_THROW((void)expected_timeouts_in_sequence(1.0), std::invalid_argument);
+}
+
+TEST(Terms, SubnormalLossRatesAreOutsideTheModelDomain) {
+  // The model's p domain: a subnormal p overflows the 1/p terms, so the
+  // terms refuse it and name p, while the smallest normal p passes.
+  constexpr double kSubnormal = 4e-320;
+  EXPECT_THROW((void)backoff_polynomial(kSubnormal), std::invalid_argument);
+  EXPECT_THROW((void)expected_unconstrained_window(kSubnormal, 2), std::invalid_argument);
+  EXPECT_THROW((void)expected_timeouts_in_sequence(kSubnormal), std::invalid_argument);
+  try {
+    (void)q_hat_exact(kSubnormal, 8.0);
+    ADD_FAILURE() << "q_hat_exact accepted a subnormal p";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("loss probability p"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_NO_THROW((void)backoff_polynomial(DBL_MIN));
+  EXPECT_TRUE(std::isfinite(expected_unconstrained_window(DBL_MIN, 2)));
+  EXPECT_NO_THROW((void)q_hat_exact(DBL_MIN, 8.0));
+  EXPECT_NO_THROW((void)expected_timeouts_in_sequence(DBL_MIN));
 }
 
 }  // namespace

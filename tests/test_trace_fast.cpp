@@ -4,9 +4,8 @@
 //   1. trailing garbage / merged records were accepted as valid events;
 //   2. bytes_dropped miscounted CRLF (-1) and torn tails (+1);
 //   3. an unterminated-but-parseable final line went unflagged.
-// Every matrix case asserts identical events (bit-exact doubles) and an
-// identical TraceReadReport, at one chunk and at many forced chunks, so
-// the accounting is provably invariant to thread count.
+// Every matrix case asserts identical events (bit-exact doubles), an
+// identical TraceReadReport and the same strict-mode message.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -195,9 +194,9 @@ Parsed oracle_lenient(const std::string& content) {
   return p;
 }
 
-Parsed lenient(const std::string& content, const TraceReadOptions& opts) {
+Parsed lenient(const std::string& content) {
   Parsed p;
-  p.events = read_trace_lenient(content, &p.report, opts);
+  p.events = read_trace_lenient(content, &p.report);
   return p;
 }
 
@@ -245,30 +244,18 @@ void expect_reports_identical(const TraceReadReport& a, const TraceReadReport& b
 }
 
 /// The reader against the oracle, lenient and strict, over one input:
-/// events and every report field must match at 1 chunk and at many
-/// forced tiny chunks, and strict mode must throw the same message.
+/// events and every report field must match, and strict mode must throw
+/// the same message.
 void expect_full_parity(const std::string& content, const std::string& label) {
   const Parsed ref = oracle_lenient(content);
-  const TraceReadOptions variants[] = {
-      {.threads = 1, .min_chunk_bytes = 1u << 20},
-      {.threads = 4, .min_chunk_bytes = 1},
-      {.threads = 7, .min_chunk_bytes = 1},
-  };
-  for (const auto& opts : variants) {
-    const std::string tag =
-        label + " [j" + std::to_string(opts.threads) + "]";
-    const Parsed got = lenient(content, opts);
-    expect_events_identical(ref.events, got.events, tag);
-    expect_reports_identical(ref.report, got.report, tag);
-  }
+  const Parsed got = lenient(content);
+  expect_events_identical(ref.events, got.events, label);
+  expect_reports_identical(ref.report, got.report, label);
 
   TraceReadReport unused;
   const std::string ref_error =
       strict_error([&] { (void)oracle_read(content, /*strict=*/true, unused); });
-  for (const auto& opts : variants) {
-    EXPECT_EQ(ref_error, strict_error([&] { (void)read_trace(content, opts); }))
-        << label;
-  }
+  EXPECT_EQ(ref_error, strict_error([&] { (void)read_trace(content); })) << label;
 }
 
 // ---------------------------------------------------------------------------
@@ -337,43 +324,6 @@ TEST(TraceFastParity, TornTailAtEveryByteOffset) {
     const std::string content = prefix + last.substr(0, cut);
     expect_full_parity(content, "torn tail cut=" + std::to_string(cut));
   }
-}
-
-TEST(TraceFastParity, ChunkBoundarySweep) {
-  // Boundaries at every alignment relative to the SWAR word and the
-  // parser's record structure: force chunk splits at 1..64-byte grain
-  // over a mixed clean/corrupt input and require exact parity.
-  std::string content;
-  for (int i = 0; i < 40; ++i) {
-    content += good_block();
-    if (i % 7 == 3) {
-      content += "garbage line " + std::to_string(i) + "\n";
-    }
-  }
-  content += "S\t99.0\t12";  // torn tail
-  const Parsed ref = oracle_lenient(content);
-  for (std::size_t grain = 1; grain <= 64; ++grain) {
-    const TraceReadOptions opts{.threads = 4, .min_chunk_bytes = grain * 16};
-    const Parsed got = lenient(content, opts);
-    const std::string tag = "grain=" + std::to_string(grain);
-    expect_events_identical(ref.events, got.events, tag);
-    expect_reports_identical(ref.report, got.report, tag);
-  }
-}
-
-TEST(TraceFastParity, ReportInvariantAcrossThreadCounts) {
-  std::string content;
-  for (int i = 0; i < 200; ++i) {
-    content += good_block();
-  }
-  content += "junk\n" + good_block() + "S\t1.0\t1";
-  const Parsed j1 = lenient(content, {.threads = 1, .min_chunk_bytes = 1});
-  const Parsed j4 = lenient(content, {.threads = 4, .min_chunk_bytes = 1});
-  const Parsed j16 = lenient(content, {.threads = 16, .min_chunk_bytes = 1});
-  expect_events_identical(j1.events, j4.events, "j1 vs j4");
-  expect_reports_identical(j1.report, j4.report, "j1 vs j4");
-  expect_events_identical(j1.events, j16.events, "j1 vs j16");
-  expect_reports_identical(j1.report, j16.report, "j1 vs j16");
 }
 
 // ---------------------------------------------------------------------------
@@ -643,31 +593,9 @@ TEST(TraceScan, FindNewlineMatchesMemchrEverywhere) {
   }
 }
 
-TEST(TraceScan, SplitLineAlignedCoversInputWithWholeLineChunks) {
-  std::string content;
-  for (int i = 0; i < 23; ++i) {
-    content += "line number " + std::to_string(i) + "\n";
-  }
-  content += "torn";
-  for (std::size_t want : {std::size_t{1}, std::size_t{2}, std::size_t{5},
-                           std::size_t{16}, std::size_t{1000}}) {
-    const auto chunks = split_line_aligned(content, want);
-    ASSERT_FALSE(chunks.empty()) << want;
-    EXPECT_EQ(chunks.front().first, 0u);
-    EXPECT_EQ(chunks.back().second, content.size());
-    for (std::size_t i = 0; i < chunks.size(); ++i) {
-      EXPECT_LT(chunks[i].first, chunks[i].second) << "empty chunk " << i;
-      if (i > 0) {
-        EXPECT_EQ(chunks[i].first, chunks[i - 1].second) << "gap at " << i;
-        EXPECT_EQ(content[chunks[i].first - 1], '\n') << "unaligned at " << i;
-      }
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // The 4 GiB-boundary case: offsets past 2^32 must not wrap anywhere in
-// the scanner or the chunk bookkeeping. Far too big for tier-1, so it
+// the scanner or the line bookkeeping. Far too big for tier-1, so it
 // only runs when explicitly requested.
 
 TEST(TraceFastHuge, FourGiBBoundarySyntheticTrace) {
