@@ -5,6 +5,7 @@
 // distributional model of TCP — much stronger than matching E[W] alone.
 //
 // Usage: ext_window_distribution [duration_seconds]   (default 2400)
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <vector>
@@ -13,7 +14,6 @@
 #include "core/model_terms.hpp"
 #include "exp/table_format.hpp"
 #include "sim/connection.hpp"
-#include "stats/histogram.hpp"
 #include "trace/trace_recorder.hpp"
 #include "trace/trace_summary.hpp"
 
@@ -36,11 +36,15 @@ int main(int argc, char** argv) {
   conn.set_observer(&rec);
   conn.run_for(duration);
 
-  // Simulated time-average window occupancy, from per-send cwnd samples.
-  stats::Histogram sim_hist(0.5, 24.5, 24);
+  // Simulated time-average window occupancy, from per-send cwnd samples:
+  // unit bins over [0.5, 24.5), bin w - 1 centred on window w. cwnd >= 1,
+  // so the clamp to 24 is the only bound a sample can reach.
+  std::vector<double> sim_bins(24, 0.0);
+  double sends = 0.0;
   for (const auto& e : rec.events()) {
     if (e.type == trace::TraceEventType::kSegmentSent) {
-      sim_hist.add(std::min(e.cwnd, 24.0));
+      sim_bins[static_cast<std::size_t>(std::min(e.cwnd, 24.0) - 0.5)] += 1.0;
+      sends += 1.0;
     }
   }
 
@@ -89,7 +93,7 @@ int main(int argc, char** argv) {
     double sim_share = 0.0;
     double markov_share = 0.0;
     for (int w = lo; w < lo + 3 && w <= 24; ++w) {
-      sim_share += sim_hist.fraction_in_bin(static_cast<std::size_t>(w - 1));
+      sim_share += sim_bins[static_cast<std::size_t>(w - 1)] / sends;
       markov_share += markov_packets[static_cast<std::size_t>(w)] / total;
     }
     t.add_row({std::to_string(lo) + "-" + std::to_string(lo + 2), exp::fmt(sim_share, 3),

@@ -187,9 +187,6 @@ CampaignResult CampaignRunner::run() {
         replayed.item = items[i];
         replayed.from_journal = true;
         replayed.attempts = entry.attempts;
-        replayed.span.name = entry.key;
-        replayed.span.outcome = "replayed";
-        replayed.span.attempts = entry.attempts;
         if (entry.ok) {
           replayed.status = ItemStatus::kOk;
           replayed.metrics = entry.metrics;
@@ -249,19 +246,16 @@ CampaignResult CampaignRunner::run() {
   // One supervised trace: attempt / classify / backoff-retry loop, one
   // simulation per attempt. Returns the settlement every one of the
   // trace's `pending` items shares, and fills `predicted` on success.
-  // The span records wall timings per phase — diagnostics only, never
-  // fed back into scheduling or the journal.
+  // Wall timings are diagnostics only, never fed back into scheduling
+  // or the journal: the flight recorder's campaign.* spans are the
+  // ladder's timeline, and the registry's histograms its aggregate.
   const auto run_trace = [&](const CampaignItem& first, std::size_t pending,
                              obs::MetricsShard& shard,
                              decltype(TraceOutcome::predicted)& predicted) {
-    // Flight-recorder scope for the whole ladder; the per-phase
-    // SpanRecord below stays as the journaled pftk-obs/1 summary, while
-    // these spans carry the ns-resolution timeline.
     PFTK_SPAN("campaign.trace", first.seed);
     CampaignItemResult settled;
     const auto span_start = std::chrono::steady_clock::now();
-    const auto close_span = [&](const char* outcome) {
-      settled.span.outcome = outcome;
+    const auto close_span = [&] {
       settled.span.total_seconds =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - span_start)
               .count();
@@ -269,15 +263,11 @@ CampaignResult CampaignRunner::run() {
     for (int attempt = 0; attempt < spec_.retry.max_attempts; ++attempt) {
       if (attempt > 0) {
         const std::chrono::milliseconds delay = spec_.retry.backoff(attempt);
-        const double delay_s = static_cast<double>(delay.count()) / 1000.0;
         {
           PFTK_SPAN("campaign.backoff", static_cast<std::uint64_t>(attempt));
           sleep_fn(delay);
         }
-        settled.span.backoff_seconds += delay_s;
-        settled.span.phases.push_back(obs::SpanPhase{
-            "backoff", delay_s, "before attempt " + std::to_string(attempt + 1)});
-        shard.observe(met.backoff_seconds, delay_s);
+        shard.observe(met.backoff_seconds, static_cast<double>(delay.count()) / 1000.0);
         shard.add(met.retries, static_cast<double>(pending));  // per item
       }
       const auto attempt_start = std::chrono::steady_clock::now();
@@ -297,38 +287,31 @@ CampaignResult CampaignRunner::run() {
       };
       try {
         TraceOutcome outcome = executor(first, perturbed_seed(first.seed, attempt));
-        const double secs = attempt_seconds();
+        shard.observe(met.attempt_seconds, attempt_seconds());
         record_attempt();
-        shard.observe(met.attempt_seconds, secs);
-        settled.span.phases.push_back(obs::SpanPhase{"attempt", secs, "ok"});
         settled.status = ItemStatus::kOk;
         settled.failure_kind = FailureKind::kNone;
         settled.attempts = attempt + 1;
-        settled.span.attempts = attempt + 1;
         settled.error.clear();
         settled.metrics = outcome.metrics;
         predicted = outcome.predicted;
         settled.hour = std::move(outcome.hour);
         settled.short_trace = std::move(outcome.short_trace);
-        close_span("ok");
+        close_span();
         return settled;
       } catch (const std::exception& ex) {
         const FailureVerdict verdict = classify_failure(ex);
         if (verdict.kind == FailureKind::kInvariantViolation) {
           shard.add(met.invariant_violations);
         }
-        const double secs = attempt_seconds();
+        shard.observe(met.attempt_seconds, attempt_seconds());
         record_attempt();
-        shard.observe(met.attempt_seconds, secs);
-        settled.span.phases.push_back(obs::SpanPhase{
-            "attempt", secs, std::string(failure_kind_name(verdict.kind))});
         settled.attempts = attempt + 1;
-        settled.span.attempts = attempt + 1;
         settled.failure_kind = verdict.kind;
         settled.error = ex.what();
         if (!verdict.retryable()) {
           settled.status = ItemStatus::kFailedPermanent;
-          close_span("failed_permanent");
+          close_span();
           return settled;
         }
         settled.status = ItemStatus::kFailedTransient;
@@ -338,12 +321,12 @@ CampaignResult CampaignRunner::run() {
         // final journal matches an uninterrupted run byte for byte.
         if (stop_requested()) {
           settled.status = ItemStatus::kNotRun;
-          close_span("abandoned");
+          close_span();
           return settled;
         }
       }
     }
-    close_span("failed_transient");
+    close_span();
     return settled;  // transient, retry budget exhausted
   };
 
@@ -363,13 +346,8 @@ CampaignResult CampaignRunner::run() {
           PFTK_SPAN("campaign.journal_append", line.size());
           journal->append_line(line);  // throws IoError; fsync per cadence
         }
-        // Checkpoint I/O accounting: charged both to the campaign totals
-        // and to the committed item's span. Safe to touch the item here:
-        // its worker stored it before enqueueing, ordered by commit_mu.
         ++result.journal_io.writes;
         result.journal_io.bytes += line.size() + 1;
-        result.items[it->first].span.journal_writes += 1;
-        result.items[it->first].span.journal_bytes += line.size() + 1;
       }
       pending.erase(it);
     }
@@ -402,7 +380,6 @@ CampaignResult CampaignRunner::run() {
           CampaignItemResult& item_result = result.items[i];
           item_result = settled;
           item_result.item = items[i];
-          item_result.span.name = items[i].key();
           item_result.metrics.predicted = predicted[model_index(items[i].model)];
         }
         if (settled.status == ItemStatus::kNotRun) {
@@ -479,9 +456,6 @@ CampaignResult CampaignRunner::run() {
     const CampaignItemResult& item_result = result.items[i];
     if (item_result.status == ItemStatus::kNotRun) {
       ++result.not_run;
-      if (!item_result.span.name.empty()) {
-        result.report.spans.push_back(item_result.span);
-      }
       continue;  // abandoned, not attempted: resume picks it up
     }
     shard0.add(met.items_total);
@@ -491,7 +465,6 @@ CampaignResult CampaignRunner::run() {
     } else {
       result.report.record_failure(item_result.item.key(), item_result.error);
     }
-    result.report.spans.push_back(item_result.span);
     if (item_result.ok() && i / per_trace != counted_trace) {
       counted_trace = i / per_trace;
       shard0.add(met.packets_sent,

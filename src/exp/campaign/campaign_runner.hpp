@@ -22,7 +22,15 @@
 //   * determinism — results and journal bytes are identical at any
 //                   worker count, and a kill-then-resume run equals an
 //                   uninterrupted one (provided no wall-deadline trips,
-//                   which are inherently load-dependent).
+//                   which are inherently load-dependent);
+//   * timeline    — while the flight recorder is armed, each ladder is
+//                   one `campaign.trace` span holding a `campaign.attempt`
+//                   span per simulation and a `campaign.backoff` span per
+//                   wait, and every journal line is one
+//                   `campaign.journal_append` span (arg = line bytes
+//                   without the newline). The registry keeps the
+//                   aggregate attempt/backoff histograms and journal
+//                   totals, and each item only its ladder's wall time.
 #pragma once
 
 #include <array>
@@ -39,7 +47,6 @@
 #include "exp/hour_trace_experiment.hpp"
 #include "exp/run_report.hpp"
 #include "exp/short_trace_experiment.hpp"
-#include "obs/span.hpp"
 
 namespace pftk::exp::campaign {
 
@@ -78,10 +85,12 @@ struct CampaignItemResult {
   /// journal-replayed or failed items).
   std::optional<HourTraceResult> hour;
   std::optional<ShortTraceRecord> short_trace;
-  /// Supervision span: the trace's attempt/backoff wall timings and
-  /// retry taxonomy, plus the journal I/O charged to this item.
-  /// Wall-clock, diagnostics only.
-  obs::SpanRecord span;
+  /// Wall time of the trace's supervised ladder, from its first attempt
+  /// to its settlement, backoffs included (0 for a replayed item).
+  /// Diagnostics only.
+  struct {
+    double total_seconds = 0.0;
+  } span;
 
   [[nodiscard]] bool ok() const noexcept { return status == ItemStatus::kOk; }
 };
@@ -89,7 +98,7 @@ struct CampaignItemResult {
 /// Whole-campaign outcome.
 struct CampaignResult {
   std::vector<CampaignItemResult> items;  ///< spec expansion order
-  RunReport report;  ///< aggregate over all items, incl. spans + metrics
+  RunReport report;  ///< aggregate over all items, incl. metrics
   std::size_t resumed = 0;                ///< items satisfied by the journal
   obs::CheckpointIoStats journal_io;      ///< checkpoint-journal I/O totals
   bool interrupted = false;  ///< a stop request cut the campaign short

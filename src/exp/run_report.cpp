@@ -1,7 +1,6 @@
 #include "exp/run_report.hpp"
 
 #include <sstream>
-#include <stdexcept>
 
 namespace pftk::exp {
 
@@ -12,16 +11,11 @@ RunReport& RunReport::merge(const RunReport& other) {
     const RunReport copy = other;
     return merge(copy);
   }
-  if (obs_schema != other.obs_schema) {
-    throw std::invalid_argument("RunReport::merge: obs schema mismatch ('" +
-                                obs_schema + "' vs '" + other.obs_schema + "')");
-  }
   attempted += other.attempted;
   succeeded += other.succeeded;
   failures.insert(failures.end(), other.failures.begin(), other.failures.end());
   forward_faults += other.forward_faults;
   reverse_faults += other.reverse_faults;
-  spans.insert(spans.end(), other.spans.begin(), other.spans.end());
   metrics.merge(other.metrics);
   interrupted = interrupted || other.interrupted;
   return *this;

@@ -3,8 +3,10 @@
 // The paper's measurement campaign is hours of captures across dozens of
 // paths; one pathological path must cost one row, not the table. Every
 // robust driver fills a RunReport: what was attempted, what succeeded,
-// which items failed with what diagnostic, and the aggregate
-// fault-injection counters.
+// which items failed with what diagnostic, the aggregate
+// fault-injection counters and the merged metrics snapshot. Wall-clock
+// timelines are not part of it: they live in the flight recorder
+// (obs/flight), whose spans every run shares.
 #pragma once
 
 #include <cstddef>
@@ -12,7 +14,6 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "obs/span.hpp"
 #include "sim/fault_injector.hpp"
 
 namespace pftk::exp {
@@ -31,13 +32,6 @@ struct RunReport {
   /// Impairment counters aggregated over every *successful* run.
   sim::FaultStats forward_faults;
   sim::FaultStats reverse_faults;
-  /// Observability schema the spans/metrics below follow. Reports from
-  /// different schema generations refuse to merge (the fields would
-  /// silently mean different things).
-  std::string obs_schema = obs::kObsSchema;
-  /// Per-item campaign spans (wall-clock; populated by supervised
-  /// drivers with observability enabled), in settle order.
-  std::vector<obs::SpanRecord> spans;
   /// Merged metrics snapshot (empty when observability was off).
   obs::MetricsSnapshot metrics;
   /// True when the run was cut short by SIGINT/SIGTERM: items not yet
@@ -57,12 +51,13 @@ struct RunReport {
   }
 
   /// Folds `other` into this report: counters sum, fault stats add,
-  /// metrics merge by name, and `other`'s failures and spans are
-  /// appended *after* ours in their original order. Merging
-  /// per-worker or per-scenario reports in a fixed order therefore
-  /// yields a deterministic combined report regardless of how the work
-  /// was scheduled. Self-merge doubles every additive field (and is
-  /// safe). @throws std::invalid_argument on an obs-schema mismatch.
+  /// metrics merge by name, and `other`'s failures are appended *after*
+  /// ours in their original order. Merging per-worker or per-scenario
+  /// reports in a fixed order therefore yields a deterministic combined
+  /// report regardless of how the work was scheduled. Self-merge
+  /// doubles every additive field (and is safe). @throws
+  /// std::invalid_argument when a shared metric name disagrees on kind
+  /// or bucket layout (see MetricsSnapshot::merge).
   RunReport& merge(const RunReport& other);
 
   /// Multi-line human-readable summary (for bench/CLI footers).

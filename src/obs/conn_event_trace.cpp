@@ -13,14 +13,13 @@ struct KindName {
   std::string_view name;
 };
 
-constexpr std::array<KindName, 20> kKindNames{{
+constexpr std::array<KindName, 19> kKindNames{{
     {ConnEventKind::kSlowStartEnter, "slow_start_enter"},
     {ConnEventKind::kCongAvoidEnter, "cong_avoid_enter"},
     {ConnEventKind::kFastRetransmit, "fast_retransmit"},
     {ConnEventKind::kFastRecoveryEnter, "fast_recovery_enter"},
     {ConnEventKind::kFastRecoveryExit, "fast_recovery_exit"},
     {ConnEventKind::kRtoFire, "rto_fire"},
-    {ConnEventKind::kCwndUpdate, "cwnd_update"},
     {ConnEventKind::kSsthreshUpdate, "ssthresh_update"},
     {ConnEventKind::kRwndClamp, "rwnd_clamp"},
     {ConnEventKind::kRwndRelease, "rwnd_release"},
@@ -57,8 +56,7 @@ ConnEventKind conn_event_from_name(std::string_view name) {
                               std::string(name) + "'");
 }
 
-ConnEventTrace::ConnEventTrace(std::size_t capacity, TraceVerbosity verbosity)
-    : verbosity_(verbosity) {
+ConnEventTrace::ConnEventTrace(std::size_t capacity) {
   if (capacity == 0) {
     throw std::invalid_argument("ConnEventTrace: capacity must be >= 1");
   }

@@ -37,7 +37,6 @@ enum class ConnEventKind : std::uint8_t {
   kFastRecoveryEnter,  ///< Reno/NewReno window-inflation phase began
   kFastRecoveryExit,   ///< recovery ended (new ACK / full ACK)
   kRtoFire,            ///< retransmission timer expired; value = backoff level
-  kCwndUpdate,         ///< cwnd changed (detail verbosity only)
   kSsthreshUpdate,     ///< ssthresh re-estimated on a loss indication
   kRwndClamp,          ///< cwnd first exceeded the advertised window
   kRwndRelease,        ///< cwnd fell back below the advertised window
@@ -69,17 +68,11 @@ struct ConnEvent {
   double aux = 0.0;
 };
 
-/// How much detail the emitters record. kDefault is the byte-identical,
-/// near-zero-overhead level used by the CLI flags; kDetail additionally
-/// records every cwnd update (heavy: one event per ACK).
-enum class TraceVerbosity : std::uint8_t { kDefault, kDetail };
-
 /// Fixed-capacity overwrite-oldest ring of ConnEvents.
 class ConnEventTrace {
  public:
   /// @throws std::invalid_argument if capacity == 0.
-  explicit ConnEventTrace(std::size_t capacity = 65536,
-                          TraceVerbosity verbosity = TraceVerbosity::kDefault);
+  explicit ConnEventTrace(std::size_t capacity = 65536);
 
   void record(sim::Time t, ConnEventKind kind, double value = 0.0,
               double aux = 0.0) noexcept {
@@ -96,7 +89,6 @@ class ConnEventTrace {
     }
   }
 
-  [[nodiscard]] TraceVerbosity verbosity() const noexcept { return verbosity_; }
   [[nodiscard]] std::size_t capacity() const noexcept { return ring_.size(); }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   /// Events overwritten because the ring wrapped.
@@ -109,7 +101,7 @@ class ConnEventTrace {
   /// Count of retained events of one kind.
   [[nodiscard]] std::uint64_t count(ConnEventKind kind) const noexcept;
 
-  /// Empties the ring (capacity and verbosity are kept).
+  /// Empties the ring (its capacity is kept).
   void clear() noexcept;
 
  private:
@@ -117,7 +109,6 @@ class ConnEventTrace {
   std::size_t next_ = 0;
   std::size_t size_ = 0;
   std::uint64_t dropped_ = 0;
-  TraceVerbosity verbosity_;
 };
 
 }  // namespace pftk::obs

@@ -2,7 +2,6 @@
 
 #include <fstream>
 #include <istream>
-#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -51,23 +50,6 @@ void write_event_line(std::ostream& os, const ConnEvent& event) {
      << ",\"aux\":" << g17(event.aux) << "}\n";
 }
 
-void write_span_line(std::ostream& os, const SpanRecord& span) {
-  os << "{\"kind\":\"span\",\"name\":\"" << escape(span.name)
-     << "\",\"outcome\":\"" << escape(span.outcome)
-     << "\",\"attempts\":" << span.attempts
-     << ",\"total_s\":" << g17(span.total_seconds)
-     << ",\"backoff_s\":" << g17(span.backoff_seconds)
-     << ",\"journal_writes\":" << span.journal_writes
-     << ",\"journal_bytes\":" << span.journal_bytes << ",\"phases\":[";
-  for (std::size_t i = 0; i < span.phases.size(); ++i) {
-    const SpanPhase& phase = span.phases[i];
-    os << (i ? "," : "") << "{\"phase\":\"" << escape(phase.name)
-       << "\",\"s\":" << g17(phase.seconds) << ",\"detail\":\""
-       << escape(phase.detail) << "\"}";
-  }
-  os << "]}\n";
-}
-
 MetricValue parse_metric_line(const robust::json::Object& obj) {
   MetricValue mv;
   const std::string type = obj.str("type");
@@ -91,23 +73,6 @@ MetricValue parse_metric_line(const robust::json::Object& obj) {
     mv.value = obj.f64("value");
   }
   return mv;
-}
-
-SpanRecord parse_span_line(const robust::json::Object& obj) {
-  SpanRecord span;
-  span.name = obj.str("name");
-  span.outcome = obj.str("outcome");
-  span.attempts = static_cast<int>(
-      obj.u64("attempts", std::numeric_limits<int>::max()));
-  span.total_seconds = obj.f64("total_s");
-  span.backoff_seconds = obj.f64("backoff_s");
-  span.journal_writes = obj.u64("journal_writes");
-  span.journal_bytes = obj.u64("journal_bytes");
-  for (const robust::json::Object& entry : obj.objects("phases")) {
-    span.phases.push_back(
-        {entry.str("phase"), entry.f64("s"), entry.str("detail")});
-  }
-  return span;
 }
 
 }  // namespace
@@ -146,9 +111,6 @@ void write_obs_jsonl(std::ostream& os, const ObsBundle& bundle) {
   for (const ConnEvent& event : bundle.events) {
     write_event_line(os, event);
   }
-  for (const SpanRecord& span : bundle.spans) {
-    write_span_line(os, span);
-  }
 }
 
 ObsBundle read_obs_jsonl(std::istream& is, ObsReadReport* report) {
@@ -185,8 +147,6 @@ ObsBundle read_obs_jsonl(std::istream& is, ObsReadReport* report) {
       } else if (kind == "event") {
         bundle.events.push_back({obj.f64("t"), conn_event_from_name(obj.str("event")),
                                  obj.f64("value"), obj.f64("aux")});
-      } else if (kind == "span") {
-        bundle.spans.push_back(parse_span_line(obj));
       } else {
         throw std::invalid_argument("unknown record kind '" + kind + "'");
       }
@@ -249,8 +209,6 @@ void merge_obs_bundles(ObsBundle& bundle, const ObsBundle& other) {
   bundle.events.insert(bundle.events.end(), other.events.begin(),
                        other.events.end());
   bundle.events_dropped += other.events_dropped;
-  bundle.spans.insert(bundle.spans.end(), other.spans.begin(),
-                      other.spans.end());
 }
 
 }  // namespace pftk::obs

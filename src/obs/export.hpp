@@ -5,14 +5,16 @@
 //     the way a scrape endpoint would serve them (`_total`, `_bucket`
 //     with inclusive `le` edges, `_sum`, `_count`), for ops tooling;
 //   * schema-versioned JSONL ("pftk-obs/1") — one self-describing JSON
-//     object per line: a header record, then metrics, connection
-//     events, and campaign spans. Line-oriented so a torn tail costs
-//     one record, like the campaign journal; fields are only ever
-//     added, never renamed.
+//     object per line: a header record, then metrics and connection
+//     events. Line-oriented so a torn tail costs one record, like the
+//     campaign journal; fields are only ever added, never renamed.
 //
 // The JSONL reader is the lenient inverse: it salvages every line it
 // can parse and reports exactly what it skipped, mirroring the trace
-// pipeline's TraceReadReport philosophy.
+// pipeline's TraceReadReport philosophy. A record kind it does not know
+// (a newer writer's, or the per-item `span` records older campaign
+// exports carried) is skipped and counted like any damaged line. Wall
+// time lives in the flight recorder (obs/flight), not here.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +24,6 @@
 
 #include "obs/conn_event_trace.hpp"
 #include "obs/metrics.hpp"
-#include "obs/span.hpp"
 
 namespace pftk::obs {
 
@@ -32,7 +33,6 @@ struct ObsBundle {
   MetricsSnapshot metrics;
   std::vector<ConnEvent> events;
   std::uint64_t events_dropped = 0;  ///< ring overwrites before export
-  std::vector<SpanRecord> spans;
 };
 
 /// What a lenient obs read salvaged.
@@ -72,7 +72,7 @@ void save_obs_file(const std::string& path, const ObsBundle& bundle);
 
 /// Folds `other` into `bundle` with the shard-merge semantics: metrics
 /// merge by name (counters/buckets sum, gauges max — see
-/// MetricsSnapshot::merge), events and spans append, events_dropped
+/// MetricsSnapshot::merge), events append, events_dropped
 /// sums. Differing sources render as "a+b" so a merged file says so.
 /// Used by multi-file `pftk obs summarize`.
 /// @throws std::invalid_argument when a shared metric name disagrees on

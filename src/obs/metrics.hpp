@@ -24,7 +24,6 @@
 // that edge's bucket.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -166,31 +165,12 @@ class MetricsRegistry {
   bool frozen_ = false;
 };
 
-/// RAII wall-clock timer feeding a latency histogram (in seconds) on a
-/// shard. Profiling only: wall durations are inherently nondeterministic
-/// and never feed simulation state.
-class ScopedTimer {
- public:
-  ScopedTimer(MetricsShard& shard, MetricId histogram) noexcept
-      : shard_(&shard), id_(histogram),
-        start_(std::chrono::steady_clock::now()) {}
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-  ~ScopedTimer() { stop(); }
-
-  /// Records the elapsed time now instead of at destruction.
-  void stop() noexcept {
-    if (shard_ != nullptr) {
-      const auto elapsed = std::chrono::steady_clock::now() - start_;
-      shard_->observe(id_, std::chrono::duration<double>(elapsed).count());
-      shard_ = nullptr;
-    }
-  }
-
- private:
-  MetricsShard* shard_;
-  MetricId id_;
-  std::chrono::steady_clock::time_point start_;
+/// Aggregate checkpoint-journal I/O for a whole campaign.
+struct CheckpointIoStats {
+  std::uint64_t writes = 0;   ///< journal lines written
+  std::uint64_t bytes = 0;    ///< bytes appended (incl. newlines)
+  std::uint64_t flushes = 0;  ///< explicit flushes issued
+  std::uint64_t replayed = 0; ///< items satisfied from an existing journal
 };
 
 }  // namespace pftk::obs

@@ -61,9 +61,6 @@ void TcpRenoSender::note_window_state() {
                             : obs::ConnEventKind::kRwndRelease,
                     cwnd_, config_.advertised_window);
   }
-  if (etrace_->verbosity() == obs::TraceVerbosity::kDetail) {
-    etrace_->record(queue_.now(), obs::ConnEventKind::kCwndUpdate, cwnd_, ssthresh_);
-  }
 }
 
 double TcpRenoSender::effective_window() const {

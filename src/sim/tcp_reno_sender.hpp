@@ -175,8 +175,8 @@ class TcpRenoSender {
       etrace_->record(queue_.now(), kind, value, aux);
     }
   }
-  /// Records kRwndClamp/kRwndRelease transitions and, at detail
-  /// verbosity, every cwnd change. No-op with no trace attached.
+  /// Records kRwndClamp/kRwndRelease transitions. No-op with no trace
+  /// attached.
   void note_window_state();
 
   EventQueue& queue_;

@@ -6,7 +6,11 @@
 //   * watchdog trips are transient: retried with backoff and a perturbed
 //     seed; invalid inputs are permanent: recorded once, never retried;
 //   * one simulation settles every model item of a trace, and the
-//     multi-model journals stay byte-identical to the committed goldens.
+//     multi-model journals stay byte-identical to the committed goldens;
+//   * with the flight recorder armed, the campaign.* spans are the
+//     ladder's one timeline: a trace span per trace, an attempt span per
+//     simulation and a backoff span per retry inside it, and a
+//     journal_append span per journal line.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +18,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -21,6 +26,7 @@
 #include <vector>
 
 #include "exp/campaign/campaign_runner.hpp"
+#include "obs/flight/flight_recorder.hpp"
 #include "sim/sim_watchdog.hpp"
 
 namespace pftk::exp::campaign {
@@ -325,34 +331,6 @@ TEST(CampaignRunner, HourKindFillsPayloadAndMetrics) {
   EXPECT_FALSE(result.items[0].hour->intervals.empty());
 }
 
-TEST(CampaignRunner, SpansCoverEveryItemInSpecOrder) {
-  CampaignSpec spec = mixed_spec();
-  const std::string path = temp_path("spans.jsonl");
-  std::remove(path.c_str());
-  CampaignRunnerOptions options;
-  options.threads = 4;
-  options.journal_path = path;
-  const CampaignResult result = CampaignRunner(spec, options).run();
-
-  const auto items = spec.expand();
-  ASSERT_EQ(result.report.spans.size(), items.size());
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const obs::SpanRecord& span = result.report.spans[i];
-    EXPECT_EQ(span.name, items[i].key());  // spec order, regardless of workers
-    EXPECT_EQ(span.attempts, result.items[i].attempts);
-    EXPECT_GE(span.total_seconds, 0.0);
-    EXPECT_EQ(span.outcome, result.items[i].ok() ? "ok"
-              : result.items[i].status == ItemStatus::kFailedTransient
-                  ? "failed_transient"
-                  : "failed_permanent");
-    // Every attempt leaves a phase; retried items also have backoff phases.
-    EXPECT_GE(span.phases.size(), static_cast<std::size_t>(span.attempts));
-    // Each settled item is checkpointed exactly once.
-    EXPECT_EQ(span.journal_writes, 1u);
-    EXPECT_GT(span.journal_bytes, 0u);
-  }
-}
-
 TEST(CampaignRunner, JournalIoTotalsMatchTheFileAndTheMetrics) {
   CampaignSpec spec = mixed_spec();
   const std::string path = temp_path("journal_io.jsonl");
@@ -366,12 +344,6 @@ TEST(CampaignRunner, JournalIoTotalsMatchTheFileAndTheMetrics) {
   EXPECT_EQ(result.journal_io.flushes, result.items.size());
   EXPECT_EQ(result.journal_io.replayed, 0u);
   EXPECT_EQ(result.journal_io.bytes, read_file(path).size());
-
-  std::uint64_t span_bytes = 0;
-  for (const obs::SpanRecord& span : result.report.spans) {
-    span_bytes += span.journal_bytes;
-  }
-  EXPECT_EQ(span_bytes, result.journal_io.bytes);
 
   const obs::MetricValue* writes =
       result.report.metrics.find("pftk_journal_writes_total");
@@ -403,21 +375,109 @@ TEST(CampaignRunner, ReportMetricsCountItemsAndOutcomes) {
   EXPECT_GT(retries->value, 0.0);
 }
 
-TEST(CampaignRunner, ResumedItemsCarryReplayedSpans) {
-  const std::string path = temp_path("span_resume.jsonl");
+/// The flight recorder is a process singleton: each timeline test arms
+/// it with the same ring capacity and leaves it disarmed and empty.
+class CampaignTimeline : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    recorder().disarm();
+    recorder().clear();
+  }
+  void TearDown() override {
+    recorder().disarm();
+    recorder().clear();
+  }
+  static obs::flight::Recorder& recorder() { return obs::flight::Recorder::instance(); }
+
+  /// Runs `spec` with the recorder armed and returns every span it left.
+  static obs::flight::DrainedSpans traced_run(const CampaignSpec& spec,
+                                              const CampaignRunnerOptions& options,
+                                              CampaignResult& result) {
+    recorder().arm(1 << 12);
+    result = CampaignRunner(spec, options).run();
+    recorder().disarm();
+    return recorder().drain();
+  }
+
+  static std::vector<obs::flight::DrainedSpan> named(
+      const obs::flight::DrainedSpans& drained, const std::string& name) {
+    std::vector<obs::flight::DrainedSpan> out;
+    std::copy_if(drained.spans.begin(), drained.spans.end(), std::back_inserter(out),
+                 [&name](const obs::flight::DrainedSpan& span) {
+                   return span.name == name;
+                 });
+    return out;
+  }
+};
+
+TEST_F(CampaignTimeline, OneSpanPerTraceAttemptBackoffAndJournalLine) {
+  const CampaignSpec spec = mixed_spec();
+  const std::string path = temp_path("timeline.jsonl");
+  std::remove(path.c_str());
+  CampaignRunnerOptions options;
+  options.threads = 4;
+  options.journal_path = path;
+  CampaignResult result;
+  const obs::flight::DrainedSpans drained = traced_run(spec, options, result);
+  ASSERT_EQ(drained.dropped, 0u);
+
+  // One model per trace here, so every item is one trace's ladder.
+  const std::size_t traces =
+      spec.profiles.size() * spec.seeds.size() * spec.scenarios.size();
+  ASSERT_EQ(result.items.size(), traces);
+  std::size_t attempts = 0;
+  for (const CampaignItemResult& item : result.items) {
+    attempts += static_cast<std::size_t>(item.attempts);
+  }
+
+  const auto trace_spans = named(drained, "campaign.trace");
+  EXPECT_EQ(trace_spans.size(), traces);
+  const auto inside_a_trace = [&trace_spans](const obs::flight::DrainedSpan& span) {
+    return std::any_of(trace_spans.begin(), trace_spans.end(),
+                       [&span](const obs::flight::DrainedSpan& trace) {
+                         return trace.tid == span.tid &&
+                                trace.begin_ns <= span.begin_ns &&
+                                span.end_ns <= trace.end_ns;
+                       });
+  };
+  const auto attempt_spans = named(drained, "campaign.attempt");
+  EXPECT_EQ(attempt_spans.size(), attempts);
+  for (const obs::flight::DrainedSpan& span : attempt_spans) {
+    EXPECT_TRUE(inside_a_trace(span)) << "attempt " << span.arg;
+  }
+  const auto backoff_spans = named(drained, "campaign.backoff");
+  EXPECT_EQ(backoff_spans.size(), attempts - traces);  // one per retry
+  EXPECT_GT(backoff_spans.size(), 0u);                 // the dark traces retry
+  for (const obs::flight::DrainedSpan& span : backoff_spans) {
+    EXPECT_TRUE(inside_a_trace(span)) << "backoff " << span.arg;
+  }
+
+  // One append per journal line; each span's arg is the line without
+  // its newline.
+  const auto appends = named(drained, "campaign.journal_append");
+  EXPECT_EQ(appends.size(), result.journal_io.writes);
+  EXPECT_EQ(appends.size(), result.items.size());
+  std::uint64_t appended = 0;
+  for (const obs::flight::DrainedSpan& span : appends) {
+    appended += span.arg + 1;
+  }
+  EXPECT_EQ(appended, result.journal_io.bytes);
+  EXPECT_EQ(appended, read_file(path).size());
+}
+
+TEST_F(CampaignTimeline, ResumedRunRecordsNoAttemptOrJournalSpans) {
+  const std::string path = temp_path("timeline_resume.jsonl");
   std::remove(path.c_str());
   CampaignRunnerOptions options;
   options.journal_path = path;
   (void)CampaignRunner(mixed_spec(), options).run();
 
   options.resume = true;
-  const CampaignResult resumed = CampaignRunner(mixed_spec(), options).run();
+  CampaignResult resumed;
+  const obs::flight::DrainedSpans drained = traced_run(mixed_spec(), options, resumed);
   EXPECT_EQ(resumed.resumed, resumed.items.size());
-  ASSERT_EQ(resumed.report.spans.size(), resumed.items.size());
-  for (const obs::SpanRecord& span : resumed.report.spans) {
-    EXPECT_EQ(span.outcome, "replayed");
-    EXPECT_EQ(span.journal_writes, 0u);  // nothing re-written on replay
-  }
+  EXPECT_TRUE(named(drained, "campaign.attempt").empty());
+  EXPECT_TRUE(named(drained, "campaign.journal_append").empty());
   const obs::MetricValue* replayed =
       resumed.report.metrics.find("pftk_journal_replayed_total");
   ASSERT_NE(replayed, nullptr);

@@ -18,7 +18,7 @@ namespace {
 TEST(ConnEventTrace, RingWrapsOverwritingOldestAndCountsDrops) {
   ConnEventTrace trace(4);
   for (int i = 0; i < 6; ++i) {
-    trace.record(static_cast<double>(i), ConnEventKind::kCwndUpdate,
+    trace.record(static_cast<double>(i), ConnEventKind::kDelayedAckFire,
                  static_cast<double>(i));
   }
   EXPECT_EQ(trace.capacity(), 4u);
@@ -38,7 +38,7 @@ TEST(ConnEventTrace, ExactlyCapacityEventsDropNothing) {
   // capacity must keep every record and report zero drops.
   ConnEventTrace trace(4);
   for (int i = 0; i < 4; ++i) {
-    trace.record(static_cast<double>(i), ConnEventKind::kCwndUpdate,
+    trace.record(static_cast<double>(i), ConnEventKind::kDelayedAckFire,
                  static_cast<double>(i));
   }
   EXPECT_EQ(trace.size(), 4u);
@@ -57,7 +57,7 @@ TEST(ConnEventTrace, CapacityPlusOneDropsExactlyTheOldest) {
   // or miscount.
   ConnEventTrace trace(4);
   for (int i = 0; i < 5; ++i) {
-    trace.record(static_cast<double>(i), ConnEventKind::kCwndUpdate,
+    trace.record(static_cast<double>(i), ConnEventKind::kDelayedAckFire,
                  static_cast<double>(i));
   }
   EXPECT_EQ(trace.size(), 4u);

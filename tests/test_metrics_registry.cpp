@@ -182,33 +182,5 @@ TEST(MetricsSnapshot, SelfMergeDoublesAndKindMismatchThrows) {
   EXPECT_THROW(a.merge(rb.snapshot()), std::invalid_argument);
 }
 
-TEST(ScopedTimer, RecordsOneNonNegativeObservation) {
-  MetricsRegistry registry;
-  const MetricId lat = registry.histogram("t_seconds", "timer", {0.5, 5.0});
-  registry.freeze(1);
-  {
-    ScopedTimer timer(registry.shard(0), lat);
-  }
-  const MetricsSnapshot snap = registry.snapshot();
-  const MetricValue* h = snap.find("t_seconds");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->count, 1u);
-  EXPECT_GE(h->sum, 0.0);
-  EXPECT_EQ(h->rejected, 0u);
-}
-
-TEST(ScopedTimer, StopIsIdempotent) {
-  MetricsRegistry registry;
-  const MetricId lat = registry.histogram("t_seconds", "timer", {5.0});
-  registry.freeze(1);
-  ScopedTimer timer(registry.shard(0), lat);
-  timer.stop();
-  timer.stop();  // destructor must not double-record either
-  const MetricsSnapshot snap = registry.snapshot();
-  const MetricValue* h = snap.find("t_seconds");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->count, 1u);
-}
-
 }  // namespace
 }  // namespace pftk::obs

@@ -118,7 +118,7 @@ TEST(ObsSummarize, CountsAdjacentRegimeSignals) {
       event(1.0, ConnEventKind::kRwndClamp),
       event(2.0, ConnEventKind::kFaultDrop),
       event(3.0, ConnEventKind::kWatchdogTrip),
-      event(4.0, ConnEventKind::kCwndUpdate),  // ignored by the taxonomy
+      event(4.0, ConnEventKind::kDelayedAckFire),  // ignored by the taxonomy
   };
   const LossBreakdown bd = summarize_events(events);
   EXPECT_EQ(bd.slow_start_entries, 1u);

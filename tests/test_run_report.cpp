@@ -1,10 +1,7 @@
 // RunReport::merge folds batch reports deterministically: counters sum,
-// fault stats add, and the right-hand side's failures/spans land after
-// ours in their original order. Reports from different obs
-// schema generations refuse to merge.
+// fault stats add, metrics merge by name, and the right-hand side's
+// failures land after ours in their original order.
 #include <gtest/gtest.h>
-
-#include <stdexcept>
 
 #include "exp/run_report.hpp"
 
@@ -63,16 +60,10 @@ TEST(RunReport, MergeIsChainableAndEmptyMergeIsIdentity) {
   EXPECT_TRUE(a.all_ok());
 }
 
-/// A report carrying one named span and one counter metric.
-RunReport report_with_obs(const std::string& span_name, double counter_value) {
+/// A report carrying one success and one counter metric.
+RunReport report_with_metrics(double counter_value) {
   RunReport report;
   report.record_success();
-  obs::SpanRecord span;
-  span.name = span_name;
-  span.outcome = "ok";
-  span.attempts = 1;
-  span.total_seconds = 0.5;
-  report.spans.push_back(span);
   obs::MetricsRegistry registry;
   const obs::MetricId runs = registry.counter("pftk_runs_total", "runs");
   registry.freeze(1);
@@ -81,13 +72,10 @@ RunReport report_with_obs(const std::string& span_name, double counter_value) {
   return report;
 }
 
-TEST(RunReport, MergeAppendsSpansAndMergesMetricsByName) {
-  RunReport a = report_with_obs("a->b/s1", 3.0);
-  const RunReport b = report_with_obs("c->d/s2", 4.0);
+TEST(RunReport, MergeFoldsMetricsByName) {
+  RunReport a = report_with_metrics(3.0);
+  const RunReport b = report_with_metrics(4.0);
   a.merge(b);
-  ASSERT_EQ(a.spans.size(), 2u);
-  EXPECT_EQ(a.spans[0].name, "a->b/s1");
-  EXPECT_EQ(a.spans[1].name, "c->d/s2");
   const obs::MetricValue* runs = a.metrics.find("pftk_runs_total");
   ASSERT_NE(runs, nullptr);
   EXPECT_DOUBLE_EQ(runs->value, 7.0);  // merged by name, not appended
@@ -95,24 +83,13 @@ TEST(RunReport, MergeAppendsSpansAndMergesMetricsByName) {
 }
 
 TEST(RunReport, SelfMergeDoublesEveryAdditiveField) {
-  RunReport a = report_with_obs("a->b/s1", 3.0);
+  RunReport a = report_with_metrics(3.0);
   a.record_failure("c->d/s2", "boom");
   a.merge(a);  // must copy internally, not self-insert
   EXPECT_EQ(a.attempted, 4u);
   EXPECT_EQ(a.succeeded, 2u);
   EXPECT_EQ(a.failures.size(), 2u);
-  EXPECT_EQ(a.spans.size(), 2u);
   EXPECT_DOUBLE_EQ(a.metrics.find("pftk_runs_total")->value, 6.0);
-}
-
-TEST(RunReport, RefusesToMergeAcrossObsSchemaGenerations) {
-  RunReport a;
-  RunReport future;
-  future.obs_schema = "pftk-obs/999";
-  EXPECT_THROW(a.merge(future), std::invalid_argument);
-  // The failed merge must not have corrupted the target.
-  EXPECT_EQ(a.attempted, 0u);
-  EXPECT_EQ(a.obs_schema, obs::kObsSchema);
 }
 
 }  // namespace

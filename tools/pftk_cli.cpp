@@ -713,7 +713,6 @@ int cmd_campaign(int argc, char** argv) {
     pftk::obs::ObsBundle bundle;
     bundle.source = "campaign";
     bundle.metrics = result.report.metrics;
-    bundle.spans = result.report.spans;
     export_obs_outputs(obs_opts, bundle);
   }
 
