@@ -16,7 +16,7 @@
 namespace pftk::obs {
 
 struct EventLoopStats {
-  std::uint64_t scheduled = 0;    ///< schedule_at/schedule_in calls
+  std::uint64_t scheduled = 0;    ///< schedule_at/in calls, timer arms, stream pushes
   std::uint64_t executed = 0;     ///< callbacks actually run
   std::uint64_t cancelled = 0;    ///< cancel() calls that hit a live event
   std::uint64_t compactions = 0;  ///< lazy-cancel heap compaction passes

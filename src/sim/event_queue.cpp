@@ -146,6 +146,41 @@ void EventQueue::arm_at(TimerId timer, Time at) {
   }
 }
 
+StreamId EventQueue::add_stream(EventCallback on_head) {
+  const TimerId timer = add_timer(std::move(on_head));
+  const auto id = static_cast<StreamId>(streams_.size());
+  timers_[timer].stream = id;
+  streams_.emplace_back().timer = timer;
+  return id;
+}
+
+void EventQueue::push(StreamId stream, Time at) {
+  check_time(at, now_, "EventQueue::push", ": time in the past");
+  if (tie_breaker_) {
+    throw std::logic_error("EventQueue::push: a tie-breaker is installed");
+  }
+  Stream& st = streams_[stream];
+  if (!st.keys.empty() && at < st.keys.back().at) {
+    throw std::logic_error("EventQueue::push: key earlier than the stream's last");
+  }
+  const Key key{at, next_seq_++};
+  st.keys.push_back(key);
+  ++stream_keys_;
+  ++live_count_;
+  if (st.keys.size() == 1) {
+    // A new head: arm the stream's timer at exactly its key.
+    Timer& t = timers_[st.timer];
+    Slot& s = slots_[t.slot];
+    s.live = true;
+    t.due = key.at;
+    t.seq = key.seq;
+    t.entry_at = key.at;
+    t.queued = true;
+    push_heap_entry(Entry{key.at, key.seq, t.slot, s.gen});
+  }
+  note_scheduled();
+}
+
 void EventQueue::arm_in(TimerId timer, Duration delay) {
   check_time(delay, 0.0, "EventQueue::arm_in", ": negative delay");
   arm_at(timer, now_ + delay);
@@ -245,16 +280,20 @@ void EventQueue::dispatch(const Entry& entry) {
   } else {
     fire_timer(entry.slot);
   }
-  if (inspector_ && executed_ % inspect_every_ == 0) {
+  if (inspector_ && --inspect_countdown_ == 0) {
+    inspect_countdown_ = inspect_every_;
     inspector_();
   }
 }
 
 void EventQueue::fire_timer(std::uint32_t slot) {
   Slot& s = slots_[slot];
-  s.live = false;
-  timers_[s.timer].queued = false;
-  --live_count_;
+  // A timer is disarmed here; a stream's key was popped by run_one.
+  if (Timer& t = timers_[s.timer]; t.stream == kNoSlot) {
+    s.live = false;
+    t.queued = false;
+    --live_count_;
+  }
   // Run the callback from outside the slab, which it may grow (moving
   // every slot), and hand it back to the timer even if it throws.
   struct Running {
@@ -266,8 +305,55 @@ void EventQueue::fire_timer(std::uint32_t slot) {
   running.action();
 }
 
+void EventQueue::pop_stream_key(Timer& timer) {
+  Slot& slot = slots_[timer.slot];
+  FifoRing<Key>& keys = streams_[timer.stream].keys;
+  keys.pop_front();
+  --stream_keys_;
+  --live_count_;
+  if (keys.empty()) {
+    slot.live = false;
+    timer.queued = false;
+    pop_heap_top();
+    return;
+  }
+  // Re-arm at the next key, which was taken at its push (no fresh seq)
+  // and is later than the one that fired: it takes over the heap's top.
+  const Key next = keys.front();
+  timer.due = next.at;
+  timer.seq = next.seq;
+  timer.entry_at = next.at;
+  replace_heap_top(Entry{next.at, next.seq, timer.slot, slot.gen});
+}
+
+void EventQueue::replace_heap_top(const Entry& entry) noexcept {
+  // Sift down from the root in std::push_heap's layout (the children of
+  // i at 2i + 1 and 2i + 2): the earlier child moves up until `entry`
+  // is no later than both.
+  const std::size_t n = heap_.size();
+  std::size_t hole = 0;
+  for (std::size_t child = 1; child < n; child = 2 * hole + 1) {
+    if (child + 1 < n && heap_[child] > heap_[child + 1]) {
+      ++child;
+    }
+    if (!(entry > heap_[child])) {
+      break;
+    }
+    heap_[hole] = heap_[child];
+    hole = child;
+  }
+  heap_[hole] = entry;
+}
+
 void EventQueue::run_one(const Entry& entry) {
-  pop_heap_top();
+  // A stream head (never seen by run_one_tied: streams hold no keys
+  // while a tie-breaker is installed) hands the top to its next key.
+  if (const std::uint32_t timer = slots_[entry.slot].timer;
+      timer != kNoSlot && timers_[timer].stream != kNoSlot) {
+    pop_stream_key(timers_[timer]);
+  } else {
+    pop_heap_top();
+  }
   dispatch(entry);
 }
 
@@ -338,6 +424,8 @@ void EventQueue::set_inspector(std::function<void()> inspector, std::uint64_t ev
   }
   inspector_ = std::move(inspector);
   inspect_every_ = every;
+  // Keep the phase: inspect when executed() reaches a multiple of every.
+  inspect_countdown_ = every - executed_ % every;
 }
 
 void EventQueue::clear_inspector() noexcept {
@@ -346,15 +434,28 @@ void EventQueue::clear_inspector() noexcept {
 }
 
 void EventQueue::set_tie_breaker(std::function<std::size_t(std::size_t)> chooser) {
+  if (chooser && stream_keys_ > 0) {
+    throw std::logic_error("EventQueue::set_tie_breaker: a delivery stream holds keys");
+  }
   tie_breaker_ = std::move(chooser);
 }
 
 void EventQueue::pending_times(std::vector<Time>& out) const {
   const std::size_t base = out.size();
   for (const Entry& entry : heap_) {
-    if (entry_alive(entry)) {
-      const std::uint32_t timer = slots_[entry.slot].timer;
-      out.push_back(timer == kNoSlot ? entry.at : timers_[timer].due);
+    if (!entry_alive(entry)) {
+      continue;
+    }
+    const std::uint32_t timer = slots_[entry.slot].timer;
+    if (timer == kNoSlot) {
+      out.push_back(entry.at);
+    } else if (const std::uint32_t stream = timers_[timer].stream; stream == kNoSlot) {
+      out.push_back(timers_[timer].due);
+    } else {
+      const FifoRing<Key>& keys = streams_[stream].keys;
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        out.push_back(keys[i].at);
+      }
     }
   }
   std::sort(out.begin() + static_cast<std::ptrdiff_t>(base), out.end());

@@ -28,6 +28,16 @@
 // re-pushed at the real key before anything looks at it. Pop order is
 // therefore the (time, seq) order of cancel + schedule_at, and a restart
 // does no heap work.
+//
+// Packets in flight on a link are a delivery stream: keys pushed in
+// (time, seq) order whose head alone sits in the heap, as a timer at its
+// exact key; when it fires, the next key takes its place at the top. A
+// push takes a fresh sequence number exactly as schedule_at would, so
+// the heap merges the streams with every other event and pops the
+// schedule_at order.
+// Streams hold no callbacks per key: the stream's one callback finds the
+// payload in its owner's ring (Link). A tie-breaker sees only the heap,
+// so while one is installed streams take no keys.
 #pragma once
 
 #include <cstddef>
@@ -39,6 +49,7 @@
 #include <vector>
 
 #include "obs/event_loop_stats.hpp"
+#include "sim/fifo_ring.hpp"
 #include "sim/sim_time.hpp"
 
 namespace pftk::sim {
@@ -50,6 +61,9 @@ using EventId = std::uint64_t;
 /// Handle of a re-armable timer (EventQueue::add_timer).
 using TimerId = std::uint32_t;
 
+/// Handle of a delivery stream (EventQueue::add_stream).
+using StreamId = std::uint32_t;
+
 /// Move-only callable wrapper with inline small-buffer storage — the
 /// slab cell of the event queue. Unlike std::function it never
 /// type-erases through a copyable interface (timers are moved, not
@@ -57,8 +71,10 @@ using TimerId = std::uint32_t;
 /// capacity.
 class EventCallback {
  public:
-  /// Large enough for every simulator timer: the biggest hot-path
-  /// capture is Link's [this, item, arrival] at 40 bytes.
+  /// Large enough for every simulator callback: the biggest is Link's
+  /// one-shot delivery [this, item, arrival], 48 bytes for the shared
+  /// bottleneck's tagged segments. Ordinary deliveries are stream keys
+  /// and build no callback at all.
   static constexpr std::size_t kInlineCapacity = 48;
 
   EventCallback() noexcept = default;
@@ -199,6 +215,23 @@ class EventQueue {
     return slots_[timers_[timer].slot].live;
   }
 
+  /// Creates an empty delivery stream that runs `on_head` once per key,
+  /// in key order. The stream holds one slab slot and the callback for
+  /// the queue's lifetime; its keys live in a ring that is allocated on
+  /// the first push.
+  StreamId add_stream(EventCallback on_head);
+
+  /// Queues a key at `at` on `stream`. This is schedule_at in every
+  /// observable respect: a fresh sequence number, the same pop order,
+  /// one schedule counted, one more pending(). The key is popped, and
+  /// the next one armed, before `on_head` runs, so a throwing callback
+  /// leaves the rest of the stream to fire in order.
+  /// @throws std::invalid_argument if `at` is not finite or precedes
+  /// the current time.
+  /// @throws std::logic_error if `at` precedes the stream's last key, or
+  /// a tie-breaker is installed.
+  void push(StreamId stream, Time at);
+
   /// Runs events until the queue empties or the next event is after
   /// `end_time`; the clock finishes at exactly `end_time`.
   /// @throws std::invalid_argument if `end_time` is NaN.
@@ -227,17 +260,27 @@ class EventQueue {
   /// dispatch path is the unconditional FIFO fast path (one predictable
   /// branch, same cost contract as the stats sink). The model-checking
   /// explorer is the intended client — production runs never set this.
+  /// A stream's equal-time successors are not in the heap, so no chooser
+  /// can order them: delivery streams take no keys while one is set.
+  /// @throws std::logic_error if `chooser` is non-empty and any stream
+  /// holds a key.
   void set_tie_breaker(std::function<std::size_t(std::size_t)> chooser);
+
+  /// Whether a tie-break chooser is installed (streams then take no keys).
+  [[nodiscard]] bool has_tie_breaker() const noexcept {
+    return static_cast<bool>(tie_breaker_);
+  }
 
   /// Largest tie group a chooser is offered in one decision; ties beyond
   /// the cap stay behind in FIFO order (a bounded-reordering budget, not
   /// a correctness limit).
   static constexpr std::size_t kMaxTieFanout = 16;
 
-  /// Appends the timestamps of every pending (uncancelled) event and
-  /// armed timer to `out`, sorted ascending — a canonical view of the
-  /// timer wheel for state digests. O(heap) — diagnostics/digest use
-  /// only.
+  /// Appends the timestamps of every pending (uncancelled) event, armed
+  /// timer and stream key to `out`, sorted ascending — a canonical view
+  /// of the timer wheel for state digests, the same as if every key had
+  /// been scheduled with schedule_at. O(pending) — diagnostics/digest
+  /// use only.
   void pending_times(std::vector<Time>& out) const;
 
   /// Attaches an observability sink (nullptr detaches). The queue then
@@ -250,14 +293,16 @@ class EventQueue {
   /// Current simulation clock.
   [[nodiscard]] Time now() const noexcept { return now_; }
 
-  /// Number of pending (uncancelled) events, armed timers included.
+  /// Number of pending (uncancelled) events, armed timers and stream
+  /// keys included.
   [[nodiscard]] std::size_t pending() const noexcept { return live_count_; }
 
   /// Total events executed so far.
   [[nodiscard]] std::uint64_t executed() const noexcept { return executed_; }
 
   /// Heap entries currently held, including lazily-cancelled ones — a
-  /// memory diagnostic; stays within a small factor of pending().
+  /// memory diagnostic; a stream has one entry however many keys it
+  /// holds.
   [[nodiscard]] std::size_t heap_size() const noexcept { return heap_.size(); }
 
   /// Callback slots currently allocated (live + free-listed): the
@@ -302,7 +347,21 @@ class EventQueue {
     std::uint64_t seq = 0;   ///< real FIFO key while armed
     Time entry_at = 0.0;     ///< time of the current heap entry
     std::uint32_t slot = 0;
+    std::uint32_t stream = kNoSlot;  ///< index into streams_, or kNoSlot
     bool queued = false;     ///< the current heap entry exists
+  };
+
+  struct Key {
+    Time at = 0.0;
+    std::uint64_t seq = 0;
+  };
+
+  /// A delivery stream: a timer armed at its oldest key whenever it has
+  /// one. Keys are pushed in (time, seq) order, so the timer's entry is
+  /// always exact and never goes stale.
+  struct Stream {
+    FifoRing<Key> keys;
+    TimerId timer = 0;
   };
 
   [[nodiscard]] bool entry_alive(const Entry& e) const noexcept {
@@ -323,6 +382,8 @@ class EventQueue {
   void run_one(const Entry& entry);
   void dispatch(const Entry& entry);
   void fire_timer(std::uint32_t slot);
+  void pop_stream_key(Timer& timer);
+  void replace_heap_top(const Entry& entry) noexcept;
   void run_one_tied(const Entry& top);
 
   Time now_ = 0.0;
@@ -331,11 +392,14 @@ class EventQueue {
   std::vector<Entry> heap_;  ///< std::push_heap/pop_heap with EntryAfter
   std::vector<Slot> slots_;  ///< slab indexed by Entry::slot
   std::vector<Timer> timers_;  ///< indexed by TimerId
+  std::vector<Stream> streams_;  ///< indexed by StreamId
   std::uint32_t free_head_ = kNoSlot;
   std::size_t live_count_ = 0;
   std::size_t cancelled_in_heap_ = 0;
+  std::size_t stream_keys_ = 0;  ///< keys held by all streams
   std::function<void()> inspector_;
   std::uint64_t inspect_every_ = 1;
+  std::uint64_t inspect_countdown_ = 1;  ///< events until the next inspection
   obs::EventLoopStats* stats_ = nullptr;
   std::function<std::size_t(std::size_t)> tie_breaker_;
   std::vector<Entry> tie_buffer_;  ///< reused scratch for tie collection

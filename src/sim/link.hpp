@@ -12,6 +12,14 @@
 // and delivers in FIFO order (delivery times are monotone), since TCP
 // dup-ACK counting is meaningful only on mostly-in-order paths —
 // except for packets a fault deliberately reorders or duplicates.
+//
+// FIFO deliveries are the link's delivery stream (EventQueue::push):
+// the queue holds their (time, seq) keys and the link their payloads,
+// in a ring popped in step with the keys, so a packet in flight costs
+// no heap entry and no callback. Three cases keep a one-shot event per
+// delivery: reordered packets and duplicate copies, which may overtake
+// the stream, and every delivery while a tie-breaker is installed,
+// which orders only what is in the heap.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +31,7 @@
 
 #include "sim/event_queue.hpp"
 #include "sim/fault_injector.hpp"
+#include "sim/fifo_ring.hpp"
 #include "sim/loss_model.hpp"
 #include "sim/queue_policy.hpp"
 #include "sim/rng.hpp"
@@ -146,21 +155,21 @@ class Link {
       last_delivery_ = arrival;
     }
 
-    queue_.schedule_at(arrival, [this, item, arrival] {
-      ++stats_.delivered;
-      deliver_(item, arrival);
-    });
+    if (verdict.exempt_fifo || queue_.has_tie_breaker()) {
+      deliver_once(item, arrival);
+    } else {
+      if (stream_ == kNoStream) {
+        stream_ = queue_.add_stream([this] { deliver_head(); });
+      }
+      queue_.push(stream_, arrival);
+      in_flight_.push_back(item);
+    }
     for (std::size_t copy = 1; copy <= verdict.extra_copies; ++copy) {
       // Duplicates trail the original; they do not advance the FIFO
       // frontier, so a late duplicate can arrive after newer packets
       // (exactly what dup-ACK machinery must tolerate).
-      const Time dup_arrival =
-          arrival + verdict.duplicate_lag * static_cast<double>(copy);
       ++stats_.duplicated;
-      queue_.schedule_at(dup_arrival, [this, item, dup_arrival] {
-        ++stats_.delivered;
-        deliver_(item, dup_arrival);
-      });
+      deliver_once(item, arrival + verdict.duplicate_lag * static_cast<double>(copy));
     }
   }
 
@@ -207,6 +216,26 @@ class Link {
   }
 
  private:
+  static constexpr StreamId kNoStream = std::numeric_limits<StreamId>::max();
+
+  /// A delivery outside the stream: one event of its own.
+  void deliver_once(const T& item, Time arrival) {
+    queue_.schedule_at(arrival, [this, item, arrival] {
+      ++stats_.delivered;
+      deliver_(item, arrival);
+    });
+  }
+
+  /// The stream's head fired: its key is already popped, so pop the
+  /// payload too before handing it on (the callback may throw, or send
+  /// on this link again).
+  void deliver_head() {
+    const T item = in_flight_.front();
+    in_flight_.pop_front();
+    ++stats_.delivered;
+    deliver_(item, queue_.now());
+  }
+
   EventQueue& queue_;
   LinkConfig config_;
   Rng rng_;
@@ -217,6 +246,8 @@ class Link {
   Time busy_until_ = 0.0;
   Time last_delivery_ = 0.0;
   LinkStats stats_;
+  StreamId stream_ = kNoStream;  ///< registered on the first stream push
+  FifoRing<T> in_flight_;        ///< payloads of the stream's keys, oldest first
 };
 
 }  // namespace pftk::sim

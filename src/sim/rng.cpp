@@ -20,30 +20,6 @@ Rng Rng::derive(std::uint64_t seed, std::uint64_t stream) {
   return Rng(derive_stream_seed(seed, stream));
 }
 
-double Rng::uniform() {
-  return std::uniform_real_distribution<double>(0.0, 1.0)(engine_);
-}
-
-double Rng::uniform(double lo, double hi) {
-  if (hi < lo) {
-    throw std::invalid_argument("Rng::uniform: hi < lo");
-  }
-  if (hi == lo) {
-    return lo;
-  }
-  return std::uniform_real_distribution<double>(lo, hi)(engine_);
-}
-
-bool Rng::bernoulli(double p) {
-  if (p <= 0.0) {
-    return false;
-  }
-  if (p >= 1.0) {
-    return true;
-  }
-  return uniform() < p;
-}
-
 double Rng::exponential(double mean) {
   if (!(mean > 0.0)) {
     throw std::invalid_argument("Rng::exponential: mean must be positive");

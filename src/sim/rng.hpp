@@ -4,10 +4,15 @@
 // draws from its own Rng, derived from a master seed plus a stream id, so
 // adding a component never perturbs the draws of another — runs stay
 // reproducible as the simulator grows.
+//
+// Uniform draws are inline (canonical_double) and equal libstdc++'s
+// std::uniform_real_distribution<double> bit for bit, so every
+// fixed-seed run is the same as when they went through the library.
 #pragma once
 
 #include <cstdint>
 #include <random>
+#include <stdexcept>
 
 namespace pftk::sim {
 
@@ -25,6 +30,19 @@ namespace pftk::sim {
 [[nodiscard]] std::uint64_t derive_stream_seed(std::uint64_t seed,
                                                std::uint64_t stream) noexcept;
 
+/// std::generate_canonical<double, 53> of one 64-bit engine word, as
+/// libstdc++ computes it: u / 2^64 rounded to nearest, and a word that
+/// rounds to 2^64 clamped to the largest double below 1. The two 32-bit
+/// halves convert exactly and their sum rounds once, as converting u
+/// does, without that conversion's branch on the top bit; scaling by
+/// 2^-64 is exact, so it equals libstdc++'s division.
+[[nodiscard]] inline double canonical_double(std::uint64_t u) noexcept {
+  const double d = static_cast<double>(static_cast<std::uint32_t>(u >> 32)) * 0x1p32 +
+                   static_cast<double>(static_cast<std::uint32_t>(u));
+  const double r = d * 0x1p-64;
+  return r >= 1.0 ? 0x1.fffffffffffffp-1 : r;
+}
+
 /// A seeded mt19937_64 with convenience distributions.
 class Rng {
  public:
@@ -35,14 +53,31 @@ class Rng {
   [[nodiscard]] static Rng derive(std::uint64_t seed, std::uint64_t stream);
 
   /// Uniform double in [0, 1).
-  [[nodiscard]] double uniform();
+  [[nodiscard]] double uniform() { return canonical_double(engine_()); }
 
-  /// Uniform double in [lo, hi).
+  /// Uniform double in [lo, hi): uniform_real_distribution's
+  /// canonical * (hi - lo) + lo.
   /// @throws std::invalid_argument if hi < lo.
-  [[nodiscard]] double uniform(double lo, double hi);
+  [[nodiscard]] double uniform(double lo, double hi) {
+    if (hi < lo) {
+      throw std::invalid_argument("Rng::uniform: hi < lo");
+    }
+    if (hi == lo) {
+      return lo;
+    }
+    return uniform() * (hi - lo) + lo;
+  }
 
   /// Bernoulli trial with success probability p (clamped to [0, 1]).
-  [[nodiscard]] bool bernoulli(double p);
+  [[nodiscard]] bool bernoulli(double p) {
+    if (p <= 0.0) {
+      return false;
+    }
+    if (p >= 1.0) {
+      return true;
+    }
+    return uniform() < p;
+  }
 
   /// Exponential with the given mean (> 0).
   /// @throws std::invalid_argument if mean <= 0.

@@ -2,7 +2,11 @@
 // over configurable paths behaves like TCP should.
 #include <gtest/gtest.h>
 
+#include "exp/path_profile.hpp"
+#include "obs/conn_event_trace.hpp"
+#include "obs/event_loop_stats.hpp"
 #include "sim/connection.hpp"
+#include "trace/trace_recorder.hpp"
 
 namespace pftk::sim {
 namespace {
@@ -118,6 +122,30 @@ TEST(Connection, RateLimitedPathCapsThroughput) {
   // Delivered rate cannot exceed the bottleneck.
   EXPECT_LE(s.throughput, 51.0);
   EXPECT_GT(s.throughput, 25.0);
+}
+
+TEST(Connection, ManicAlpsHourEventCountsArePinned) {
+  // `pftk simulate manic alps 3600 7 --metrics-out`: a recorder, the
+  // event trace and an event-loop sink, run in the CLI's 5-s slices.
+  // The three logical counters are what cancel + schedule_at would
+  // count, whatever the queue does inside; the heap diagnostics may only
+  // fall (delivery streams left 7 heap entries and 4 slots).
+  const exp::PathProfile profile = exp::profile_by_label("manic", "alps");
+  Connection conn(exp::make_connection_config(profile, 7));
+  trace::TraceRecorder recorder;
+  conn.set_observer(&recorder);
+  obs::ConnEventTrace etrace;
+  obs::EventLoopStats loop;
+  conn.attach_observability(&etrace, &loop);
+  for (int slice = 0; slice < 720; ++slice) {
+    (void)conn.run_for(5.0);
+  }
+  EXPECT_EQ(loop.scheduled, 124'130u);
+  EXPECT_EQ(loop.executed, 77'113u);
+  EXPECT_EQ(loop.cancelled, 47'016u);
+  EXPECT_EQ(loop.compactions, 0u);
+  EXPECT_LE(loop.heap_peak, 7u);
+  EXPECT_LE(loop.slab_peak, 4u);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -164,6 +165,19 @@ TEST(EventQueue, InspectorRunsEveryNExecutedEvents) {
   q.run_all();
   EXPECT_EQ(q.executed(), 10u);
   EXPECT_EQ(inspections, 3);  // after events 3, 6, 9
+}
+
+TEST(EventQueue, InspectorInstalledMidRunKeepsItsPhase) {
+  EventQueue q;
+  std::vector<std::uint64_t> inspected_at;
+  for (int i = 0; i < 30; ++i) {
+    q.schedule_at(static_cast<double>(i) + 1.0, [] {});
+  }
+  q.run_until(10.0);
+  ASSERT_EQ(q.executed(), 10u);
+  q.set_inspector([&] { inspected_at.push_back(q.executed()); }, 7);
+  q.run_all();
+  EXPECT_EQ(inspected_at, (std::vector<std::uint64_t>{14, 21, 28}));
 }
 
 TEST(EventQueue, ClearedInspectorStopsFiring) {
@@ -638,20 +652,37 @@ TEST(EventQueueTimer, NonFiniteOrPastDeadlinesAreRejected) {
   EXPECT_FALSE(q.armed(t));
 }
 
-/// One side of the timer differential test: K logical timers and
-/// one-shots on one queue. With `use_timers` the K timers are re-armable
-/// timers; without, every arm is cancel + schedule_at of a fresh event
-/// and every disarm a cancel. Callbacks log (tag, now) and perform more
-/// operations drawn from the side's own RNG, so two sides seeded alike
-/// stay in lockstep exactly as long as their dispatch orders agree.
+/// One side of the timer and stream differential tests: K logical
+/// timers, S delivery streams and one-shots on one queue. With
+/// `use_handles` the K timers are re-armable timers and a delivery is a
+/// stream push whose payload waits in a FIFO beside the stream, as a
+/// Link's does; without, every arm is cancel + schedule_at of a fresh
+/// event, every disarm a cancel and every delivery a schedule_at.
+/// Callbacks log (tag, now) and perform more operations drawn from the
+/// side's own RNG, so two sides seeded alike stay in lockstep exactly as
+/// long as their dispatch orders agree.
 class ScriptedQueue {
  public:
-  ScriptedQueue(bool use_timers, std::uint64_t seed, std::size_t timers, bool tie_breaks)
-      : use_timers_(use_timers), rng_(seed), ids_(timers, 0) {
+  ScriptedQueue(bool use_handles, std::uint64_t seed, std::size_t timers, std::size_t streams,
+                bool tie_breaks)
+      : use_handles_(use_handles),
+        rng_(seed),
+        ids_(timers, 0),
+        last_key_(streams, 0.0),
+        payloads_(streams) {
     queue.set_stats_sink(&stats);
     for (std::size_t i = 0; i < timers; ++i) {
-      if (use_timers_) {
+      if (use_handles_) {
         handles_.push_back(queue.add_timer([this, i] { fired(static_cast<int>(i)); }));
+      }
+    }
+    for (std::size_t s = 0; s < streams; ++s) {
+      if (use_handles_) {
+        streams_.push_back(queue.add_stream([this, s] {
+          const int tag = payloads_[s].front();
+          payloads_[s].pop_front();
+          fired(tag);
+        }));
       }
     }
     next_tag_ = static_cast<int>(timers);
@@ -663,13 +694,15 @@ class ScriptedQueue {
     }
   }
 
-  /// One random arm, disarm or one-shot on the 0.25-s grid ahead of now.
+  /// One random arm, disarm, one-shot or (with streams) delivery on the
+  /// 0.25-s grid ahead of now. A delivery lands at or after its stream's
+  /// last key, so equal times within and across streams are common.
   void random_op() {
     const Time at = queue.now() + 0.25 * static_cast<double>(rng_() % 9);
     const std::size_t i = rng_() % ids_.size();
-    switch (rng_() % 3) {
+    switch (rng_() % (last_key_.empty() ? 3 : 4)) {
       case 0:
-        if (use_timers_) {
+        if (use_handles_) {
           queue.arm_at(handles_[i], at);
         } else {
           queue.cancel(ids_[i]);
@@ -677,15 +710,27 @@ class ScriptedQueue {
         }
         break;
       case 1:
-        if (use_timers_) {
+        if (use_handles_) {
           queue.disarm(handles_[i]);
         } else {
           queue.cancel(ids_[i]);
         }
         break;
-      default: {
+      case 2: {
         const int tag = next_tag_++;
         queue.schedule_at(at, [this, tag] { fired(tag); });
+        break;
+      }
+      default: {
+        const std::size_t s = rng_() % last_key_.size();
+        last_key_[s] = std::max(last_key_[s], at);
+        const int tag = next_tag_++;
+        if (use_handles_) {
+          queue.push(streams_[s], last_key_[s]);
+          payloads_[s].push_back(tag);
+        } else {
+          queue.schedule_at(last_key_[s], [this, tag] { fired(tag); });
+        }
         break;
       }
     }
@@ -707,10 +752,13 @@ class ScriptedQueue {
     }
   }
 
-  bool use_timers_;
+  bool use_handles_;
   std::mt19937_64 rng_;
   std::vector<EventId> ids_;
   std::vector<TimerId> handles_;
+  std::vector<Time> last_key_;             ///< per stream
+  std::vector<std::deque<int>> payloads_;  ///< per stream, oldest first
+  std::vector<StreamId> streams_;
   int next_tag_ = 0;
   int budget_ = 60;
 };
@@ -737,17 +785,19 @@ class ScriptedQueue {
   return ::testing::AssertionSuccess();
 }
 
-/// Runs `scripts` seeded scripts on twin queues, timers against cancel +
-/// schedule_at, comparing after every step; returns the scripts that
-/// diverged.
-int diverging_scripts(int scripts, bool tie_breaks) {
+/// Runs `scripts` seeded scripts on twin queues, timers (and, with
+/// `with_streams`, 1 to 4 delivery streams) against cancel + schedule_at,
+/// comparing after every step; returns the scripts that diverged.
+int diverging_scripts(int scripts, bool tie_breaks, bool with_streams = false) {
   int diverged = 0;
   for (int script = 0; script < scripts; ++script) {
-    const auto seed = static_cast<std::uint64_t>(script) * 7919u + (tie_breaks ? 1u : 0u);
+    const auto seed = static_cast<std::uint64_t>(script) * 7919u + (tie_breaks ? 1u : 0u) +
+                      (with_streams ? 2u : 0u);
     std::mt19937_64 pick(seed);
     const std::size_t k = 1 + pick() % 4;
-    ScriptedQueue timers(true, seed, k, tie_breaks);
-    ScriptedQueue events(false, seed, k, tie_breaks);
+    const std::size_t streams = with_streams ? 1 + pick() % 4 : 0;
+    ScriptedQueue timers(true, seed, k, streams, tie_breaks);
+    ScriptedQueue events(false, seed, k, streams, tie_breaks);
     bool same = true;
     for (int step = 0; step < 40 && same; ++step) {
       const bool run = pick() % 4 == 0;
@@ -768,7 +818,7 @@ int diverging_scripts(int scripts, bool tie_breaks) {
     }
     if (!same) {
       ADD_FAILURE() << "script " << script << " (tie_breaks=" << tie_breaks
-                    << "): " << same_state(timers, events).message();
+                    << ", streams=" << streams << "): " << same_state(timers, events).message();
       ++diverged;
     }
   }
@@ -781,6 +831,93 @@ TEST(EventQueueTimer, MatchesCancelPlusScheduleOnRandomScripts) {
 
 TEST(EventQueueTimer, MatchesCancelPlusScheduleUnderARandomTieBreaker) {
   EXPECT_EQ(diverging_scripts(2000, /*tie_breaks=*/true), 0);
+}
+
+// ---- Delivery streams ---------------------------------------------------
+
+TEST(EventQueueStream, MatchesScheduleAtOnRandomScripts) {
+  EXPECT_EQ(diverging_scripts(2000, /*tie_breaks=*/false, /*with_streams=*/true), 0);
+}
+
+TEST(EventQueueStream, KeysFireInOrderAndCountAsScheduledEvents) {
+  EventQueue q;
+  obs::EventLoopStats stats;
+  q.set_stats_sink(&stats);
+  std::vector<std::pair<int, Time>> log;
+  const StreamId s = q.add_stream([&] { log.emplace_back(0, q.now()); });
+  q.push(s, 1.0);
+  q.schedule_at(1.0, [&] { log.emplace_back(1, q.now()); });
+  q.push(s, 1.0);  // same time, later seq: behind the one-shot
+  q.push(s, 2.0);
+  EXPECT_EQ(q.pending(), 4u);
+  EXPECT_EQ(pending_times_of(q), (std::vector<Time>{1.0, 1.0, 1.0, 2.0}));
+  EXPECT_EQ(q.heap_size(), 2u);  // the stream's head and the one-shot
+  q.run_all();
+  EXPECT_EQ(log, (std::vector<std::pair<int, Time>>{{0, 1.0}, {1, 1.0}, {0, 1.0}, {0, 2.0}}));
+  EXPECT_EQ(stats.scheduled, 4u);
+  EXPECT_EQ(stats.executed, 4u);
+  EXPECT_EQ(stats.cancelled, 0u);
+  EXPECT_EQ(q.pending(), 0u);
+}
+
+TEST(EventQueueStream, PushBeforeTheLastKeyThrows) {
+  EventQueue q;
+  std::vector<Time> fired;
+  const StreamId s = q.add_stream([&] { fired.push_back(q.now()); });
+  q.push(s, 2.0);
+  EXPECT_THROW(q.push(s, 1.5), std::logic_error);
+  EXPECT_EQ(q.pending(), 1u);
+  q.push(s, 2.0);  // an equal time is a later key
+  q.run_until(3.0);
+  EXPECT_THROW(q.push(s, 2.5), std::invalid_argument);  // in the past
+  EXPECT_THROW(q.push(s, std::numeric_limits<double>::quiet_NaN()), std::invalid_argument);
+  q.push(s, 3.0);  // a drained stream is bounded by now() alone
+  q.run_all();
+  EXPECT_EQ(fired, (std::vector<Time>{2.0, 2.0, 3.0}));
+}
+
+TEST(EventQueueStream, TieBreakerAndStreamKeysExcludeEachOther) {
+  EventQueue q;
+  const StreamId s = q.add_stream([] {});
+  const auto fifo = [](std::size_t) { return std::size_t{0}; };
+  q.push(s, 1.0);
+  EXPECT_THROW(q.set_tie_breaker(fifo), std::logic_error);
+  EXPECT_FALSE(q.has_tie_breaker());
+  q.run_all();
+  q.set_tie_breaker(fifo);  // the stream has drained
+  EXPECT_TRUE(q.has_tie_breaker());
+  EXPECT_THROW(q.push(s, 2.0), std::logic_error);
+  EXPECT_EQ(q.pending(), 0u);
+  q.set_tie_breaker({});
+  q.push(s, 2.0);
+  q.run_all();
+  EXPECT_EQ(q.executed(), 2u);
+}
+
+TEST(EventQueueStream, ThrowingHeadLeavesTheRestDeliveringInOrder) {
+  EventQueue q;
+  std::deque<int> payloads;
+  std::vector<std::pair<int, Time>> delivered;
+  const StreamId s = q.add_stream([&] {
+    const int payload = payloads.front();
+    payloads.pop_front();
+    if (payload == 1) {
+      throw std::runtime_error("invariant");
+    }
+    delivered.emplace_back(payload, q.now());
+  });
+  for (int i = 0; i < 4; ++i) {
+    q.push(s, 1.0 + 0.5 * static_cast<double>(i / 2));
+    payloads.push_back(i);
+  }
+  EXPECT_THROW(q.run_all(), std::runtime_error);
+  EXPECT_EQ(q.executed(), 2u);
+  EXPECT_EQ(q.pending(), 2u);
+  EXPECT_EQ(pending_times_of(q), (std::vector<Time>{1.5, 1.5}));
+  q.run_all();
+  EXPECT_EQ(delivered, (std::vector<std::pair<int, Time>>{{0, 1.0}, {2, 1.5}, {3, 1.5}}));
+  EXPECT_EQ(q.executed(), 4u);
+  EXPECT_EQ(q.pending(), 0u);
 }
 
 }  // namespace

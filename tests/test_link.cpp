@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <vector>
 
+#include "obs/event_loop_stats.hpp"
+#include "sim/fault_injector.hpp"
 #include "sim/link.hpp"
 #include "sim/packet.hpp"
 
@@ -146,6 +149,71 @@ TEST(Link, InvalidConfigThrows) {
       EXPECT_THROW(Link<Segment>(q, cfg, Rng(1)), std::invalid_argument) << bad;
     }
   }
+}
+
+struct LinkRun {
+  std::vector<Delivery> deliveries;
+  LinkStats stats;
+  obs::EventLoopStats loop;
+};
+
+/// Bursts of three sends every 10 ms through a jittered link that
+/// duplicates and reorders, optionally under an always-FIFO tie-breaker.
+LinkRun run_faulty_link(bool tie_breaker) {
+  LinkRun run;
+  EventQueue q;
+  q.set_stats_sink(&run.loop);
+  if (tie_breaker) {
+    q.set_tie_breaker([](std::size_t) { return std::size_t{0}; });
+  }
+  LinkConfig cfg;
+  cfg.propagation_delay = 0.1;
+  cfg.jitter = 0.03;
+  auto faults = std::make_unique<FaultInjector>(
+      FaultSchedule::parse("dup@0+20:0.1:0.02;reorder@0+20:0.1:0.05"), Rng(9));
+  Link<Segment> link(q, cfg, Rng(3), nullptr, nullptr, std::move(faults));
+  link.set_deliver([&](const Segment& s, Time t) { run.deliveries.push_back({s.seq, t}); });
+  SeqNo next = 0;
+  TimerId bursts = 0;
+  bursts = q.add_timer([&] {
+    for (int i = 0; i < 3; ++i) {
+      Segment s;
+      s.seq = next++;
+      link.send(s);
+    }
+    if (next < 6000) {
+      q.arm_in(bursts, 0.01);
+    }
+  });
+  q.arm_at(bursts, 0.0);
+  q.run_all();
+  run.stats = link.stats();
+  return run;
+}
+
+TEST(Link, StreamDeliveriesMatchOneShotDeliveries) {
+  // With a tie-breaker installed every delivery is a one-shot event, so
+  // an always-0 chooser replays the one-shot order that streams must
+  // reproduce, duplicate and reordered copies interleaved.
+  const LinkRun streams = run_faulty_link(false);
+  const LinkRun one_shots = run_faulty_link(true);
+  ASSERT_EQ(streams.deliveries.size(), one_shots.deliveries.size());
+  for (std::size_t i = 0; i < streams.deliveries.size(); ++i) {
+    ASSERT_EQ(streams.deliveries[i].seq, one_shots.deliveries[i].seq) << i;
+    ASSERT_EQ(streams.deliveries[i].at, one_shots.deliveries[i].at) << i;
+  }
+  EXPECT_GT(streams.stats.duplicated, 0u);
+  EXPECT_EQ(streams.stats.delivered, 6000u + streams.stats.duplicated -
+                                         streams.stats.dropped_fault);
+  for (auto field : {&LinkStats::offered, &LinkStats::dropped_loss, &LinkStats::dropped_queue,
+                     &LinkStats::dropped_fault, &LinkStats::duplicated, &LinkStats::delivered}) {
+    EXPECT_EQ(streams.stats.*field, one_shots.stats.*field);
+  }
+  EXPECT_EQ(streams.loop.scheduled, one_shots.loop.scheduled);
+  EXPECT_EQ(streams.loop.executed, one_shots.loop.executed);
+  // The stream kept packets in flight out of the slab and the heap.
+  EXPECT_LT(streams.loop.slab_peak, one_shots.loop.slab_peak);
+  EXPECT_LT(streams.loop.heap_peak, one_shots.loop.heap_peak);
 }
 
 TEST(Link, ResetProcessesClearsStats) {

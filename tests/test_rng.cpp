@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <random>
 #include <set>
 #include <stdexcept>
+#include <utility>
 
 #include "exp/campaign/retry_policy.hpp"
 #include "sim/rng.hpp"
@@ -153,6 +158,71 @@ TEST(Rng, UniformIntInclusiveBounds) {
   EXPECT_TRUE(saw_lo);
   EXPECT_TRUE(saw_hi);
   EXPECT_THROW((void)r.uniform_int(5, 3), std::invalid_argument);
+}
+
+TEST(Rng, DrawsKeepLibstdcxxBits) {
+  // uniform(), uniform(lo, hi) and bernoulli(p) are computed inline;
+  // they must equal the standard distributions on a twin engine bit for
+  // bit and draw exactly one word each, so every fixed-seed run stays.
+  constexpr std::array<std::pair<double, double>, 4> kRanges{
+      {{0.0, 0.03}, {-2.5, 7.25}, {1e-9, 1e-9 + 1e-12}, {0.0, 1.0}}};
+  constexpr std::array<double, 4> kProbs{0.3, 1e-6, 0.999, 0.5};
+  for (const std::uint64_t seed : {11ULL, 7ULL, 0x9e3779b97f4a7c15ULL}) {
+    Rng rng(seed);
+    std::mt19937_64 twin(seed);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    std::uint64_t mismatches = 0;
+    for (std::uint64_t i = 0; i < 10'000'000; ++i) {
+      switch (i % 3) {
+        case 0:
+          mismatches += std::bit_cast<std::uint64_t>(rng.uniform()) !=
+                        std::bit_cast<std::uint64_t>(unit(twin));
+          break;
+        case 1: {
+          const auto [lo, hi] = kRanges[(i / 3) % kRanges.size()];
+          std::uniform_real_distribution<double> range(lo, hi);
+          mismatches += std::bit_cast<std::uint64_t>(rng.uniform(lo, hi)) !=
+                        std::bit_cast<std::uint64_t>(range(twin));
+          break;
+        }
+        default: {
+          const double p = kProbs[(i / 3) % kProbs.size()];
+          mismatches += rng.bernoulli(p) != (unit(twin) < p);
+          break;
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << "seed " << seed;
+    EXPECT_EQ(rng.next_u64(), twin()) << "seed " << seed;  // still in lockstep
+  }
+}
+
+/// A generator that returns one fixed word: std::generate_canonical's
+/// view of a single mt19937_64 draw.
+struct OneWord {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  result_type operator()() const { return word; }
+  result_type word;
+};
+
+TEST(Rng, CanonicalDoubleMatchesGenerateCanonicalOnEdgeWords) {
+  constexpr std::uint64_t kTwo53 = std::uint64_t{1} << 53;
+  constexpr std::uint64_t kTwo63 = std::uint64_t{1} << 63;
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};  // 2^64 - 1
+  for (const std::uint64_t word :
+       {std::uint64_t{0}, std::uint64_t{1}, kTwo53 - 1, kTwo53 + 1, kTwo63, kTwo63 + 1,
+        kMax - 2048, kMax - 1024, kMax - 1023, kMax}) {
+    OneWord urbg{word};
+    const double expected = std::generate_canonical<double, 53>(urbg);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(canonical_double(word)),
+              std::bit_cast<std::uint64_t>(expected))
+        << word;
+  }
+  // 2^64 - 1024 and 2^64 - 1 round to 2^64: both clamp below 1.
+  EXPECT_EQ(canonical_double(kMax - 1023), 0x1.fffffffffffffp-1);
+  EXPECT_EQ(canonical_double(kMax), 0x1.fffffffffffffp-1);
 }
 
 }  // namespace
