@@ -45,20 +45,25 @@ struct StateSpace {
   }
 };
 
-/// The window the sender exhibits in round j (1-based) of a TDP.
-double round_window(bool slow_start_mode, double start, double thresh, int j, int b,
-                    double gamma) {
-  if (!slow_start_mode) {
-    return start + static_cast<double>(j - 1) / static_cast<double>(b);
+/// The least whole j >= from with f(j) >= target, for a nondecreasing f
+/// that reaches target: gallop up, then bisect.
+template <typename F>
+double first_reaching(const F& f, double from, double target) {
+  double lo = from;
+  double hi = from;
+  for (double step = 1.0; f(hi) < target; step *= 2.0) {
+    lo = hi;
+    hi = from + step;
   }
-  // Slow start from `start` until `thresh`, then linear.
-  double w = start;
-  int rounds_left = j - 1;
-  while (rounds_left > 0 && w < thresh) {
-    w = std::min(w * gamma, thresh);
-    --rounds_left;
+  while (hi - lo > 1.0) {
+    const double mid = std::floor(lo + (hi - lo) / 2.0);
+    if (f(mid) < target) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
   }
-  return w + static_cast<double>(rounds_left) / static_cast<double>(b);
+  return hi;
 }
 
 StateRow build_row(const ModelParams& params, const StateSpace& space,
@@ -67,18 +72,32 @@ StateRow build_row(const ModelParams& params, const StateSpace& space,
   const double er = expected_timeouts_in_sequence(p);                    // E[R]
   const double ezto = expected_timeout_sequence_duration(p, params.t0);  // E[Z^TO]
   const int wm = std::min(space.num_windows, static_cast<int>(std::floor(params.wm)));
-  const double gamma = 1.0 + 1.0 / static_cast<double>(params.b);
-  const double start = slow_start_mode ? 1.0 : static_cast<double>(w_param);
-  const double thresh = slow_start_mode ? static_cast<double>(w_param) : 0.0;
+  const double log_keep = std::log1p(-p);  // log P[one packet is not lost]
+  // The window in round j (1-based), in closed form so a row never walks
+  // its rounds one at a time: congestion avoidance opens at w_param and
+  // grows 1/b per round; slow start opens at 1 and grows by gamma per
+  // round up to the threshold w_param (geo_rounds rounds), then 1/b per
+  // round.
+  const double b = static_cast<double>(params.b);
+  const double gamma = 1.0 + 1.0 / b;
+  const double base = static_cast<double>(w_param);
+  const double geo_rounds =
+      slow_start_mode
+          ? first_reaching([gamma](double k) { return std::pow(gamma, k); }, 0.0, base)
+          : 0.0;
+  const auto window = [&](double j) {
+    return j - 1.0 < geo_rounds ? std::pow(gamma, j - 1.0) : base + (j - 1.0 - geo_rounds) / b;
+  };
 
   StateRow row;
   row.next.assign(space.size(), 0.0);
-  // Books a loss indication that ends the TDP at window w_end, with
-  // probability `weight`, Y = y packets and A = a seconds.
-  const auto add_loss = [&](double weight, double y, double a, int w_end) {
+  // Books loss indications that end the TDP at window w_end, with total
+  // probability `weight` and probability-weighted sums `y_sum` of Y
+  // (packets) and `a_sum` of A (seconds).
+  const auto add_loss = [&](double weight, double y_sum, double a_sum, int w_end) {
     const double qh = q_hat_exact(p, static_cast<double>(w_end));
-    row.expected_packets += weight * (y + qh * er);
-    row.expected_seconds += weight * (a + qh * ezto);
+    row.expected_packets += y_sum + weight * qh * er;
+    row.expected_seconds += a_sum + weight * qh * ezto;
     row.q_acc += weight * qh;
     // Next TDP: half the window after a TD (congestion avoidance), or
     // slow start toward half the window after a timeout sequence.
@@ -87,45 +106,62 @@ StateRow build_row(const ModelParams& params, const StateSpace& space,
     row.next[space.ss_index(std::max(2, w_half))] += weight * qh;
   };
 
+  // Walk the TDP a run of rounds at a time: the rounds j .. j+n-1 all
+  // send s packets and would all end the TDP at window w_end, so their
+  // losses sum in closed form. A round survives with q = (1-p)^s.
   double survival = 1.0;        // P[no loss before round j]
   double packets_before = 0.0;  // packets sent in rounds 1..j-1
-  for (int j = 1; survival > 1e-14; ++j) {
-    const double wj = round_window(slow_start_mode, start, thresh, j, params.b, gamma);
-    const int sj = std::max(1, std::min(wm, static_cast<int>(std::floor(wj))));
-    const double w_next = round_window(slow_start_mode, start, thresh, j + 1, params.b, gamma);
-    if (sj == wm && w_next >= static_cast<double>(wm)) {
-      // The window is pinned at wm from round j on (round_window never
-      // decreases), so every later round repeats this one with wm more
-      // packets before it and one more RTT. Sum rounds j, j+1, ... as a
-      // geometric series instead of walking them: with L = P[loss in a
-      // round], E[later rounds] = (1-L)/L, and the packets up to the
-      // first loss, counted from round j's first packet, are geometric
-      // with mean 1/p. expm1/log1p keep L > 0 for p near DBL_MIN, where
-      // (1-p)^wm rounds to 1.
-      const double loss_round = -std::expm1(static_cast<double>(wm) * std::log1p(-p));
-      const double later_rounds = (1.0 - loss_round) / loss_round;
-      add_loss(survival, packets_before + 1.0 / p + static_cast<double>(wm) - 1.0,
-               (static_cast<double>(j + 1) + later_rounds) * params.rtt, wm);
-      break;
-    }
-    const double q_no_loss_round = std::pow(1.0 - p, sj);
-    const double prob_loss_here = survival * (1.0 - q_no_loss_round);
-    if (prob_loss_here > 0.0) {
-      const int w_end = std::max(1, std::min(wm, static_cast<int>(std::floor(w_next))));
-      // E[position of first loss within the round | a loss in the round]:
-      // truncated geometric on {1..sj}.
-      const double denom = 1.0 - q_no_loss_round;
-      const double mean_k = 1.0 / p - static_cast<double>(sj) * q_no_loss_round / denom;
-      // Y = alpha + W' - 1 (Section II-A), alpha = packets_before + K;
-      // A spans X+1 rounds.
-      add_loss(prob_loss_here, packets_before + mean_k + static_cast<double>(w_end) - 1.0,
-               static_cast<double>(j + 1) * params.rtt, w_end);
-    }
-    packets_before += static_cast<double>(sj);
-    survival *= q_no_loss_round;
-    if (j > 1000000) {
+  double j = 1.0;
+  for (int runs = 0; survival > 1e-14; ++runs) {
+    if (runs > 1000000) {
       throw std::runtime_error("markov_model: loss-round loop failed to terminate");
     }
+    const double wj = window(j);
+    if (wj >= static_cast<double>(wm)) {
+      // The window is pinned at wm from round j on, so every later round
+      // repeats this one with wm more packets before it and one more
+      // RTT. Sum rounds j, j+1, ... as a geometric series: with L =
+      // P[loss in a round], E[later rounds] = (1-L)/L, and the packets
+      // up to the first loss, counted from round j's first packet, are
+      // geometric with mean 1/p. expm1/log1p keep L > 0 for p near
+      // DBL_MIN, where (1-p)^wm rounds to 1.
+      const double loss_round = -std::expm1(static_cast<double>(wm) * log_keep);
+      const double later_rounds = (1.0 - loss_round) / loss_round;
+      add_loss(survival,
+               survival * (packets_before + 1.0 / p + static_cast<double>(wm) - 1.0),
+               survival * (j + 1.0 + later_rounds) * params.rtt, wm);
+      break;
+    }
+    // The floor window s holds through round `last`; only a loss in that
+    // round ends the TDP at the next round's window.
+    const int s = static_cast<int>(std::floor(wj));
+    const double last = first_reaching(window, j + 1.0, s + 1.0) - 1.0;
+    const double n = last > j ? last - j : 1.0;
+    const int w_end =
+        last > j ? s : std::min(wm, static_cast<int>(std::floor(window(j + 1.0))));
+    const double log_q = static_cast<double>(s) * log_keep;
+    const double loss_round = -std::expm1(log_q);    // 1 - q
+    const double loss_run = -std::expm1(n * log_q);  // 1 - q^n
+    const double keep_run = std::exp(n * log_q);     // q^n
+    if (loss_round > 0.0) {
+      const double q = std::exp(log_q);
+      const double weight = survival * loss_run;
+      // sum_{k<n} k q^k (1-q): the loss-free rounds before the losing
+      // one, weighted by its probability.
+      const double rounds_waited = survival * (q * (loss_run / loss_round) - n * keep_run);
+      // E[position of first loss within the round | a loss in the
+      // round]: truncated geometric on {1..s}.
+      const double mean_k = 1.0 / p - static_cast<double>(s) * q / loss_round;
+      // Y = alpha + W' - 1 (Section II-A), alpha = packets before + K;
+      // A spans X+1 rounds.
+      add_loss(weight,
+               weight * (packets_before + mean_k + static_cast<double>(w_end) - 1.0) +
+                   static_cast<double>(s) * rounds_waited,
+               (weight * (j + 1.0) + rounds_waited) * params.rtt, w_end);
+    }
+    packets_before += n * static_cast<double>(s);
+    survival *= keep_run;
+    j += n;
   }
 
   // Distribute the residual survival mass (loss never observed within the

@@ -25,6 +25,14 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// When a connection dies mid-stream (server crash or restart), requests
+/// still in flight are counted `lost` and the connection reconnects with
+/// this many attempts per death, so a fixed-seed run keeps its accounting
+/// identity exact across a restart instead of abandoning the unsent tail.
+constexpr int kReconnectAttempts = 8;
+/// First reconnect backoff; doubles per failed attempt, capped at 1 s.
+constexpr double kReconnectBackoffMs = 25.0;
+
 /// Deterministic 64-bit LCG (same constants as the sim layer's PRNGs).
 struct Lcg {
   std::uint64_t state;
@@ -250,9 +258,8 @@ ConnResult drive_connection(const LoadConfig& config,
       if (next_to_send >= script.size()) {
         break;  // nothing left to send; the lost tail is accounted
       }
-      double backoff_ms = std::max(1.0, config.reconnect_backoff_ms);
-      for (int attempt = 0; attempt < config.reconnect_attempts && fd < 0;
-           ++attempt) {
+      double backoff_ms = kReconnectBackoffMs;
+      for (int attempt = 0; attempt < kReconnectAttempts && fd < 0; ++attempt) {
         std::this_thread::sleep_for(
             std::chrono::duration<double, std::milli>(backoff_ms));
         backoff_ms = std::min(backoff_ms * 2.0, 1000.0);

@@ -36,14 +36,6 @@ struct LoadConfig {
   double deadline_ms = 0.0;
   /// Verify OK payloads against locally computed expected rates.
   bool verify = true;
-  /// When a connection dies mid-stream (server crash or restart),
-  /// requests still in flight are counted `lost` and the connection
-  /// reconnects with a capped attempt budget per death — so a fixed-seed
-  /// run keeps its accounting identity exact across a restart instead
-  /// of silently abandoning the unsent tail. 0 gives up at the first EOF.
-  int reconnect_attempts = 8;
-  /// First reconnect backoff; doubles per failed attempt, capped at 1 s.
-  double reconnect_backoff_ms = 25.0;
 };
 
 struct LoadReport {

@@ -122,9 +122,6 @@ void ServeConfig::validate() const {
   if (queue_depth < 1) {
     throw model::ParamError("ServeConfig: queue_depth must be >= 1");
   }
-  if (batch_max < 1) {
-    throw model::ParamError("ServeConfig: batch_max must be >= 1");
-  }
   if (max_line_bytes < 64) {
     throw model::ParamError("ServeConfig: max_line_bytes must be >= 64");
   }
@@ -563,7 +560,7 @@ void Server::run_batch(Shard& shard) {
     // FIFO order is preserved, and the whole run costs one prepare.
     const auto key = PreparedCache::key_of(batch.front().req.kind,
                                            batch.front().req.params);
-    while (batch.size() < config_.batch_max && !shard.queue.empty() &&
+    while (batch.size() < kBatchMax && !shard.queue.empty() &&
            shard.queue.front().req.verb == Verb::kModel &&
            PreparedCache::key_of(shard.queue.front().req.kind,
                                  shard.queue.front().req.params) == key) {

@@ -55,7 +55,6 @@ struct ServeConfig {
   std::string socket_path;
   int shards = 2;                    ///< event loops (one thread each)
   std::size_t queue_depth = 64;      ///< admission watermark per shard
-  std::size_t batch_max = 16;        ///< max same-key MODEL batch drain
   std::size_t max_line_bytes = 4096; ///< request-line cap (TOOBIG beyond)
   std::size_t max_clients = 64;      ///< concurrent connections
   /// Default relative deadline applied to requests that carry none;
@@ -81,6 +80,9 @@ struct ServeConfig {
 /// the caller has not.
 class Server {
  public:
+  /// Most same-key MODEL requests one PreparedModel::evaluate batch takes.
+  static constexpr std::size_t kBatchMax = 16;
+
   explicit Server(ServeConfig config);
   ~Server();
 

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cfloat>
+#include <chrono>
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 
 #include "core/full_model.hpp"
 #include "core/markov_model.hpp"
@@ -106,6 +108,40 @@ TEST(MarkovModel, RejectsTinyStateSpace) {
 TEST(MarkovModel, ConvergesQuickly) {
   const MarkovModelResult r = markov_model_solve(fig12_params(0.05));
   EXPECT_LT(r.iterations, 10000u);
+}
+
+ModelParams large_b_params(int b) {
+  ModelParams mp;
+  mp.p = 1e-6;
+  mp.rtt = 0.1;
+  mp.t0 = 0.4;
+  mp.wm = 8.0;
+  mp.b = b;
+  return mp;
+}
+
+TEST(MarkovModel, LargeBAnswersInUnderASecond) {
+  // A window step takes b rounds, so at b = 10^5 slow start and the climb
+  // to Wm span millions of rounds; rows sum each run of rounds that share
+  // a window in closed form, so their cost follows Wm, not b.
+  for (const int b : {100000, 1000000}) {
+    const auto start = std::chrono::steady_clock::now();
+    const double rate = markov_model_send_rate(large_b_params(b));
+    const std::chrono::duration<double> took = std::chrono::steady_clock::now() - start;
+    EXPECT_TRUE(std::isfinite(rate)) << "b=" << b;
+    EXPECT_GT(rate, 0.0) << "b=" << b;
+    EXPECT_LT(took.count(), 1.0) << "b=" << b;
+  }
+}
+
+TEST(MarkovModel, LargeBMatchesTheRoundByRoundWalk) {
+  // Reference answers (%.17g) from summing the same chain one round at a
+  // time; the closed-form runs must agree to rounding.
+  const std::pair<int, double> walked[] = {
+      {1000, 78.943520129249535}, {3000, 76.875249162626375}, {10000, 70.122133206498702}};
+  for (const auto& [b, rate] : walked) {
+    EXPECT_NEAR(markov_model_send_rate(large_b_params(b)) / rate, 1.0, 1e-8) << "b=" << b;
+  }
 }
 
 }  // namespace

@@ -1,58 +1,25 @@
 // pftk — command-line front end to the library.
 //
-//   pftk model <p> <rtt_s> <t0_s> <wm> [b]         closed-form predictions
-//   pftk latency <packets> <p> <rtt_s> <t0_s> <wm> short-flow latency
-//   pftk provision <rate_pps> <rtt_s> <t0_s> <wm>   inverse model: max loss
-//                                                   rate / required window
-//   pftk list                                      path-profile catalogue
-//   pftk simulate <sender> <receiver> <secs> [seed] [trace-file]
-//                                                  run + Table-II row
-//   pftk analyze <trace-file> [dupack_threshold]   offline trace analysis
-//   pftk faultsim <sender> <receiver> <secs> <schedule> [seed] [trace-file]
-//                                                  run under injected faults
-//   pftk campaign <spec-file> [--threads N] [--journal FILE] [--resume]
-//                                                  supervised grid campaign
-//   pftk explore [options | --replay FILE]         bounded model checking:
-//                                                  exhaustive loss/timing
-//                                                  nondeterminism exploration
-//   pftk serve [options]                           throughput-prediction daemon
-//                                                  with admission control and
-//                                                  load shedding (unix socket)
-//   pftk serve --selftest [options]                daemon + replay load client
-//                                                  in one process
-//   pftk bench [--smoke] [--gate] [--json [FILE]]  disarmed-overhead gates
-//   pftk obs summarize <obs-file> [--json [FILE]]  TD/TO loss-indication split
+// Every command is one row of the table in command_table(): its
+// positionals, its flags (name, metavariable, one help line, a setter)
+// and its help prose. parse_argv() walks argv against the table once,
+// main() dispatches, and usage() prints from the same rows, so `pftk`
+// with no arguments lists exactly what the parser accepts.
 //
-// simulate, faultsim, campaign, and explore additionally accept
-//   --metrics-out FILE    write a pftk-obs/1 metrics+events bundle
-//                         (Prometheus text when FILE ends in .prom)
-//   --trace-events FILE   write the connection-event timeline as JSONL
-// Observability is passive: with the flags present, stdout and any trace
-// file stay byte-identical to a run without them (all obs notices go to
-// stderr), and a fixed seed yields a byte-identical event stream.
-//
-// The simulate/analyze pair mirrors the paper's tcpdump-then-postprocess
-// workflow: `simulate ... trace.tsv` writes a capture that `analyze`
-// (or any external tool) can consume later. `faultsim` layers a
-// declarative impairment schedule (see sim/fault_injector.hpp, e.g.
-// "blackout@120+5;loss@600+60:0.05") over the path's loss process and
-// runs with a watchdog armed, so pathological schedules fail with a
-// diagnostic instead of hanging. `campaign` runs a declarative
-// profile x seed x scenario x model grid (see exp/campaign/) on a worker
-// pool with per-run deadlines, retry-with-backoff on transient failures,
-// and a resumable JSONL checkpoint journal; it exits nonzero with a
-// failure-taxonomy summary when items were lost. `bench` measures what
-// three disarmed seams (obs sink, failpoint, span) cost their hot loops and emits schema-stable BENCH_micro.json; with --gate
-// it exits nonzero if a seam costs more than 1.10x.
+// Exit codes: 0 success, 1 runtime failure, 2 usage error (an unknown
+// flag, a missing positional, or a value its reader rejects), 3
+// interrupted or cut short, 5 indeterminate.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <limits>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -92,93 +59,6 @@
 #include "trace/trace_validator.hpp"
 
 namespace {
-
-int usage() {
-  std::cerr << "usage:\n"
-               "  pftk model <p> <rtt_s> <t0_s> <wm> [b]\n"
-               "  pftk latency <packets> <p> <rtt_s> <t0_s> <wm>\n"
-               "  pftk provision <rate_pps> <rtt_s> <t0_s> <wm>\n"
-               "  pftk list\n"
-               "  pftk simulate <sender> <receiver> <seconds> [seed] [trace-file]\n"
-               "  pftk analyze <trace-file> [dupack_threshold]\n"
-               "  pftk faultsim <sender> <receiver> <seconds> <schedule> [seed] [trace-file]\n"
-               "      schedule: kind@start[+duration][#count][:rate[:magnitude]] ';'-separated\n"
-               "      kinds: blackout, loss, dup, reorder, delay  (e.g. blackout@120+5)\n"
-               "  pftk faultsim --list-failpoints\n"
-               "      enumerate every registered failpoint site, one per line\n"
-               "  pftk explore [--packets N] [--window W] [--ack-every B] [--ack-loss]\n"
-               "               [--loss-choices N] [--ties K] [--tie-choices N]\n"
-               "               [--faults SPEC] [--depth N] [--max-states N] [--no-prune]\n"
-               "               [--split-depth N] [--threads N|-j N] [--seed N] [--time-cap S]\n"
-               "               [--out FILE]\n"
-               "      exhaustive bounded exploration of loss/timing nondeterminism in a\n"
-               "      small finite transfer; every branch runs the live invariant\n"
-               "      checker plus model-assumption checks. exits 0 on a complete clean\n"
-               "      enumeration, 1 with a replayable counterexample written to --out\n"
-               "      on a violation, 3 when interrupted or a budget cut the search\n"
-               "  pftk explore --replay FILE\n"
-               "      re-execute a recorded counterexample under strict verification;\n"
-               "      exits 0 iff the trace reproduces (same checks, same end digest)\n"
-               "  pftk campaign <spec-file> [--threads N] [--journal FILE] [--resume]\n"
-               "                [--fsync-every N]\n"
-               "      supervised grid campaign (see EXPERIMENTS.md for the spec and\n"
-               "      journal formats); exits 1 with a taxonomy summary on partial\n"
-               "      loss, 3 when interrupted by SIGINT/SIGTERM (journal stays\n"
-               "      resumable; a second signal hard-exits with 130)\n"
-               "  pftk chaos <spec-file> [--threads N] [--dir DIR] [--fsync-every N]\n"
-               "             [--failpoint SPEC]...\n"
-               "      crash-recovery matrix: fork, crash at each journal failpoint,\n"
-               "      resume, and verify byte-identical convergence; exits 1 on any\n"
-               "      divergence\n"
-               "  pftk serve --socket PATH [--shards N] [--queue-depth N] [--batch-max N]\n"
-               "             [--max-line-bytes N] [--max-clients N] [--deadline-ms F]\n"
-               "             [--metrics-out FILE] [--metrics-every N] [--slow-us N]\n"
-               "      throughput-prediction daemon on a unix socket (line protocol:\n"
-               "      MODEL/INVERSE/CALIB/PING, see EXPERIMENTS.md): one process of\n"
-               "      N shard loops. Sheds load with BUSY at the per-shard queue\n"
-               "      watermark, enforces per-request deadlines, and on SIGINT/SIGTERM\n"
-               "      drains in-flight work, flushes metrics durably, and exits 3\n"
-               "      (second signal: 130)\n"
-               "  pftk serve --selftest [--requests N] [--connections N] [--pipeline N]\n"
-               "             [--seed N] [--param-sets N] [--inverse-every N]\n"
-               "             [--slow-us N] [--queue-depth N] ...\n"
-               "      in-process daemon + deterministic replay load; verifies served\n"
-               "      rates against the library and both accounting identities\n"
-               "  pftk bench [--smoke] [--gate] [--json [FILE]]\n"
-               "      times three disarmed seams (obs, failpoint, span) against\n"
-               "      their loops as interleaved pairs; --json writes\n"
-               "      BENCH_micro.json (or FILE); with --gate, exits 1 if a seam's\n"
-               "      median overhead ratio exceeds 1.10x\n"
-               "  pftk obs summarize <obs-file>... [--json [FILE]]\n"
-               "      TD/TO loss-indication breakdown of pftk-obs/1 file(s); several\n"
-               "      files merge with the shard-merge semantics before summarizing\n"
-               "      (exit 5 when dropped events leave the split indeterminate)\n"
-               "  pftk prof <spans.jsonl> [--json [FILE]]\n"
-               "      aggregate a pftk-spans/1 flight recording into an inclusive/\n"
-               "      exclusive self-time table (p50/p99 per span) with a\n"
-               "      parent-child rollup; for serve recordings, re-derives and\n"
-               "      checks the request accounting identity from span counts\n"
-               "      (exit 1 on violation, 5 when dropped spans leave it\n"
-               "      indeterminate)\n"
-               "\n"
-               "simulate/faultsim/campaign/explore also accept --metrics-out FILE\n"
-               "(pftk-obs/1 bundle; Prometheus text if FILE ends in .prom) and\n"
-               "--trace-events FILE (connection-event JSONL); stdout stays\n"
-               "byte-identical either way\n"
-               "\n"
-               "every command accepts --failpoints \"name:after=N:action=A[:arg=K];...\"\n"
-               "(actions: error, short_write, enospc, delay, crash) to inject faults\n"
-               "on persistence paths; disarmed failpoints are byte-invisible\n"
-               "\n"
-               "every command accepts --trace-spans FILE [--span-ring N] to arm the\n"
-               "flight recorder: span scopes on the hot paths (serve request path,\n"
-               "campaign items, mc branches, trace-ingest chunks) record into\n"
-               "per-thread rings (capacity N, default 65536, overwrite-oldest) and\n"
-               "drain to FILE on exit — Chrome/Perfetto trace JSON when FILE ends\n"
-               "in .json, pftk-spans/1 JSONL otherwise (the `pftk prof` input).\n"
-               "Disarmed span sites cost one relaxed load and are byte-invisible\n";
-  return 2;
-}
 
 // Typed numeric argument parsing, unified across subcommands: every
 // numeric argv goes through one of these, so "model 0.01 abc 2 8" or a
@@ -242,20 +122,147 @@ std::uint32_t parse_u32(const char* text, const char* what) {
   return static_cast<std::uint32_t>(v);
 }
 
-/// The value of the flag at argv[i], advancing i past it. A flag that
-/// ends argv is a usage error, never silently dropped or left behind.
-const char* flag_value(int argc, char** argv, int& i) {
-  if (i + 1 >= argc) {
-    throw pftk::model::ParamError(std::string(argv[i]) + " needs a value");
-  }
-  return argv[++i];
+std::size_t parse_size(const char* text, const char* what) {
+  return static_cast<std::size_t>(parse_positive_int(text, what));
 }
 
-/// The optional FILE of `--json [FILE]` at argv[i], advancing i past it;
-/// a next word that starts with '-' is the next flag, so `fallback` is
-/// returned instead. An empty path means stdout (see write_json).
-std::string json_flag_path(int argc, char** argv, int& i, const char* fallback = "") {
-  return i + 1 < argc && argv[i + 1][0] != '-' ? argv[++i] : fallback;
+/// One flag row. `metavar` is null for a switch, and a bracketed name
+/// ("[FILE]") for an optional value, which takes the next word only
+/// when that word does not start with '-'. `set` gets the value, or
+/// null when there is none.
+struct Flag {
+  const char* name;
+  const char* metavar;
+  const char* help;
+  std::function<void(const char*)> set;
+};
+
+/// One positional row: "<name>" is required, "[name]" optional, a bare
+/// word is required and typed as is, and a name ending in "..." takes
+/// every further word that does not start with '-'.
+struct Positional {
+  const char* name;
+  std::function<void(const char*)> set;
+};
+
+struct Command {
+  const char* name;
+  std::vector<Positional> positionals;
+  std::vector<Flag> flags;
+  const char* prose;  ///< help text, one line per '\n'
+  std::function<int()> run;
+};
+
+std::vector<Flag> operator+(std::vector<Flag> rows, const std::vector<Flag>& more) {
+  rows.insert(rows.end(), more.begin(), more.end());
+  return rows;
+}
+
+/// A word no row accepts: `message` (if any) and the usage of `command`
+/// (of every command when null) go to stderr, exit 2.
+struct UsageError {
+  std::string message;
+  const Command* command = nullptr;
+};
+
+const Flag* find_flag(const std::vector<Flag>& rows, const std::string& word) {
+  const auto it = std::find_if(rows.begin(), rows.end(),
+                               [&word](const Flag& row) { return word == row.name; });
+  return it != rows.end() ? &*it : nullptr;
+}
+
+/// Walks argv once: a global row anywhere on the line, the first other
+/// word names the command, then its flag rows and positionals in any
+/// order. Returns the command (null when none was named) and sets
+/// `complete` when every required positional was given. Setters throw
+/// on values their readers reject; a word no row accepts throws
+/// UsageError.
+const Command* parse_argv(int argc, char** argv, const std::vector<Flag>& globals,
+                          const std::vector<Command>& table, bool& complete) {
+  const auto is_rest = [](const Positional& row) {
+    return std::string_view(row.name).ends_with("...");
+  };
+  const auto accepts = [&is_rest](const Positional& row, const std::string& word) {
+    if (is_rest(row)) {
+      return word[0] != '-';
+    }
+    return row.name[0] == '<' || row.name[0] == '[' || word == row.name;
+  };
+  const Command* cmd = nullptr;
+  std::size_t next = 0;   // the positional row the next plain word fills
+  std::size_t given = 0;  // positional rows given at least one word
+  for (int i = 1; i < argc; ++i) {
+    const std::string word = argv[i];
+    const Flag* flag = find_flag(globals, word);
+    if (flag == nullptr && cmd != nullptr) {
+      flag = find_flag(cmd->flags, word);
+    }
+    if (flag != nullptr) {
+      const char* meta = flag->metavar;
+      const bool optional = meta != nullptr && meta[0] == '[';
+      if (meta != nullptr && !optional && i + 1 >= argc) {
+        throw pftk::model::ParamError(word + " needs a value");
+      }
+      const bool takes =
+          meta != nullptr && !(optional && (i + 1 >= argc || argv[i + 1][0] == '-'));
+      flag->set(takes ? argv[++i] : nullptr);
+    } else if (cmd == nullptr) {
+      const auto it = std::find_if(table.begin(), table.end(),
+                                   [&word](const Command& c) { return word == c.name; });
+      if (it == table.end()) {
+        throw UsageError{};
+      }
+      cmd = &*it;
+    } else if (next < cmd->positionals.size() && accepts(cmd->positionals[next], word)) {
+      const Positional& row = cmd->positionals[next];
+      row.set(argv[i]);
+      given = std::max(given, next + 1);
+      next += is_rest(row) ? 0 : 1;
+    } else {
+      throw UsageError{"unknown " + std::string(cmd->name) + " option: " + word, cmd};
+    }
+  }
+  if (cmd != nullptr) {
+    const auto is_required = [](const Positional& row) { return row.name[0] != '['; };
+    const auto required =
+        std::count_if(cmd->positionals.begin(), cmd->positionals.end(), is_required);
+    complete = given >= static_cast<std::size_t>(required);
+  }
+  return cmd;
+}
+
+void print_flags(const std::vector<Flag>& rows) {
+  for (const auto& row : rows) {
+    const std::string left = std::string(row.name) + (row.metavar ? " " : "") +
+                             (row.metavar ? row.metavar : "");
+    std::cerr << "      " << left << std::string(left.size() < 22 ? 22 - left.size() : 1, ' ')
+              << row.help << "\n";
+  }
+}
+
+/// The usage block, printed from the rows: one command's, or every
+/// command's, then the global flags.
+int usage(const std::vector<Command>& table, const std::vector<Flag>& globals,
+          const Command* only = nullptr) {
+  std::cerr << "usage:\n";
+  for (const auto& cmd : table) {
+    if (only != nullptr && only != &cmd) {
+      continue;
+    }
+    std::cerr << "  pftk " << cmd.name;
+    for (const auto& row : cmd.positionals) {
+      std::cerr << " " << row.name;
+    }
+    std::cerr << (cmd.flags.empty() ? "" : " [options]") << "\n      ";
+    for (const char* c = cmd.prose; *c != '\0'; ++c) {
+      std::cerr << *c << (*c == '\n' ? "      " : "");
+    }
+    std::cerr << "\n";
+    print_flags(cmd.flags);
+  }
+  std::cerr << "every command accepts:\n";
+  print_flags(globals);
+  return 2;
 }
 
 /// Runs `write` on the file at `path`, or on stdout when `path` is empty.
@@ -285,32 +292,14 @@ struct ObsOptions {
   }
 };
 
-/// Pulls --metrics-out/--trace-events out of argv in place (compacting
-/// the remainder) so the positional grammars stay untouched.
-ObsOptions extract_obs_flags(int& argc, char** argv) {
-  ObsOptions opts;
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--metrics-out") {
-      opts.metrics_out = flag_value(argc, argv, i);
-    } else if (arg == "--trace-events") {
-      opts.trace_events = flag_value(argc, argv, i);
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  argc = out;
-  return opts;
-}
-
 /// Mirrors a finished connection's counters into `shard`. Reads only
 /// already-computed state, so it is safe after a watchdog abort too.
 void record_run_metrics(const pftk::obs::StandardMetrics& met,
                         pftk::obs::MetricsShard& shard,
                         const pftk::sim::Connection& conn,
                         const pftk::obs::ConnEventTrace& etrace,
-                        const pftk::obs::EventLoopStats& loop, double avg_rtt) {
+                        const pftk::obs::EventLoopStats& loop, double avg_rtt, bool tripped,
+                        const pftk::trace::TraceReadReport& trace_report) {
   const auto& s = conn.sender().stats();
   shard.add(met.packets_sent, static_cast<double>(s.transmissions));
   shard.add(met.retransmissions, static_cast<double>(s.retransmissions));
@@ -336,6 +325,10 @@ void record_run_metrics(const pftk::obs::StandardMetrics& met,
   if (avg_rtt > 0.0) {
     shard.observe(met.rtt_seconds, avg_rtt);
   }
+  shard.add(met.watchdog_trips, tripped ? 1.0 : 0.0);
+  shard.add(met.trace_lines_dropped, static_cast<double>(trace_report.lines_dropped));
+  shard.add(met.trace_bytes_dropped, static_cast<double>(trace_report.bytes_dropped));
+  shard.add(met.trace_files_dirty, trace_report.clean() ? 0.0 : 1.0);
 }
 
 /// Writes the requested obs files. Notices go to stderr so stdout stays
@@ -356,18 +349,29 @@ void export_obs_outputs(const ObsOptions& opts, const pftk::obs::ObsBundle& bund
   }
 }
 
-int cmd_model(int argc, char** argv) {
-  if (argc < 6) {
-    return usage();
-  }
-  pftk::model::ModelParams params;
-  params.p = parse_nonnegative(argv[2], "p");
-  params.rtt = parse_positive(argv[3], "rtt_s");
-  params.t0 = parse_positive(argv[4], "t0_s");
-  params.wm = parse_positive(argv[5], "wm");
-  params.b = argc > 6 ? parse_positive_int(argv[6], "b") : 2;
-  params.validate();
+using RecordMetrics =
+    std::function<void(const pftk::obs::StandardMetrics&, pftk::obs::MetricsShard&)>;
 
+/// The obs bundle of one run: `record` fills one shard of the standard
+/// metrics, and `events` (when given) adds the connection timeline.
+void write_obs(const ObsOptions& opts, const char* source, const RecordMetrics& record,
+               const pftk::obs::ConnEventTrace* events = nullptr) {
+  pftk::obs::MetricsRegistry registry;
+  const auto met = pftk::obs::StandardMetrics::register_on(registry);
+  registry.freeze(1);
+  record(met, registry.shard(0));
+  pftk::obs::ObsBundle bundle;
+  bundle.source = source;
+  bundle.metrics = registry.snapshot();
+  if (events != nullptr) {
+    bundle.events = events->events();
+    bundle.events_dropped = events->dropped();
+  }
+  export_obs_outputs(opts, bundle);
+}
+
+int cmd_model(const pftk::model::ModelParams& params) {
+  params.validate();
   std::cout << params.describe() << "\n";
   for (const auto kind : pftk::model::all_model_kinds) {
     std::cout << "  " << pftk::model::model_name(kind) << ": "
@@ -382,16 +386,7 @@ int cmd_model(int argc, char** argv) {
   return 0;
 }
 
-int cmd_latency(int argc, char** argv) {
-  if (argc < 7) {
-    return usage();
-  }
-  const std::uint64_t d = parse_u64(argv[2], "packets");
-  pftk::model::ModelParams params;
-  params.p = parse_nonnegative(argv[3], "p");
-  params.rtt = parse_positive(argv[4], "rtt_s");
-  params.t0 = parse_positive(argv[5], "t0_s");
-  params.wm = parse_positive(argv[6], "wm");
+int cmd_latency(std::uint64_t d, const pftk::model::ModelParams& params) {
   const auto bd = pftk::model::short_flow_breakdown(d, params);
   std::cout << "transfer of " << d << " packets @ " << params.describe() << "\n"
             << "  slow start:    " << bd.slow_start_seconds << " s ("
@@ -403,15 +398,7 @@ int cmd_latency(int argc, char** argv) {
   return 0;
 }
 
-int cmd_provision(int argc, char** argv) {
-  if (argc < 6) {
-    return usage();
-  }
-  const double target = parse_positive(argv[2], "rate_pps");
-  pftk::model::ModelParams params;
-  params.rtt = parse_positive(argv[3], "rtt_s");
-  params.t0 = parse_positive(argv[4], "t0_s");
-  params.wm = parse_positive(argv[5], "wm");
+int cmd_provision(double target, pftk::model::ModelParams params) {
   params.p = 0.01;  // placeholder; each inversion ignores one field
   const double max_p = pftk::model::max_loss_for_rate(params, target);
   std::cout << "target " << target << " pkts/s @ RTT " << params.rtt << " s, T0 "
@@ -479,192 +466,145 @@ SlicedRun run_sliced(pftk::sim::Connection& conn, double duration) {
   return out;
 }
 
-int cmd_simulate(int argc, char** argv) {
-  const ObsOptions obs_opts = extract_obs_flags(argc, argv);
-  if (argc < 5) {
-    return usage();
-  }
-  const auto profile = pftk::exp::profile_by_label(argv[2], argv[3]);
-  const double duration = parse_positive(argv[4], "seconds");
-  const std::uint64_t seed = argc > 5 ? parse_u64(argv[5], "seed") : 1998;
-  const std::string trace_path = argc > 6 ? argv[6] : "";
+/// What `simulate` and `faultsim` run: one seeded connection over a
+/// Table-2 path, captured the way the paper's tcpdump runs were.
+struct Capture {
+  std::string sender;
+  pftk::exp::PathProfile profile;
+  double seconds = 0.0;
+  /// faultsim's schedule; a run with one also arms the watchdog and
+  /// re-reads its trace file to catch a torn write.
+  std::optional<pftk::sim::FaultSchedule> faults;
+  std::uint64_t seed = 1998;
+  std::string trace_path;
+};
 
+using ReportRun =
+    std::function<void(const pftk::sim::ConnectionSummary&, const pftk::trace::TraceSummary&)>;
+
+/// Runs a capture: the connection, the trace recorder, the sliced run,
+/// the trace file and the obs files. It prints the header line before
+/// the run and leaves the result lines to `report`. Returns the run, or
+/// nothing when the watchdog tripped (reported on stderr).
+std::optional<SlicedRun> run_capture(const Capture& c, const ObsOptions& obs,
+                                     const char* source, const ReportRun& report) {
   // First SIGINT/SIGTERM stops at the next slice boundary (partial
   // results + trace/metrics still written, exit 3); second hard-exits.
   pftk::robust::ShutdownGuard shutdown(/*hard_exit_code=*/130);
 
-  pftk::sim::Connection conn(pftk::exp::make_connection_config(profile, seed));
-  pftk::trace::TraceRecorder recorder;
-  conn.set_observer(&recorder);
-  pftk::obs::ConnEventTrace etrace;
-  pftk::obs::EventLoopStats loop;
-  if (obs_opts.enabled()) {
-    conn.attach_observability(&etrace, &loop);
+  auto config = pftk::exp::make_connection_config(c.profile, c.seed);
+  if (c.faults) {
+    config.forward_faults = *c.faults;
   }
-  const auto sliced = run_sliced(conn, duration);
-  const auto& run = sliced.total;
-
-  auto row = pftk::trace::summarize_trace(recorder.events(), profile.dupack_threshold());
-  std::cout << profile.label() << ", " << duration << " s, seed " << seed << "\n"
-            << "  packets sent " << row.packets_sent << ", loss indications "
-            << row.loss_indications << " (p = " << pftk::exp::fmt(row.observed_p, 4)
-            << "), TD " << row.td_events << "\n"
-            << "  RTT " << pftk::exp::fmt(row.avg_rtt, 3) << " s, T0 "
-            << pftk::exp::fmt(row.avg_timeout, 3) << " s, send rate "
-            << pftk::exp::fmt(run.send_rate, 2) << " pkts/s\n";
-  if (!trace_path.empty()) {
-    pftk::trace::save_trace_file(trace_path, recorder.events());
-    std::cout << "  trace written to " << trace_path << " (" << recorder.events().size()
-              << " events)\n";
-  }
-  if (obs_opts.enabled()) {
-    pftk::obs::MetricsRegistry registry;
-    const auto met = pftk::obs::StandardMetrics::register_on(registry);
-    registry.freeze(1);
-    record_run_metrics(met, registry.shard(0), conn, etrace, loop, row.avg_rtt);
-    pftk::obs::ObsBundle bundle;
-    bundle.source = "simulate";
-    bundle.metrics = registry.snapshot();
-    bundle.events = etrace.events();
-    bundle.events_dropped = etrace.dropped();
-    export_obs_outputs(obs_opts, bundle);
-  }
-  if (sliced.interrupted) {
-    std::cout << "interrupted: stopped after " << pftk::exp::fmt(run.duration, 1)
-              << " of " << pftk::exp::fmt(duration, 1)
-              << " simulated seconds; outputs above cover the partial run\n";
-    return 3;
-  }
-  return 0;
-}
-
-int cmd_faultsim(int argc, char** argv) {
-  // Site discovery: which code paths can be chaos-tested right now.
-  if (argc >= 3 && std::string(argv[2]) == "--list-failpoints") {
-    for (const auto& [name, description] :
-         pftk::robust::FailpointRegistry::instance().known_sites()) {
-      std::cout << name << "\t" << description << "\n";
-    }
-    return 0;
-  }
-  const ObsOptions obs_opts = extract_obs_flags(argc, argv);
-  if (argc < 6) {
-    return usage();
-  }
-  const auto profile = pftk::exp::profile_by_label(argv[2], argv[3]);
-  const double duration = parse_positive(argv[4], "seconds");
-  const auto schedule = pftk::sim::FaultSchedule::parse(argv[5]);
-  const std::uint64_t seed = argc > 6 ? parse_u64(argv[6], "seed") : 1998;
-  const std::string trace_path = argc > 7 ? argv[7] : "";
-
-  // Same interrupted contract as simulate: stop at a slice boundary,
-  // still write the trace/metrics, exit 3 (second signal: 130).
-  pftk::robust::ShutdownGuard shutdown(/*hard_exit_code=*/130);
-
-  auto config = pftk::exp::make_connection_config(profile, seed);
-  config.forward_faults = schedule;
   pftk::sim::Connection conn(config);
-  conn.enable_watchdog();
+  if (c.faults) {
+    conn.enable_watchdog();
+  }
   pftk::trace::TraceRecorder recorder;
   conn.set_observer(&recorder);
   pftk::obs::ConnEventTrace etrace;
   pftk::obs::EventLoopStats loop;
-  if (obs_opts.enabled()) {
+  if (obs.enabled()) {
     conn.attach_observability(&etrace, &loop);
   }
 
-  std::cout << profile.label() << ", " << duration << " s, seed " << seed
-            << "\n  schedule: " << schedule.describe() << "\n";
-  int exit_code = 0;
+  std::cout << c.profile.label() << ", " << c.seconds << " s, seed " << c.seed << "\n";
+  if (c.faults) {
+    std::cout << "  schedule: " << c.faults->describe() << "\n";
+  }
+  std::optional<SlicedRun> run;
   double avg_rtt = 0.0;
-  bool interrupted = false;
   try {
-    const auto sliced = run_sliced(conn, duration);
-    const auto& run = sliced.total;
-    interrupted = sliced.interrupted;
-    auto row =
-        pftk::trace::summarize_trace(recorder.events(), profile.dupack_threshold());
+    run = run_sliced(conn, c.seconds);
+    const auto row =
+        pftk::trace::summarize_trace(recorder.events(), c.profile.dupack_threshold());
     avg_rtt = row.avg_rtt;
-    std::cout << "  packets sent " << row.packets_sent << ", loss indications "
-              << row.loss_indications << " (p = " << pftk::exp::fmt(row.observed_p, 4)
-              << "), send rate " << pftk::exp::fmt(run.send_rate, 2) << " pkts/s\n"
-              << "  faults: " << run.forward_faults.total_dropped() << " dropped ("
-              << run.forward_faults.dropped_blackout << " blackout, "
-              << run.forward_faults.dropped_loss << " loss), "
-              << run.forward_faults.duplicated << " duplicated, "
-              << run.forward_faults.reordered << " reordered, "
-              << run.forward_faults.delayed << " delayed, of "
-              << run.forward_faults.offered << " offered\n";
+    report(run->total, row);
   } catch (const pftk::sim::WatchdogError& e) {
+    run.reset();
     std::cerr << "watchdog tripped:\n" << e.snapshot().describe() << "\n";
-    exit_code = 1;
   }
 
   // Trace write + verification. The immediate lenient re-read catches
   // torn writes (full disk, crashed filesystem) while the capture can
   // still be regenerated instead of at analysis time weeks later.
   pftk::trace::TraceReadReport trace_report;
-  if (exit_code != 1 && !trace_path.empty()) {
-    pftk::trace::save_trace_file(trace_path, recorder.events());
-    std::cout << "  trace written to " << trace_path << " (" << recorder.events().size()
+  if (run && !c.trace_path.empty()) {
+    pftk::trace::save_trace_file(c.trace_path, recorder.events());
+    std::cout << "  trace written to " << c.trace_path << " (" << recorder.events().size()
               << " events)\n";
-    (void)pftk::trace::load_trace_file_lenient(trace_path, &trace_report);
-    if (!trace_report.clean()) {
-      std::cerr << "warning: " << trace_path << ": " << trace_report.describe() << "\n";
+    if (c.faults) {
+      (void)pftk::trace::load_trace_file_lenient(c.trace_path, &trace_report);
+      if (!trace_report.clean()) {
+        std::cerr << "warning: " << c.trace_path << ": " << trace_report.describe() << "\n";
+      }
     }
   }
 
-  if (obs_opts.enabled()) {
-    pftk::obs::MetricsRegistry registry;
-    const auto met = pftk::obs::StandardMetrics::register_on(registry);
-    registry.freeze(1);
-    auto& shard = registry.shard(0);
-    record_run_metrics(met, shard, conn, etrace, loop, avg_rtt);
-    if (exit_code != 0) {
-      shard.add(met.watchdog_trips, 1.0);
-    }
-    shard.add(met.trace_lines_dropped, static_cast<double>(trace_report.lines_dropped));
-    shard.add(met.trace_bytes_dropped, static_cast<double>(trace_report.bytes_dropped));
-    if (!trace_report.clean()) {
-      shard.add(met.trace_files_dirty, 1.0);
-    }
-    pftk::obs::ObsBundle bundle;
-    bundle.source = "faultsim";
-    bundle.metrics = registry.snapshot();
-    bundle.events = etrace.events();
-    bundle.events_dropped = etrace.dropped();
-    export_obs_outputs(obs_opts, bundle);
+  if (obs.enabled()) {
+    write_obs(
+        obs, source,
+        [&](const pftk::obs::StandardMetrics& met, pftk::obs::MetricsShard& shard) {
+          record_run_metrics(met, shard, conn, etrace, loop, avg_rtt, !run, trace_report);
+        },
+        &etrace);
   }
-  if (exit_code == 0 && interrupted) {
+  return run;
+}
+
+int cmd_simulate(const Capture& c, const ObsOptions& obs) {
+  const auto run = run_capture(
+      c, obs, "simulate",
+      [](const pftk::sim::ConnectionSummary& run, const pftk::trace::TraceSummary& row) {
+        std::cout << "  packets sent " << row.packets_sent << ", loss indications "
+                  << row.loss_indications << " (p = " << pftk::exp::fmt(row.observed_p, 4)
+                  << "), TD " << row.td_events << "\n"
+                  << "  RTT " << pftk::exp::fmt(row.avg_rtt, 3) << " s, T0 "
+                  << pftk::exp::fmt(row.avg_timeout, 3) << " s, send rate "
+                  << pftk::exp::fmt(run.send_rate, 2) << " pkts/s\n";
+      });
+  if (run->interrupted) {
+    std::cout << "interrupted: stopped after " << pftk::exp::fmt(run->total.duration, 1)
+              << " of " << pftk::exp::fmt(c.seconds, 1)
+              << " simulated seconds; outputs above cover the partial run\n";
+    return 3;
+  }
+  return 0;
+}
+
+int cmd_faultsim(const Capture& c, const ObsOptions& obs, bool list_failpoints) {
+  if (list_failpoints) {
+    for (const auto& [name, description] :
+         pftk::robust::FailpointRegistry::instance().known_sites()) {
+      std::cout << name << "\t" << description << "\n";
+    }
+    return 0;
+  }
+  const auto run = run_capture(
+      c, obs, "faultsim",
+      [](const pftk::sim::ConnectionSummary& run, const pftk::trace::TraceSummary& row) {
+        const auto& f = run.forward_faults;
+        std::cout << "  packets sent " << row.packets_sent << ", loss indications "
+                  << row.loss_indications << " (p = " << pftk::exp::fmt(row.observed_p, 4)
+                  << "), send rate " << pftk::exp::fmt(run.send_rate, 2) << " pkts/s\n"
+                  << "  faults: " << f.total_dropped() << " dropped (" << f.dropped_blackout
+                  << " blackout, " << f.dropped_loss << " loss), " << f.duplicated
+                  << " duplicated, " << f.reordered << " reordered, " << f.delayed
+                  << " delayed, of " << f.offered << " offered\n";
+      });
+  if (!run) {
+    return 1;
+  }
+  if (run->interrupted) {
     std::cout << "interrupted: partial run; outputs above cover what completed\n";
     return 3;
   }
-  return exit_code;
+  return 0;
 }
 
-int cmd_campaign(int argc, char** argv) {
-  const ObsOptions obs_opts = extract_obs_flags(argc, argv);
-  if (argc < 3) {
-    return usage();
-  }
-  const std::string spec_path = argv[2];
-  pftk::exp::campaign::CampaignRunnerOptions options;
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--threads") {
-      options.threads = parse_positive_int(flag_value(argc, argv, i), "--threads");
-    } else if (arg == "--journal") {
-      options.journal_path = flag_value(argc, argv, i);
-    } else if (arg == "--resume") {
-      options.resume = true;
-    } else if (arg == "--fsync-every") {
-      options.fsync_every = parse_u64(flag_value(argc, argv, i), "--fsync-every");
-    } else {
-      std::cerr << "unknown campaign option: " << arg << "\n";
-      return usage();
-    }
-  }
-
+int cmd_campaign(const std::string& spec_path,
+                 pftk::exp::campaign::CampaignRunnerOptions options,
+                 const ObsOptions& obs_opts) {
   // Graceful shutdown: first SIGINT/SIGTERM stops admitting items and
   // drains; the second hard-exits. The runner flushes the journal on the
   // way out, so an interrupted campaign is always resumable.
@@ -765,57 +705,17 @@ int explore_replay(const std::string& path) {
   return (check_matches && digest_matches) ? 0 : 1;
 }
 
-int cmd_explore(int argc, char** argv) {
-  const ObsOptions obs_opts = extract_obs_flags(argc, argv);
-  pftk::mc::ExploreConfig config;
-  std::string out_path = "counterexample.pftk-mc";
-  std::string replay_path;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--replay") {
-      replay_path = flag_value(argc, argv, i);
-    } else if (arg == "--packets") {
-      config.packets = parse_u32(flag_value(argc, argv, i), "--packets");
-    } else if (arg == "--window") {
-      config.window = parse_positive(flag_value(argc, argv, i), "--window");
-    } else if (arg == "--ack-every") {
-      config.ack_every = parse_positive_int(flag_value(argc, argv, i), "--ack-every");
-    } else if (arg == "--ack-loss") {
-      config.ack_loss = true;
-    } else if (arg == "--loss-choices") {
-      config.loss_choices = parse_u32(flag_value(argc, argv, i), "--loss-choices");
-    } else if (arg == "--ties") {
-      config.tie_width = parse_u32(flag_value(argc, argv, i), "--ties");
-      if (config.tie_choices == 0) {
-        config.tie_choices = 4;  // sensible default once ties are on
-      }
-    } else if (arg == "--tie-choices") {
-      config.tie_choices = parse_u32(flag_value(argc, argv, i), "--tie-choices");
-    } else if (arg == "--faults") {
-      config.fault_schedule = flag_value(argc, argv, i);
-    } else if (arg == "--depth") {
-      config.depth = parse_u32(flag_value(argc, argv, i), "--depth");
-    } else if (arg == "--max-states") {
-      config.max_states = parse_u64(flag_value(argc, argv, i), "--max-states");
-    } else if (arg == "--no-prune") {
-      config.prune_visited = false;
-    } else if (arg == "--split-depth") {
-      config.split_depth = parse_u32(flag_value(argc, argv, i), "--split-depth");
-    } else if (arg == "--threads" || arg == "-j") {
-      config.threads = parse_positive_int(flag_value(argc, argv, i), arg.c_str());
-    } else if (arg == "--seed") {
-      config.seed = parse_u64(flag_value(argc, argv, i), "--seed");
-    } else if (arg == "--time-cap") {
-      config.time_cap = parse_positive(flag_value(argc, argv, i), "--time-cap");
-    } else if (arg == "--out") {
-      out_path = flag_value(argc, argv, i);
-    } else {
-      std::cerr << "unknown explore option: " << arg << "\n";
-      return usage();
-    }
-  }
+int cmd_explore(const pftk::mc::ExploreConfig& config, const std::string& out_path,
+                const std::string& replay_path, const ObsOptions& obs) {
   if (!replay_path.empty()) {
     return explore_replay(replay_path);
+  }
+  // Every field came from argv, so a value the explorer refuses is a
+  // usage error; a --replay file's contents stay runtime failures.
+  try {
+    config.validate();
+  } catch (const std::invalid_argument& e) {
+    throw pftk::model::ParamError(e.what());
   }
 
   // First SIGINT/SIGTERM stops between branches (partial counts are
@@ -852,44 +752,19 @@ int cmd_explore(int argc, char** argv) {
     exit_code = 3;
   }
 
-  if (obs_opts.enabled()) {
-    pftk::obs::MetricsRegistry registry;
-    const auto met = pftk::obs::StandardMetrics::register_on(registry);
-    registry.freeze(1);
-    auto& shard = registry.shard(0);
-    shard.add(met.mc_explored_states, static_cast<double>(st.states));
-    shard.add(met.mc_pruned, static_cast<double>(st.pruned));
-    shard.add(met.mc_violations, static_cast<double>(st.violations));
-    pftk::obs::ObsBundle bundle;
-    bundle.source = "explore";
-    bundle.metrics = registry.snapshot();
-    export_obs_outputs(obs_opts, bundle);
+  if (obs.enabled()) {
+    write_obs(obs, "explore",
+              [&st](const pftk::obs::StandardMetrics& met, pftk::obs::MetricsShard& shard) {
+                shard.add(met.mc_explored_states, static_cast<double>(st.states));
+                shard.add(met.mc_pruned, static_cast<double>(st.pruned));
+                shard.add(met.mc_violations, static_cast<double>(st.violations));
+              });
   }
   return exit_code;
 }
 
-int cmd_chaos(int argc, char** argv) {
-  if (argc < 3) {
-    return usage();
-  }
-  const std::string spec_path = argv[2];
-  pftk::exp::campaign::ChaosOptions options;
-  options.work_dir = "pftk-chaos";
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--threads") {
-      options.threads = parse_positive_int(flag_value(argc, argv, i), "--threads");
-    } else if (arg == "--dir") {
-      options.work_dir = flag_value(argc, argv, i);
-    } else if (arg == "--fsync-every") {
-      options.fsync_every = parse_u64(flag_value(argc, argv, i), "--fsync-every");
-    } else if (arg == "--failpoint") {
-      options.failpoints.emplace_back(flag_value(argc, argv, i));
-    } else {
-      std::cerr << "unknown chaos option: " << arg << "\n";
-      return usage();
-    }
-  }
+int cmd_chaos(const std::string& spec_path,
+              const pftk::exp::campaign::ChaosOptions& options) {
   const auto spec = pftk::exp::campaign::CampaignSpec::parse_file(spec_path);
   const auto report = pftk::exp::campaign::run_chaos_matrix(spec, options);
   std::cout << pftk::exp::campaign::describe(report) << "\n";
@@ -899,7 +774,7 @@ int cmd_chaos(int argc, char** argv) {
 /// In-process selftest: start a daemon, replay a deterministic load
 /// against it, drain, and cross-check both accounting identities
 /// (client-side and server-side) against each other.
-int serve_selftest(pftk::serve::ServeConfig config,
+int serve_selftest(const pftk::serve::ServeConfig& config,
                    pftk::serve::LoadConfig load) {
   config.validate();
   pftk::serve::Server server(config);
@@ -934,62 +809,11 @@ int serve_selftest(pftk::serve::ServeConfig config,
   return ok ? 0 : 1;
 }
 
-int cmd_serve(int argc, char** argv) {
-  pftk::serve::ServeConfig config;
-  config.socket_path = pftk::serve::default_socket_path();
-  pftk::serve::LoadConfig load;
-  load.requests = 5000;
-  bool selftest = false;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const char* flag = arg.c_str();
-    const auto value = [&] { return flag_value(argc, argv, i); };
-    const auto size = [&] {
-      return static_cast<std::size_t>(parse_positive_int(value(), flag));
-    };
-    if (arg == "--socket") {
-      config.socket_path = value();
-    } else if (arg == "--shards") {
-      config.shards = parse_positive_int(value(), flag);
-    } else if (arg == "--queue-depth") {
-      config.queue_depth = size();
-    } else if (arg == "--batch-max") {
-      config.batch_max = size();
-    } else if (arg == "--max-line-bytes") {
-      config.max_line_bytes = size();
-    } else if (arg == "--max-clients") {
-      config.max_clients = size();
-    } else if (arg == "--deadline-ms") {
-      config.default_deadline_ms = parse_nonnegative(value(), flag);
-      load.deadline_ms = config.default_deadline_ms;
-    } else if (arg == "--metrics-out") {
-      config.metrics_out = value();
-    } else if (arg == "--metrics-every") {
-      config.metrics_every = parse_u64(value(), flag);
-    } else if (arg == "--slow-us") {
-      config.slow_us = parse_u64(value(), flag);
-    } else if (arg == "--selftest") {
-      selftest = true;
-    } else if (arg == "--requests") {
-      load.requests = parse_u64(value(), flag);
-    } else if (arg == "--connections") {
-      load.connections = parse_positive_int(value(), flag);
-    } else if (arg == "--pipeline") {
-      load.pipeline = size();
-    } else if (arg == "--seed") {
-      load.seed = parse_u64(value(), flag);
-    } else if (arg == "--param-sets") {
-      load.param_sets = parse_positive_int(value(), flag);
-    } else if (arg == "--inverse-every") {
-      load.inverse_every = parse_positive_int(value(), flag);
-    } else {
-      std::cerr << "unknown serve option: " << arg << "\n";
-      return usage();
-    }
-  }
-
+int cmd_serve(pftk::serve::ServeConfig config, const pftk::serve::LoadConfig& load,
+              bool selftest) {
+  config.default_deadline_ms = load.deadline_ms;  // --deadline-ms sets both
   if (selftest) {
-    return serve_selftest(std::move(config), std::move(load));
+    return serve_selftest(config, load);
   }
 
   config.validate();
@@ -1001,7 +825,7 @@ int cmd_serve(int argc, char** argv) {
   server.start();
   std::cout << "serve: listening on " << config.socket_path << " ("
             << config.shards << " shard(s), queue depth " << config.queue_depth
-            << ", batch max " << config.batch_max << ")" << std::endl;
+            << ", batch max " << pftk::serve::Server::kBatchMax << ")" << std::endl;
   while (!pftk::robust::ShutdownGuard::stop_requested()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
@@ -1018,24 +842,21 @@ int cmd_serve(int argc, char** argv) {
   return 3;
 }
 
-int cmd_bench(int argc, char** argv) {
-  pftk::exp::MicroBenchConfig config;
-  bool gate = false;
-  std::optional<std::string> json_path;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      config = pftk::exp::MicroBenchConfig::smoke();
-    } else if (arg == "--gate") {
-      gate = true;
-    } else if (arg == "--json") {
-      json_path = json_flag_path(argc, argv, i, "BENCH_micro.json");
-    } else {
-      std::cerr << "unknown bench option: " << arg << "\n";
-      return usage();
-    }
-  }
+/// Replays the fixed-seed request stream against a running daemon.
+/// BUSY sheds are expected under overload and do not fail the run; a
+/// broken identity, a protocol error, a wrong rate or a lost response
+/// does.
+int cmd_load(const pftk::serve::LoadConfig& load) {
+  const auto report = pftk::serve::run_load(load);
+  std::cout << report.describe() << "\n";
+  const bool ok = report.accounting_ok() && report.protocol_errors == 0 &&
+                  report.verify_failures == 0 && report.lost == 0;
+  std::cout << (ok ? "load ok" : "load FAILED") << "\n";
+  return ok ? 0 : 1;
+}
 
+int cmd_bench(const pftk::exp::MicroBenchConfig& config, bool gate,
+              const std::optional<std::string>& json_path) {
   const auto report = pftk::exp::run_micro_bench(config);
 
   pftk::exp::TextTable t({"series", "median", "unit", "per second"});
@@ -1069,27 +890,8 @@ int cmd_bench(int argc, char** argv) {
   return rc;
 }
 
-int cmd_obs(int argc, char** argv) {
-  if (argc < 4 || std::string(argv[2]) != "summarize") {
-    return usage();
-  }
-  std::vector<std::string> paths;
-  std::optional<std::string> json_path;
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json") {
-      json_path = json_flag_path(argc, argv, i);
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::cerr << "unknown obs option: " << arg << "\n";
-      return usage();
-    } else {
-      paths.push_back(arg);
-    }
-  }
-  if (paths.empty()) {
-    return usage();
-  }
-
+int cmd_obs_summarize(const std::vector<std::string>& paths,
+                      const std::optional<std::string>& json_path) {
   // Several files fold into one bundle with the shard-merge semantics
   // before summarizing — counters sum, gauges max, events concatenate.
   pftk::obs::ObsBundle bundle;
@@ -1126,22 +928,7 @@ int cmd_obs(int argc, char** argv) {
   return pftk::robust::kExitOk;
 }
 
-int cmd_prof(int argc, char** argv) {
-  if (argc < 3) {
-    return usage();
-  }
-  const std::string path = argv[2];
-  std::optional<std::string> json_path;
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json") {
-      json_path = json_flag_path(argc, argv, i);
-    } else {
-      std::cerr << "unknown prof option: " << arg << "\n";
-      return usage();
-    }
-  }
-
+int cmd_prof(const std::string& path, const std::optional<std::string>& json_path) {
   const auto drained = pftk::obs::flight::load_spans_file(path);
   const auto report = pftk::obs::flight::profile_spans(drained);
   if (!json_path) {
@@ -1174,12 +961,8 @@ int cmd_prof(int argc, char** argv) {
   return pftk::robust::kExitIndeterminate;
 }
 
-int cmd_analyze(int argc, char** argv) {
-  if (argc < 3) {
-    return usage();
-  }
-  const int threshold = argc > 3 ? parse_positive_int(argv[3], "dupack_threshold") : 3;
-  const auto events = pftk::trace::load_trace_file(argv[2]);
+int cmd_analyze(const std::string& path, int threshold) {
+  const auto events = pftk::trace::load_trace_file(path);
 
   const auto validation = pftk::trace::validate_trace(events);
   if (!validation.ok()) {
@@ -1202,63 +985,315 @@ int cmd_analyze(int argc, char** argv) {
   return 0;
 }
 
+/// Everything argv can set. Only one command runs, so commands that
+/// take the same kind of value share its field.
+struct Args {
+  std::string trace_spans;
+  std::size_t span_ring = pftk::obs::flight::Recorder::kDefaultRingCapacity;
+  pftk::model::ModelParams model;
+  std::uint64_t packets = 0;  ///< latency
+  double rate = 0.0;          ///< provision
+  Capture capture;
+  ObsOptions obs;
+  bool list_failpoints = false;
+  std::string path;  ///< analyze's trace, a campaign/chaos spec, prof's spans
+  int dupack_threshold = 3;
+  pftk::exp::campaign::CampaignRunnerOptions campaign;
+  pftk::exp::campaign::ChaosOptions chaos;
+  pftk::mc::ExploreConfig explore;
+  std::string explore_out = "counterexample.pftk-mc";
+  std::string replay;
+  pftk::serve::ServeConfig serve;
+  pftk::serve::LoadConfig serve_load;  ///< serve --selftest's client
+  bool selftest = false;
+  pftk::serve::LoadConfig load;
+  pftk::exp::MicroBenchConfig bench;
+  bool gate = false;
+  std::optional<std::string> json;
+  std::vector<std::string> obs_files;
+  Args() {
+    chaos.work_dir = "pftk-chaos";
+    serve.socket_path = pftk::serve::default_socket_path();
+    serve_load.requests = 5000;
+  }
+};
+
+/// The replay client's knobs, shared by `load` and `serve --selftest`.
+std::vector<Flag> load_rows(pftk::serve::LoadConfig& l) {
+  return {{"--requests", "N", "requests across all connections",
+           [&l](const char* v) { l.requests = parse_u64(v, "--requests"); }},
+          {"--connections", "N", "concurrent client connections",
+           [&l](const char* v) { l.connections = parse_positive_int(v, "--connections"); }},
+          {"--pipeline", "N", "max in-flight requests per connection",
+           [&l](const char* v) { l.pipeline = parse_size(v, "--pipeline"); }},
+          {"--deadline-ms", "F", "per-request deadline in ms (0 = none)",
+           [&l](const char* v) { l.deadline_ms = parse_nonnegative(v, "--deadline-ms"); }},
+          {"--seed", "N", "request-stream seed",
+           [&l](const char* v) { l.seed = parse_u64(v, "--seed"); }}};
+}
+
+std::vector<Command> command_table(Args& a) {
+  auto& m = a.model;
+  auto& c = a.capture;
+  auto& x = a.explore;
+  auto& s = a.serve;
+  const Positional p{"<p>", [&](const char* v) { m.p = parse_nonnegative(v, "p"); }};
+  const Positional rtt{"<rtt_s>", [&](const char* v) { m.rtt = parse_positive(v, "rtt_s"); }};
+  const Positional t0{"<t0_s>", [&](const char* v) { m.t0 = parse_positive(v, "t0_s"); }};
+  const Positional wm{"<wm>", [&](const char* v) { m.wm = parse_positive(v, "wm"); }};
+  const Positional sender{"<sender>", [&](const char* v) { c.sender = v; }};
+  const Positional receiver{"<receiver>", [&](const char* v) {
+                              c.profile = pftk::exp::profile_by_label(c.sender, v);
+                            }};
+  const Positional seconds{"<seconds>",
+                           [&](const char* v) { c.seconds = parse_positive(v, "seconds"); }};
+  const Positional seed{"[seed]", [&](const char* v) { c.seed = parse_u64(v, "seed"); }};
+  const Positional trace_file{"[trace-file]", [&](const char* v) { c.trace_path = v; }};
+  const Positional spec{"<spec-file>", [&](const char* v) { a.path = v; }};
+  // --metrics-out and --trace-events, shared by every command that runs
+  // a simulation or a search. Observability is passive: stdout and any
+  // trace file stay byte-identical with the flags present.
+  const std::vector<Flag> obs = {
+      {"--metrics-out", "FILE", "write a pftk-obs/1 bundle (Prometheus text if FILE is .prom)",
+       [&](const char* v) { a.obs.metrics_out = v; }},
+      {"--trace-events", "FILE", "write the connection-event timeline as JSONL",
+       [&](const char* v) { a.obs.trace_events = v; }}};
+  const auto threads = [](int& field) {
+    return Flag{"--threads", "N", "worker threads",
+                [&field](const char* v) { field = parse_positive_int(v, "--threads"); }};
+  };
+  const auto fsync_every = [](std::uint64_t& field) {
+    return Flag{"--fsync-every", "N", "fsync the journal every N records (0 = at close)",
+                [&field](const char* v) { field = parse_u64(v, "--fsync-every"); }};
+  };
+  const auto json = [&](const char* fallback, const char* help) {
+    return Flag{"--json", "[FILE]", help,
+                [&a, fallback](const char* v) { a.json = v != nullptr ? v : fallback; }};
+  };
+
+  return {
+      {"model",
+       {p, rtt, t0, wm, {"[b]", [&](const char* v) { m.b = parse_positive_int(v, "b"); }}},
+       {}, "eqs (20), (32), (33), T(p) and the Markov chain at one operating point",
+       [&] { return cmd_model(m); }},
+      {"latency",
+       {{"<packets>", [&](const char* v) { a.packets = parse_u64(v, "packets"); }},
+        p, rtt, t0, wm},
+       {}, "expected latency of a short transfer (slow start, loss recovery, steady state)",
+       [&] { return cmd_latency(a.packets, m); }},
+      {"provision",
+       {{"<rate_pps>", [&](const char* v) { a.rate = parse_positive(v, "rate_pps"); }},
+        rtt, t0, wm},
+       {}, "inverse model: the max loss rate, and the window each loss rate needs",
+       [&] { return cmd_provision(a.rate, m); }},
+      {"list", {}, {}, "the Table-2 path profiles", [] { return cmd_list(); }},
+      {"simulate", {sender, receiver, seconds, seed, trace_file}, obs,
+       "a seeded run over a path and its Table-2 row; the trace is `analyze`'s input",
+       [&] { return cmd_simulate(c, a.obs); }},
+      {"analyze",
+       {{"<trace-file>", [&](const char* v) { a.path = v; }},
+        {"[dupack_threshold]",
+         [&](const char* v) {
+           a.dupack_threshold = parse_positive_int(v, "dupack_threshold");
+         }}},
+       {}, "offline analysis of a capture: loss indications, TD/timeout split, RTT",
+       [&] { return cmd_analyze(a.path, a.dupack_threshold); }},
+      {"faultsim",
+       {sender, receiver, seconds,
+        {"<schedule>", [&](const char* v) { c.faults = pftk::sim::FaultSchedule::parse(v); }},
+        seed, trace_file},
+       obs + std::vector<Flag>{{"--list-failpoints", nullptr,
+                                "list every failpoint site, one per line, and exit",
+                                [&](const char*) { a.list_failpoints = true; }}},
+       "a run under an impairment schedule, watchdog armed\n"
+       "schedule: kind@start[+duration][#count][:rate[:magnitude]] ';'-separated\n"
+       "kinds: blackout, loss, dup, reorder, delay  (e.g. blackout@120+5)",
+       [&] { return cmd_faultsim(c, a.obs, a.list_failpoints); }},
+      {"campaign", {spec},
+       std::vector<Flag>{threads(a.campaign.threads),
+                         {"--journal", "FILE", "checkpoint journal (JSONL)",
+                          [&](const char* v) { a.campaign.journal_path = v; }},
+                         {"--resume", nullptr, "replay the journal's settled items first",
+                          [&](const char*) { a.campaign.resume = true; }},
+                         fsync_every(a.campaign.fsync_every)} +
+           obs,
+       "supervised grid campaign (spec and journal formats: EXPERIMENTS.md);\n"
+       "exits 1 with a taxonomy summary on partial loss, 3 when interrupted\n"
+       "(the journal stays resumable; a second signal hard-exits with 130)",
+       [&] { return cmd_campaign(a.path, a.campaign, a.obs); }},
+      {"explore", {},
+       std::vector<Flag>{
+           {"--packets", "N", "finite transfer length",
+            [&](const char* v) { x.packets = parse_u32(v, "--packets"); }},
+           {"--window", "W", "advertised window Wm",
+            [&](const char* v) { x.window = parse_positive(v, "--window"); }},
+           {"--ack-every", "B", "receiver ACKs every B packets",
+            [&](const char* v) { x.ack_every = parse_positive_int(v, "--ack-every"); }},
+           {"--ack-loss", nullptr, "also branch on per-ACK loss",
+            [&](const char*) { x.ack_loss = true; }},
+           {"--loss-choices", "N", "loss decisions branched per branch",
+            [&](const char* v) { x.loss_choices = parse_u32(v, "--loss-choices"); }},
+           {"--ties", "K", "branch on the order of up to K tied events",
+            [&](const char* v) {
+              x.tie_width = parse_u32(v, "--ties");
+              x.tie_choices = x.tie_choices == 0 ? 4 : x.tie_choices;  // default once on
+            }},
+           {"--tie-choices", "N", "tie decisions branched per branch (4 with --ties)",
+            [&](const char* v) { x.tie_choices = parse_u32(v, "--tie-choices"); }},
+           {"--faults", "SPEC", "forward-path fault schedule (faultsim's grammar)",
+            [&](const char* v) { x.fault_schedule = v; }},
+           {"--depth", "N", "max recorded choices per branch",
+            [&](const char* v) { x.depth = parse_u32(v, "--depth"); }},
+           {"--max-states", "N", "stop after N states (0 = no cap)",
+            [&](const char* v) { x.max_states = parse_u64(v, "--max-states"); }},
+           {"--no-prune", nullptr, "turn off visited-state pruning",
+            [&](const char*) { x.prune_visited = false; }},
+           {"--split-depth", "N", "frontier depth of the parallel job split",
+            [&](const char* v) { x.split_depth = parse_u32(v, "--split-depth"); }},
+           threads(x.threads),
+           {"-j", "N", "same as --threads",
+            [&](const char* v) { x.threads = parse_positive_int(v, "-j"); }},
+           {"--seed", "N", "master seed",
+            [&](const char* v) { x.seed = parse_u64(v, "--seed"); }},
+           {"--time-cap", "S", "simulated-seconds backstop per branch",
+            [&](const char* v) { x.time_cap = parse_positive(v, "--time-cap"); }},
+           {"--out", "FILE", "counterexample file (default counterexample.pftk-mc)",
+            [&](const char* v) { a.explore_out = v; }},
+           {"--replay", "FILE", "re-run a counterexample; exit 0 iff it reproduces",
+            [&](const char* v) { a.replay = v; }}} +
+           obs,
+       "exhaustive bounded exploration of loss/timing nondeterminism in a small\n"
+       "transfer, every branch checked; exits 1 on a violation (counterexample in\n"
+       "--out), 3 when interrupted or a budget cut the search",
+       [&] { return cmd_explore(x, a.explore_out, a.replay, a.obs); }},
+      {"chaos", {spec},
+       {threads(a.chaos.threads),
+        {"--dir", "DIR", "working directory (default pftk-chaos)",
+         [&](const char* v) { a.chaos.work_dir = v; }},
+        fsync_every(a.chaos.fsync_every),
+        {"--failpoint", "SPEC", "crash case to run (repeatable; default: the journal matrix)",
+         [&](const char* v) { a.chaos.failpoints.emplace_back(v); }}},
+       "crash-recovery matrix: fork, crash at each journal failpoint, resume,\n"
+       "and verify byte-identical convergence; exits 1 on any divergence",
+       [&] { return cmd_chaos(a.path, a.chaos); }},
+      {"serve", {},
+       std::vector<Flag>{
+           {"--socket", "PATH", "unix socket path", [&](const char* v) { s.socket_path = v; }},
+           {"--shards", "N", "event loops, one thread each",
+            [&](const char* v) { s.shards = parse_positive_int(v, "--shards"); }},
+           {"--queue-depth", "N", "admission watermark per shard",
+            [&](const char* v) { s.queue_depth = parse_size(v, "--queue-depth"); }},
+           {"--max-line-bytes", "N", "request-line cap (TOOBIG beyond)",
+            [&](const char* v) { s.max_line_bytes = parse_size(v, "--max-line-bytes"); }},
+           {"--max-clients", "N", "concurrent connections",
+            [&](const char* v) { s.max_clients = parse_size(v, "--max-clients"); }},
+           {"--metrics-out", "FILE", "durable pftk-obs/1 metrics snapshot",
+            [&](const char* v) { s.metrics_out = v; }},
+           {"--metrics-every", "N", "flush the snapshot every N served requests",
+            [&](const char* v) { s.metrics_every = parse_u64(v, "--metrics-every"); }},
+           {"--slow-us", "N", "busy-wait N us per request (overload tests)",
+            [&](const char* v) { s.slow_us = parse_u64(v, "--slow-us"); }},
+           {"--selftest", nullptr, "serve in-process and replay a load against it",
+            [&](const char*) { a.selftest = true; }},
+           {"--param-sets", "N", "selftest: parameter sets the stream rotates through",
+            [&](const char* v) {
+              a.serve_load.param_sets = parse_positive_int(v, "--param-sets");
+            }},
+           {"--inverse-every", "N", "selftest: every Nth request is INVERSE",
+            [&](const char* v) {
+              a.serve_load.inverse_every = parse_positive_int(v, "--inverse-every");
+            }}} +
+           load_rows(a.serve_load),
+       "throughput-prediction daemon on a unix socket (EXPERIMENTS.md): sheds with\n"
+       "BUSY at the queue watermark, --deadline-ms is also the server's default,\n"
+       "and SIGINT/SIGTERM drains and exits 3. --selftest checks served rates\n"
+       "against the library and both accounting identities",
+       [&] { return cmd_serve(s, a.serve_load, a.selftest); }},
+      {"load", {{"<socket>", [&](const char* v) { a.load.socket_path = v; }}},
+       load_rows(a.load),
+       "replay the fixed-seed request stream against a running daemon; exits 1\n"
+       "unless every response arrived well-formed and verified (BUSY is fine)",
+       [&] { return cmd_load(a.load); }},
+      {"bench", {},
+       {{"--smoke", nullptr, "401 pairs instead of 2001",
+         [&](const char*) { a.bench = pftk::exp::MicroBenchConfig::smoke(); }},
+        {"--gate", nullptr, "exit 1 if a seam's median ratio exceeds 1.10x",
+         [&](const char*) { a.gate = true; }},
+        json("BENCH_micro.json", "write the report as JSON (default BENCH_micro.json)")},
+       "times three disarmed seams (obs, failpoint, span) against their loops\n"
+       "as interleaved pairs",
+       [&] { return cmd_bench(a.bench, a.gate, a.json); }},
+      {"obs",
+       {{"summarize", [](const char*) {}},
+        {"<obs-file>...", [&](const char* v) { a.obs_files.emplace_back(v); }}},
+       {json("", "write the breakdown as JSON to FILE or stdout")},
+       "TD/TO loss-indication breakdown of pftk-obs/1 files, merged with the\n"
+       "shard-merge semantics (exit 5 when dropped events leave it indeterminate)",
+       [&] { return cmd_obs_summarize(a.obs_files, a.json); }},
+      {"prof", {{"<spans.jsonl>", [&](const char* v) { a.path = v; }}},
+       {json("", "write the profile as JSON to FILE or stdout")},
+       "self-time table of a pftk-spans/1 recording; re-checks a serve recording's\n"
+       "accounting identity (exit 1 if violated, 5 if dropped spans hide it)",
+       [&] { return cmd_prof(a.path, a.json); }},
+  };
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Global flags, pulled out before dispatch so every subcommand can be
-  // chaos-tested (--failpoints; disarmed, a check is one relaxed atomic
-  // load) and can record spans (--trace-spans, --span-ring) with zero
-  // per-command plumbing. The span drain+write happens after the command
-  // returns (below), so arming never touches a command's stdout or data
-  // files.
-  std::string trace_spans_path;
-  std::size_t ring = pftk::obs::flight::Recorder::kDefaultRingCapacity;
+  Args args;
+  // Accepted anywhere on the line, so every command can be chaos-tested
+  // and record spans with no plumbing of its own. The span file is
+  // written after the command returns, so arming never touches a
+  // command's stdout or data files.
+  const std::vector<Flag> globals = {
+      {"--failpoints", "SPEC",
+       "arm \"name:after=N:action=A[:arg=K];...\" (error, short_write, enospc, delay, crash)",
+       [](const char* v) { pftk::robust::FailpointRegistry::instance().arm_specs(v); }},
+      {"--trace-spans", "FILE", "record spans to FILE (Chrome JSON if .json, else prof's)",
+       [&](const char* v) { args.trace_spans = v; }},
+      {"--span-ring", "N", "per-thread span ring, overwrite-oldest (default 65536)",
+       [&](const char* v) { args.span_ring = parse_size(v, "--span-ring"); }}};
+  const std::vector<Command> table = command_table(args);
+  const Command* cmd = nullptr;
+  bool complete = false;
   try {
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg == "--failpoints") {
-        pftk::robust::FailpointRegistry::instance().arm_specs(flag_value(argc, argv, i));
-      } else if (arg == "--trace-spans") {
-        trace_spans_path = flag_value(argc, argv, i);
-      } else if (arg == "--span-ring") {
-        ring = static_cast<std::size_t>(
-            parse_positive_int(flag_value(argc, argv, i), "--span-ring"));
-      } else {
-        argv[out++] = argv[i];
-      }
-    }
-    argc = out;
+    cmd = parse_argv(argc, argv, globals, table, complete);
+  } catch (const UsageError& e) {
+    std::cerr << e.message << (e.message.empty() ? "" : "\n");
+    return usage(table, globals, e.command);
   } catch (const std::exception& e) {
+    // A value argv gave that its reader (or the library parser behind
+    // it) rejects is a usage error, never a runtime failure to retry.
     std::cerr << "error: " << e.what() << "\n";
     return 2;
   }
-  if (!trace_spans_path.empty()) {
-    pftk::obs::flight::Recorder::instance().arm(ring);
-  } else if (ring != pftk::obs::flight::Recorder::kDefaultRingCapacity) {
+  if (!args.trace_spans.empty()) {
+    pftk::obs::flight::Recorder::instance().arm(args.span_ring);
+  } else if (args.span_ring != pftk::obs::flight::Recorder::kDefaultRingCapacity) {
     std::cerr << "error: --span-ring requires --trace-spans\n";
     return 2;
   }
-  if (argc < 2) {
-    return usage();
+  // `faultsim --list-failpoints` is the one form that needs none of its
+  // command's positionals.
+  if (cmd == nullptr || (!complete && !args.list_failpoints)) {
+    return usage(table, globals, cmd);
   }
-  const std::string cmd = argv[1];
   // Drains the rings and writes the span file; called on every exit
   // path below (including errors — a failing command's partial
   // recording is often exactly what the user wants to see).
-  const auto flush_spans = [&trace_spans_path, &cmd](int rc) -> int {
-    if (trace_spans_path.empty()) {
+  const auto flush_spans = [&args, cmd](int rc) -> int {
+    if (args.trace_spans.empty()) {
       return rc;
     }
     auto& recorder = pftk::obs::flight::Recorder::instance();
     recorder.disarm();
     try {
       const auto drained = recorder.drain();
-      pftk::obs::flight::save_spans_file(trace_spans_path, drained,
-                                         "pftk " + cmd);
+      pftk::obs::flight::save_spans_file(args.trace_spans, drained,
+                                         std::string("pftk ") + cmd->name);
       std::cerr << "flight recorder: " << drained.spans.size() << " span(s) from "
-                << drained.threads << " thread(s) written to "
-                << trace_spans_path
+                << drained.threads << " thread(s) written to " << args.trace_spans
                 << (drained.dropped > 0
                         ? " (" + std::to_string(drained.dropped) +
                               " overwritten; raise --span-ring)"
@@ -1271,48 +1306,7 @@ int main(int argc, char** argv) {
     return rc;
   };
   try {
-    if (cmd == "model") {
-      return flush_spans(cmd_model(argc, argv));
-    }
-    if (cmd == "latency") {
-      return flush_spans(cmd_latency(argc, argv));
-    }
-    if (cmd == "provision") {
-      return flush_spans(cmd_provision(argc, argv));
-    }
-    if (cmd == "list") {
-      return flush_spans(cmd_list());
-    }
-    if (cmd == "simulate") {
-      return flush_spans(cmd_simulate(argc, argv));
-    }
-    if (cmd == "analyze") {
-      return flush_spans(cmd_analyze(argc, argv));
-    }
-    if (cmd == "faultsim") {
-      return flush_spans(cmd_faultsim(argc, argv));
-    }
-    if (cmd == "campaign") {
-      return flush_spans(cmd_campaign(argc, argv));
-    }
-    if (cmd == "explore") {
-      return flush_spans(cmd_explore(argc, argv));
-    }
-    if (cmd == "chaos") {
-      return flush_spans(cmd_chaos(argc, argv));
-    }
-    if (cmd == "serve") {
-      return flush_spans(cmd_serve(argc, argv));
-    }
-    if (cmd == "bench") {
-      return flush_spans(cmd_bench(argc, argv));
-    }
-    if (cmd == "obs") {
-      return flush_spans(cmd_obs(argc, argv));
-    }
-    if (cmd == "prof") {
-      return flush_spans(cmd_prof(argc, argv));
-    }
+    return flush_spans(cmd->run());
   } catch (const pftk::model::ParamError& e) {
     // Bad parameter values are usage errors (exit 2), distinct from
     // runtime failures (exit 1) — supervisors retry the latter, not the
@@ -1323,5 +1317,4 @@ int main(int argc, char** argv) {
     std::cerr << "error: " << e.what() << "\n";
     return flush_spans(1);
   }
-  return usage();
 }
