@@ -5,6 +5,7 @@
 #include <string_view>
 
 #include "robust/decimal.hpp"
+#include "sim/event_queue.hpp"
 
 namespace pftk::mc {
 
@@ -116,14 +117,19 @@ std::size_t ScriptedChoices::choose(ChoiceKind kind, std::size_t arity) {
     ++cursor_;
     return recorded.chosen;
   }
-  if (truncated_) {
-    // Past the depth budget: stay on the default branch, record nothing.
+  if (stopped_ || truncated_) {
+    // Abandoned, or past the depth budget: stay on the default branch,
+    // record nothing.
     return 0;
   }
   const NodeVerdict verdict =
       hook_ ? hook_(kind, arity, path_.size()) : NodeVerdict::kExplore;
   if (verdict == NodeVerdict::kPrune) {
-    throw BranchPruned{};
+    stopped_ = true;
+    if (queue_ != nullptr) {
+      queue_->request_stop();  // the branch ends with the current event
+    }
+    return 0;
   }
   if (verdict == NodeVerdict::kTruncate) {
     truncated_ = true;

@@ -11,7 +11,10 @@
 //     default (index 0) decisions, recording arity as it goes — the
 //     stateless-search driver re-executes branches from the root and
 //     backtracks by incrementing the deepest incrementable choice
-//     (SimGrid-style DFS over a deterministic program).
+//     (SimGrid-style DFS over a deterministic program). A kPrune verdict
+//     ends the branch without unwinding: the source stops (answering 0
+//     and recording nothing from then on) and asks the event queue to
+//     return after the current event.
 //   * ReplayChoices replays a complete recorded path and *verifies* it:
 //     any kind/arity mismatch means the simulation did not unfold the
 //     way it did when the trace was recorded, which is exactly the
@@ -28,6 +31,10 @@
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+namespace pftk::sim {
+class EventQueue;
+}
 
 namespace pftk::mc {
 
@@ -76,14 +83,12 @@ class ChoiceDivergence : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Control-flow signal (not an error): the search hook decided this
-/// branch is redundant — unwind the simulation and backtrack.
-struct BranchPruned {};
-
 /// Verdict of the search hook at a *fresh* (first-visited) choice point.
 enum class NodeVerdict {
   kExplore,   ///< count the state and enumerate all alternatives
-  kPrune,     ///< state already covered: abandon the branch (throws BranchPruned)
+  kPrune,     ///< abandon the branch here (a covered state, or the
+              ///< frontier's split depth): the source stops, nothing of
+              ///< the branch's end is checked
   kTruncate,  ///< depth budget hit: finish the branch on default choices
               ///< without recording (the subtree is NOT enumerated)
 };
@@ -96,6 +101,13 @@ class ChoiceSource {
   /// Resolves one choice point with `arity` >= 2 alternatives; returns
   /// the index in [0, arity) to take.
   virtual std::size_t choose(ChoiceKind kind, std::size_t arity) = 0;
+
+  /// True once the source has abandoned its branch (a kPrune verdict):
+  /// the rest of the branch is discarded, whatever it does.
+  [[nodiscard]] bool stopped() const noexcept { return stopped_; }
+
+ protected:
+  bool stopped_ = false;
 };
 
 /// DFS driver's source: replays a prefix, then extends with index-0
@@ -111,12 +123,17 @@ class ScriptedChoices final : public ChoiceSource {
 
   explicit ScriptedChoices(std::vector<Choice> prefix);
 
-  /// Installs the fresh-node hook (no hook == always kExplore). Set
-  /// after the simulation is constructed so the hook can capture it.
-  void set_hook(FreshNodeHook hook) { hook_ = std::move(hook); }
+  /// Installs the fresh-node hook (no hook == always kExplore) and the
+  /// simulation's queue, which a kPrune verdict asks to stop. Set after
+  /// the simulation is constructed so the hook can capture it.
+  void set_hook(FreshNodeHook hook, sim::EventQueue* queue = nullptr) {
+    hook_ = std::move(hook);
+    queue_ = queue;
+  }
 
+  /// After a kPrune verdict the source is stopped(): that choice and
+  /// every later one answer 0, record nothing and skip the hook.
   /// @throws ChoiceDivergence if the prefix disagrees with re-execution.
-  /// @throws BranchPruned if the hook votes kPrune.
   std::size_t choose(ChoiceKind kind, std::size_t arity) override;
 
   /// The full path taken: the verified prefix plus recorded extensions.
@@ -133,6 +150,7 @@ class ScriptedChoices final : public ChoiceSource {
   std::size_t prefix_;
   std::size_t cursor_ = 0;
   FreshNodeHook hook_;
+  sim::EventQueue* queue_ = nullptr;
   bool truncated_ = false;
 };
 

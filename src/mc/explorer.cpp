@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -16,13 +17,6 @@
 namespace pftk::mc {
 
 namespace {
-
-/// Control-flow signal: the finite transfer completed; stop the branch.
-struct BranchDone {};
-
-/// Control-flow signal used only during frontier expansion: the branch
-/// reached the split depth and becomes a parallel job.
-struct BranchCut {};
 
 /// digest -> largest remaining depth budget seen at that state. A
 /// revisit with no more remaining depth than recorded cannot reach
@@ -173,7 +167,7 @@ void Explorer::add_property(std::string name, Property property) {
   properties_.emplace_back(std::move(name), std::move(property));
 }
 
-Explorer::BranchEnd Explorer::execute_branch(
+std::optional<Explorer::BranchEnd> Explorer::execute_branch(
     ChoiceSource& source, const std::function<void(sim::Connection&)>& on_ready) {
   PFTK_SPAN("mc.branch");
   const ExploreConfig& cfg = config_;
@@ -250,9 +244,10 @@ Explorer::BranchEnd Explorer::execute_branch(
   // Stop as soon as the transfer completes (run_for would idle through
   // the remaining delayed-ACK heartbeats otherwise).
   const sim::TcpRenoSender& sender = conn.sender();
-  conn.event_queue().set_inspector([&sender] {
+  sim::EventQueue& queue = conn.event_queue();
+  queue.set_inspector([&sender, &queue] {
     if (sender.complete()) {
-      throw BranchDone{};
+      queue.request_stop();
     }
   });
 
@@ -263,12 +258,16 @@ Explorer::BranchEnd Explorer::execute_branch(
   BranchEnd end;
   try {
     (void)conn.run_for(cfg.time_cap);
-  } catch (const BranchDone&) {
-    // Finite transfer finished — the normal way out.
   } catch (const sim::InvariantViolation& e) {
     end.violated = true;
     end.check = e.check();
     end.message = e.what();
+  }
+  if (source.stopped()) {
+    // Pruned or cut at a choice point: the branch ends there. Whatever
+    // the rest of that event did, a violation included, is not part of
+    // the search.
+    return std::nullopt;
   }
   end.completed = conn.sender().complete();
 
@@ -293,8 +292,7 @@ Explorer::BranchEnd Explorer::execute_branch(
 }
 
 Explorer::ExpansionOutcome Explorer::expand_frontier(
-    const std::atomic<bool>* stop, std::atomic<bool>& abort,
-    std::atomic<std::uint64_t>& states_seen) {
+    const std::atomic<bool>* stop, std::atomic<std::uint64_t>& states_seen) {
   ExpansionOutcome out;
   std::vector<Choice> current;
   while (true) {
@@ -310,41 +308,44 @@ Explorer::ExpansionOutcome Explorer::expand_frontier(
     ScriptedChoices source(current);
     // No pruning above the frontier: the partition must be a fixed
     // function of the config so state counts are thread-count-invariant.
-    source.set_hook([this, &out, &states_seen](ChoiceKind, std::size_t,
-                                               std::size_t depth) -> NodeVerdict {
-      // The depth budget applies above the frontier too — a split_depth
-      // larger than the budget must not smuggle extra enumeration in.
-      if (depth >= config_.depth) {
-        return NodeVerdict::kTruncate;
-      }
-      if (depth >= config_.split_depth) {
-        throw BranchCut{};
-      }
-      ++out.stats.states;
-      states_seen.fetch_add(1, std::memory_order_relaxed);
-      return NodeVerdict::kExplore;
-    });
-    bool cut = false;
-    try {
-      const BranchEnd end = execute_branch(source, nullptr);
+    // A branch that reaches the split depth is cut there (a kPrune
+    // verdict) and becomes a parallel job.
+    auto on_ready = [this, &source, &out, &states_seen](sim::Connection& conn) {
+      source.set_hook(
+          [this, &out, &states_seen](ChoiceKind, std::size_t,
+                                     std::size_t depth) -> NodeVerdict {
+            // The depth budget applies above the frontier too — a
+            // split_depth larger than the budget must not smuggle extra
+            // enumeration in.
+            if (depth >= config_.depth) {
+              return NodeVerdict::kTruncate;
+            }
+            if (depth >= config_.split_depth) {
+              return NodeVerdict::kPrune;
+            }
+            ++out.stats.states;
+            states_seen.fetch_add(1, std::memory_order_relaxed);
+            return NodeVerdict::kExplore;
+          },
+          &conn.event_queue());
+    };
+    const std::optional<BranchEnd> end = execute_branch(source, on_ready);
+    if (!end) {
+      out.jobs.push_back(source.path());
+    } else {
       ++out.stats.branches;
       ++out.stats.terminals;
       if (source.truncated()) {
         ++out.stats.truncated;
         out.incomplete = true;
       }
-      if (end.violated) {
+      if (end->violated) {
         ++out.stats.violations;
         out.violations.push_back(
-            Violation{source.path(), end.check, end.message, end.digest});
-        abort.store(true, std::memory_order_relaxed);
+            Violation{source.path(), end->check, end->message, end->digest});
         return out;
       }
-    } catch (const BranchCut&) {
-      cut = true;
-      out.jobs.push_back(source.path());
     }
-    (void)cut;
 
     // Backtrack: bump the deepest incrementable choice.
     std::vector<Choice> path = source.path();
@@ -366,8 +367,8 @@ Explorer::ExpansionOutcome Explorer::expand_frontier(
 }
 
 Explorer::SubtreeOutcome Explorer::explore_subtree(
-    const std::vector<Choice>& root, const std::atomic<bool>* stop,
-    std::atomic<bool>& abort, std::atomic<std::uint64_t>& states_seen) {
+    std::size_t job, const std::vector<Choice>& root, const std::atomic<bool>* stop,
+    std::atomic<std::size_t>& first_violation, std::atomic<std::uint64_t>& states_seen) {
   SubtreeOutcome out;
   VisitedTable visited;
   std::vector<Choice> current = root;
@@ -377,8 +378,8 @@ Explorer::SubtreeOutcome Explorer::explore_subtree(
       out.interrupted = true;
       return out;
     }
-    if (abort.load(std::memory_order_relaxed)) {
-      return out;  // another job already found a counterexample
+    if (first_violation.load(std::memory_order_relaxed) < job) {
+      return out;  // an earlier job found a counterexample: this one is moot
     }
     if (config_.max_states != 0 &&
         states_seen.load(std::memory_order_relaxed) >= config_.max_states) {
@@ -387,45 +388,51 @@ Explorer::SubtreeOutcome Explorer::explore_subtree(
     }
     ScriptedChoices source(current);
     auto on_ready = [this, &source, &out, &visited, &states_seen](sim::Connection& conn) {
-      source.set_hook([this, &conn, &out, &visited, &states_seen](
-                          ChoiceKind, std::size_t, std::size_t depth) -> NodeVerdict {
-        if (depth >= config_.depth) {
-          return NodeVerdict::kTruncate;
-        }
-        if (config_.prune_visited) {
-          const McDigest digest = digest_connection(conn);
-          const auto remaining = static_cast<std::uint32_t>(config_.depth - depth);
-          auto [it, inserted] = visited.try_emplace(digest, remaining);
-          if (!inserted) {
-            if (it->second >= remaining) {
-              return NodeVerdict::kPrune;
+      source.set_hook(
+          [this, &conn, &out, &visited, &states_seen](ChoiceKind, std::size_t,
+                                                      std::size_t depth) -> NodeVerdict {
+            if (depth >= config_.depth) {
+              return NodeVerdict::kTruncate;
             }
-            it->second = remaining;  // revisit with more headroom: go deeper
-          }
-        }
-        ++out.stats.states;
-        states_seen.fetch_add(1, std::memory_order_relaxed);
-        return NodeVerdict::kExplore;
-      });
+            if (config_.prune_visited) {
+              const McDigest digest = digest_connection(conn);
+              const auto remaining = static_cast<std::uint32_t>(config_.depth - depth);
+              auto [it, inserted] = visited.try_emplace(digest, remaining);
+              if (!inserted) {
+                if (it->second >= remaining) {
+                  return NodeVerdict::kPrune;
+                }
+                it->second = remaining;  // revisit with more headroom: go deeper
+              }
+            }
+            ++out.stats.states;
+            states_seen.fetch_add(1, std::memory_order_relaxed);
+            return NodeVerdict::kExplore;
+          },
+          &conn.event_queue());
     };
-    try {
-      const BranchEnd end = execute_branch(source, on_ready);
-      ++out.stats.branches;
+    const std::optional<BranchEnd> end = execute_branch(source, on_ready);
+    ++out.stats.branches;
+    if (!end) {
+      ++out.stats.pruned;
+    } else {
       ++out.stats.terminals;
       if (source.truncated()) {
         ++out.stats.truncated;
         out.incomplete = true;
       }
-      if (end.violated) {
+      if (end->violated) {
         ++out.stats.violations;
         out.violations.push_back(
-            Violation{source.path(), end.check, end.message, end.digest});
-        abort.store(true, std::memory_order_relaxed);
+            Violation{source.path(), end->check, end->message, end->digest});
+        // Later jobs stop; earlier ones run on. What is merged, every
+        // job before this one and this one up to here, is what -j 1
+        // finds.
+        std::size_t seen = first_violation.load(std::memory_order_relaxed);
+        while (job < seen && !first_violation.compare_exchange_weak(seen, job)) {
+        }
         return out;
       }
-    } catch (const BranchPruned&) {
-      ++out.stats.branches;
-      ++out.stats.pruned;
     }
 
     std::vector<Choice> path = source.path();
@@ -448,12 +455,11 @@ Explorer::SubtreeOutcome Explorer::explore_subtree(
 
 ExploreResult Explorer::run(const std::atomic<bool>* stop) {
   ExploreResult result;
-  std::atomic<bool> abort{false};
   std::atomic<std::uint64_t> states_seen{0};
 
   // Phase 1: single-threaded expansion to the fixed split frontier. The
   // job list depends only on the config, never on the thread count.
-  ExpansionOutcome expansion = expand_frontier(stop, abort, states_seen);
+  ExpansionOutcome expansion = expand_frontier(stop, states_seen);
   result.stats += expansion.stats;
   for (auto& violation : expansion.violations) {
     result.violations.push_back(std::move(violation));
@@ -463,35 +469,40 @@ ExploreResult Explorer::run(const std::atomic<bool>* stop) {
   result.jobs = expansion.jobs.size();
 
   // Phase 2: explore each frontier subtree (own visited table each);
-  // merge in job order so results are scheduling-independent.
-  if (!abort.load() && !interrupted && !expansion.jobs.empty()) {
+  // merge in job order so results are scheduling-independent. A
+  // counterexample in job k ends the search at job k: later jobs stop
+  // and are left out of the merge, as they never start at -j 1.
+  if (result.violations.empty() && !interrupted && !expansion.jobs.empty()) {
     const auto& jobs = expansion.jobs;
     std::vector<SubtreeOutcome> outcomes(jobs.size());
+    std::atomic<std::size_t> first_violation{jobs.size()};
     const auto worker_count = static_cast<std::size_t>(
         std::min<std::size_t>(static_cast<std::size_t>(config_.threads), jobs.size()));
     if (worker_count <= 1) {
       for (std::size_t i = 0; i < jobs.size(); ++i) {
-        outcomes[i] = explore_subtree(jobs[i], stop, abort, states_seen);
+        outcomes[i] = explore_subtree(i, jobs[i], stop, first_violation, states_seen);
       }
     } else {
       std::atomic<std::size_t> next{0};
       std::vector<std::thread> workers;
       workers.reserve(worker_count);
       for (std::size_t w = 0; w < worker_count; ++w) {
-        workers.emplace_back([this, &jobs, &outcomes, &next, stop, &abort, &states_seen] {
-          while (true) {
-            const std::size_t i = next.fetch_add(1);
-            if (i >= jobs.size()) {
-              return;
-            }
-            outcomes[i] = explore_subtree(jobs[i], stop, abort, states_seen);
-          }
-        });
+        workers.emplace_back(
+            [this, &jobs, &outcomes, &next, stop, &first_violation, &states_seen] {
+              while (true) {
+                const std::size_t i = next.fetch_add(1);
+                if (i >= jobs.size()) {
+                  return;
+                }
+                outcomes[i] = explore_subtree(i, jobs[i], stop, first_violation, states_seen);
+              }
+            });
       }
       for (std::thread& worker : workers) {
         worker.join();
       }
     }
+    outcomes.resize(std::min(outcomes.size(), first_violation.load() + 1));
     for (auto& outcome : outcomes) {
       result.stats += outcome.stats;
       for (auto& violation : outcome.violations) {
@@ -511,7 +522,7 @@ ReplayOutcome Explorer::replay(const std::vector<Choice>& choices) {
   ReplayOutcome outcome;
   ReplayChoices source(choices);
   try {
-    const BranchEnd end = execute_branch(source, nullptr);
+    const BranchEnd end = *execute_branch(source, nullptr);  // a replay never stops
     if (!source.done()) {
       std::ostringstream os;
       os << "choice divergence: " << choices.size() - source.consumed()

@@ -17,6 +17,17 @@
 // ordering, receiver-window cap, E[W] >= 1 flooring and model
 // evaluability at the observed loss rate — see MODELS.md).
 //
+// A branch ends at an event boundary, never by unwinding. Once the
+// transfer completes, the queue's inspector requests a stop; a prune or
+// the frontier's split-depth cut stops the ScriptedChoices, which
+// requests one too. run_until then returns after the current event, with
+// the clock at that event's time (what the end-of-branch digest hashes).
+// A branch whose source stopped is dropped unchecked: no end checks, no
+// digest, and nothing raised in the rest of its last event counts (that
+// rest runs on default answers no search enumerates). Exceptions are for
+// errors only: InvariantViolation, PropertyViolation and
+// ChoiceDivergence.
+//
 // Visited-state pruning: at each fresh choice point the live connection
 // is digested (mc/digest.hpp); a state revisited with no more remaining
 // depth than before is pruned. Because digests exclude counters, runs
@@ -28,12 +39,15 @@
 // single-threaded to a FIXED split depth (independent of -j); each
 // frontier prefix becomes one job explored with its own visited table,
 // and results are merged in job order. The reported state count is a
-// pure function of the config — identical across runs and -j values.
+// pure function of the config — identical across runs and -j values. A
+// violation in job k stops the jobs after k and leaves them out of the
+// merge, so a violating run's counterexample and counters are too.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -195,14 +209,15 @@ class Explorer {
     bool interrupted = false;
   };
 
-  BranchEnd execute_branch(ChoiceSource& source,
-                           const std::function<void(sim::Connection&)>& on_ready);
+  /// Runs one branch to its end; nullopt when the source stopped it (a
+  /// prune or a frontier cut), whose end is not checked.
+  std::optional<BranchEnd> execute_branch(
+      ChoiceSource& source, const std::function<void(sim::Connection&)>& on_ready);
   ExpansionOutcome expand_frontier(const std::atomic<bool>* stop,
-                                   std::atomic<bool>& abort,
                                    std::atomic<std::uint64_t>& states_seen);
-  SubtreeOutcome explore_subtree(const std::vector<Choice>& root,
+  SubtreeOutcome explore_subtree(std::size_t job, const std::vector<Choice>& root,
                                  const std::atomic<bool>* stop,
-                                 std::atomic<bool>& abort,
+                                 std::atomic<std::size_t>& first_violation,
                                  std::atomic<std::uint64_t>& states_seen);
 
   ExploreConfig config_;

@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "robust/durable_file.hpp"
-#include "robust/failpoint.hpp"
 #include "robust/json_line.hpp"
 
 namespace pftk::obs::flight {
@@ -68,12 +67,6 @@ std::string render_spans_jsonl(const DrainedSpans& drained,
 
 void save_spans_file(const std::string& path, const DrainedSpans& drained,
                      std::string_view source) {
-  static const bool site_registered = [] {
-    robust::FailpointRegistry::instance().register_site(
-        "flight.write", "atomic write of the flight-recorder span export");
-    return true;
-  }();
-  (void)site_registered;
   const bool chrome =
       path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0;
   const std::string body = chrome ? render_chrome_json(drained, source)

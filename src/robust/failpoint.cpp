@@ -31,10 +31,11 @@ struct ArmedEntry {
 /// Canonical failpoint sites baked into the binary. Sites with
 /// configurable names (DurableAppender's append/flush) register their
 /// custom names at construction on top of these.
-constexpr std::array<std::pair<std::string_view, std::string_view>, 12> kBuiltinSites{{
+constexpr std::array<std::pair<std::string_view, std::string_view>, 13> kBuiltinSites{{
     {"checkpoint.rename", "campaign checkpoint atomic-rename commit"},
     {"export.jsonl.write", "metrics JSONL export write"},
     {"export.prom.write", "Prometheus textfile export write"},
+    {"flight.write", "atomic write of the flight-recorder span export"},
     {"journal.append", "campaign journal record append"},
     {"journal.flush", "campaign journal fsync"},
     {"mc.trace.write", "model-checker counterexample trace write"},
@@ -74,6 +75,25 @@ constexpr std::array<std::pair<FailpointAction, std::string_view>, 6>
         {FailpointAction::kDelay, "delay"},
         {FailpointAction::kCrash, "crash"},
     }};
+
+/// The clauses of a `;`-separated spec list, empty clauses skipped.
+std::vector<FailpointSpec> parse_specs(std::string_view text) {
+  std::vector<FailpointSpec> specs;
+  std::size_t pos = 0;
+  while (pos <= text.size()) {
+    const std::size_t semi = text.find(';', pos);
+    const std::string_view clause =
+        text.substr(pos, semi == std::string_view::npos ? semi : semi - pos);
+    if (!clause.empty()) {
+      specs.push_back(FailpointSpec::parse_one(clause));
+    }
+    if (semi == std::string_view::npos) {
+      break;
+    }
+    pos = semi + 1;
+  }
+  return specs;
+}
 
 std::uint64_t parse_u64(std::string_view key, std::string_view value) {
   if (const auto out = parse_decimal(value)) {
@@ -180,18 +200,19 @@ void FailpointRegistry::arm(const FailpointSpec& spec) {
 }
 
 void FailpointRegistry::arm_specs(std::string_view text) {
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t semi = text.find(';', pos);
-    const std::string_view clause =
-        text.substr(pos, semi == std::string_view::npos ? semi : semi - pos);
-    if (!clause.empty()) {
-      arm(FailpointSpec::parse_one(clause));
+  for (const FailpointSpec& spec : parse_specs(text)) {
+    arm(spec);
+  }
+}
+
+void FailpointRegistry::check_specs(std::string_view text) const {
+  const std::vector<FailpointSpec> specs = parse_specs(text);
+  RegistryState& s = state();
+  const std::lock_guard<std::mutex> lock(s.mu);
+  for (const FailpointSpec& spec : specs) {
+    if (!s.sites.contains(spec.name)) {
+      throw std::invalid_argument("failpoint spec: unknown site '" + spec.name + "'");
     }
-    if (semi == std::string_view::npos) {
-      break;
-    }
-    pos = semi + 1;
   }
 }
 

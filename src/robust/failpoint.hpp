@@ -75,8 +75,15 @@ class FailpointRegistry {
   void arm(const FailpointSpec& spec);
 
   /// Parses and arms a `;`-separated spec list. Empty input is a no-op.
+  /// Any name is accepted (tests arm sites of their own).
   /// @throws std::invalid_argument on grammar errors.
   void arm_specs(std::string_view text);
+
+  /// Parses a spec list as arm_specs does, arming nothing, and requires
+  /// every name to be a known site: a misspelled site would otherwise arm
+  /// a failpoint that no code evaluates.
+  /// @throws std::invalid_argument on grammar errors or an unknown site.
+  void check_specs(std::string_view text) const;
 
   /// Disarms everything and resets all hit counters.
   void disarm_all();

@@ -392,15 +392,16 @@ void EventQueue::run_until(Time end_time) {
     throw std::invalid_argument("EventQueue::run_until: end time is NaN");
   }
   Entry entry{};
-  while (peek_next(entry)) {
-    if (entry.at > end_time) {
-      break;
-    }
+  while (!stop_requested_ && peek_next(entry) && entry.at <= end_time) {
     if (tie_breaker_) {
       run_one_tied(entry);
     } else {
       run_one(entry);
     }
+  }
+  if (stop_requested_) {
+    stop_requested_ = false;
+    return;  // the clock stays at the last dispatched event
   }
   if (now_ < end_time) {
     now_ = end_time;
@@ -409,13 +410,14 @@ void EventQueue::run_until(Time end_time) {
 
 void EventQueue::run_all() {
   Entry entry{};
-  while (peek_next(entry)) {
+  while (!stop_requested_ && peek_next(entry)) {
     if (tie_breaker_) {
       run_one_tied(entry);
     } else {
       run_one(entry);
     }
   }
+  stop_requested_ = false;
 }
 
 void EventQueue::set_inspector(std::function<void()> inspector, std::uint64_t every) {

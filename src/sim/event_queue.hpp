@@ -38,6 +38,11 @@
 // Streams hold no callbacks per key: the stream's one callback finds the
 // payload in its owner's ring (Link). A tie-breaker sees only the heap,
 // so while one is installed streams take no keys.
+//
+// A run can be stopped from inside: request_stop() (from a callback, the
+// inspector or a tie-breaker) makes run_until/run_all return once the
+// event being dispatched has finished, with the clock at that event's
+// time. The next run carries on in the order an uninterrupted run takes.
 #pragma once
 
 #include <cstddef>
@@ -233,17 +238,28 @@ class EventQueue {
   void push(StreamId stream, Time at);
 
   /// Runs events until the queue empties or the next event is after
-  /// `end_time`; the clock finishes at exactly `end_time`.
+  /// `end_time`; the clock finishes at exactly `end_time`. A stop request
+  /// ends the run early, with the clock left where it is.
   /// @throws std::invalid_argument if `end_time` is NaN.
   void run_until(Time end_time);
 
-  /// Runs every pending event (use only when the event graph terminates).
+  /// Runs every pending event (use only when the event graph terminates),
+  /// or until a stop request.
   void run_all();
 
+  /// Asks the current run to return once the event being dispatched has
+  /// finished (its callback, then the inspector). now() stays at that
+  /// event's time, and pending events stay queued for the next run. The
+  /// request is consumed by the return it causes; one made while no run
+  /// is in progress (or left behind by a run that threw) stops the next
+  /// run before its first event.
+  void request_stop() noexcept { stop_requested_ = true; }
+
   /// Installs a hook invoked after every `every` executed events (a
-  /// watchdog's inspection point). The hook may throw to abort the run;
-  /// the exception propagates out of run_until/run_all with the queue in
-  /// a consistent state. Replaces any previous inspector.
+  /// watchdog's inspection point). The hook may request a stop, or throw
+  /// to abort the run; the exception propagates out of run_until/run_all
+  /// with the queue in a consistent state. Replaces any previous
+  /// inspector.
   void set_inspector(std::function<void()> inspector, std::uint64_t every = 1);
 
   /// Removes the inspector hook.
@@ -397,6 +413,7 @@ class EventQueue {
   std::size_t live_count_ = 0;
   std::size_t cancelled_in_heap_ = 0;
   std::size_t stream_keys_ = 0;  ///< keys held by all streams
+  bool stop_requested_ = false;
   std::function<void()> inspector_;
   std::uint64_t inspect_every_ = 1;
   std::uint64_t inspect_countdown_ = 1;  ///< events until the next inspection

@@ -8,9 +8,16 @@
 // Uniform draws are inline (canonical_double) and equal libstdc++'s
 // std::uniform_real_distribution<double> bit for bit, so every
 // fixed-seed run is the same as when they went through the library.
+//
+// An Rng keeps its seed and builds its mt19937_64 (2.5 KB, 312 seeding
+// multiplies) on the first draw: a stream that never draws, such as a
+// link whose loss comes from the explorer's oracle, costs a seed copy.
+// The seeding is out of line and cold, so an inline draw pays one
+// predictable branch; every drawn sequence is the eagerly seeded one.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <random>
 #include <stdexcept>
 
@@ -43,17 +50,18 @@ namespace pftk::sim {
   return r >= 1.0 ? 0x1.fffffffffffffp-1 : r;
 }
 
-/// A seeded mt19937_64 with convenience distributions.
+/// A seeded mt19937_64 with convenience distributions, seeded on the
+/// first draw.
 class Rng {
  public:
-  explicit Rng(std::uint64_t seed) : engine_(seed) {}
+  explicit Rng(std::uint64_t seed) noexcept : seed_(seed) {}
 
   /// Derives an independent child stream; mixing uses splitmix64 so
   /// nearby (seed, stream) pairs yield unrelated sequences.
   [[nodiscard]] static Rng derive(std::uint64_t seed, std::uint64_t stream);
 
   /// Uniform double in [0, 1).
-  [[nodiscard]] double uniform() { return canonical_double(engine_()); }
+  [[nodiscard]] double uniform() { return canonical_double(engine()()); }
 
   /// Uniform double in [lo, hi): uniform_real_distribution's
   /// canonical * (hi - lo) + lo.
@@ -88,10 +96,19 @@ class Rng {
   [[nodiscard]] std::uint64_t uniform_int(std::uint64_t lo, std::uint64_t hi);
 
   /// Raw 64-bit draw.
-  [[nodiscard]] std::uint64_t next_u64() { return engine_(); }
+  [[nodiscard]] std::uint64_t next_u64() { return engine()(); }
 
  private:
-  std::mt19937_64 engine_;
+  std::mt19937_64& engine() {
+    if (!engine_) [[unlikely]] {
+      seed_engine();
+    }
+    return *engine_;
+  }
+  [[gnu::cold, gnu::noinline]] void seed_engine();
+
+  std::uint64_t seed_;
+  std::optional<std::mt19937_64> engine_;  ///< empty until the first draw
 };
 
 }  // namespace pftk::sim

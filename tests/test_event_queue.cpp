@@ -422,6 +422,105 @@ TEST(EventQueue, ClearedTieBreakerRestoresFifoFastPath) {
   EXPECT_EQ(decisions, 0);
 }
 
+// ---- Stop requests -------------------------------------------------------
+
+TEST(EventQueueStop, CallbackStopsTheRunAfterItsEvent) {
+  EventQueue q;
+  std::vector<int> order;
+  q.schedule_at(1.0, [&] { order.push_back(1); });
+  q.schedule_at(2.0, [&] {
+    order.push_back(2);
+    q.request_stop();
+    q.schedule_at(2.0, [&] { order.push_back(20); });  // the event still finishes
+  });
+  q.schedule_at(3.0, [&] { order.push_back(3); });
+  q.run_until(10.0);
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(q.now(), 2.0);  // the stopping event's time, not the end time
+  EXPECT_EQ(q.executed(), 2u);
+  EXPECT_EQ(q.pending(), 2u);
+  q.run_until(10.0);  // carries on in the uninterrupted order
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 20, 3}));
+  EXPECT_EQ(q.now(), 10.0);
+}
+
+TEST(EventQueueStop, InspectorStopsTheRunAfterTheEventItInspects) {
+  EventQueue q;
+  q.set_inspector([&] {
+    if (q.executed() == 2) {
+      q.request_stop();
+    }
+  });
+  for (int i = 0; i < 5; ++i) {
+    q.schedule_at(static_cast<double>(i) + 1.0, [] {});
+  }
+  q.run_until(100.0);
+  EXPECT_EQ(q.executed(), 2u);
+  EXPECT_EQ(q.now(), 2.0);
+  EXPECT_EQ(q.pending(), 3u);
+  q.run_until(100.0);
+  EXPECT_EQ(q.executed(), 5u);
+  EXPECT_EQ(q.now(), 100.0);
+}
+
+TEST(EventQueueStop, TieBreakerStopsTheRunAfterTheEventItChose) {
+  EventQueue q;
+  std::vector<int> order;
+  for (int i = 0; i < 3; ++i) {
+    q.schedule_at(1.0, [&order, i] { order.push_back(i); });
+  }
+  q.schedule_at(2.0, [&order] { order.push_back(9); });
+  bool stopped = false;
+  q.set_tie_breaker([&](std::size_t tied) {
+    if (!stopped) {
+      stopped = true;
+      q.request_stop();
+      return tied - 1;
+    }
+    return std::size_t{0};
+  });
+  q.run_until(10.0);
+  EXPECT_EQ(order, (std::vector<int>{2}));  // the chosen event ran, nothing else
+  EXPECT_EQ(q.now(), 1.0);
+  EXPECT_EQ(q.executed(), 1u);
+  EXPECT_EQ(q.pending(), 3u);
+  q.run_until(10.0);  // the tied losers kept their FIFO order
+  EXPECT_EQ(order, (std::vector<int>{2, 0, 1, 9}));
+  EXPECT_EQ(q.now(), 10.0);
+}
+
+TEST(EventQueueStop, RunAllStopsAndResumes) {
+  EventQueue q;
+  std::vector<int> order;
+  for (int i = 0; i < 4; ++i) {
+    q.schedule_at(static_cast<double>(i), [&q, &order, i] {
+      order.push_back(i);
+      if (i == 1) {
+        q.request_stop();
+      }
+    });
+  }
+  q.run_all();
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+  EXPECT_EQ(q.now(), 1.0);
+  q.run_all();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(q.now(), 3.0);
+}
+
+TEST(EventQueueStop, RequestOutsideARunStopsTheNextRunBeforeItsFirstEvent) {
+  EventQueue q;
+  int fired = 0;
+  q.schedule_at(1.0, [&] { ++fired; });
+  q.request_stop();
+  q.run_until(5.0);
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(q.now(), 0.0);
+  q.run_until(5.0);  // the request was consumed: this run goes through
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(q.now(), 5.0);
+}
+
 TEST(EventQueue, NonFiniteTimesAreRejected) {
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -660,13 +759,18 @@ TEST(EventQueueTimer, NonFiniteOrPastDeadlinesAreRejected) {
 /// event, every disarm a cancel and every delivery a schedule_at.
 /// Callbacks log (tag, now) and perform more operations drawn from the
 /// side's own RNG, so two sides seeded alike stay in lockstep exactly as
-/// long as their dispatch orders agree.
+/// long as their dispatch orders agree. With `stop_points`, callbacks
+/// and the tie-breaker also request stops at points drawn from a second
+/// RNG, and run_until/run_all resume until the run is through: the stops
+/// must leave no trace.
 class ScriptedQueue {
  public:
   ScriptedQueue(bool use_handles, std::uint64_t seed, std::size_t timers, std::size_t streams,
-                bool tie_breaks)
+                bool tie_breaks, bool stop_points = false)
       : use_handles_(use_handles),
+        stop_points_(stop_points),
         rng_(seed),
+        stop_rng_(~seed),
         ids_(timers, 0),
         last_key_(streams, 0.0),
         payloads_(streams) {
@@ -689,9 +793,24 @@ class ScriptedQueue {
     if (tie_breaks) {
       queue.set_tie_breaker([this](std::size_t tied) {
         ties.push_back(tied);
+        maybe_stop();
         return static_cast<std::size_t>(rng_() % tied);
       });
     }
+  }
+
+  void run_until(Time end) {
+    do {
+      stop_asked_ = false;
+      queue.run_until(end);
+    } while (stop_asked_);
+  }
+
+  void run_all() {
+    do {
+      stop_asked_ = false;
+      queue.run_all();
+    } while (stop_asked_);
   }
 
   /// One random arm, disarm, one-shot or (with streams) delivery on the
@@ -740,10 +859,20 @@ class ScriptedQueue {
   obs::EventLoopStats stats;
   std::vector<std::pair<int, Time>> log;  ///< (tag, time) per dispatch
   std::vector<std::size_t> ties;          ///< tie-group sizes offered
+  std::size_t stops = 0;                  ///< stop requests made
 
  private:
+  void maybe_stop() {
+    if (stop_points_ && stop_rng_() % 4 == 0) {
+      queue.request_stop();
+      stop_asked_ = true;
+      ++stops;
+    }
+  }
+
   void fired(int tag) {
     log.emplace_back(tag, queue.now());
+    maybe_stop();
     if (budget_ > 0) {  // bounded, so run_all terminates
       --budget_;
       for (std::uint64_t n = rng_() % 3; n > 0; --n) {
@@ -753,7 +882,10 @@ class ScriptedQueue {
   }
 
   bool use_handles_;
+  bool stop_points_;
+  bool stop_asked_ = false;
   std::mt19937_64 rng_;
+  std::mt19937_64 stop_rng_;
   std::vector<EventId> ids_;
   std::vector<TimerId> handles_;
   std::vector<Time> last_key_;             ///< per stream
@@ -786,17 +918,19 @@ class ScriptedQueue {
 }
 
 /// Runs `scripts` seeded scripts on twin queues, timers (and, with
-/// `with_streams`, 1 to 4 delivery streams) against cancel + schedule_at,
-/// comparing after every step; returns the scripts that diverged.
+/// `with_streams`, 1 to 4 delivery streams) that stop and resume at random
+/// points against cancel + schedule_at run through, comparing after every
+/// step; returns the scripts that diverged.
 int diverging_scripts(int scripts, bool tie_breaks, bool with_streams = false) {
   int diverged = 0;
+  std::size_t stops = 0;
   for (int script = 0; script < scripts; ++script) {
     const auto seed = static_cast<std::uint64_t>(script) * 7919u + (tie_breaks ? 1u : 0u) +
                       (with_streams ? 2u : 0u);
     std::mt19937_64 pick(seed);
     const std::size_t k = 1 + pick() % 4;
     const std::size_t streams = with_streams ? 1 + pick() % 4 : 0;
-    ScriptedQueue timers(true, seed, k, streams, tie_breaks);
+    ScriptedQueue timers(true, seed, k, streams, tie_breaks, /*stop_points=*/true);
     ScriptedQueue events(false, seed, k, streams, tie_breaks);
     bool same = true;
     for (int step = 0; step < 40 && same; ++step) {
@@ -804,7 +938,7 @@ int diverging_scripts(int scripts, bool tie_breaks, bool with_streams = false) {
       const double span = 0.25 * static_cast<double>(pick() % 5);
       for (ScriptedQueue* d : {&timers, &events}) {
         if (run) {
-          d->queue.run_until(d->queue.now() + span);
+          d->run_until(d->queue.now() + span);
         } else {
           d->random_op();
         }
@@ -812,16 +946,18 @@ int diverging_scripts(int scripts, bool tie_breaks, bool with_streams = false) {
       same = static_cast<bool>(same_state(timers, events));
     }
     if (same) {
-      timers.queue.run_all();
-      events.queue.run_all();
+      timers.run_all();
+      events.run_all();
       same = static_cast<bool>(same_state(timers, events));
     }
+    stops += timers.stops;
     if (!same) {
       ADD_FAILURE() << "script " << script << " (tie_breaks=" << tie_breaks
                     << ", streams=" << streams << "): " << same_state(timers, events).message();
       ++diverged;
     }
   }
+  EXPECT_GT(stops, static_cast<std::size_t>(scripts)) << "too few stop points to test";
   return diverged;
 }
 

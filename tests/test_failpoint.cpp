@@ -162,6 +162,24 @@ TEST_F(FailpointTest, RegisterSiteIsIdempotentFirstDescriptionWins) {
                std::invalid_argument);
 }
 
+TEST_F(FailpointTest, CheckSpecsRejectsUnknownSitesAndArmsNothing) {
+  auto& registry = FailpointRegistry::instance();
+  EXPECT_NO_THROW(registry.check_specs(
+      "journal.append:after=4:action=crash:arg=8;flight.write:after=0:action=error"));
+  try {
+    registry.check_specs("journal.flush:after=1:action=error;jornal.append:after=0:action=error");
+    ADD_FAILURE() << "a misspelled site passed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'jornal.append'"), std::string::npos) << e.what();
+  }
+  EXPECT_THROW(registry.check_specs("bogus"), std::invalid_argument);
+  EXPECT_THROW(registry.check_specs("journal.append:action=nope"), std::invalid_argument);
+  EXPECT_EQ(registry.armed_count(), 0u);
+  // Arming itself still takes any name: tests evaluate sites of their own.
+  EXPECT_NO_THROW(registry.arm_specs("test.only.site:after=0:action=error"));
+  EXPECT_EQ(registry.armed_count(), 1u);
+}
+
 TEST_F(FailpointTest, DisarmAllResetsState) {
   FailpointRegistry::instance().arm_specs("x:after=5:action=error");
   EXPECT_EQ(FailpointRegistry::instance().armed_count(), 1u);

@@ -1,6 +1,7 @@
 // Choice-point plumbing for the bounded model checker: token/path
 // round-trips, ScriptedChoices prefix verification + fresh-node hook
-// verdicts, ReplayChoices strictness, and digest hex round-trips.
+// verdicts (a prune stops the source and its queue), ReplayChoices
+// strictness, and digest hex round-trips.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -9,6 +10,7 @@
 
 #include "mc/choice.hpp"
 #include "mc/digest.hpp"
+#include "sim/event_queue.hpp"
 
 namespace pftk::mc {
 namespace {
@@ -91,12 +93,55 @@ TEST(ScriptedChoices, HookSeesFreshNodesOnly) {
   EXPECT_EQ(depths, (std::vector<std::size_t>{1, 2}));
 }
 
-TEST(ScriptedChoices, PruneVerdictThrowsBranchPruned) {
-  ScriptedChoices source({});
-  source.set_hook([](ChoiceKind, std::size_t, std::size_t) {
-    return NodeVerdict::kPrune;
+TEST(ScriptedChoices, PruneVerdictStopsTheSource) {
+  int hook_calls = 0;
+  ScriptedChoices source({{ChoiceKind::kForwardLoss, 1, 2}});
+  source.set_hook([&](ChoiceKind, std::size_t, std::size_t depth) {
+    ++hook_calls;
+    return depth >= 2 ? NodeVerdict::kPrune : NodeVerdict::kExplore;
   });
-  EXPECT_THROW((void)source.choose(ChoiceKind::kForwardLoss, 2), BranchPruned);
+  EXPECT_EQ(source.choose(ChoiceKind::kForwardLoss, 2), 1u);  // prefix
+  EXPECT_EQ(source.choose(ChoiceKind::kAckLoss, 2), 0u);      // explored
+  EXPECT_FALSE(source.stopped());
+  EXPECT_EQ(source.choose(ChoiceKind::kTieBreak, 3), 0u);     // pruned
+  EXPECT_TRUE(source.stopped());
+  EXPECT_EQ(hook_calls, 2);
+  // From the prune on, every choice answers 0, records nothing and
+  // leaves the hook alone, whatever kind or arity it has.
+  for (const ChoiceKind kind : {ChoiceKind::kForwardLoss, ChoiceKind::kAckLoss,
+                                ChoiceKind::kTieBreak, ChoiceKind::kFaultOrder}) {
+    for (const std::size_t arity : {2u, 3u, 16u}) {
+      EXPECT_EQ(source.choose(kind, arity), 0u);
+    }
+  }
+  EXPECT_TRUE(source.stopped());
+  EXPECT_FALSE(source.truncated());
+  EXPECT_EQ(hook_calls, 2);
+  EXPECT_EQ(source.path(), (std::vector<Choice>{{ChoiceKind::kForwardLoss, 1, 2},
+                                                {ChoiceKind::kAckLoss, 0, 2}}));
+}
+
+TEST(ScriptedChoices, PruneVerdictStopsTheQueueAfterTheCurrentEvent) {
+  // The choice is made inside an event; that event runs to its end on
+  // 0 answers, then run_until returns with the clock at its time.
+  sim::EventQueue queue;
+  ScriptedChoices source({});
+  source.set_hook([](ChoiceKind, std::size_t, std::size_t) { return NodeVerdict::kPrune; },
+                  &queue);
+  std::vector<std::size_t> answers;
+  queue.schedule_at(1.0, [&] {
+    answers.push_back(source.choose(ChoiceKind::kForwardLoss, 2));
+    answers.push_back(source.choose(ChoiceKind::kTieBreak, 4));
+  });
+  bool later_ran = false;
+  queue.schedule_at(1.0, [&] { later_ran = true; });
+  queue.run_until(5.0);
+  EXPECT_EQ(answers, (std::vector<std::size_t>{0, 0}));
+  EXPECT_FALSE(later_ran);
+  EXPECT_EQ(queue.now(), 1.0);
+  EXPECT_EQ(queue.executed(), 1u);
+  EXPECT_EQ(queue.pending(), 1u);
+  EXPECT_TRUE(source.path().empty());
 }
 
 TEST(ScriptedChoices, TruncateStopsRecordingAndConsultation) {

@@ -153,6 +153,67 @@ TEST(Explorer, CounterexampleReplayReproducesViolationExactly) {
   EXPECT_EQ(outcome.digest.hex(), violation.digest.hex());
 }
 
+/// The documented config with tie branching (width 2, 4 choices): 619
+/// states when clean.
+ExploreConfig ties_config() {
+  ExploreConfig cfg;
+  cfg.tie_width = 2;
+  cfg.tie_choices = 4;
+  return cfg;
+}
+
+TEST(Explorer, CounterexamplesAndStatsAtAbortArePinned) {
+  // The first test.no_rtx violation and the counters at abort, as the
+  // build that ended branches by unwinding found them at -j 1. The tiny
+  // config aborts above the frontier; the tie config aborts in job 0 of
+  // 16, and later jobs stop and stay out of the merge, so -j 2 reports
+  // the same counters and counterexample as -j 1.
+  struct Pinned {
+    const char* name;
+    ExploreConfig config;
+    const char* path;
+    const char* digest;
+    ExploreStats stats;
+    std::size_t jobs;
+  };
+  const std::vector<Pinned> cases{
+      {"tiny", tiny_config(), "F0 F0 F1", "dabdae018407a1338c7c40287d636a1b",
+       ExploreStats{.states = 3, .branches = 2, .terminals = 2, .violations = 1}, 0},
+      {"ties", ties_config(), "F0 F0 F0 T0/2 F0 F1 F1 F0 F0",
+       "0c005e70797f9c0d7d25722c1d8593ab",
+       ExploreStats{.states = 26, .branches = 9, .terminals = 6, .pruned = 3, .violations = 1},
+       16},
+  };
+  for (const Pinned& pinned : cases) {
+    for (const int threads : {1, 2}) {
+      ExploreConfig cfg = pinned.config;
+      cfg.threads = threads;
+      Explorer explorer(cfg);
+      explorer.add_property("test.no_rtx", no_retransmission_property);
+      const ExploreResult result = explorer.run();
+      const std::string where = std::string(pinned.name) + " -j " + std::to_string(threads);
+      ASSERT_EQ(result.violations.size(), 1u) << where;
+      const Violation& violation = result.violations.front();
+      EXPECT_EQ(encode_choices(violation.path), pinned.path) << where;
+      EXPECT_EQ(violation.check, "test.no_rtx") << where;
+      EXPECT_EQ(violation.digest.hex(), pinned.digest) << where;
+      EXPECT_TRUE(stats_equal(result.stats, pinned.stats))
+          << where << ": states " << result.stats.states << ", branches "
+          << result.stats.branches << ", terminals " << result.stats.terminals
+          << ", pruned " << result.stats.pruned << ", truncated " << result.stats.truncated
+          << ", violations " << result.stats.violations;
+      EXPECT_EQ(result.jobs, pinned.jobs) << where;
+      EXPECT_FALSE(result.complete) << where;
+
+      const ReplayOutcome outcome = explorer.replay(violation.path);
+      EXPECT_FALSE(outcome.diverged) << where << ": " << outcome.message;
+      EXPECT_TRUE(outcome.violated) << where;
+      EXPECT_EQ(outcome.check, "test.no_rtx") << where;
+      EXPECT_EQ(outcome.digest.hex(), pinned.digest) << where;
+    }
+  }
+}
+
 TEST(Explorer, ReplayDetectsDivergence) {
   ExploreConfig cfg = tiny_config();
   Explorer explorer(cfg);

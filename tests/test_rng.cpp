@@ -197,6 +197,55 @@ TEST(Rng, DrawsKeepLibstdcxxBits) {
   }
 }
 
+TEST(Rng, CopiedOrMovedBeforeTheFirstDrawKeepsEveryDraw) {
+  // The engine is seeded on the first draw: a copy or a move made before
+  // it must draw exactly what an eagerly seeded mt19937_64 does, through
+  // every entry point, whichever one draws first.
+  for (const std::uint64_t seed : {0ULL, 42ULL, 0x9e3779b97f4a7c15ULL}) {
+    for (std::uint64_t first = 0; first < 6; ++first) {
+      const Rng original(seed);
+      Rng copied = original;
+      Rng moved_from(seed);
+      Rng moved = std::move(moved_from);
+      for (Rng* rng : {&copied, &moved}) {
+        std::mt19937_64 twin(seed);
+        std::uint64_t mismatches = 0;
+        for (std::uint64_t i = first; i < first + 100'000; ++i) {
+          switch (i % 6) {
+            case 0:
+              mismatches += std::bit_cast<std::uint64_t>(rng->uniform()) !=
+                            std::bit_cast<std::uint64_t>(
+                                std::uniform_real_distribution<double>(0.0, 1.0)(twin));
+              break;
+            case 1:
+              mismatches += std::bit_cast<std::uint64_t>(rng->uniform(-1.5, 3.0)) !=
+                            std::bit_cast<std::uint64_t>(
+                                std::uniform_real_distribution<double>(-1.5, 3.0)(twin));
+              break;
+            case 2:
+              mismatches += rng->bernoulli(0.25) !=
+                            (std::uniform_real_distribution<double>(0.0, 1.0)(twin) < 0.25);
+              break;
+            case 3:
+              mismatches += std::bit_cast<std::uint64_t>(rng->exponential(2.5)) !=
+                            std::bit_cast<std::uint64_t>(
+                                std::exponential_distribution<double>(1.0 / 2.5)(twin));
+              break;
+            case 4:
+              mismatches += rng->uniform_int(3, 1000) !=
+                            std::uniform_int_distribution<std::uint64_t>(3, 1000)(twin);
+              break;
+            default:
+              mismatches += rng->next_u64() != twin();
+              break;
+          }
+        }
+        EXPECT_EQ(mismatches, 0u) << "seed " << seed << ", first draw " << first;
+      }
+    }
+  }
+}
+
 /// A generator that returns one fixed word: std::generate_canonical's
 /// view of a single mt19937_64 draw.
 struct OneWord {

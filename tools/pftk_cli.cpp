@@ -1172,7 +1172,10 @@ std::vector<Command> command_table(Args& a) {
          [&](const char* v) { a.chaos.work_dir = v; }},
         fsync_every(a.chaos.fsync_every),
         {"--failpoint", "SPEC", "crash case to run (repeatable; default: the journal matrix)",
-         [&](const char* v) { a.chaos.failpoints.emplace_back(v); }}},
+         [&](const char* v) {
+           pftk::robust::FailpointRegistry::instance().check_specs(v);
+           a.chaos.failpoints.emplace_back(v);
+         }}},
        "crash-recovery matrix: fork, crash at each journal failpoint, resume,\n"
        "and verify byte-identical convergence; exits 1 on any divergence",
        [&] { return cmd_chaos(a.path, a.chaos); }},
@@ -1249,7 +1252,11 @@ int main(int argc, char** argv) {
   const std::vector<Flag> globals = {
       {"--failpoints", "SPEC",
        "arm \"name:after=N:action=A[:arg=K];...\" (error, short_write, enospc, delay, crash)",
-       [](const char* v) { pftk::robust::FailpointRegistry::instance().arm_specs(v); }},
+       [](const char* v) {
+         auto& registry = pftk::robust::FailpointRegistry::instance();
+         registry.check_specs(v);  // a misspelled site is a usage error
+         registry.arm_specs(v);
+       }},
       {"--trace-spans", "FILE", "record spans to FILE (Chrome JSON if .json, else prof's)",
        [&](const char* v) { args.trace_spans = v; }},
       {"--span-ring", "N", "per-thread span ring, overwrite-oldest (default 65536)",
