@@ -102,6 +102,17 @@ std::vector<Choice> decode_choices(const std::string& text) {
 ScriptedChoices::ScriptedChoices(std::vector<Choice> prefix)
     : path_(std::move(prefix)), prefix_(path_.size()) {}
 
+void ScriptedChoices::restart(const std::vector<Choice>& prefix, std::size_t cursor) {
+  if (cursor > prefix.size()) {
+    throw std::logic_error("ScriptedChoices::restart: cursor past the prefix");
+  }
+  path_ = prefix;
+  prefix_ = path_.size();
+  cursor_ = cursor;
+  stopped_ = false;
+  truncated_ = false;
+}
+
 std::size_t ScriptedChoices::choose(ChoiceKind kind, std::size_t arity) {
   if (arity < 2) {
     throw std::logic_error("ScriptedChoices: arity must be >= 2");

@@ -9,12 +9,14 @@
 //
 //   * ScriptedChoices replays a recorded prefix and extends it with
 //     default (index 0) decisions, recording arity as it goes — the
-//     stateless-search driver re-executes branches from the root and
-//     backtracks by incrementing the deepest incrementable choice
-//     (SimGrid-style DFS over a deterministic program). A kPrune verdict
-//     ends the branch without unwinding: the source stops (answering 0
-//     and recording nothing from then on) and asks the event queue to
-//     return after the current event.
+//     search driver backtracks by incrementing the deepest incrementable
+//     choice (SimGrid-style DFS over a deterministic program) and runs
+//     the new prefix either from the root or, restart()ed at a cursor,
+//     from a snapshot of the simulation taken at the event boundary
+//     before that choice. A kPrune verdict ends the branch without
+//     unwinding: the source stops (answering 0 and recording nothing
+//     from then on) and asks the event queue to return after the current
+//     event.
 //   * ReplayChoices replays a complete recorded path and *verifies* it:
 //     any kind/arity mismatch means the simulation did not unfold the
 //     way it did when the trace was recorded, which is exactly the
@@ -123,6 +125,12 @@ class ScriptedChoices final : public ChoiceSource {
 
   explicit ScriptedChoices(std::vector<Choice> prefix);
 
+  /// Starts a new branch that follows `prefix` and then extends it, with
+  /// the first `cursor` choices of `prefix` already made: the simulation
+  /// was restored to the point where they had been. Clears stopped() and
+  /// truncated(); keeps the hook.
+  void restart(const std::vector<Choice>& prefix, std::size_t cursor);
+
   /// Installs the fresh-node hook (no hook == always kExplore) and the
   /// simulation's queue, which a kPrune verdict asks to stop. Set after
   /// the simulation is constructed so the hook can capture it.
@@ -144,6 +152,9 @@ class ScriptedChoices final : public ChoiceSource {
   [[nodiscard]] bool truncated() const noexcept { return truncated_; }
 
   [[nodiscard]] std::size_t prefix_length() const noexcept { return prefix_; }
+
+  /// Choices made so far in this branch, replayed or recorded.
+  [[nodiscard]] std::size_t cursor() const noexcept { return cursor_; }
 
  private:
   std::vector<Choice> path_;

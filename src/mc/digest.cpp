@@ -1,11 +1,9 @@
 #include "mc/digest.hpp"
 
-#include <cstring>
 #include <stdexcept>
 #include <vector>
 
 #include "sim/connection.hpp"
-#include "sim/rng.hpp"
 
 namespace pftk::mc {
 
@@ -40,22 +38,12 @@ McDigest McDigest::from_hex(const std::string& text) {
   return d;
 }
 
-void DigestBuilder::add_u64(std::uint64_t value) noexcept {
-  // Position-dependent mixing (splitmix64 per lane): permuting the input
-  // sequence changes the digest, and both lanes diverge independently.
-  ++count_;
-  digest_.hi = sim::splitmix64(digest_.hi ^ sim::splitmix64(value + count_));
-  digest_.lo = sim::splitmix64(digest_.lo + digest_.hi + value);
-}
-
-void DigestBuilder::add_double(double value) noexcept {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(value));
-  std::memcpy(&bits, &value, sizeof(bits));
-  add_u64(bits);
-}
-
 McDigest digest_connection(const sim::Connection& conn) {
+  std::vector<sim::Time> scratch;
+  return digest_connection(conn, scratch);
+}
+
+McDigest digest_connection(const sim::Connection& conn, std::vector<sim::Time>& scratch) {
   DigestBuilder b;
 
   // Sender: window/sequence state plus everything the RTO estimator and
@@ -76,11 +64,12 @@ McDigest digest_connection(const sim::Connection& conn) {
   b.add_u64(snd.rtt_timed_seq());
   b.add_double(snd.rtt_timing_started());
   b.add_bool(snd.rtx_timer_armed());
-  b.add_u64(snd.flight().size());
-  for (const auto& rec : snd.flight()) {
-    b.add_double(rec.first_sent);
-    b.add_u64(rec.in_flight_at_send);
-    b.add_bool(rec.retransmitted);
+  const auto& flight = snd.flight();
+  b.add_u64(flight.size());
+  for (std::size_t i = 0; i < flight.size(); ++i) {
+    b.add_double(flight[i].first_sent);
+    b.add_u64(flight[i].in_flight_at_send);
+    b.add_bool(flight[i].retransmitted);
   }
 
   // Receiver: reassembly buffer and delayed-ACK state.
@@ -104,10 +93,10 @@ McDigest digest_connection(const sim::Connection& conn) {
   // event — a canonical view independent of scheduling order.
   const sim::EventQueue& queue = conn.event_queue();
   b.add_double(queue.now());
-  std::vector<sim::Time> pending;
-  queue.pending_times(pending);
-  b.add_u64(pending.size());
-  for (const sim::Time at : pending) {
+  scratch.clear();
+  queue.pending_times(scratch);
+  b.add_u64(scratch.size());
+  for (const sim::Time at : scratch) {
     b.add_double(at);
   }
 

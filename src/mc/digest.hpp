@@ -21,8 +21,13 @@
 // alarm.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <string>
+#include <vector>
+
+#include "sim/rng.hpp"
+#include "sim/sim_time.hpp"
 
 namespace pftk::sim {
 class Connection;
@@ -57,14 +62,22 @@ struct McDigestHash {
   }
 };
 
-/// Order-sensitive accumulator: feed words, take the digest.
+/// Order-sensitive accumulator: feed words, take the digest. Inline, as
+/// a digest feeds it about 120 words.
 class DigestBuilder {
  public:
-  void add_u64(std::uint64_t value) noexcept;
+  void add_u64(std::uint64_t value) noexcept {
+    // Position-dependent mixing (splitmix64 per lane): permuting the
+    // input sequence changes the digest, and both lanes diverge
+    // independently.
+    ++count_;
+    digest_.hi = sim::splitmix64(digest_.hi ^ sim::splitmix64(value + count_));
+    digest_.lo = sim::splitmix64(digest_.lo + digest_.hi + value);
+  }
   void add_i64(std::int64_t value) noexcept {
     add_u64(static_cast<std::uint64_t>(value));
   }
-  void add_double(double value) noexcept;
+  void add_double(double value) noexcept { add_u64(std::bit_cast<std::uint64_t>(value)); }
   void add_bool(bool value) noexcept { add_u64(value ? 1 : 0); }
 
   [[nodiscard]] McDigest finish() const noexcept { return digest_; }
@@ -75,7 +88,13 @@ class DigestBuilder {
 };
 
 /// Digests the behavioral state of a connection (see file comment for
-/// exactly what is covered and why counters are excluded).
+/// exactly what is covered and why counters are excluded). `scratch`
+/// holds the pending event times; a caller that digests often passes the
+/// same buffer each time, and the digest allocates nothing.
+[[nodiscard]] McDigest digest_connection(const sim::Connection& conn,
+                                         std::vector<sim::Time>& scratch);
+
+/// digest_connection with a buffer of its own.
 [[nodiscard]] McDigest digest_connection(const sim::Connection& conn);
 
 }  // namespace pftk::mc

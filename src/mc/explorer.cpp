@@ -112,6 +112,21 @@ void builtin_assumption_checks(const BranchContext& ctx) {
   }
 }
 
+/// Backtracks a finished branch's path in place: bumps its deepest
+/// choice at index >= floor that has an alternative left and drops the
+/// choices after it. False when none has: the subtree is done.
+bool next_path(std::vector<Choice>& path, std::size_t floor) {
+  for (std::size_t i = path.size(); i > floor; --i) {
+    Choice& c = path[i - 1];
+    if (static_cast<std::size_t>(c.chosen) + 1 < c.arity) {
+      ++c.chosen;
+      path.resize(i);
+      return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 void ExploreConfig::validate() const {
@@ -156,6 +171,99 @@ ExploreStats& ExploreStats::operator+=(const ExploreStats& other) noexcept {
   return *this;
 }
 
+struct Explorer::Rig {
+  Rig(const ExploreConfig& config, ChoiceSource& choices)
+      : cfg(config), source(choices), conn(connection_config()) {
+    // Fault-order nondeterminism: when several specs are active at once,
+    // branch on which rotation applies them.
+    if (sim::FaultInjector* faults = conn.mutable_forward_link().mutable_faults()) {
+      faults->set_order_oracle([this](std::size_t active) -> std::size_t {
+        return active < 2 ? 0 : source.choose(ChoiceKind::kFaultOrder, active);
+      });
+    }
+    // Timing nondeterminism: branch on the dispatch order of tied events.
+    if (cfg.tie_width >= 2) {
+      conn.event_queue().set_tie_breaker([this](std::size_t tied) -> std::size_t {
+        if (ties_used >= cfg.tie_choices) {
+          return 0;  // budget spent: FIFO
+        }
+        const std::size_t arity = std::min<std::size_t>(tied, cfg.tie_width);
+        if (arity < 2) {
+          return 0;
+        }
+        ++ties_used;
+        return source.choose(ChoiceKind::kTieBreak, arity);
+      });
+    }
+    // Stop as soon as the transfer completes (run_until would idle
+    // through the remaining delayed-ACK heartbeats otherwise); otherwise
+    // the boundary is the search's to use.
+    conn.event_queue().set_inspector([this] {
+      if (conn.sender().complete()) {
+        conn.event_queue().request_stop();
+      } else if (on_boundary) {
+        on_boundary();
+      }
+    });
+  }
+
+  sim::ConnectionConfig connection_config() {
+    sim::ConnectionConfig c;
+    c.sender.initial_cwnd = 1.0;
+    c.sender.advertised_window = cfg.window;
+    c.sender.initial_rto = cfg.min_rto;
+    c.sender.min_rto = cfg.min_rto;
+    c.sender.timer_tick = 0.0;  // exact timers: no tick rounding noise
+    c.sender.total_packets = cfg.packets;
+    c.receiver.ack_every = cfg.ack_every;
+    c.forward_link.propagation_delay = cfg.one_way_delay;
+    c.reverse_link.propagation_delay = cfg.one_way_delay;
+    c.seed = cfg.seed;
+    c.check_invariants = true;  // the live Reno state-machine checker
+    // Loss nondeterminism: each offered packet is one binary choice point
+    // until the branch's budget runs out; after that the oracle delivers
+    // deterministically, so every branch is finite by construction.
+    c.forward_loss = sim::OracleLossSpec{
+        [this](sim::Time) { return drop(ChoiceKind::kForwardLoss); }};
+    if (cfg.ack_loss) {
+      c.reverse_loss = sim::OracleLossSpec{
+          [this](sim::Time) { return drop(ChoiceKind::kAckLoss); }};
+    }
+    if (!cfg.fault_schedule.empty()) {
+      c.forward_faults = sim::FaultSchedule::parse(cfg.fault_schedule);
+    }
+    return c;
+  }
+
+  bool drop(ChoiceKind kind) {
+    if (loss_used >= cfg.loss_choices) {
+      return false;
+    }
+    ++loss_used;
+    return source.choose(kind, 2) == 1;
+  }
+
+  /// Whether the next event can make a fresh choice: any event may offer
+  /// a packet while a loss budget is left, or meet overlapping faults,
+  /// whose order has no budget; a tie choice comes only with a tied
+  /// dispatch.
+  [[nodiscard]] bool choice_ahead() const noexcept {
+    if (loss_used < cfg.loss_choices || !cfg.fault_schedule.empty()) {
+      return true;
+    }
+    return cfg.tie_width >= 2 && ties_used < cfg.tie_choices &&
+           conn.event_queue().next_is_tied();
+  }
+
+  const ExploreConfig& cfg;
+  ChoiceSource& source;
+  std::uint32_t loss_used = 0;
+  std::uint32_t ties_used = 0;
+  std::function<void()> on_boundary;  ///< at each event boundary before completion
+  std::vector<sim::Time> scratch;     ///< digest buffer
+  sim::Connection conn;
+};
+
 Explorer::Explorer(ExploreConfig config) : config_(std::move(config)) {
   config_.validate();
 }
@@ -167,103 +275,19 @@ void Explorer::add_property(std::string name, Property property) {
   properties_.emplace_back(std::move(name), std::move(property));
 }
 
-std::optional<Explorer::BranchEnd> Explorer::execute_branch(
-    ChoiceSource& source, const std::function<void(sim::Connection&)>& on_ready) {
-  PFTK_SPAN("mc.branch");
-  const ExploreConfig& cfg = config_;
-  std::uint32_t loss_used = 0;
-  std::uint32_t ties_used = 0;
-
-  sim::ConnectionConfig conn_cfg;
-  conn_cfg.sender.initial_cwnd = 1.0;
-  conn_cfg.sender.advertised_window = cfg.window;
-  conn_cfg.sender.initial_rto = cfg.min_rto;
-  conn_cfg.sender.min_rto = cfg.min_rto;
-  conn_cfg.sender.timer_tick = 0.0;  // exact timers: no tick rounding noise
-  conn_cfg.sender.total_packets = cfg.packets;
-  conn_cfg.receiver.ack_every = cfg.ack_every;
-  conn_cfg.forward_link.propagation_delay = cfg.one_way_delay;
-  conn_cfg.reverse_link.propagation_delay = cfg.one_way_delay;
-  conn_cfg.seed = cfg.seed;
-  conn_cfg.check_invariants = true;  // the live Reno state-machine checker
-
-  // Loss nondeterminism: each offered packet is one binary choice point
-  // until the branch's budget runs out; after that the oracle delivers
-  // deterministically, so every branch is finite by construction.
-  conn_cfg.forward_loss = sim::OracleLossSpec{[&source, &loss_used, &cfg](sim::Time) {
-    if (loss_used >= cfg.loss_choices) {
-      return false;
-    }
-    ++loss_used;
-    return source.choose(ChoiceKind::kForwardLoss, 2) == 1;
-  }};
-  if (cfg.ack_loss) {
-    conn_cfg.reverse_loss = sim::OracleLossSpec{[&source, &loss_used, &cfg](sim::Time) {
-      if (loss_used >= cfg.loss_choices) {
-        return false;
-      }
-      ++loss_used;
-      return source.choose(ChoiceKind::kAckLoss, 2) == 1;
-    }};
-  }
-  if (!cfg.fault_schedule.empty()) {
-    conn_cfg.forward_faults = sim::FaultSchedule::parse(cfg.fault_schedule);
-  }
-
-  sim::Connection conn(conn_cfg);
-
-  // Fault-order nondeterminism: when several specs are active at once,
-  // branch on which rotation applies them.
-  if (!cfg.fault_schedule.empty()) {
-    if (sim::FaultInjector* faults = conn.mutable_forward_link().mutable_faults()) {
-      faults->set_order_oracle([&source](std::size_t active) -> std::size_t {
-        if (active < 2) {
-          return 0;
-        }
-        return source.choose(ChoiceKind::kFaultOrder, active);
-      });
-    }
-  }
-
-  // Timing nondeterminism: branch on the dispatch order of tied events.
-  if (cfg.tie_width >= 2) {
-    conn.event_queue().set_tie_breaker(
-        [&source, &ties_used, &cfg](std::size_t tied) -> std::size_t {
-          if (ties_used >= cfg.tie_choices) {
-            return 0;  // budget spent: FIFO
-          }
-          const std::size_t arity = std::min<std::size_t>(tied, cfg.tie_width);
-          if (arity < 2) {
-            return 0;
-          }
-          ++ties_used;
-          return source.choose(ChoiceKind::kTieBreak, arity);
-        });
-  }
-
-  // Stop as soon as the transfer completes (run_for would idle through
-  // the remaining delayed-ACK heartbeats otherwise).
-  const sim::TcpRenoSender& sender = conn.sender();
-  sim::EventQueue& queue = conn.event_queue();
-  queue.set_inspector([&sender, &queue] {
-    if (sender.complete()) {
-      queue.request_stop();
-    }
-  });
-
-  if (on_ready) {
-    on_ready(conn);
-  }
-
+std::optional<Explorer::BranchEnd> Explorer::run_branch(Rig& rig,
+                                                         const std::vector<Choice>& path) {
+  sim::Connection& conn = rig.conn;
   BranchEnd end;
   try {
-    (void)conn.run_for(cfg.time_cap);
+    // To the absolute cap: a resumed branch ends where a replayed one does.
+    (void)conn.run_until(config_.time_cap);
   } catch (const sim::InvariantViolation& e) {
     end.violated = true;
     end.check = e.check();
     end.message = e.what();
   }
-  if (source.stopped()) {
+  if (rig.source.stopped()) {
     // Pruned or cut at a choice point: the branch ends there. Whatever
     // the rest of that event did, a violation included, is not part of
     // the search.
@@ -272,7 +296,7 @@ std::optional<Explorer::BranchEnd> Explorer::execute_branch(
   end.completed = conn.sender().complete();
 
   if (!end.violated) {
-    const BranchContext ctx{conn, cfg, end.completed};
+    const BranchContext ctx{conn, config_, end.completed, path};
     try {
       builtin_assumption_checks(ctx);
       for (const auto& [name, property] : properties_) {
@@ -287,12 +311,11 @@ std::optional<Explorer::BranchEnd> Explorer::execute_branch(
 
   // Digest of wherever the branch stopped (completion, time cap, or the
   // violation point) — what a replay must reproduce bit-for-bit.
-  end.digest = digest_connection(conn);
+  end.digest = digest_connection(conn, rig.scratch);
   return end;
 }
 
-Explorer::ExpansionOutcome Explorer::expand_frontier(
-    const std::atomic<bool>* stop, std::atomic<std::uint64_t>& states_seen) {
+Explorer::ExpansionOutcome Explorer::expand_frontier(const std::atomic<bool>* stop) {
   ExpansionOutcome out;
   std::vector<Choice> current;
   while (true) {
@@ -300,20 +323,22 @@ Explorer::ExpansionOutcome Explorer::expand_frontier(
       out.interrupted = true;
       return out;
     }
-    if (config_.max_states != 0 &&
-        states_seen.load(std::memory_order_relaxed) >= config_.max_states) {
+    if (config_.max_states != 0 && out.stats.states >= config_.max_states) {
       out.incomplete = true;
       return out;
     }
-    ScriptedChoices source(current);
+    // Stateless: each branch is a fresh connection replaying `current`.
     // No pruning above the frontier: the partition must be a fixed
     // function of the config so state counts are thread-count-invariant.
     // A branch that reaches the split depth is cut there (a kPrune
     // verdict) and becomes a parallel job.
-    auto on_ready = [this, &source, &out, &states_seen](sim::Connection& conn) {
+    ScriptedChoices source(current);
+    std::optional<BranchEnd> end;
+    {
+      PFTK_SPAN("mc.branch");
+      Rig rig(config_, source);
       source.set_hook(
-          [this, &out, &states_seen](ChoiceKind, std::size_t,
-                                     std::size_t depth) -> NodeVerdict {
+          [this, &out](ChoiceKind, std::size_t, std::size_t depth) -> NodeVerdict {
             // The depth budget applies above the frontier too — a
             // split_depth larger than the budget must not smuggle extra
             // enumeration in.
@@ -324,12 +349,11 @@ Explorer::ExpansionOutcome Explorer::expand_frontier(
               return NodeVerdict::kPrune;
             }
             ++out.stats.states;
-            states_seen.fetch_add(1, std::memory_order_relaxed);
             return NodeVerdict::kExplore;
           },
-          &conn.event_queue());
-    };
-    const std::optional<BranchEnd> end = execute_branch(source, on_ready);
+          &rig.conn.event_queue());
+      end = run_branch(rig, source.path());
+    }
     if (!end) {
       out.jobs.push_back(source.path());
     } else {
@@ -346,33 +370,95 @@ Explorer::ExpansionOutcome Explorer::expand_frontier(
         return out;
       }
     }
-
-    // Backtrack: bump the deepest incrementable choice.
-    std::vector<Choice> path = source.path();
-    std::size_t i = path.size();
-    while (i > 0) {
-      Choice& c = path[i - 1];
-      if (static_cast<std::size_t>(c.chosen) + 1 < c.arity) {
-        ++c.chosen;
-        path.resize(i);
-        break;
-      }
-      --i;
-    }
-    if (i == 0) {
+    current = source.path();
+    if (!next_path(current, 0)) {
       return out;  // frontier fully enumerated
     }
-    current = std::move(path);
   }
+}
+
+bool Explorer::StateBudget::spent(std::size_t job, std::uint64_t own) const noexcept {
+  std::uint64_t seen = expansion + own;
+  for (std::size_t j = 0; j < job; ++j) {
+    seen += jobs[j].load(std::memory_order_relaxed);
+  }
+  return seen >= max;
 }
 
 Explorer::SubtreeOutcome Explorer::explore_subtree(
     std::size_t job, const std::vector<Choice>& root, const std::atomic<bool>* stop,
-    std::atomic<std::size_t>& first_violation, std::atomic<std::uint64_t>& states_seen) {
+    std::atomic<std::size_t>& first_violation, StateBudget& budget) {
   SubtreeOutcome out;
   VisitedTable visited;
-  std::vector<Choice> current = root;
-  const std::size_t root_len = root.size();
+  ScriptedChoices source(root);
+  Rig rig(config_, source);
+  sim::Connection& conn = rig.conn;
+
+  // The DFS stack: frames[0, kept) hold one snapshot per event that
+  // recorded a fresh choice, oldest first, each taken at the boundary
+  // before its event with the choice cursor and budgets there.
+  // frames[kept] holds the latest boundary's save until a fresh choice in
+  // the next event keeps it.
+  struct Frame {
+    std::size_t cursor = 0;
+    std::uint32_t loss_used = 0;
+    std::uint32_t ties_used = 0;
+    sim::Connection::State state;
+  };
+  std::vector<Frame> frames;
+  std::size_t kept = 0;
+  bool pending = false;
+  const auto save = [&] {
+    if (frames.size() == kept) {
+      frames.emplace_back();
+    }
+    Frame& frame = frames[kept];
+    frame.cursor = source.cursor();
+    frame.loss_used = rig.loss_used;
+    frame.ties_used = rig.ties_used;
+    conn.save(frame.state);
+    pending = true;
+  };
+  rig.on_boundary = [&] {
+    // Never once the source stopped: a pruned event's stop request must
+    // not end up in a snapshot.
+    pending = false;
+    if (!source.stopped() && !source.truncated() && source.path().size() < config_.depth &&
+        rig.choice_ahead()) {
+      save();
+    }
+  };
+  source.set_hook(
+      [&](ChoiceKind, std::size_t, std::size_t depth) -> NodeVerdict {
+        if (depth >= config_.depth) {
+          return NodeVerdict::kTruncate;
+        }
+        if (config_.prune_visited) {
+          const McDigest digest = digest_connection(conn, rig.scratch);
+          const auto remaining = static_cast<std::uint32_t>(config_.depth - depth);
+          auto [it, inserted] = visited.try_emplace(digest, remaining);
+          if (!inserted) {
+            if (it->second >= remaining) {
+              return NodeVerdict::kPrune;
+            }
+            it->second = remaining;  // revisit with more headroom: go deeper
+          }
+        }
+        ++out.stats.states;
+        if (pending) {
+          ++kept;  // this event's boundary save becomes a frame
+          pending = false;
+        }
+        return NodeVerdict::kExplore;
+      },
+      &conn.event_queue());
+
+  // The first branch runs from t = 0, replaying the root. Choices made in
+  // TcpRenoSender::start() or the first event belong to the unstarted
+  // connection: no inspector runs before the first event ends.
+  save();
+  std::vector<Choice> path;
+  bool resume = false;
   while (true) {
     if (stop != nullptr && stop->load()) {
       out.interrupted = true;
@@ -381,37 +467,23 @@ Explorer::SubtreeOutcome Explorer::explore_subtree(
     if (first_violation.load(std::memory_order_relaxed) < job) {
       return out;  // an earlier job found a counterexample: this one is moot
     }
-    if (config_.max_states != 0 &&
-        states_seen.load(std::memory_order_relaxed) >= config_.max_states) {
+    if (config_.max_states != 0 && budget.spent(job, out.stats.states)) {
       out.incomplete = true;
       return out;
     }
-    ScriptedChoices source(current);
-    auto on_ready = [this, &source, &out, &visited, &states_seen](sim::Connection& conn) {
-      source.set_hook(
-          [this, &conn, &out, &visited, &states_seen](ChoiceKind, std::size_t,
-                                                      std::size_t depth) -> NodeVerdict {
-            if (depth >= config_.depth) {
-              return NodeVerdict::kTruncate;
-            }
-            if (config_.prune_visited) {
-              const McDigest digest = digest_connection(conn);
-              const auto remaining = static_cast<std::uint32_t>(config_.depth - depth);
-              auto [it, inserted] = visited.try_emplace(digest, remaining);
-              if (!inserted) {
-                if (it->second >= remaining) {
-                  return NodeVerdict::kPrune;
-                }
-                it->second = remaining;  // revisit with more headroom: go deeper
-              }
-            }
-            ++out.stats.states;
-            states_seen.fetch_add(1, std::memory_order_relaxed);
-            return NodeVerdict::kExplore;
-          },
-          &conn.event_queue());
-    };
-    const std::optional<BranchEnd> end = execute_branch(source, on_ready);
+    std::optional<BranchEnd> end;
+    {
+      PFTK_SPAN("mc.branch");
+      if (resume) {
+        const Frame& frame = frames[kept - 1];
+        conn.restore(frame.state);
+        rig.loss_used = frame.loss_used;
+        rig.ties_used = frame.ties_used;
+        source.restart(path, frame.cursor);
+        pending = false;
+      }
+      end = run_branch(rig, source.path());
+    }
     ++out.stats.branches;
     if (!end) {
       ++out.stats.pruned;
@@ -425,41 +497,68 @@ Explorer::SubtreeOutcome Explorer::explore_subtree(
         ++out.stats.violations;
         out.violations.push_back(
             Violation{source.path(), end->check, end->message, end->digest});
-        // Later jobs stop; earlier ones run on. What is merged, every
-        // job before this one and this one up to here, is what -j 1
-        // finds.
-        std::size_t seen = first_violation.load(std::memory_order_relaxed);
-        while (job < seen && !first_violation.compare_exchange_weak(seen, job)) {
-        }
-        return out;
       }
+    }
+    if (config_.max_states != 0) {
+      budget.jobs[job].store(out.stats.states, std::memory_order_relaxed);
+      if (out.checkpoints.empty() || out.checkpoints.back().states != out.stats.states) {
+        out.checkpoints.push_back(out.stats);
+      }
+    }
+    if (!out.violations.empty()) {
+      // Later jobs stop; earlier ones run on. What is merged, every
+      // job before this one and this one up to here, is what -j 1
+      // finds.
+      std::size_t seen = first_violation.load(std::memory_order_relaxed);
+      while (job < seen && !first_violation.compare_exchange_weak(seen, job)) {
+      }
+      return out;
     }
 
-    std::vector<Choice> path = source.path();
-    std::size_t i = path.size();
-    while (i > root_len) {
-      Choice& c = path[i - 1];
-      if (static_cast<std::size_t>(c.chosen) + 1 < c.arity) {
-        ++c.chosen;
-        path.resize(i);
-        break;
-      }
-      --i;
-    }
-    if (i <= root_len) {
+    path = source.path();
+    if (!next_path(path, root.size())) {
       return out;  // subtree exhausted
     }
-    current = std::move(path);
+    // Resume from the frame of the event that made the bumped choice: the
+    // last one that starts at or before it.
+    while (kept > 0 && frames[kept - 1].cursor >= path.size()) {
+      --kept;
+    }
+    if (kept == 0) {
+      throw std::logic_error("Explorer: no snapshot holds the bumped choice");
+    }
+    resume = true;
+  }
+}
+
+void Explorer::cut_at_budget(std::uint64_t seen, std::vector<SubtreeOutcome>& outcomes) const {
+  for (SubtreeOutcome& outcome : outcomes) {
+    // -j 1 starts a branch of this job only while the states so far stay
+    // below the budget, so it stops after the first branch that reaches it.
+    const std::uint64_t left = seen >= config_.max_states ? 0 : config_.max_states - seen;
+    const auto& cps = outcome.checkpoints;
+    const auto at = std::find_if(cps.begin(), cps.end(),
+                                 [left](const ExploreStats& s) { return s.states >= left; });
+    if (left == 0) {
+      const bool interrupted = outcome.interrupted;
+      outcome = SubtreeOutcome{};
+      outcome.incomplete = true;
+      outcome.interrupted = interrupted;
+    } else if (at != cps.end() && at->branches < outcome.stats.branches) {
+      outcome.stats = *at;
+      outcome.violations.clear();
+      outcome.incomplete = true;
+    }
+    seen += outcome.stats.states;
   }
 }
 
 ExploreResult Explorer::run(const std::atomic<bool>* stop) {
   ExploreResult result;
-  std::atomic<std::uint64_t> states_seen{0};
 
   // Phase 1: single-threaded expansion to the fixed split frontier. The
   // job list depends only on the config, never on the thread count.
-  ExpansionOutcome expansion = expand_frontier(stop, states_seen);
+  ExpansionOutcome expansion = expand_frontier(stop);
   result.stats += expansion.stats;
   for (auto& violation : expansion.violations) {
     result.violations.push_back(std::move(violation));
@@ -476,33 +575,37 @@ ExploreResult Explorer::run(const std::atomic<bool>* stop) {
     const auto& jobs = expansion.jobs;
     std::vector<SubtreeOutcome> outcomes(jobs.size());
     std::atomic<std::size_t> first_violation{jobs.size()};
+    StateBudget budget{config_.max_states, expansion.stats.states,
+                       std::vector<std::atomic<std::uint64_t>>(jobs.size())};
     const auto worker_count = static_cast<std::size_t>(
         std::min<std::size_t>(static_cast<std::size_t>(config_.threads), jobs.size()));
     if (worker_count <= 1) {
       for (std::size_t i = 0; i < jobs.size(); ++i) {
-        outcomes[i] = explore_subtree(i, jobs[i], stop, first_violation, states_seen);
+        outcomes[i] = explore_subtree(i, jobs[i], stop, first_violation, budget);
       }
     } else {
       std::atomic<std::size_t> next{0};
       std::vector<std::thread> workers;
       workers.reserve(worker_count);
       for (std::size_t w = 0; w < worker_count; ++w) {
-        workers.emplace_back(
-            [this, &jobs, &outcomes, &next, stop, &first_violation, &states_seen] {
-              while (true) {
-                const std::size_t i = next.fetch_add(1);
-                if (i >= jobs.size()) {
-                  return;
-                }
-                outcomes[i] = explore_subtree(i, jobs[i], stop, first_violation, states_seen);
-              }
-            });
+        workers.emplace_back([this, &jobs, &outcomes, &next, stop, &first_violation, &budget] {
+          while (true) {
+            const std::size_t i = next.fetch_add(1);
+            if (i >= jobs.size()) {
+              return;
+            }
+            outcomes[i] = explore_subtree(i, jobs[i], stop, first_violation, budget);
+          }
+        });
       }
       for (std::thread& worker : workers) {
         worker.join();
       }
     }
     outcomes.resize(std::min(outcomes.size(), first_violation.load() + 1));
+    if (config_.max_states != 0) {
+      cut_at_budget(expansion.stats.states, outcomes);
+    }
     for (auto& outcome : outcomes) {
       result.stats += outcome.stats;
       for (auto& violation : outcome.violations) {
@@ -522,7 +625,12 @@ ReplayOutcome Explorer::replay(const std::vector<Choice>& choices) {
   ReplayOutcome outcome;
   ReplayChoices source(choices);
   try {
-    const BranchEnd end = *execute_branch(source, nullptr);  // a replay never stops
+    std::optional<BranchEnd> end;
+    {
+      PFTK_SPAN("mc.branch");
+      Rig rig(config_, source);
+      end = run_branch(rig, choices);  // a replay never stops
+    }
     if (!source.done()) {
       std::ostringstream os;
       os << "choice divergence: " << choices.size() - source.consumed()
@@ -531,10 +639,10 @@ ReplayOutcome Explorer::replay(const std::vector<Choice>& choices) {
       outcome.message = os.str();
       return outcome;
     }
-    outcome.violated = end.violated;
-    outcome.check = end.check;
-    outcome.message = end.message;
-    outcome.digest = end.digest;
+    outcome.violated = end->violated;
+    outcome.check = end->check;
+    outcome.message = end->message;
+    outcome.digest = end->digest;
   } catch (const ChoiceDivergence& e) {
     outcome.diverged = true;
     outcome.message = e.what();

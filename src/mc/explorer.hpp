@@ -8,14 +8,29 @@
 // through the ChoiceSource seams in sim/ (OracleLoss,
 // FaultInjector::set_order_oracle, EventQueue::set_tie_breaker).
 //
-// Search is stateless re-execution (SimGrid DFSExplorer style): a branch
-// IS its choice sequence; the driver replays a prefix, extends it with
-// default decisions, and backtracks by incrementing the deepest
+// Search is depth-first over choice sequences (SimGrid DFSExplorer
+// style): a branch IS its choice sequence; the driver extends a prefix
+// with default decisions and backtracks by incrementing the deepest
 // incrementable choice. Every branch runs with the live
 // InvariantChecker armed plus end-of-branch assumption checks derived
 // from the paper's model (accounting identities, cumulative-ACK
 // ordering, receiver-window cap, E[W] >= 1 flooring and model
 // evaluability at the observed loss rate — see MODELS.md).
+//
+// A job resumes each branch from a snapshot instead of re-running it
+// from t = 0. It keeps one live sim::Connection and a DFS stack of its
+// snapshots (sim/connection.hpp), one per event that recorded a fresh
+// choice, taken at the event boundary before it: the queue's inspector
+// saves there while a choice budget is left, and the first fresh choice
+// of the event keeps the save. A bumped branch restores the snapshot of
+// the event that made the bumped choice, with the choice cursor and the
+// loss and tie budgets of that boundary, and runs on from there;
+// choices inside TcpRenoSender::start() belong to the unstarted
+// connection, saved before the first run. A snapshot restores only into
+// the connection that took it, so the callbacks that capture it stay
+// valid. Stateless re-execution from t = 0 remains in three places: the
+// frontier expansion, each job's first branch and replay(), which stays
+// the oracle that re-validates counterexamples.
 //
 // A branch ends at an event boundary, never by unwinding. Once the
 // transfer completes, the queue's inspector requests a stop; a prune or
@@ -41,13 +56,18 @@
 // and results are merged in job order. The reported state count is a
 // pure function of the config — identical across runs and -j values. A
 // violation in job k stops the jobs after k and leaves them out of the
-// merge, so a violating run's counterexample and counters are too.
+// merge, so a violating run's counterexample and counters are too. A
+// max_states cut is too: job k stops once the expansion's states, those
+// of the jobs before it (running ones count what they have so far) and
+// its own reach the budget, and the merge cuts each job at the branch
+// where -j 1 stops.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -150,7 +170,8 @@ class PropertyViolation : public std::runtime_error {
 struct BranchContext {
   const sim::Connection& conn;
   const ExploreConfig& config;
-  bool completed = false;  ///< the finite transfer finished in time
+  bool completed = false;        ///< the finite transfer finished in time
+  std::span<const Choice> path;  ///< the branch's choices (what replay takes)
 };
 
 /// End-of-branch check; throws PropertyViolation to report.
@@ -200,7 +221,19 @@ class Explorer {
     std::vector<Violation> violations;
     bool incomplete = false;
     bool interrupted = false;
+    /// With max_states: the stats after each branch that found states.
+    std::vector<ExploreStats> checkpoints;
   };
+  /// The max_states budget of the jobs (see the file comment).
+  struct StateBudget {
+    std::uint64_t max = 0;
+    std::uint64_t expansion = 0;                    ///< the expansion's states
+    std::vector<std::atomic<std::uint64_t>> jobs;   ///< each job's states so far
+    /// Whether `job` with `own` states of its own must stop.
+    [[nodiscard]] bool spent(std::size_t job, std::uint64_t own) const noexcept;
+  };
+  /// A connection wired to a ChoiceSource within the budgets (explorer.cpp).
+  struct Rig;
   struct ExpansionOutcome {
     ExploreStats stats;
     std::vector<Violation> violations;
@@ -209,16 +242,18 @@ class Explorer {
     bool interrupted = false;
   };
 
-  /// Runs one branch to its end; nullopt when the source stopped it (a
-  /// prune or a frontier cut), whose end is not checked.
-  std::optional<BranchEnd> execute_branch(
-      ChoiceSource& source, const std::function<void(sim::Connection&)>& on_ready);
-  ExpansionOutcome expand_frontier(const std::atomic<bool>* stop,
-                                   std::atomic<std::uint64_t>& states_seen);
+  /// Runs the rig's connection from where it stands to the time cap and
+  /// checks the branch's end; nullopt when the source stopped it (a prune
+  /// or a frontier cut), whose end is not checked. `path` is the source's
+  /// path, which grows as the branch runs.
+  std::optional<BranchEnd> run_branch(Rig& rig, const std::vector<Choice>& path);
+  ExpansionOutcome expand_frontier(const std::atomic<bool>* stop);
   SubtreeOutcome explore_subtree(std::size_t job, const std::vector<Choice>& root,
                                  const std::atomic<bool>* stop,
                                  std::atomic<std::size_t>& first_violation,
-                                 std::atomic<std::uint64_t>& states_seen);
+                                 StateBudget& budget);
+  /// Cuts each job's outcome where -j 1 stops for max_states.
+  void cut_at_budget(std::uint64_t seen, std::vector<SubtreeOutcome>& outcomes) const;
 
   ExploreConfig config_;
   std::vector<std::pair<std::string, Property>> properties_;

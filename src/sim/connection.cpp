@@ -1,5 +1,7 @@
 #include "sim/connection.hpp"
 
+#include <stdexcept>
+
 #include "obs/flight/flight_recorder.hpp"
 
 namespace pftk::sim {
@@ -113,7 +115,42 @@ void Connection::enable_watchdog(const WatchdogConfig& config) {
   watchdog_->arm();
 }
 
+void Connection::save(State& out) const {
+  if (watchdog_) {
+    throw std::logic_error("Connection::save: a watchdog's state is not saved");
+  }
+  out.origin = this;
+  out.started = started_;
+  queue_.save(out.queue);
+  sender_->save(out.sender);
+  if (invariants_) {
+    invariants_->save(out.invariants);
+  }
+  receiver_->save(out.receiver);
+  forward_->save(out.forward);
+  reverse_->save(out.reverse);
+}
+
+void Connection::restore(const State& state) {
+  if (state.origin != this) {
+    throw std::logic_error("Connection::restore: the state was saved by another connection");
+  }
+  started_ = state.started;
+  queue_.restore(state.queue);
+  sender_->restore(state.sender);
+  if (invariants_) {
+    invariants_->restore(state.invariants);
+  }
+  receiver_->restore(state.receiver);
+  forward_->restore(state.forward);
+  reverse_->restore(state.reverse);
+}
+
 ConnectionSummary Connection::run_for(Duration duration) {
+  return run_until(queue_.now() + duration);
+}
+
+ConnectionSummary Connection::run_until(Time end) {
   PFTK_SPAN("sim.run_slice");
   const Time start = queue_.now();
   const std::uint64_t sent_before = sender_->stats().transmissions;
@@ -123,7 +160,7 @@ ConnectionSummary Connection::run_for(Duration duration) {
     started_ = true;
     sender_->start();
   }
-  queue_.run_until(start + duration);
+  queue_.run_until(end);
 
   ConnectionSummary summary;
   summary.duration = queue_.now() - start;

@@ -4,6 +4,13 @@
 // This is the reproduction's stand-in for the paper's Internet host
 // pairs: each experiment instantiates a Connection from a path profile
 // (delays, loss process, queueing) and runs it for 1 hour or 100 s.
+//
+// A connection can be saved and restored (the model checker resumes
+// each branch from a snapshot instead of replaying it from t = 0). A
+// snapshot holds every component's state by value and none of its
+// wiring: the callbacks in the saved queue capture this connection's
+// components, so a snapshot restores only into the connection that took
+// it.
 #pragma once
 
 #include <cstdint>
@@ -111,11 +118,34 @@ struct ConnectionSummary {
 /// Owns and wires a sender/receiver pair over lossy links.
 class Connection {
  public:
+  /// Every component's state at one moment (see the file comment).
+  struct State {
+    const Connection* origin = nullptr;  ///< the connection that saved it
+    bool started = false;
+    EventQueue::State queue;
+    TcpRenoSender::State sender;
+    InvariantChecker::State invariants;
+    TcpReceiver::State receiver;
+    Link<Segment>::State forward;
+    Link<Ack>::State reverse;
+  };
+
   /// @throws std::invalid_argument on invalid sub-configs.
   explicit Connection(const ConnectionConfig& config);
 
   Connection(const Connection&) = delete;
   Connection& operator=(const Connection&) = delete;
+
+  /// Copies the connection's state into `out`, reusing its buffers. Call
+  /// it between events (from the queue's inspector, or outside a run).
+  /// @throws std::logic_error with a watchdog enabled (its state is not
+  ///         part of a snapshot).
+  void save(State& out) const;
+
+  /// Puts back a state save() took from this connection: the connection
+  /// then runs on exactly as it did from there.
+  /// @throws std::logic_error for a state saved by another connection.
+  void restore(const State& state);
 
   /// Attaches a sender observer (e.g. a trace recorder). Must be called
   /// before run_for(); may be nullptr.
@@ -139,6 +169,9 @@ class Connection {
   /// returns the roll-up. May be called repeatedly to extend the run.
   /// @throws WatchdogError if an enabled watchdog trips mid-run.
   ConnectionSummary run_for(Duration duration);
+
+  /// run_for up to the absolute simulated time `end`.
+  ConnectionSummary run_until(Time end);
 
   [[nodiscard]] const TcpRenoSender& sender() const noexcept { return *sender_; }
   /// The always-on invariant checker (nullptr when disabled via config).

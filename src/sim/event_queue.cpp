@@ -442,6 +442,36 @@ void EventQueue::set_tie_breaker(std::function<std::size_t(std::size_t)> chooser
   tie_breaker_ = std::move(chooser);
 }
 
+bool EventQueue::next_is_tied() const noexcept {
+  Time first = std::numeric_limits<Time>::infinity();
+  std::size_t at_first = 0;
+  const auto count = [&](Time at) {
+    if (at < first) {
+      first = at;
+      at_first = 1;
+    } else if (at == first) {
+      ++at_first;
+    }
+  };
+  for (const Entry& entry : heap_) {
+    if (!entry_alive(entry)) {
+      continue;
+    }
+    const std::uint32_t timer = slots_[entry.slot].timer;
+    if (timer == kNoSlot) {
+      count(entry.at);
+    } else if (const std::uint32_t stream = timers_[timer].stream; stream == kNoSlot) {
+      count(timers_[timer].due);
+    } else {
+      const FifoRing<Key>& keys = streams_[stream].keys;
+      for (std::size_t i = 0; i < keys.size() && keys[i].at <= first; ++i) {
+        count(keys[i].at);
+      }
+    }
+  }
+  return at_first >= 2;
+}
+
 void EventQueue::pending_times(std::vector<Time>& out) const {
   const std::size_t base = out.size();
   for (const Entry& entry : heap_) {

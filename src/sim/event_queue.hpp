@@ -43,12 +43,21 @@
 // inspector or a tie-breaker) makes run_until/run_all return once the
 // event being dispatched has finished, with the clock at that event's
 // time. The next run carries on in the order an uninterrupted run takes.
+//
+// A queue can go back in time: save() copies its state (clock, counters,
+// heap, slab with the callbacks, timers, streams) and restore() puts it
+// back, after which the queue runs on exactly as it did from there. The
+// wiring (inspector, tie-breaker, stats sink) is not part of the state.
+// The saved callbacks are this queue's, capturing the objects that
+// scheduled them, so a state restores only into the queue it came from
+// (the model checker resumes each branch from one; see mc/explorer.hpp).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <new>
+#include <stdexcept>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -69,11 +78,11 @@ using TimerId = std::uint32_t;
 /// Handle of a delivery stream (EventQueue::add_stream).
 using StreamId = std::uint32_t;
 
-/// Move-only callable wrapper with inline small-buffer storage — the
-/// slab cell of the event queue. Unlike std::function it never
-/// type-erases through a copyable interface (timers are moved, not
-/// copied) and only heap-allocates when the callable exceeds the inline
-/// capacity.
+/// Callable wrapper with inline small-buffer storage — the slab cell of
+/// the event queue. It only heap-allocates when the callable exceeds the
+/// inline capacity. Moving relocates the callable; copying (a queue
+/// snapshot) copies it, captures and all, and throws std::logic_error
+/// for a callable that cannot be copied.
 class EventCallback {
  public:
   /// Large enough for every simulator callback: the biggest is Link's
@@ -118,8 +127,15 @@ class EventCallback {
     return *this;
   }
 
-  EventCallback(const EventCallback&) = delete;
-  EventCallback& operator=(const EventCallback&) = delete;
+  EventCallback(const EventCallback& other) { copy_from(other); }
+
+  EventCallback& operator=(const EventCallback& other) {
+    if (this != &other) {
+      reset();
+      copy_from(other);
+    }
+    return *this;
+  }
 
   ~EventCallback() { reset(); }
 
@@ -142,7 +158,20 @@ class EventCallback {
     /// Move-constructs dst from src, then destroys src.
     void (*relocate)(void* src, void* dst) noexcept;
     void (*destroy)(void*) noexcept;
+    /// Copy-constructs dst from src; nullptr for a non-copyable callable.
+    void (*copy)(const void* src, void* dst);
   };
+
+  void copy_from(const EventCallback& other) {
+    if (other.vtable_ == nullptr) {
+      return;
+    }
+    if (other.vtable_->copy == nullptr) {
+      throw std::logic_error("EventCallback: the callable cannot be copied");
+    }
+    other.vtable_->copy(other.storage_, storage_);
+    vtable_ = other.vtable_;
+  }
 
   template <typename D>
   static constexpr bool fits_inline() {
@@ -155,8 +184,34 @@ class EventCallback {
     return std::launder(reinterpret_cast<D*>(s));
   }
   template <typename D>
+  static const D* inline_ptr(const void* s) noexcept {
+    return std::launder(reinterpret_cast<const D*>(s));
+  }
+  template <typename D>
   static D*& heap_ptr(void* s) noexcept {
     return *std::launder(reinterpret_cast<D**>(s));
+  }
+  template <typename D>
+  static D* heap_ptr(const void* s) noexcept {
+    return *std::launder(reinterpret_cast<D* const*>(s));
+  }
+
+  using CopyFn = void (*)(const void*, void*);
+  template <typename D>
+  static constexpr CopyFn inline_copy() {
+    if constexpr (std::is_copy_constructible_v<D>) {
+      return [](const void* src, void* dst) { ::new (dst) D(*inline_ptr<D>(src)); };
+    } else {
+      return nullptr;
+    }
+  }
+  template <typename D>
+  static constexpr CopyFn heap_copy() {
+    if constexpr (std::is_copy_constructible_v<D>) {
+      return [](const void* src, void* dst) { ::new (dst) D*(new D(*heap_ptr<D>(src))); };
+    } else {
+      return nullptr;
+    }
   }
 
   template <typename D>
@@ -167,21 +222,115 @@ class EventCallback {
         ::new (dst) D(std::move(*from));
         from->~D();
       },
-      [](void* s) noexcept { inline_ptr<D>(s)->~D(); }};
+      [](void* s) noexcept { inline_ptr<D>(s)->~D(); },
+      inline_copy<D>()};
 
   template <typename D>
   static constexpr VTable kHeapVTable{
       [](void* s) { (*heap_ptr<D>(s))(); },
       [](void* src, void* dst) noexcept { ::new (dst) D*(heap_ptr<D>(src)); },
-      [](void* s) noexcept { delete heap_ptr<D>(s); }};
+      [](void* s) noexcept { delete heap_ptr<D>(s); },
+      heap_copy<D>()};
 
   alignas(std::max_align_t) std::byte storage_[kInlineCapacity];
   const VTable* vtable_ = nullptr;
 };
 
+/// Everything about an EventQueue that changes as it runs, in one struct
+/// so that EventQueue::save copies every field: a field added here is
+/// saved. Callers treat it as opaque.
+struct EventQueueState {
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+
+  struct Entry {
+    Time at;
+    std::uint64_t seq;  ///< monotone schedule order: the FIFO tie-break
+    std::uint32_t slot;
+    std::uint32_t gen;  ///< slot generation at schedule time
+    // Min-heap on (at, seq): seq grows monotonically, giving FIFO order
+    // among same-time events — the determinism contract.
+    bool operator>(const Entry& other) const noexcept {
+      if (at != other.at) {
+        return at > other.at;
+      }
+      return seq > other.seq;
+    }
+  };
+  struct EntryAfter {
+    bool operator()(const Entry& a, const Entry& b) const noexcept { return a > b; }
+  };
+
+  /// A slab cell: the callback plus free-list/liveness bookkeeping.
+  struct Slot {
+    EventCallback action;
+    std::uint32_t gen = 0;  ///< bumped on release, or when a timer's entry goes stale
+    std::uint32_t next_free = kNoSlot;
+    std::uint32_t timer = kNoSlot;  ///< index into timers_, or kNoSlot
+    bool live = false;              ///< pending event or armed timer
+  };
+
+  /// A re-armable timer. Its current heap entry is the one carrying its
+  /// slot's generation; an entry superseded by an earlier deadline is
+  /// made stale by bumping the generation, like a cancelled event.
+  struct Timer {
+    Time due = 0.0;          ///< real deadline while armed
+    std::uint64_t seq = 0;   ///< real FIFO key while armed
+    Time entry_at = 0.0;     ///< time of the current heap entry
+    std::uint32_t slot = 0;
+    std::uint32_t stream = kNoSlot;  ///< index into streams_, or kNoSlot
+    bool queued = false;     ///< the current heap entry exists
+  };
+
+  struct Key {
+    Time at = 0.0;
+    std::uint64_t seq = 0;
+  };
+
+  /// A delivery stream: a timer armed at its oldest key whenever it has
+  /// one. Keys are pushed in (time, seq) order, so the timer's entry is
+  /// always exact and never goes stale.
+  struct Stream {
+    FifoRing<Key> keys;
+    TimerId timer = 0;
+  };
+
+  Time now_ = 0.0;
+  std::uint64_t next_seq_ = 1;
+  std::uint64_t executed_ = 0;
+  std::vector<Entry> heap_;  ///< std::push_heap/pop_heap with EntryAfter
+  std::vector<Slot> slots_;  ///< slab indexed by Entry::slot
+  std::vector<Timer> timers_;  ///< indexed by TimerId
+  std::vector<Stream> streams_;  ///< indexed by StreamId
+  std::uint32_t free_head_ = kNoSlot;
+  std::size_t live_count_ = 0;
+  std::size_t cancelled_in_heap_ = 0;
+  std::size_t stream_keys_ = 0;  ///< keys held by all streams
+  bool stop_requested_ = false;
+  std::uint64_t inspect_countdown_ = 1;  ///< events until the next inspection
+};
+
 /// Time-ordered event queue driving a simulation run.
-class EventQueue {
+class EventQueue : private EventQueueState {
  public:
+  /// The queue's state: clock, counters, heap, slab (callbacks included),
+  /// timers and streams, but not the inspector, tie-breaker or stats sink.
+  using State = EventQueueState;
+
+  EventQueue() = default;
+  // Callbacks capture the objects that scheduled them: a queue is not a
+  // value (see save/restore for going back in time).
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
+
+  /// Copies the queue's state into `out`, reusing its buffers.
+  /// @throws std::logic_error if a pending callback cannot be copied.
+  void save(State& out) const { out = *this; }
+
+  /// Puts back a state that save() took from this queue; the queue then
+  /// runs on exactly as it did from there. The state's callbacks are this
+  /// queue's, so it restores only into the queue it came from.
+  void restore(const State& state) { static_cast<State&>(*this) = state; }
+
   /// Schedules `action` to run at absolute time `at` (>= now()).
   /// @throws std::invalid_argument if `at` is not finite or precedes
   /// the current time.
@@ -292,6 +441,10 @@ class EventQueue {
   /// a correctness limit).
   static constexpr std::size_t kMaxTieFanout = 16;
 
+  /// Whether two or more pending events share the earliest time, so that
+  /// the next dispatch consults an installed tie-breaker. O(pending).
+  [[nodiscard]] bool next_is_tied() const noexcept;
+
   /// Appends the timestamps of every pending (uncancelled) event, armed
   /// timer and stream key to `out`, sorted ascending — a canonical view
   /// of the timer wheel for state digests, the same as if every key had
@@ -326,60 +479,6 @@ class EventQueue {
   [[nodiscard]] std::size_t slab_size() const noexcept { return slots_.size(); }
 
  private:
-  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
-
-  struct Entry {
-    Time at;
-    std::uint64_t seq;  ///< monotone schedule order: the FIFO tie-break
-    std::uint32_t slot;
-    std::uint32_t gen;  ///< slot generation at schedule time
-    // Min-heap on (at, seq): seq grows monotonically, giving FIFO order
-    // among same-time events — the determinism contract.
-    bool operator>(const Entry& other) const noexcept {
-      if (at != other.at) {
-        return at > other.at;
-      }
-      return seq > other.seq;
-    }
-  };
-  struct EntryAfter {
-    bool operator()(const Entry& a, const Entry& b) const noexcept { return a > b; }
-  };
-
-  /// A slab cell: the callback plus free-list/liveness bookkeeping.
-  struct Slot {
-    EventCallback action;
-    std::uint32_t gen = 0;  ///< bumped on release, or when a timer's entry goes stale
-    std::uint32_t next_free = kNoSlot;
-    std::uint32_t timer = kNoSlot;  ///< index into timers_, or kNoSlot
-    bool live = false;              ///< pending event or armed timer
-  };
-
-  /// A re-armable timer. Its current heap entry is the one carrying its
-  /// slot's generation; an entry superseded by an earlier deadline is
-  /// made stale by bumping the generation, like a cancelled event.
-  struct Timer {
-    Time due = 0.0;          ///< real deadline while armed
-    std::uint64_t seq = 0;   ///< real FIFO key while armed
-    Time entry_at = 0.0;     ///< time of the current heap entry
-    std::uint32_t slot = 0;
-    std::uint32_t stream = kNoSlot;  ///< index into streams_, or kNoSlot
-    bool queued = false;     ///< the current heap entry exists
-  };
-
-  struct Key {
-    Time at = 0.0;
-    std::uint64_t seq = 0;
-  };
-
-  /// A delivery stream: a timer armed at its oldest key whenever it has
-  /// one. Keys are pushed in (time, seq) order, so the timer's entry is
-  /// always exact and never goes stale.
-  struct Stream {
-    FifoRing<Key> keys;
-    TimerId timer = 0;
-  };
-
   [[nodiscard]] bool entry_alive(const Entry& e) const noexcept {
     const Slot& s = slots_[e.slot];
     return s.live && s.gen == e.gen;
@@ -402,21 +501,9 @@ class EventQueue {
   void replace_heap_top(const Entry& entry) noexcept;
   void run_one_tied(const Entry& top);
 
-  Time now_ = 0.0;
-  std::uint64_t next_seq_ = 1;
-  std::uint64_t executed_ = 0;
-  std::vector<Entry> heap_;  ///< std::push_heap/pop_heap with EntryAfter
-  std::vector<Slot> slots_;  ///< slab indexed by Entry::slot
-  std::vector<Timer> timers_;  ///< indexed by TimerId
-  std::vector<Stream> streams_;  ///< indexed by StreamId
-  std::uint32_t free_head_ = kNoSlot;
-  std::size_t live_count_ = 0;
-  std::size_t cancelled_in_heap_ = 0;
-  std::size_t stream_keys_ = 0;  ///< keys held by all streams
-  bool stop_requested_ = false;
+  // Wiring, not saved.
   std::function<void()> inspector_;
   std::uint64_t inspect_every_ = 1;
-  std::uint64_t inspect_countdown_ = 1;  ///< events until the next inspection
   obs::EventLoopStats* stats_ = nullptr;
   std::function<std::size_t(std::size_t)> tie_breaker_;
   std::vector<Entry> tie_buffer_;  ///< reused scratch for tie collection

@@ -211,7 +211,8 @@ FaultStats& FaultStats::operator+=(const FaultStats& other) noexcept {
 }
 
 FaultInjector::FaultInjector(FaultSchedule schedule, Rng rng)
-    : schedule_(std::move(schedule)), rng_(std::move(rng)) {
+    : schedule_(std::move(schedule)) {
+  rng_ = std::move(rng);
   schedule_.validate();
   remaining_.reserve(schedule_.faults.size());
   for (const FaultSpec& spec : schedule_.faults) {

@@ -107,11 +107,26 @@ struct FaultVerdict {
   bool exempt_fifo = false;      ///< reordered: later packets may overtake it
 };
 
+/// Everything about a FaultInjector that changes as it runs, in one
+/// struct so that FaultInjector::save copies every field.
+struct FaultInjectorState {
+  std::vector<std::uint64_t> remaining_;  ///< per-fault packet budgets
+  Rng rng_{0};
+  FaultStats stats_;
+};
+
 /// Applies a FaultSchedule to the packets offered to one link direction.
-class FaultInjector {
+class FaultInjector : private FaultInjectorState {
  public:
+  using State = FaultInjectorState;
+
   /// @throws std::invalid_argument if the schedule is invalid.
   FaultInjector(FaultSchedule schedule, Rng rng);
+
+  /// Copies the injector's state (budgets, generator, counters; not the
+  /// schedule, oracle or trace) into `out`, reusing its buffers.
+  void save(State& out) const { out = *this; }
+  void restore(const State& state) { static_cast<State&>(*this) = state; }
 
   /// Judges one offered packet; called once per packet in arrival order.
   [[nodiscard]] FaultVerdict on_packet(Time at);
@@ -154,12 +169,10 @@ class FaultInjector {
     }
   }
 
+  // Wiring, not saved.
   FaultSchedule schedule_;
-  std::vector<std::uint64_t> remaining_;  ///< per-fault packet budgets
   std::function<std::size_t(std::size_t)> order_oracle_;
   std::vector<std::size_t> active_scratch_;  ///< reused active-spec index buffer
-  Rng rng_;
-  FaultStats stats_;
   obs::ConnEventTrace* etrace_ = nullptr;
   double direction_ = 0.0;
 };

@@ -2,9 +2,11 @@
 //
 // The event queue keeps a delivery stream's (time, seq) keys in one and
 // a Link keeps the payloads of those deliveries in another, pushed and
-// popped in step. Nothing is allocated until the first push, so an
+// popped in step, and a TCP sender keeps its outstanding segments'
+// records in one. Nothing is allocated until the first push, so an
 // object that never uses its ring (most links of a model-checker branch)
-// costs no allocation.
+// costs no allocation. A copy is a value copy, which is what a
+// simulation snapshot takes.
 #pragma once
 
 #include <cstddef>
@@ -29,6 +31,9 @@ class FifoRing {
 
   /// The i-th oldest value. Precondition: i < size().
   [[nodiscard]] const T& operator[](std::size_t i) const noexcept {
+    return slots_[(head_ + i) & (slots_.size() - 1)];
+  }
+  [[nodiscard]] T& operator[](std::size_t i) noexcept {
     return slots_[(head_ + i) & (slots_.size() - 1)];
   }
 

@@ -56,12 +56,29 @@ struct InvariantCheckerConfig {
   bool throw_on_violation = true;
 };
 
+/// Everything about an InvariantChecker that changes as it runs, in one
+/// struct so that InvariantChecker::save copies every field.
+struct InvariantCheckerState {
+  std::uint64_t violations_ = 0;
+  std::uint64_t checks_ = 0;
+  std::string first_violation_;
+  Time last_time_ = 0.0;
+  SeqNo last_una_ = 0;
+  bool seen_event_ = false;
+};
+
 /// SenderObserver that checks invariants and forwards to the next
 /// observer in the chain.
-class InvariantChecker final : public SenderObserver {
+class InvariantChecker final : public SenderObserver, private InvariantCheckerState {
  public:
+  using State = InvariantCheckerState;
+
   explicit InvariantChecker(const TcpRenoSender& sender,
                             InvariantCheckerConfig config = {});
+
+  /// Copies the checker's state (not the sender or `next` it is wired to).
+  void save(State& out) const { out = *this; }
+  void restore(const State& state) { static_cast<State&>(*this) = state; }
 
   /// The downstream observer every hook is forwarded to (may be null).
   void set_next(SenderObserver* next) noexcept { next_ = next; }
@@ -86,15 +103,10 @@ class InvariantChecker final : public SenderObserver {
   void check_state(Time t, const char* hook);
   void violate(const char* check, const std::string& detail);
 
+  // Wiring, not saved.
   const TcpRenoSender& sender_;
   InvariantCheckerConfig config_;
   SenderObserver* next_ = nullptr;
-  std::uint64_t violations_ = 0;
-  std::uint64_t checks_ = 0;
-  std::string first_violation_;
-  Time last_time_ = 0.0;
-  SeqNo last_una_ = 0;
-  bool seen_event_ = false;
 };
 
 }  // namespace pftk::sim

@@ -64,11 +64,43 @@ struct LinkStats {
   std::uint64_t delivered = 0;      ///< handed to the delivery callback
 };
 
+/// What a Link itself changes as it runs, in one struct so that
+/// Link::save copies every field; Link::State adds its processes' state.
+template <typename T>
+struct LinkOwnState {
+  static constexpr StreamId kNoStream = std::numeric_limits<StreamId>::max();
+
+  Rng rng_{0};
+  Time busy_until_ = 0.0;
+  Time last_delivery_ = 0.0;
+  LinkStats stats_;
+  StreamId stream_ = kNoStream;  ///< registered on the first stream push
+  FifoRing<T> in_flight_;        ///< payloads of the stream's keys, oldest first
+};
+
 /// A unidirectional link carrying payloads of type T.
 template <typename T>
-class Link {
+class Link : private LinkOwnState<T> {
+  using Own = LinkOwnState<T>;
+  using Own::busy_until_;
+  using Own::in_flight_;
+  using Own::kNoStream;
+  using Own::last_delivery_;
+  using Own::rng_;
+  using Own::stats_;
+  using Own::stream_;
+
  public:
   using DeliverFn = std::function<void(const T&, Time)>;
+
+  /// The link's state with its loss process's, queue policy's and fault
+  /// injector's (whichever it has), but not its wiring.
+  struct State {
+    Own link;
+    LossModel::State loss;
+    QueuePolicy::State policy;
+    FaultInjector::State faults;
+  };
 
   /// @param queue    event queue driving the simulation (must outlive the link)
   /// @param config   delays and rate
@@ -84,10 +116,10 @@ class Link {
        std::unique_ptr<FaultInjector> faults = nullptr)
       : queue_(queue),
         config_(config),
-        rng_(std::move(rng)),
         loss_(std::move(loss)),
         policy_(std::move(policy)),
         faults_(std::move(faults)) {
+    rng_ = std::move(rng);
     config_.validate();
     if (config_.rate_pps > 0.0 && !policy_) {
       policy_ = std::make_unique<DropTailPolicy>(1000);
@@ -96,6 +128,35 @@ class Link {
 
   /// Sets the delivery callback (must be set before the first send()).
   void set_deliver(DeliverFn fn) { deliver_ = std::move(fn); }
+
+  /// Copies the link's state into `out`, reusing its buffers.
+  void save(State& out) const {
+    out.link = *this;
+    if (loss_) {
+      out.loss = loss_->state();
+    }
+    if (policy_) {
+      out.policy = policy_->state();
+    }
+    if (faults_) {
+      faults_->save(out.faults);
+    }
+  }
+
+  /// Puts back a state that save() took from this link, with the queue's
+  /// state of the same moment (its stream and deliveries live there).
+  void restore(const State& state) {
+    static_cast<Own&>(*this) = state.link;
+    if (loss_) {
+      loss_->restore(state.loss);
+    }
+    if (policy_) {
+      policy_->restore(state.policy);
+    }
+    if (faults_) {
+      faults_->restore(state.faults);
+    }
+  }
 
   /// Offers one payload to the link at the current simulation time.
   /// @throws std::logic_error if no delivery callback is set.
@@ -216,8 +277,6 @@ class Link {
   }
 
  private:
-  static constexpr StreamId kNoStream = std::numeric_limits<StreamId>::max();
-
   /// A delivery outside the stream: one event of its own.
   void deliver_once(const T& item, Time arrival) {
     queue_.schedule_at(arrival, [this, item, arrival] {
@@ -236,18 +295,13 @@ class Link {
     deliver_(item, queue_.now());
   }
 
+  // Wiring, not saved (the processes' state is, through State).
   EventQueue& queue_;
   LinkConfig config_;
-  Rng rng_;
   std::unique_ptr<LossModel> loss_;
   std::unique_ptr<QueuePolicy> policy_;
   std::unique_ptr<FaultInjector> faults_;
   DeliverFn deliver_;
-  Time busy_until_ = 0.0;
-  Time last_delivery_ = 0.0;
-  LinkStats stats_;
-  StreamId stream_ = kNoStream;  ///< registered on the first stream push
-  FifoRing<T> in_flight_;        ///< payloads of the stream's keys, oldest first
 };
 
 }  // namespace pftk::sim

@@ -23,17 +23,15 @@ BurstLoss::BurstLoss(double p, Duration burst_duration)
 }
 
 bool BurstLoss::should_drop(Time at, Rng& rng) {
-  if (at < burst_until_) {
+  if (at < state_.burst_until) {
     return true;  // the rest of the episode is lost with the first packet
   }
   if (rng.bernoulli(p_)) {
-    burst_until_ = at + burst_duration_;
+    state_.burst_until = at + burst_duration_;
     return true;
   }
   return false;
 }
-
-void BurstLoss::reset() { burst_until_ = -1.0; }
 
 MixedBurstLoss::MixedBurstLoss(double p, double single_fraction, Duration episode_mean,
                                Duration episode_min)
@@ -56,19 +54,17 @@ MixedBurstLoss::MixedBurstLoss(double p, double single_fraction, Duration episod
 }
 
 bool MixedBurstLoss::should_drop(Time at, Rng& rng) {
-  if (at < burst_until_) {
+  if (at < state_.burst_until) {
     return true;
   }
   if (!rng.bernoulli(p_)) {
     return false;
   }
   if (!rng.bernoulli(single_fraction_)) {
-    burst_until_ = at + episode_min_ + rng.exponential(episode_mean_);
+    state_.burst_until = at + episode_min_ + rng.exponential(episode_mean_);
   }
   return true;
 }
-
-void MixedBurstLoss::reset() { burst_until_ = -1.0; }
 
 GilbertElliottLoss::GilbertElliottLoss(double p_good_to_bad, double p_bad_to_good,
                                        double loss_in_bad)
@@ -85,19 +81,17 @@ GilbertElliottLoss::GilbertElliottLoss(double p_good_to_bad, double p_bad_to_goo
 bool GilbertElliottLoss::should_drop(Time /*at*/, Rng& rng) {
   // Transition first, then evaluate loss in the new state; this makes a
   // packet immediately after a Good->Bad flip part of the loss burst.
-  if (bad_) {
+  if (state_.bad) {
     if (rng.bernoulli(b2g_)) {
-      bad_ = false;
+      state_.bad = false;
     }
   } else {
     if (rng.bernoulli(g2b_)) {
-      bad_ = true;
+      state_.bad = true;
     }
   }
-  return bad_ && rng.bernoulli(loss_in_bad_);
+  return state_.bad && rng.bernoulli(loss_in_bad_);
 }
-
-void GilbertElliottLoss::reset() { bad_ = false; }
 
 double GilbertElliottLoss::stationary_bad_fraction() const noexcept {
   return g2b_ / (g2b_ + b2g_);

@@ -25,6 +25,13 @@ namespace pftk::sim {
 /// Decides the fate of each packet offered to a link.
 class LossModel {
  public:
+  /// The mutable state of every process below, by value, so that a
+  /// Link's snapshot saves it; each process uses only its own fields.
+  struct State {
+    Time burst_until = -1.0;  ///< BurstLoss, MixedBurstLoss: episode end
+    bool bad = false;         ///< GilbertElliottLoss: the chain is in Bad
+  };
+
   virtual ~LossModel() = default;
 
   /// Returns true if the packet arriving at the link at `at` should be
@@ -32,7 +39,13 @@ class LossModel {
   [[nodiscard]] virtual bool should_drop(Time at, Rng& rng) = 0;
 
   /// Resets internal state (burst flags, Markov state) for a fresh run.
-  virtual void reset() {}
+  void reset() noexcept { state_ = State{}; }
+
+  [[nodiscard]] const State& state() const noexcept { return state_; }
+  void restore(const State& state) noexcept { state_ = state; }
+
+ protected:
+  State state_;
 };
 
 /// Independent loss with fixed probability p.
@@ -62,12 +75,10 @@ class BurstLoss final : public LossModel {
   BurstLoss(double p, Duration burst_duration);
 
   [[nodiscard]] bool should_drop(Time at, Rng& rng) override;
-  void reset() override;
 
  private:
   double p_;
   Duration burst_duration_;
-  Time burst_until_ = -1.0;
 };
 
 /// The Table-II workload generator: a mixture of two loss modes. Each
@@ -93,14 +104,12 @@ class MixedBurstLoss final : public LossModel {
                  Duration episode_min = 0.0);
 
   [[nodiscard]] bool should_drop(Time at, Rng& rng) override;
-  void reset() override;
 
  private:
   double p_;
   double single_fraction_;
   Duration episode_mean_;
   Duration episode_min_;
-  Time burst_until_ = -1.0;
 };
 
 /// Externally decided per-packet loss: every drop/no-drop verdict comes
@@ -135,7 +144,6 @@ class GilbertElliottLoss final : public LossModel {
   GilbertElliottLoss(double p_good_to_bad, double p_bad_to_good, double loss_in_bad = 1.0);
 
   [[nodiscard]] bool should_drop(Time at, Rng& rng) override;
-  void reset() override;
 
   /// Long-run fraction of time spent in the Bad state.
   [[nodiscard]] double stationary_bad_fraction() const noexcept;
@@ -147,7 +155,6 @@ class GilbertElliottLoss final : public LossModel {
   double g2b_;
   double b2g_;
   double loss_in_bad_;
-  bool bad_ = false;
 };
 
 }  // namespace pftk::sim

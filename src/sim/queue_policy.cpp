@@ -32,35 +32,31 @@ RedPolicy::RedPolicy(const Config& config) : cfg_(config) {
 
 bool RedPolicy::admit(std::size_t queue_len, Rng& rng) {
   if (queue_len >= cfg_.hard_capacity) {
-    since_last_drop_ = -1;
+    state_.since_last_drop = -1;
     return false;
   }
-  avg_ = (1.0 - cfg_.ewma_weight) * avg_ + cfg_.ewma_weight * static_cast<double>(queue_len);
-  if (avg_ < cfg_.min_threshold) {
-    since_last_drop_ = -1;
+  state_.avg = (1.0 - cfg_.ewma_weight) * state_.avg +
+               cfg_.ewma_weight * static_cast<double>(queue_len);
+  if (state_.avg < cfg_.min_threshold) {
+    state_.since_last_drop = -1;
     return true;
   }
-  if (avg_ >= cfg_.max_threshold) {
-    since_last_drop_ = -1;
+  if (state_.avg >= cfg_.max_threshold) {
+    state_.since_last_drop = -1;
     return false;
   }
   // Linear drop probability, uniformized by the count since the last drop
   // (the gentle variant of Floyd & Jacobson's p_a correction).
-  const double pb = cfg_.max_drop_prob * (avg_ - cfg_.min_threshold) /
+  const double pb = cfg_.max_drop_prob * (state_.avg - cfg_.min_threshold) /
                     (cfg_.max_threshold - cfg_.min_threshold);
-  ++since_last_drop_;
-  const double denom = std::max(1e-9, 1.0 - static_cast<double>(since_last_drop_) * pb);
+  ++state_.since_last_drop;
+  const double denom = std::max(1e-9, 1.0 - static_cast<double>(state_.since_last_drop) * pb);
   const double pa = std::min(1.0, pb / denom);
   if (rng.bernoulli(pa)) {
-    since_last_drop_ = -1;
+    state_.since_last_drop = -1;
     return false;
   }
   return true;
-}
-
-void RedPolicy::reset() {
-  avg_ = 0.0;
-  since_last_drop_ = -1;
 }
 
 }  // namespace pftk::sim

@@ -16,6 +16,13 @@ namespace pftk::sim {
 /// Admission decision for one arriving packet.
 class QueuePolicy {
  public:
+  /// The mutable state of every policy below, by value, so that a Link's
+  /// snapshot saves it; each policy uses only its own fields.
+  struct State {
+    double avg = 0.0;          ///< RedPolicy: EWMA of the queue length
+    int since_last_drop = -1;  ///< RedPolicy: packets since the last drop
+  };
+
   virtual ~QueuePolicy() = default;
 
   /// Returns true to enqueue the arriving packet given `queue_len` packets
@@ -23,7 +30,13 @@ class QueuePolicy {
   [[nodiscard]] virtual bool admit(std::size_t queue_len, Rng& rng) = 0;
 
   /// Clears smoothed state for a fresh run.
-  virtual void reset() {}
+  void reset() noexcept { state_ = State{}; }
+
+  [[nodiscard]] const State& state() const noexcept { return state_; }
+  void restore(const State& state) noexcept { state_ = state; }
+
+ protected:
+  State state_;
 };
 
 /// Classic drop-tail: admit while the queue holds fewer than `capacity`.
@@ -57,15 +70,12 @@ class RedPolicy final : public QueuePolicy {
   explicit RedPolicy(const Config& config);
 
   [[nodiscard]] bool admit(std::size_t queue_len, Rng& rng) override;
-  void reset() override;
 
   /// Current EWMA of the queue length (exposed for tests).
-  [[nodiscard]] double average_queue() const noexcept { return avg_; }
+  [[nodiscard]] double average_queue() const noexcept { return state_.avg; }
 
  private:
   Config cfg_;
-  double avg_ = 0.0;
-  int since_last_drop_ = -1;  ///< packets since last drop (for uniformization)
 };
 
 }  // namespace pftk::sim

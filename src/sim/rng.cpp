@@ -4,13 +4,6 @@
 
 namespace pftk::sim {
 
-std::uint64_t splitmix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 std::uint64_t derive_stream_seed(std::uint64_t seed, std::uint64_t stream) noexcept {
   return splitmix64(splitmix64(seed) ^
                     splitmix64(stream * 0xda942042e4dd58b5ULL + 1));

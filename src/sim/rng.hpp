@@ -27,7 +27,13 @@ namespace pftk::sim {
 /// statistical tests even for sequential inputs. The single audited
 /// primitive behind every seed derivation in the tree (Rng::derive, the
 /// campaign's retry-seed perturbation, the explorer's state digests).
-[[nodiscard]] std::uint64_t splitmix64(std::uint64_t x) noexcept;
+/// Inline: a state digest mixes about 120 words.
+[[nodiscard]] constexpr std::uint64_t splitmix64(std::uint64_t x) noexcept {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
 
 /// Derives the seed of child stream `stream` from a master `seed`:
 /// nearby (seed, stream) pairs yield unrelated child seeds. This is the

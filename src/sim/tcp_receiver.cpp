@@ -1,6 +1,7 @@
 #include "sim/tcp_receiver.hpp"
-#include <cmath>
 
+#include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace pftk::sim {
@@ -42,11 +43,12 @@ void TcpReceiver::on_segment(const Segment& segment, Time now) {
     ++next_expected_;
     // Pull any buffered continuation forward.
     auto it = out_of_order_.begin();
-    const bool filled_hole = it != out_of_order_.end() && *it == next_expected_;
     while (it != out_of_order_.end() && *it == next_expected_) {
       ++next_expected_;
-      it = out_of_order_.erase(it);
+      ++it;
     }
+    const bool filled_hole = it != out_of_order_.begin();
+    out_of_order_.erase(out_of_order_.begin(), it);
     if (filled_hole) {
       // A retransmission repaired the stream: ACK the new cumulative
       // point at once (RFC 2581 section 4.2).
@@ -70,7 +72,10 @@ void TcpReceiver::on_segment(const Segment& segment, Time now) {
 
   // Out of order: buffer and emit an immediate duplicate ACK. Dup-ACKs
   // are never delayed (footnote 1 of the paper / RFC 2581).
-  out_of_order_.insert(segment.seq);
+  if (auto at = std::lower_bound(out_of_order_.begin(), out_of_order_.end(), segment.seq);
+      at == out_of_order_.end() || *at != segment.seq) {
+    out_of_order_.insert(at, segment.seq);
+  }
   emit(obs::ConnEventKind::kOutOfOrderBuffered,
        static_cast<double>(out_of_order_.size()), static_cast<double>(segment.seq));
   queue_.disarm(delack_timer_);

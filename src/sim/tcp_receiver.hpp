@@ -11,7 +11,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <set>
+#include <vector>
 
 #include "obs/conn_event_trace.hpp"
 #include "sim/event_queue.hpp"
@@ -38,10 +38,21 @@ struct TcpReceiverStats {
   std::uint64_t dup_acks_sent = 0;
 };
 
+/// Everything about a TcpReceiver that changes as it runs, in one struct
+/// so that TcpReceiver::save copies every field: a field added here is
+/// saved.
+struct TcpReceiverState {
+  SeqNo next_expected_ = 0;
+  std::vector<SeqNo> out_of_order_;  ///< sorted, no duplicates
+  int unacked_in_order_ = 0;
+  TcpReceiverStats stats_;
+};
+
 /// A sink for in-order bulk data that emits cumulative ACKs.
-class TcpReceiver {
+class TcpReceiver : private TcpReceiverState {
  public:
   using SendAckFn = std::function<void(const Ack&)>;
+  using State = TcpReceiverState;
 
   /// @param queue event queue driving the simulation (must outlive this)
   /// @throws std::invalid_argument if config is invalid.
@@ -50,6 +61,14 @@ class TcpReceiver {
   // The delayed-ACK timer's callback holds `this`.
   TcpReceiver(const TcpReceiver&) = delete;
   TcpReceiver& operator=(const TcpReceiver&) = delete;
+
+  /// Copies the receiver's state (not its wiring) into `out`, reusing
+  /// its buffers.
+  void save(State& out) const { out = *this; }
+
+  /// Puts back a state that save() took, with the queue's state of the
+  /// same moment (the delayed-ACK timer lives in the queue).
+  void restore(const State& state) { static_cast<State&>(*this) = state; }
 
   /// Sets the ACK transmission callback (must be set before traffic flows).
   void set_send_ack(SendAckFn fn) { send_ack_ = std::move(fn); }
@@ -67,7 +86,7 @@ class TcpReceiver {
   [[nodiscard]] std::size_t buffered() const noexcept { return out_of_order_.size(); }
 
   /// The out-of-order buffer itself (sorted) — state-digest introspection.
-  [[nodiscard]] const std::set<SeqNo>& out_of_order() const noexcept {
+  [[nodiscard]] const std::vector<SeqNo>& out_of_order() const noexcept {
     return out_of_order_;
   }
 
@@ -89,15 +108,12 @@ class TcpReceiver {
     }
   }
 
+  // Wiring, not saved.
   EventQueue& queue_;
   TcpReceiverConfig config_;
   SendAckFn send_ack_;
   obs::ConnEventTrace* etrace_ = nullptr;
-  SeqNo next_expected_ = 0;
-  std::set<SeqNo> out_of_order_;
-  int unacked_in_order_ = 0;
   TimerId delack_timer_ = 0;
-  TcpReceiverStats stats_;
 };
 
 }  // namespace pftk::sim

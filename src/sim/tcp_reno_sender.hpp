@@ -21,11 +21,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 
 #include "obs/conn_event_trace.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/fifo_ring.hpp"
 #include "sim/packet.hpp"
 #include "sim/sender_observer.hpp"
 #include "sim/sim_time.hpp"
@@ -72,11 +72,61 @@ struct TcpRenoSenderStats {
   std::uint64_t dup_acks_received = 0;
 };
 
+/// Everything about a TcpRenoSender that changes as it runs, in one
+/// struct so that TcpRenoSender::save copies every field: a field added
+/// here is saved.
+struct TcpRenoSenderState {
+  /// Bookkeeping for one outstanding segment (Karn validity + timing).
+  struct FlightRecord {
+    Time first_sent = 0.0;
+    std::size_t in_flight_at_send = 0;
+    bool retransmitted = false;
+  };
+
+  bool rwnd_clamped_ = false;  ///< last reported clamp state (trace only)
+
+  SeqNo next_seq_ = 0;
+  SeqNo snd_una_ = 0;
+  /// High-water mark: one past the highest sequence ever transmitted.
+  /// After a timeout next_seq_ is pulled back below this (go-back-N).
+  SeqNo highest_sent_ = 0;
+  double cwnd_ = 1.0;
+  double ssthresh_ = 1e9;
+  int dupacks_ = 0;
+  bool in_fast_recovery_ = false;
+  SeqNo recover_ = 0;  ///< NewReno: recovery ends when cum ACK passes this
+  int consecutive_timeouts_ = 0;
+  Time completion_time_ = 0.0;
+
+  // Jacobson estimator state.
+  bool have_rtt_sample_ = false;
+  Duration srtt_ = 0.0;
+  Duration rttvar_ = 0.0;
+  Duration rto_ = 3.0;
+
+  // Classic single-timer RTT timing (4.4BSD style): one segment is timed
+  // at a time and the measurement is abandoned on any retransmission, so
+  // recovery stalls never pollute the samples (Karn's algorithm).
+  bool timing_active_ = false;
+  bool timing_cancelled_ = false;
+  SeqNo timed_seq_ = 0;
+  Time timing_started_ = 0.0;
+  std::size_t timing_in_flight_ = 0;
+
+  /// Flight records indexed by (seq - flight_base_); front == snd_una_.
+  FifoRing<FlightRecord> flight_;
+  SeqNo flight_base_ = 0;
+
+  TcpRenoSenderStats stats_;
+};
+
 /// Saturated TCP Reno sender: always has data, sends whenever the window
 /// allows, forever.
-class TcpRenoSender {
+class TcpRenoSender : private TcpRenoSenderState {
  public:
   using SendSegmentFn = std::function<void(const Segment&)>;
+  using State = TcpRenoSenderState;
+  using FlightRecord = State::FlightRecord;
 
   /// @param queue event queue driving the simulation (must outlive this)
   /// @throws std::invalid_argument if config is invalid.
@@ -85,6 +135,14 @@ class TcpRenoSender {
   // The RTO timer's callback holds `this`.
   TcpRenoSender(const TcpRenoSender&) = delete;
   TcpRenoSender& operator=(const TcpRenoSender&) = delete;
+
+  /// Copies the sender's state (not its wiring: queue, callbacks,
+  /// observer, trace) into `out`, reusing its buffers.
+  void save(State& out) const { out = *this; }
+
+  /// Puts back a state that save() took, with the queue's state of the
+  /// same moment (the RTO timer lives in the queue).
+  void restore(const State& state) { static_cast<State&>(*this) = state; }
 
   /// Sets the segment transmission callback (must be set before start()).
   void set_send_segment(SendSegmentFn fn) { send_segment_ = std::move(fn); }
@@ -136,13 +194,6 @@ class TcpRenoSender {
   [[nodiscard]] Duration smoothed_rtt() const noexcept { return srtt_; }
   [[nodiscard]] const TcpRenoSenderStats& stats() const noexcept { return stats_; }
 
-  /// Bookkeeping for one outstanding segment (Karn validity + timing).
-  struct FlightRecord {
-    Time first_sent = 0.0;
-    std::size_t in_flight_at_send = 0;
-    bool retransmitted = false;
-  };
-
   // Behavioral-state introspection for canonical state digests (the
   // model checker's visited-state hashing): every field here feeds a
   // future decision — RTT estimation (Jacobson/Karn), timer state, or
@@ -154,7 +205,7 @@ class TcpRenoSender {
   [[nodiscard]] Time rtt_timing_started() const noexcept { return timing_started_; }
   [[nodiscard]] bool rtx_timer_armed() const noexcept { return queue_.armed(rtx_timer_); }
   /// Outstanding-segment records, front == snd_una() (Karn flags).
-  [[nodiscard]] const std::deque<FlightRecord>& flight() const noexcept {
+  [[nodiscard]] const FifoRing<FlightRecord>& flight() const noexcept {
     return flight_;
   }
 
@@ -179,48 +230,13 @@ class TcpRenoSender {
   /// attached.
   void note_window_state();
 
+  // Wiring, not saved.
   EventQueue& queue_;
   TcpRenoSenderConfig config_;
   SendSegmentFn send_segment_;
   SenderObserver* observer_ = nullptr;
   obs::ConnEventTrace* etrace_ = nullptr;
-  bool rwnd_clamped_ = false;  ///< last reported clamp state (trace only)
-
-  SeqNo next_seq_ = 0;
-  SeqNo snd_una_ = 0;
-  /// High-water mark: one past the highest sequence ever transmitted.
-  /// After a timeout next_seq_ is pulled back below this (go-back-N).
-  SeqNo highest_sent_ = 0;
-  double cwnd_ = 1.0;
-  double ssthresh_ = 1e9;
-  int dupacks_ = 0;
-  bool in_fast_recovery_ = false;
-  SeqNo recover_ = 0;  ///< NewReno: recovery ends when cum ACK passes this
-  int consecutive_timeouts_ = 0;
-  Time completion_time_ = 0.0;
-
-  // Jacobson estimator state.
-  bool have_rtt_sample_ = false;
-  Duration srtt_ = 0.0;
-  Duration rttvar_ = 0.0;
-  Duration rto_ = 3.0;
-
-  // Classic single-timer RTT timing (4.4BSD style): one segment is timed
-  // at a time and the measurement is abandoned on any retransmission, so
-  // recovery stalls never pollute the samples (Karn's algorithm).
-  bool timing_active_ = false;
-  bool timing_cancelled_ = false;
-  SeqNo timed_seq_ = 0;
-  Time timing_started_ = 0.0;
-  std::size_t timing_in_flight_ = 0;
-
   TimerId rtx_timer_ = 0;
-
-  /// Flight records indexed by (seq - flight_base_); front == snd_una_.
-  std::deque<FlightRecord> flight_;
-  SeqNo flight_base_ = 0;
-
-  TcpRenoSenderStats stats_;
 };
 
 }  // namespace pftk::sim

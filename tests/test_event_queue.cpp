@@ -855,6 +855,60 @@ class ScriptedQueue {
     }
   }
 
+  /// The queue's state and the script's own, so that a restore puts the
+  /// whole side back (the stats sink is the script's).
+  struct Snapshot {
+    EventQueue::State queue;
+    obs::EventLoopStats stats;
+    std::vector<std::pair<int, Time>> log;
+    std::vector<std::size_t> ties;
+    std::size_t stops = 0;
+    bool stop_asked = false;
+    std::mt19937_64 rng;
+    std::mt19937_64 stop_rng;
+    std::vector<EventId> ids;
+    std::vector<Time> last_key;
+    std::vector<std::deque<int>> payloads;
+    int next_tag = 0;
+    int budget = 0;
+  };
+
+  /// Whether a stop was requested that the running run_until has not
+  /// yet resumed from.
+  [[nodiscard]] bool stop_pending() const noexcept { return stop_asked_; }
+
+  void save(Snapshot& out) const {
+    queue.save(out.queue);
+    out.stats = stats;
+    out.log = log;
+    out.ties = ties;
+    out.stops = stops;
+    out.stop_asked = stop_asked_;
+    out.rng = rng_;
+    out.stop_rng = stop_rng_;
+    out.ids = ids_;
+    out.last_key = last_key_;
+    out.payloads = payloads_;
+    out.next_tag = next_tag_;
+    out.budget = budget_;
+  }
+
+  void restore(const Snapshot& in) {
+    queue.restore(in.queue);
+    stats = in.stats;
+    log = in.log;
+    ties = in.ties;
+    stops = in.stops;
+    stop_asked_ = in.stop_asked;
+    rng_ = in.rng;
+    stop_rng_ = in.stop_rng;
+    ids_ = in.ids;
+    last_key_ = in.last_key;
+    payloads_ = in.payloads;
+    next_tag_ = in.next_tag;
+    budget_ = in.budget;
+  }
+
   EventQueue queue;
   obs::EventLoopStats stats;
   std::vector<std::pair<int, Time>> log;  ///< (tag, time) per dispatch
@@ -973,6 +1027,195 @@ TEST(EventQueueTimer, MatchesCancelPlusScheduleUnderARandomTieBreaker) {
 
 TEST(EventQueueStream, MatchesScheduleAtOnRandomScripts) {
   EXPECT_EQ(diverging_scripts(2000, /*tie_breaks=*/false, /*with_streams=*/true), 0);
+}
+
+// ---- Snapshots ----------------------------------------------------------
+
+/// Whether two queues' states agree field for field, callbacks aside. A
+/// restored side replays its twin's operations, so it must hold even the
+/// fields no dispatch order shows, such as the schedule counter (new seqs
+/// stay in order past a gap).
+::testing::AssertionResult same_saved_state(const EventQueue& a, const EventQueue& b) {
+  EventQueue::State x;
+  EventQueue::State y;
+  a.save(x);
+  b.save(y);
+  if (x.now_ != y.now_ || x.next_seq_ != y.next_seq_ || x.executed_ != y.executed_ ||
+      x.free_head_ != y.free_head_ || x.live_count_ != y.live_count_ ||
+      x.cancelled_in_heap_ != y.cancelled_in_heap_ || x.stream_keys_ != y.stream_keys_ ||
+      x.stop_requested_ != y.stop_requested_ || x.inspect_countdown_ != y.inspect_countdown_) {
+    return ::testing::AssertionFailure()
+           << "clock or counters differ (next seq " << x.next_seq_ << " vs " << y.next_seq_
+           << ")";
+  }
+  const auto same_entries = [](const auto& p, const auto& q) {
+    return p.size() == q.size() && std::equal(p.begin(), p.end(), q.begin(), [](auto& e, auto& f) {
+             return e.at == f.at && e.seq == f.seq && e.slot == f.slot && e.gen == f.gen;
+           });
+  };
+  if (!same_entries(x.heap_, y.heap_)) {
+    return ::testing::AssertionFailure() << "heaps differ";
+  }
+  if (!std::equal(x.slots_.begin(), x.slots_.end(), y.slots_.begin(), y.slots_.end(),
+                  [](auto& s, auto& t) {
+                    return s.gen == t.gen && s.next_free == t.next_free &&
+                           s.timer == t.timer && s.live == t.live;
+                  })) {
+    return ::testing::AssertionFailure() << "slabs differ";
+  }
+  if (!std::equal(x.timers_.begin(), x.timers_.end(), y.timers_.begin(), y.timers_.end(),
+                  [](auto& s, auto& t) {
+                    return s.due == t.due && s.seq == t.seq && s.entry_at == t.entry_at &&
+                           s.slot == t.slot && s.stream == t.stream && s.queued == t.queued;
+                  })) {
+    return ::testing::AssertionFailure() << "timers differ";
+  }
+  if (!std::equal(x.streams_.begin(), x.streams_.end(), y.streams_.begin(), y.streams_.end(),
+                  [](auto& s, auto& t) {
+                    if (s.timer != t.timer || s.keys.size() != t.keys.size()) {
+                      return false;
+                    }
+                    for (std::size_t i = 0; i < s.keys.size(); ++i) {
+                      if (s.keys[i].at != t.keys[i].at || s.keys[i].seq != t.keys[i].seq) {
+                        return false;
+                      }
+                    }
+                    return true;
+                  })) {
+    return ::testing::AssertionFailure() << "streams differ";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Runs `scripts` seeded scripts on twin sides that both stop and resume
+/// at random points; one side also saves at random event boundaries (from
+/// its inspector, mid-run) and between steps, goes on an excursion of
+/// random operations and runs, restores, and finishes the interrupted
+/// step. After every step the two must agree, in what they did and in
+/// their queues' states; returns the scripts that diverged.
+int diverging_snapshot_scripts(int scripts, bool tie_breaks, bool with_streams) {
+  int diverged = 0;
+  std::size_t restores = 0;
+  for (int script = 0; script < scripts; ++script) {
+    const auto seed = static_cast<std::uint64_t>(script) * 104729u + (tie_breaks ? 1u : 0u) +
+                      (with_streams ? 2u : 0u);
+    std::mt19937_64 pick(seed);
+    std::mt19937_64 snap_pick(~seed);
+    const std::size_t k = 1 + pick() % 4;
+    const std::size_t streams = with_streams ? 1 + pick() % 4 : 0;
+    ScriptedQueue snap(true, seed, k, streams, tie_breaks, /*stop_points=*/true);
+    ScriptedQueue twin(true, seed, k, streams, tie_breaks, /*stop_points=*/true);
+    ScriptedQueue::Snapshot saved;
+    bool saved_mid_run = true;  // false while a step's run may save
+    snap.queue.set_inspector([&] {
+      // Not after a stop request: the resumed run would end at once.
+      if (!saved_mid_run && !snap.stop_pending() && snap_pick() % 6 == 0) {
+        snap.save(saved);
+        saved_mid_run = true;
+      }
+    });
+    twin.queue.set_inspector([] {});  // the same inspection phase
+    const auto agree = [&snap, &twin] {
+      const ::testing::AssertionResult same = same_state(snap, twin);
+      return same ? same_saved_state(snap.queue, twin.queue) : same;
+    };
+    // Random work that the restore must undo without a trace.
+    const auto excursion = [&snap, &snap_pick] {
+      for (std::uint64_t n = snap_pick() % 4; n > 0; --n) {
+        snap.random_op();
+      }
+      snap.run_until(snap.queue.now() + 0.25 * static_cast<double>(snap_pick() % 6));
+    };
+    bool same = true;
+    for (int step = 0; step < 40 && same; ++step) {
+      const bool run = pick() % 4 == 0;
+      const double span = 0.25 * static_cast<double>(pick() % 5);
+      const Time end = twin.queue.now() + span;
+      if (run) {
+        twin.run_until(end);
+      } else {
+        twin.random_op();
+      }
+      if (snap_pick() % 5 == 0) {
+        // Between steps: the restored side must take the step as if the
+        // excursion had never happened.
+        snap.save(saved);
+        excursion();
+        snap.restore(saved);
+        ++restores;
+      }
+      saved_mid_run = false;
+      if (run) {
+        snap.run_until(end);
+        if (saved_mid_run) {
+          excursion();
+          snap.restore(saved);
+          snap.run_until(end);  // the rest of the interrupted run
+          ++restores;
+        }
+      } else {
+        snap.random_op();
+      }
+      saved_mid_run = true;  // no saves outside this step's run
+      same = static_cast<bool>(agree());
+    }
+    if (same) {
+      snap.run_all();
+      twin.run_all();
+      same = static_cast<bool>(agree());
+    }
+    if (!same) {
+      ADD_FAILURE() << "script " << script << " (tie_breaks=" << tie_breaks
+                    << ", streams=" << streams << "): " << agree().message();
+      ++diverged;
+    }
+  }
+  EXPECT_GT(restores, static_cast<std::size_t>(scripts)) << "too few restores to test";
+  return diverged;
+}
+
+TEST(EventQueueSnapshot, RestoredQueueRunsOnLikeItsUninterruptedTwin) {
+  EXPECT_EQ(diverging_snapshot_scripts(1000, /*tie_breaks=*/false, /*with_streams=*/false), 0);
+}
+
+TEST(EventQueueSnapshot, RestoresUnderARandomTieBreaker) {
+  EXPECT_EQ(diverging_snapshot_scripts(1000, /*tie_breaks=*/true, /*with_streams=*/false), 0);
+}
+
+TEST(EventQueueSnapshot, RestoresDeliveryStreams) {
+  EXPECT_EQ(diverging_snapshot_scripts(1000, /*tie_breaks=*/false, /*with_streams=*/true), 0);
+}
+
+TEST(EventQueue, NextIsTiedSeesTheEarliestTimeOnly) {
+  EventQueue q;
+  EXPECT_FALSE(q.next_is_tied());
+  const TimerId t = q.add_timer([] {});
+  q.arm_at(t, 1.0);
+  q.schedule_at(2.0, [] {});
+  q.schedule_at(2.0, [] {});
+  EXPECT_FALSE(q.next_is_tied());  // the tie at 2 s is not next
+  const EventId id = q.schedule_at(1.0, [] {});
+  EXPECT_TRUE(q.next_is_tied());
+  q.cancel(id);
+  EXPECT_FALSE(q.next_is_tied());
+  q.arm_at(t, 2.0);  // a re-armed timer counts at its real deadline
+  EXPECT_TRUE(q.next_is_tied());
+  const StreamId s = q.add_stream([] {});
+  q.push(s, 0.5);
+  q.push(s, 0.5);
+  EXPECT_TRUE(q.next_is_tied());  // a stream's keys behind its head count
+  q.run_until(0.5);
+  EXPECT_TRUE(q.next_is_tied());
+}
+
+TEST(EventQueueSnapshot, NonCopyableCallbackCannotBeSaved) {
+  EventQueue q;
+  auto owned = std::make_unique<int>(7);
+  q.schedule_at(1.0, [p = std::move(owned)] { (void)*p; });
+  EventQueue::State state;
+  EXPECT_THROW(q.save(state), std::logic_error);
+  q.run_all();
+  EXPECT_EQ(q.executed(), 1u);
 }
 
 TEST(EventQueueStream, KeysFireInOrderAndCountAsScheduledEvents) {

@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "mc/digest.hpp"
 #include "mc/explorer.hpp"
 #include "mc/trace_file.hpp"
 #include "sim/connection.hpp"
@@ -295,6 +296,128 @@ TEST(Explorer, ConfigValidationRejectsBadFields) {
     mutate(cfg);
     EXPECT_THROW(Explorer{cfg}, std::invalid_argument);
   }
+}
+
+TEST(Explorer, MaxStatesCutIsTheSameAtOneAndTwoThreads) {
+  // perfbench's tree cut at 10,000 states: -j 2 must stop where -j 1
+  // does, whatever order its jobs run in (the CLI golden
+  // explore_max_states pins the -j 1 counts).
+  ExploreConfig cfg;
+  cfg.packets = 20;
+  cfg.window = 16.0;
+  cfg.loss_choices = 14;
+  cfg.ack_loss = true;
+  cfg.tie_width = 2;
+  cfg.tie_choices = 4;
+  cfg.max_states = 10000;
+  const ExploreResult serial = Explorer(cfg).run();
+  EXPECT_FALSE(serial.complete);
+  EXPECT_TRUE(stats_equal(serial.stats, ExploreStats{.states = 10000,
+                                                     .branches = 9982,
+                                                     .terminals = 4207,
+                                                     .pruned = 5775}))
+      << "states " << serial.stats.states << ", branches " << serial.stats.branches;
+  for (int run = 0; run < 24; ++run) {
+    ExploreConfig parallel_cfg = cfg;
+    parallel_cfg.threads = run % 4 == 3 ? 4 : 2;
+    const ExploreResult parallel = Explorer(parallel_cfg).run();
+    EXPECT_FALSE(parallel.complete);
+    EXPECT_TRUE(stats_equal(parallel.stats, serial.stats))
+        << "run " << run << " -j " << parallel_cfg.threads << ": states "
+        << parallel.stats.states << ", branches " << parallel.stats.branches
+        << ", terminals " << parallel.stats.terminals << ", pruned " << parallel.stats.pruned;
+  }
+}
+
+/// What the recording property saw at the end of one branch.
+struct RecordedBranch {
+  std::vector<Choice> path;
+  std::string digest;
+};
+
+TEST(Explorer, EveryTerminalBranchEndsAsItsReplayDoes) {
+  // Jobs resume branches from snapshots; replay() runs each from t = 0.
+  // Every terminal branch must end in the verdict and state its replay
+  // ends in.
+  ExploreConfig faults;
+  faults.packets = 4;
+  faults.loss_choices = 4;
+  faults.ack_loss = true;
+  faults.fault_schedule = "blackout@0+1;blackout@0+1";
+  ExploreConfig all_kinds;
+  all_kinds.packets = 6;
+  all_kinds.loss_choices = 6;
+  all_kinds.ack_loss = true;
+  all_kinds.tie_width = 2;
+  all_kinds.tie_choices = 2;
+  all_kinds.fault_schedule = "blackout@0+1;blackout@0+1";
+  const std::vector<std::pair<const char*, ExploreConfig>> configs{
+      {"documented", documented_config()},
+      {"ties", ties_config()},
+      {"faults", faults},
+      {"all-kinds", all_kinds}};
+  for (const auto& [name, cfg] : configs) {
+    std::vector<RecordedBranch> branches;
+    Explorer explorer(cfg);
+    explorer.add_property("test.record", [&branches](const BranchContext& ctx) {
+      branches.push_back(RecordedBranch{std::vector<Choice>(ctx.path.begin(), ctx.path.end()),
+                                        digest_connection(ctx.conn).hex()});
+    });
+    const ExploreResult result = explorer.run();
+    ASSERT_TRUE(result.complete) << name;
+    EXPECT_EQ(branches.size(), result.stats.terminals) << name;
+    Explorer replayer(cfg);
+    std::size_t mismatches = 0;
+    for (const RecordedBranch& branch : branches) {
+      const ReplayOutcome outcome = replayer.replay(branch.path);
+      if (outcome.diverged || outcome.violated || outcome.digest.hex() != branch.digest) {
+        ++mismatches;
+        ADD_FAILURE() << name << ": " << encode_choices(branch.path) << ": "
+                      << (outcome.diverged ? "diverged: " + outcome.message
+                                           : outcome.digest.hex() + " vs " + branch.digest);
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << name;
+  }
+}
+
+TEST(Digest, HexOfFixedStatesIsPinned) {
+  // The digest's bits, written by the build whose digest allocated a
+  // vector per call and mixed out of line: a change to the mixing or to
+  // what is hashed, in what order, moves these.
+  sim::ConnectionConfig oracle;
+  oracle.sender.initial_cwnd = 1.0;
+  oracle.sender.advertised_window = 8.0;
+  oracle.sender.initial_rto = 1.0;
+  oracle.sender.min_rto = 1.0;
+  oracle.sender.timer_tick = 0.0;
+  oracle.sender.total_packets = 20;
+  oracle.forward_link.propagation_delay = 0.05;
+  oracle.reverse_link.propagation_delay = 0.05;
+  int offered = 0;
+  oracle.forward_loss = sim::OracleLossSpec{[&offered](sim::Time) { return ++offered % 5 == 2; }};
+  sim::ConnectionConfig lossy;
+  lossy.sender.advertised_window = 16.0;
+  lossy.forward_loss = sim::BernoulliLossSpec{0.05};
+  lossy.seed = 7;
+
+  std::vector<std::string> hex;
+  for (const sim::ConnectionConfig* cfg : {&oracle, &lossy}) {
+    sim::Connection conn(*cfg);
+    hex.push_back(digest_connection(conn).hex());
+    for (const double until : {0.25, 1.3, 7.0, 30.0}) {
+      (void)conn.run_for(until - conn.event_queue().now());
+      hex.push_back(digest_connection(conn).hex());
+    }
+  }
+  const std::vector<std::string> pinned{
+      "894ee1b0613bdae4a253ad48129062af", "e25875e45748708b66198c1fc73fb69f",
+      "492b6609f61e89bee1754dc91dfe7b1b", "476e5ca332718a1f5e9e496271d0fca0",
+      "f3a60fa95a39bcc96108fcd37d3b7f79", "e244013ebc41840dbe6d29ddf83939be",
+      "96be4990c629da92b8bdbe1d01954a34", "3b86707dcd6a6d22c63a0e1bf744bf8f",
+      "9c7401bbd065a4d8114b1df35229b264", "8c2d7554f85457838894673760dc74e5",
+  };
+  EXPECT_EQ(hex, pinned);
 }
 
 TEST(TraceFile, SerializeParseRoundTrip) {
